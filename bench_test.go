@@ -67,30 +67,21 @@ func refTime(b *testing.B, procs int, prog mpi.Program, opts mpi.Options) time.D
 func BenchmarkFig9StressDistributed(b *testing.B) {
 	for _, procs := range []int{16, 64, 256} {
 		for _, fanIn := range []int{2, 4, 8} {
-			for _, batch := range []must.Batching{must.BatchOn, must.BatchOff} {
-				b.Run(fmt.Sprintf("procs=%d/fanin=%d/batch=%s", procs, fanIn, batch), func(b *testing.B) {
-					prog := workload.Stress(stressIters)
-					ref := refTime(b, procs, prog, mpi.Options{})
-					b.ReportAllocs()
-					b.ResetTimer()
-					var total time.Duration
-					for i := 0; i < b.N; i++ {
-						rep := must.Run(procs, prog, must.Options{
-							FanIn: fanIn, Timeout: benchTimeout, Batch: batch,
-							// Governance on at the default budget: the
-							// Fig. 9 series carries the accounting
-							// overhead, so the bench gate catches any
-							// hot-path regression in the governor.
-							MemBudget: must.DefaultMemBudget,
-						})
-						if rep.Deadlock {
-							b.Fatal("stress must not deadlock")
-						}
-						total += rep.Elapsed
+			b.Run(fmt.Sprintf("procs=%d/fanin=%d", procs, fanIn), func(b *testing.B) {
+				prog := workload.Stress(stressIters)
+				ref := refTime(b, procs, prog, mpi.Options{})
+				b.ReportAllocs()
+				b.ResetTimer()
+				var total time.Duration
+				for i := 0; i < b.N; i++ {
+					rep := must.Run(procs, prog, must.Options{FanIn: fanIn, Timeout: benchTimeout})
+					if rep.Deadlock {
+						b.Fatal("stress must not deadlock")
 					}
-					b.ReportMetric(float64(total)/float64(b.N)/float64(ref), "slowdown")
-				})
-			}
+					total += rep.Elapsed
+				}
+				b.ReportMetric(float64(total)/float64(b.N)/float64(ref), "slowdown")
+			})
 		}
 	}
 }
@@ -137,17 +128,15 @@ func reportDetection(b *testing.B, rep *must.Report) {
 
 func BenchmarkFig10WildcardDetection(b *testing.B) {
 	for _, procs := range []int{16, 64, 256, 1024} {
-		for _, batch := range []must.Batching{must.BatchOn, must.BatchOff} {
-			b.Run(fmt.Sprintf("procs=%d/batch=%s", procs, batch), func(b *testing.B) {
-				b.ReportAllocs()
-				var last *must.Report
-				for i := 0; i < b.N; i++ {
-					last = must.Run(procs, workload.WildcardDeadlock(),
-						must.Options{FanIn: 4, Timeout: 50 * time.Millisecond, Batch: batch})
-				}
-				reportDetection(b, last)
-			})
-		}
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			b.ReportAllocs()
+			var last *must.Report
+			for i := 0; i < b.N; i++ {
+				last = must.Run(procs, workload.WildcardDeadlock(),
+					must.Options{FanIn: 4, Timeout: 50 * time.Millisecond})
+			}
+			reportDetection(b, last)
+		})
 	}
 }
 

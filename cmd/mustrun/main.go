@@ -47,7 +47,6 @@ func main() {
 		iters      = flag.Int("iters", 50, "iterations (stress/spec workloads)")
 		rendezvous = flag.Bool("rendezvous", false, "force synchronous standard sends")
 		prefer     = flag.Bool("prefer-waitstate", false, "prioritize wait-state messages on tool nodes")
-		batch      = flag.Bool("batch", true, "hot-path batching on the TBON (slab delivery + wait-state coalescing); -batch=false runs the unbatched path")
 		htmlPath   = flag.String("html", "", "write the HTML report to this file")
 		dotPath    = flag.String("dot", "", "write the DOT wait-for graph to this file")
 		sites      = flag.Bool("sites", false, "record call sites (reports point at source lines)")
@@ -66,7 +65,7 @@ func main() {
 		wdQuiet   = flag.Duration("watchdog-quiet", 0, "progress watchdog quiet period (0 = disabled)")
 		statsJSON = flag.String("stats-json", "", "write run statistics as JSON to this file (- for stdout)")
 
-		memBudget = flag.Int64("mem-budget", must.DefaultMemBudget, "tool-plane memory budget in bytes per process (distributed mode; 0 = unbounded legacy behavior)")
+		memBudget = flag.Int64("mem-budget", 0, "tool-plane memory budget in bytes per process (distributed mode; 0 = the 256 MiB default)")
 
 		engineSel    = flag.String("engine", "", "detection engine: wfg (reference, default) | cmh (Chandy–Misra–Haas probes) | all (every applicable engine)")
 		differential = flag.Bool("differential", false, "run every applicable engine on each snapshot plus the static pre-run pass; report verdict deviations")
@@ -115,21 +114,13 @@ func main() {
 		Timeout:          session.Duration(*timeout),
 		Rendezvous:       *rendezvous,
 		PreferWaitState:  *prefer,
-		NoBatch:          !*batch,
 		TrackCallSites:   *sites,
 		LinkDelay:        session.Duration(*linkDelay),
 		SnapshotDeadline: session.Duration(*snapDeadl),
 		WatchdogQuiet:    session.Duration(*wdQuiet),
 		Engine:           *engineSel,
 		Differential:     *differential,
-	}
-	// Spec encoding: 0 means "service default" there, so the unbounded
-	// request (flag 0) maps to the explicit -1 sentinel.
-	switch {
-	case *memBudget == 0:
-		spec.MemBudget = -1
-	case *memBudget != must.DefaultMemBudget:
-		spec.MemBudget = *memBudget
+		MemBudget:        *memBudget,
 	}
 	if faultActive {
 		spec.Fault = &session.FaultSpec{
@@ -345,7 +336,7 @@ func main() {
 	writeIf(*htmlPath, rep.HTML)
 	writeIf(*dotPath, rep.DOT)
 	if *statsJSON != "" {
-		st := session.StatsFor(*wl, *procs, *mode, *transport, *batch, rep)
+		st := session.StatsFor(*wl, *procs, *mode, *transport, rep)
 		st.Interrupted = interrupted
 		// Must stay the last stdout write: with `-stats-json -`, consumers
 		// parse the trailing JSON object off the human-readable output.

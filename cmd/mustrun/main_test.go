@@ -90,16 +90,18 @@ func TestValidateTransportFlags(t *testing.T) {
 // into -stats-json.
 func TestStatsJSONCarriesTransportCounters(t *testing.T) {
 	rep := &must.Report{
-		Reconnects:            3,
-		CodecErrors:           1,
-		BytesOnWire:           4096,
-		Retransmits:           7,
-		WorkerRespawns:        2,
-		ShippedJournalEntries: 40,
-		RespawnBackoff:        300 * time.Millisecond,
-		ReplayTime:            5 * time.Millisecond,
+		Counters: must.Counters{
+			Reconnects:            3,
+			CodecErrors:           1,
+			BytesOnWire:           4096,
+			Retransmits:           7,
+			WorkerRespawns:        2,
+			ShippedJournalEntries: 40,
+		},
+		RespawnBackoff: 300 * time.Millisecond,
+		ReplayTime:     5 * time.Millisecond,
 	}
-	b, err := json.Marshal(session.StatsFor("fig2b", 8, "distributed", "tcp", false, rep))
+	b, err := json.Marshal(session.StatsFor("fig2b", 8, "distributed", "tcp", rep))
 	if err != nil {
 		t.Fatal(err)
 	}

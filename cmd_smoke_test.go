@@ -119,6 +119,14 @@ func TestCmdMustrunFaultFlags(t *testing.T) {
 		!strings.Contains(out, "bad fault.drop") {
 		t.Fatalf("bad -fault-drop not rejected with exit 2 (code %d):\n%s", code, out)
 	}
+	// Retired knobs are refused, not ignored: the -batch flag is gone and a
+	// negative -mem-budget no longer means "unbounded".
+	for _, args := range [][]string{{"-batch=false"}, {"-mem-budget", "-1"}} {
+		out, code = goRun(t, append([]string{"./cmd/mustrun", "-workload", "recvrecv"}, args...)...)
+		if code == 0 || !strings.Contains(out, "exit status 2") {
+			t.Fatalf("%v not rejected with exit 2 (code %d):\n%s", args, code, out)
+		}
+	}
 }
 
 func TestCmdMustrunRankFaultFlags(t *testing.T) {
@@ -192,7 +200,7 @@ func TestCmdMustrunStatsJSONStdout(t *testing.T) {
 	// newline-terminated, after the human-readable report — so shell
 	// pipelines can `tail` it off without guessing at offsets.
 	out, code := goRunStdout(t, "./cmd/mustrun", "-workload", "recvrecv", "-procs", "4",
-		"-batch=false", "-stats-json", "-")
+		"-mode", "centralized", "-stats-json", "-")
 	if code != 1 {
 		t.Fatalf("exit = %d\n%s", code, out)
 	}
@@ -206,14 +214,14 @@ func TestCmdMustrunStatsJSONStdout(t *testing.T) {
 	var st struct {
 		Workload string `json:"workload"`
 		Procs    int    `json:"procs"`
-		Batch    bool   `json:"batch"`
+		Mode     string `json:"mode"`
 		Verdict  string `json:"verdict"`
 		Deadlock bool   `json:"deadlock"`
 	}
 	if err := json.Unmarshal([]byte(out[i+1:]), &st); err != nil {
 		t.Fatalf("trailing JSON does not parse: %v\n%s", err, out[i+1:])
 	}
-	if st.Workload != "recvrecv" || st.Procs != 4 || st.Batch || !st.Deadlock {
+	if st.Workload != "recvrecv" || st.Procs != 4 || st.Mode != "centralized" || st.Verdict != "deadlock" || !st.Deadlock {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -12,6 +12,11 @@
 //   - dwst/mpi — write MPI-style Go programs against the bundled runtime
 //   - dwst/must — run programs under the deadlock-detection tool
 //
+// must.Options and must.Report are aliases: the run's options and its
+// report are each declared once, in internal/core (options.go, report.go),
+// and that is where every field is documented
+// (go doc dwst/internal/core.Options, go doc dwst/internal/core.Report).
+//
 // The benchmarks in bench_test.go regenerate every table and figure of the
 // paper's evaluation; see DESIGN.md for the experiment index and
 // EXPERIMENTS.md for measured-vs-paper results.

@@ -34,206 +34,6 @@ var ErrDeadlockDetected = errors.New("MUST-style tool: deadlock detected")
 // wait-state deadlock explains the silence.
 var ErrStalled = errors.New("MUST-style tool: stalled ranks (progress watchdog)")
 
-// Config parameterizes a tool-attached run.
-type Config struct {
-	// Ctx, when non-nil, cancels the run from outside: on Done the world
-	// aborts with context.Cause(Ctx), every blocked rank unwinds, and the
-	// tree tears down through the normal shutdown path. Cancellation shares
-	// the one abort path with every other way a run ends (deadlock abort,
-	// stall abort, mpisim's HangTimeout): mpisim.World.Abort.
-	Ctx context.Context
-	// Procs is the number of application ranks.
-	Procs int
-	// FanIn is the TBON fan-in (paper evaluates 2, 4, 8). Default 4.
-	FanIn int
-	// Timeout is the event-quiescence period after which the root triggers
-	// graph-based detection (Sec. 5). Default 50ms.
-	Timeout time.Duration
-	// EventBuf is the rank → tool link capacity (backpressure depth).
-	EventBuf int
-	// PreferWaitState prioritizes wait-state messages over new application
-	// events in first-layer node loops (the Sec. 4.2 future-work option).
-	PreferWaitState bool
-	// LinkDelay injects a per-message delay on tool-internal links (fault
-	// injection; see tbon.Config.LinkDelay).
-	LinkDelay time.Duration
-	// TrackCallSites records application source locations in events so
-	// reports can point at code.
-	TrackCallSites bool
-	// NoBatch disables hot-path batching: no slab delivery on tool queues,
-	// no per-destination coalescing of wait-state messages, no slab-level
-	// acknowledgements. Batching is on by default; the off switch exists for
-	// equivalence testing and bisection (see must.Options.Batch).
-	NoBatch bool
-	// MemBudget, when positive, bounds resident tool-plane buffer bytes per
-	// process (queue pumps, TCP send queues): data-lane traffic is
-	// byte-accounted, backpressure reaches the rank → leaf intake, and
-	// exhaustion despite backpressure degrades the run honestly (overflow
-	// counters, Overloaded + Partial) instead of growing without limit.
-	// 0 keeps the historical unbounded behavior (see tbon.Config.MemBudget).
-	MemBudget int64
-
-	// Fault optionally injects link faults and tool-node crashes (see
-	// fault.Plan). The reliable transport (sequence numbers, acks,
-	// retransmission) and the crash supervisor activate only when a plan is
-	// present; nil keeps the fault-free fast path bit-identical to before.
-	Fault *fault.Plan
-	// SnapshotDeadline bounds one consistent-state attempt at the root: on
-	// expiry the attempt is aborted and retried under a fresh epoch
-	// (Sec. 5's protocol is deadlock-free only when messages arrive, so
-	// unhealed loss must time out rather than wedge). Default 2s.
-	SnapshotDeadline time.Duration
-
-	// Net, when non-nil, runs the tool over the TCP fabric: this process is
-	// the coordinator (upper tool layers, root, driver, application) and
-	// Net.Workers separate worker processes own the first tool layer.
-	// Mutually exclusive with Fault — over real sockets the adversary is
-	// the network (or the wire-level fault proxy), not the link pumps.
-	Net *NetOptions
-
-	// WatchdogQuiet enables the progress watchdog: the driver injects
-	// per-rank heartbeats carrying each rank's call counter, and a rank
-	// that is alive, not blocked in MPI, and issues no call for longer
-	// than this period is flagged Stalled. Zero (the default) disables
-	// the watchdog and keeps fault-free runs bit-identical to before.
-	WatchdogQuiet time.Duration
-
-	// Engine selects the verdict engine at the detection root: "" or
-	// "wfg" (the reference release fixpoint), "cmh" (Chandy–Misra–Haas
-	// probes), or "all" (run every engine, verdict from the reference).
-	Engine string
-	// Differential makes every detection run all applicable engines on
-	// the same snapshot and record verdict agreement/deviations — the
-	// standing differential oracle.
-	Differential bool
-
-	// Simulator options (passed through to mpisim).
-	SendMode                 mpisim.SendMode
-	BufferSlots              int
-	BufferedSendCost         int
-	SsendEvery               int
-	SynchronizingCollectives bool
-}
-
-// Result summarizes a run under the tool.
-type Result struct {
-	// AppErr is the application outcome: nil for a clean run,
-	// ErrDeadlockDetected (wrapped) when the tool aborted it.
-	AppErr error
-	// Deadlock is the detection result when a deadlock was found (also for
-	// potential deadlocks found after a clean application run, like the
-	// 126.lammps send–send case).
-	Deadlock *detect.Result
-	// Detections counts the detection rounds that ran.
-	Detections int
-	// WindowHighWater is the largest trace window over all first-layer
-	// nodes (Sec. 4.2 memory discussion).
-	WindowHighWater int
-	// ToolNodes is the TBON size.
-	ToolNodes int
-	// Elapsed is the wall-clock duration of the application run (including
-	// tool-induced slowdown, excluding post-run analysis).
-	Elapsed time.Duration
-	// CallMismatches lists collective call mismatches the tool observed
-	// (different operations or roots within one wave).
-	CallMismatches []string
-	// LostMessages counts sends that never matched a receive (from the
-	// final detection after the application finished).
-	LostMessages int
-	// MsgStats aggregates the wait-state tool messages generated across all
-	// first-layer nodes.
-	MsgStats dws.Stats
-
-	// Partial and UnknownRanks mirror the degraded-mode flags of the last
-	// detection: a first-layer tool node crashed and the listed ranks' wait
-	// states are unknown (conservatively modeled as permanently blocked).
-	Partial      bool
-	UnknownRanks []int
-	// DroppedEvents counts application events the tool could not ingest
-	// (injected after the tree stopped or into a crashed node).
-	DroppedEvents int
-	// SnapshotRetries counts snapshot attempts aborted after missing
-	// SnapshotDeadline and retried under a fresh epoch.
-	SnapshotRetries int
-	// Retransmits and AbandonedFrames count reliable-transport activity
-	// (zero without a fault plan or TCP fabric).
-	Retransmits     uint64
-	AbandonedFrames uint64
-	// Reconnects, CodecErrors and BytesOnWire are TCP-fabric counters
-	// (zero on the channel transport): accepted worker reconnections,
-	// malformed/unencodable wire payloads, and bytes moved on the wire
-	// across all processes.
-	Reconnects  uint64
-	CodecErrors uint64
-	BytesOnWire uint64
-	// Failed marks a run that never executed the application: configuration
-	// rejected or the TCP fabric failed to assemble. AppErr holds the cause.
-	Failed bool
-
-	// Verdict classifies the outcome (true deadlock, deadlock-by-failure,
-	// stalled, none); the first non-none detection verdict wins.
-	Verdict detect.Verdict
-	// EngineVerdicts maps each detection engine that ran to its verdict
-	// string, merged over all detection rounds (engine selection or
-	// differential mode only; nil otherwise).
-	EngineVerdicts map[string]string
-	// EngineDeviations lists engine disagreements with the WFG reference
-	// across all detection rounds (differential mode; empty = agreement).
-	EngineDeviations []string
-	// DroppedResults counts completed detections the root could not
-	// deliver to the driver (should always be zero).
-	DroppedResults int
-	// DeadRanks, DeadLastCalls and FailureBlocked mirror the detection's
-	// rank-failure findings: crashed ranks, their completed call counts,
-	// and the live ranks transitively blocked on them.
-	DeadRanks      []int
-	DeadLastCalls  map[int]int
-	FailureBlocked []int
-	// StalledRanks lists the ranks the progress watchdog flagged; when
-	// the driver aborted the run because of them, AppErr is ErrStalled.
-	StalledRanks []int
-	// WatchdogFires counts detections that flagged at least one stalled
-	// rank.
-	WatchdogFires int
-
-	// Recoveries counts crashed first-layer nodes rebuilt exactly by
-	// respawn + journal replay (fault plan with Recover).
-	Recoveries int
-	// JournalHighWater is the largest live journal suffix observed across
-	// first-layer slots — the bounded-memory witness: with watermark GC it
-	// tracks outstanding work, not total events.
-	JournalHighWater int
-	// ReplayedMsgs counts journal entries re-applied during recoveries,
-	// and ReplayTime the total wall clock spent replaying (both in-process
-	// and worker-side wire replay after a supervised respawn).
-	ReplayedMsgs int
-	ReplayTime   time.Duration
-
-	// WorkerRespawns counts worker processes re-admitted through the
-	// supervised-respawn handshake (TCP fabric with recovery on), and
-	// ShippedJournalEntries the journal entries the coordinator shipped to
-	// those fresh incarnations for replay.
-	WorkerRespawns        uint64
-	ShippedJournalEntries uint64
-
-	// Resource-governance accounting (zero with MemBudget == 0; see
-	// tbon.GovernorStats). MemBudget echoes the configured budget.
-	// MemHighWater is the peak resident tool-plane bytes of any single
-	// process (max over coordinator and workers); OverflowEvents and
-	// GatedWaits sum over processes. QueueDepthHW/QueueBytesHW are
-	// per-link-class high-water marks (keys up/down/peer/wire), folded by
-	// max. Overloaded marks a run whose budget was exhausted despite
-	// backpressure — the report is then Partial, honestly, rather than the
-	// tool having grown without bound.
-	MemBudget      int64
-	MemHighWater   int64
-	OverflowEvents uint64
-	GatedWaits     uint64
-	QueueDepthHW   map[string]int64
-	QueueBytesHW   map[string]int64
-	Overloaded     bool
-}
-
 // handler adapts one tbon node to its tool roles: first-layer wait-state
 // tracker, interior aggregator, and/or root detector.
 type handler struct {
@@ -582,9 +382,10 @@ func (h *handler) atRoot(msg any) {
 	}
 }
 
-// Run executes the program under the distributed tool and returns the
-// combined result.
-func Run(cfg Config, prog mpisim.Program) *Result {
+// Run executes prog on procs ranks under the distributed tool and returns
+// the report it filled. Options must have passed Validate; the zero FanIn,
+// Timeout, SnapshotDeadline and MemBudget select their defaults here.
+func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 	if cfg.FanIn == 0 {
 		cfg.FanIn = 4
 	}
@@ -594,14 +395,8 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 	if cfg.SnapshotDeadline == 0 {
 		cfg.SnapshotDeadline = 2 * time.Second
 	}
-
-	if cfg.Net != nil && cfg.Fault != nil {
-		return &Result{Failed: true, AppErr: errors.New("core: fault plans require the channel transport; over TCP the adversary is the wire (use the wire-level fault proxy)")}
-	}
-	switch cfg.Engine {
-	case "", "wfg", "cmh", "all":
-	default:
-		return &Result{Failed: true, AppErr: fmt.Errorf("core: unknown detection engine %q (want wfg, cmh, or all)", cfg.Engine)}
+	if cfg.MemBudget == 0 {
+		cfg.MemBudget = DefaultMemBudget
 	}
 
 	journaling := cfg.Fault != nil && cfg.Fault.Recover && !cfg.Fault.DisableRetransmit
@@ -634,12 +429,12 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 
 	var tree *tbon.Tree
 	tree, err := tbon.NewNet(tbon.Config{
-		Leaves:          cfg.Procs,
+		Leaves:          procs,
 		FanIn:           cfg.FanIn,
 		EventBuf:        cfg.EventBuf,
 		PreferWaitState: cfg.PreferWaitState,
 		LinkDelay:       cfg.LinkDelay,
-		Batch:           !cfg.NoBatch,
+		Batch:           true,
 		MemBudget:       cfg.MemBudget,
 		Fault:           cfg.Fault,
 		OnNodeDown: func(n *tbon.Node) {
@@ -662,11 +457,11 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 		Net: netCfg,
 	})
 	if err != nil {
-		return &Result{Failed: true, AppErr: err}
+		return &Report{Err: err}
 	}
 	defer tree.Stop()
 
-	root := detect.NewRoot(cfg.Procs, len(tree.FirstLayer()))
+	root := detect.NewRoot(procs, len(tree.FirstLayer()))
 	root.SetEngines(cfg.Engine, cfg.Differential)
 
 	// One journal per first-layer slot, shared by every incarnation of the
@@ -690,7 +485,7 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 		if n.IsFirstLayer() {
 			idx := n.Index()
 			h.leaf = dws.NewNode(idx, n.Tree().RanksOf(idx), n.Tree().NodeFor, tbonOut{tn: n})
-			h.leaf.SetBatch(!cfg.NoBatch)
+			h.leaf.SetBatch(true)
 			h.leaf.SetWatchdogQuiet(cfg.WatchdogQuiet)
 			if journaling {
 				j := journals[idx]
@@ -744,7 +539,7 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 		}
 		if err := tree.WaitReady(cfg.Net.ReadyTimeout); err != nil {
 			tree.Stop()
-			return &Result{Failed: true, ToolNodes: tree.NumNodes(), AppErr: err}
+			return &Report{Err: err, ToolNodes: tree.NumNodes()}
 		}
 	}
 
@@ -757,10 +552,14 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 		rankStalls = cfg.Fault.RankStalls
 	}
 
+	sendMode := mpisim.Eager
+	if cfg.Rendezvous {
+		sendMode = mpisim.Rendezvous
+	}
 	var dropped atomic.Uint64
 	world := mpisim.NewWorld(mpisim.Config{
-		Procs:                    cfg.Procs,
-		SendMode:                 cfg.SendMode,
+		Procs:                    procs,
+		SendMode:                 sendMode,
 		BufferSlots:              cfg.BufferSlots,
 		BufferedSendCost:         cfg.BufferedSendCost,
 		SsendEvery:               cfg.SsendEvery,
@@ -781,16 +580,16 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 		}),
 	})
 
-	res := &Result{ToolNodes: tree.NumNodes()}
-	if cfg.Ctx != nil {
+	res := &Report{ToolNodes: tree.NumNodes(), MemBudget: cfg.MemBudget}
+	if cfg.Context != nil {
 		// External cancellation (session deadline, Ctrl-C) funnels into the
 		// same abort path as the tool's own aborts and mpisim's HangTimeout.
 		stopWatch := make(chan struct{})
 		defer close(stopWatch)
 		go func() {
 			select {
-			case <-cfg.Ctx.Done():
-				world.Abort(context.Cause(cfg.Ctx))
+			case <-cfg.Context.Done():
+				world.Abort(context.Cause(cfg.Context))
 			case <-stopWatch:
 			}
 		}()
@@ -802,7 +601,7 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 	if cfg.WatchdogQuiet > 0 {
 		stopPump := make(chan struct{})
 		defer close(stopPump)
-		go heartbeatPump(tree, world, cfg.Procs, cfg.WatchdogQuiet, stopPump)
+		go heartbeatPump(tree, world, procs, cfg.WatchdogQuiet, stopPump)
 	}
 
 	rootNode := tree.Root()
@@ -841,14 +640,14 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 			(res.Verdict == detect.VerdictNone || res.Verdict == detect.VerdictStalled) {
 			res.Verdict = r.Verdict
 		}
-		if r.Deadlock && res.Deadlock == nil {
-			res.Deadlock = r
+		if r.Deadlock && !res.Deadlock {
+			res.setDeadlock(r)
 			if live {
 				world.Abort(ErrDeadlockDetected)
 			}
 			return
 		}
-		if live && r.Verdict == detect.VerdictStalled && res.Deadlock == nil {
+		if live && r.Verdict == detect.VerdictStalled && !res.Deadlock {
 			// Stalled ranks will never quiesce into a wait-state deadlock;
 			// end the run so the report reaches the user.
 			world.Abort(ErrStalled)
@@ -859,16 +658,14 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 	lastChange := time.Now()
 	inFlight := false
 	detectStart := time.Time{}
-	appErr := error(nil)
 	appFinished := false
 
 	for {
 		select {
-		case err := <-appDone:
-			appErr = err
+		case appErr := <-appDone:
 			appFinished = true
 			res.Elapsed = time.Since(start)
-			if res.Deadlock == nil && (cfg.Ctx == nil || cfg.Ctx.Err() == nil) {
+			if !res.Deadlock && (cfg.Context == nil || cfg.Context.Err() == nil) {
 				// Final detection: catches potential deadlocks that did not
 				// manifest (buffered send–send) once the tool drained. A
 				// canceled run skips it — the caller asked for prompt
@@ -879,7 +676,9 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 					res.LostMessages = r.LostMessages
 				}
 			}
-			res.AppErr = appErr
+			res.AppAborted = appErr != nil
+			res.AbortCause = appErr
+			res.PotentialOnly = res.Deadlock && appErr == nil
 			res.SnapshotRetries = root.Aborted()
 			res.DroppedResults = root.DroppedResults()
 			tree.Stop() // idempotent; quiesces node loops and the supervisor
@@ -891,9 +690,6 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 			leafMu.Unlock()
 			res.WindowHighWater = windowHighWater(tree, leaves)
 			res.DroppedEvents = int(dropped.Load())
-			res.Retransmits = tree.Retransmits()
-			res.AbandonedFrames = tree.Abandoned()
-			res.Recoveries = int(tree.Recoveries())
 			for _, j := range journals {
 				if j == nil {
 					continue
@@ -906,53 +702,27 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 			res.ReplayTime = time.Duration(replayNanos.Load())
 			// Safe after the tree stopped: node goroutines are quiescent.
 			for _, l := range leaves {
-				res.MsgStats.Add(l.Stats())
+				res.ToolMessages.Add(l.Stats())
 			}
-			if cfg.Net != nil {
-				// Worker processes shipped their final reports during the
-				// shutdown handshake inside tree.Stop; fold them in. A worker
-				// degraded past budget simply has no final (its leaves were
-				// already reported down via OnNodeDown).
-				for _, wf := range tree.WorkerFinals() {
-					res.MsgStats.Add(wf.MsgStats)
-					if wf.WindowHighWater > res.WindowHighWater {
-						res.WindowHighWater = wf.WindowHighWater
-					}
-					res.Retransmits += wf.Retransmits
-					res.AbandonedFrames += wf.Abandoned
-					res.BytesOnWire += wf.BytesOnWire
-					res.CodecErrors += wf.CodecErrors
-					if wf.MemHighWater > res.MemHighWater {
-						res.MemHighWater = wf.MemHighWater
-					}
-					res.OverflowEvents += wf.OverflowEvents
-					res.GatedWaits += wf.GatedWaits
-					res.QueueDepthHW = foldClassHW(res.QueueDepthHW, wf.QueueDepthHW)
-					res.QueueBytesHW = foldClassHW(res.QueueBytesHW, wf.QueueBytesHW)
+			// This process's tool-plane counters, plus — over TCP — the final
+			// reports the worker processes shipped during the shutdown
+			// handshake inside tree.Stop. A worker degraded past budget simply
+			// has no final (its leaves were already reported down via
+			// OnNodeDown).
+			res.Counters = tree.Counters()
+			for _, wf := range tree.WorkerFinals() {
+				res.Counters.Fold(wf.Counters)
+				res.ToolMessages.Add(wf.MsgStats)
+				if wf.WindowHighWater > res.WindowHighWater {
+					res.WindowHighWater = wf.WindowHighWater
 				}
-				res.Reconnects = tree.Reconnects()
-				res.BytesOnWire += tree.BytesOnWire()
-				res.CodecErrors += tree.CodecErrors()
-				res.WorkerRespawns = tree.WorkerRespawns()
-				res.ShippedJournalEntries = tree.ShippedJournalEntries()
-				res.ReplayedMsgs += int(res.ShippedJournalEntries)
-				res.ReplayTime += tree.WireReplayTime()
 			}
-			// Resource-governance rollup: coordinator-local accounting plus
-			// whatever the worker finals folded in above. Budget exhaustion
-			// despite backpressure is honest degradation: the run is marked
-			// Overloaded, and the report Partial — results may be incomplete
-			// because the tool shed load rather than grow without bound.
-			res.MemBudget = cfg.MemBudget
-			if gs := tree.GovStats(); gs.Budget > 0 {
-				if gs.HighWater > res.MemHighWater {
-					res.MemHighWater = gs.HighWater
-				}
-				res.OverflowEvents += gs.Overflow
-				res.GatedWaits += gs.Gated
-				res.QueueDepthHW = foldClassHW(res.QueueDepthHW, gs.QueueDepthHW)
-				res.QueueBytesHW = foldClassHW(res.QueueBytesHW, gs.QueueBytesHW)
-			}
+			res.ReplayedMsgs += int(res.ShippedJournalEntries)
+			res.ReplayTime += tree.WireReplayTime()
+			// Budget exhaustion despite backpressure is honest degradation:
+			// the run is marked Overloaded, and the report Partial — results
+			// may be incomplete because the tool shed load rather than grow
+			// without bound.
 			if res.OverflowEvents > 0 {
 				res.Overloaded = true
 				res.Partial = true
@@ -1075,24 +845,6 @@ func finalDetect(root *detect.Root, tree *tbon.Tree, rootNode *tbon.Node, deadli
 		}
 	}
 	return nil
-}
-
-// foldClassHW merges per-link-class high-water maps by max (nil-safe):
-// each process reports its own peaks, and the run-level figure for a class
-// is the worst single process.
-func foldClassHW(dst, src map[string]int64) map[string]int64 {
-	if len(src) == 0 {
-		return dst
-	}
-	if dst == nil {
-		dst = make(map[string]int64, len(src))
-	}
-	for k, v := range src {
-		if v > dst[k] {
-			dst[k] = v
-		}
-	}
-	return dst
 }
 
 // windowHighWater reads the per-node window statistics after the tree

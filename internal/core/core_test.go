@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,13 +12,11 @@ import (
 	"dwst/internal/trace"
 )
 
-func cfg(p int) Config {
-	return Config{Procs: p, FanIn: 2, Timeout: 30 * time.Millisecond}
-}
+var cfg = Options{FanIn: 2, Timeout: 30 * time.Millisecond}
 
 func TestCleanRingRun(t *testing.T) {
 	const p = 8
-	res := Run(cfg(p), func(pr *mpisim.Proc) {
+	res := Run(p, func(pr *mpisim.Proc) {
 		right := (pr.Rank() + 1) % p
 		left := (pr.Rank() + p - 1) % p
 		for i := 0; i < 20; i++ {
@@ -27,36 +26,35 @@ func TestCleanRingRun(t *testing.T) {
 			}
 		}
 		pr.Finalize()
-	})
-	if res.AppErr != nil {
-		t.Fatalf("app error: %v", res.AppErr)
+	}, cfg)
+	if res.AbortCause != nil {
+		t.Fatalf("app error: %v", res.AbortCause)
 	}
-	if res.Deadlock != nil {
-		t.Fatalf("false positive: %+v", res.Deadlock)
+	if res.Deadlock {
+		t.Fatalf("false positive: %v", res.Conditions)
 	}
 }
 
 func TestRecvRecvDeadlockDetected(t *testing.T) {
-	res := Run(cfg(2), func(pr *mpisim.Proc) {
+	res := Run(2, func(pr *mpisim.Proc) {
 		peer := 1 - pr.Rank()
 		pr.Recv(peer, 0, trace.CommWorld)
 		pr.Send(nil, peer, 0, trace.CommWorld)
 		pr.Finalize()
-	})
-	if !errors.Is(res.AppErr, mpisim.ErrAborted) && res.AppErr == nil {
-		// Aborted by the tool: cause is ErrDeadlockDetected.
-		t.Fatalf("app error = %v", res.AppErr)
+	}, cfg)
+	if !res.AppAborted || !errors.Is(res.AbortCause, ErrDeadlockDetected) {
+		t.Fatalf("abort cause = %v, want the tool's deadlock abort", res.AbortCause)
 	}
-	if res.Deadlock == nil || !res.Deadlock.Deadlock {
-		t.Fatal("deadlock not detected")
+	if !res.Deadlock || res.PotentialOnly {
+		t.Fatal("manifest deadlock not detected")
 	}
-	if len(res.Deadlock.Deadlocked) != 2 {
-		t.Fatalf("deadlocked = %v", res.Deadlock.Deadlocked)
+	if len(res.Deadlocked) != 2 {
+		t.Fatalf("deadlocked = %v", res.Deadlocked)
 	}
-	if len(res.Deadlock.Cycle) != 2 {
-		t.Fatalf("cycle = %v", res.Deadlock.Cycle)
+	if len(res.Cycle) != 2 {
+		t.Fatalf("cycle = %v", res.Cycle)
 	}
-	if res.Deadlock.HTML == "" || res.Deadlock.DOT == "" {
+	if res.HTML == "" || res.DOT == "" {
 		t.Fatal("missing report outputs")
 	}
 }
@@ -66,25 +64,21 @@ func TestWildcardStressDeadlock(t *testing.T) {
 	// wait-for graph of maximal size (p² arcs, counted as p(p-1) without
 	// self-arcs).
 	const p = 8
-	res := Run(cfg(p), func(pr *mpisim.Proc) {
+	res := Run(p, func(pr *mpisim.Proc) {
 		pr.Recv(trace.AnySource, trace.AnyTag, trace.CommWorld)
 		pr.Finalize()
-	})
-	if res.Deadlock == nil || !res.Deadlock.Deadlock {
+	}, cfg)
+	if !res.Deadlock {
 		t.Fatal("deadlock not detected")
 	}
-	if len(res.Deadlock.Deadlocked) != p {
-		t.Fatalf("deadlocked = %v", res.Deadlock.Deadlocked)
+	if len(res.Deadlocked) != p {
+		t.Fatalf("deadlocked = %v", res.Deadlocked)
 	}
-	if res.Deadlock.Arcs != p*(p-1) {
-		t.Fatalf("arcs = %d, want %d", res.Deadlock.Arcs, p*(p-1))
+	if res.Arcs != p*(p-1) {
+		t.Fatalf("arcs = %d, want %d", res.Arcs, p*(p-1))
 	}
-	e := res.Deadlock.Entries[0]
-	if e.Kind != trace.Recv {
-		t.Fatalf("entry kind = %v", e.Kind)
-	}
-	if !e.IsWildcardRecv || e.MatchedSendProc != -1 {
-		t.Fatalf("entry must be an unmatched wildcard recv: %+v", e)
+	if len(res.Conditions) != p || !strings.Contains(res.Conditions[0], "a send from ANY process") {
+		t.Fatalf("rank 0 must wait in an unmatched wildcard recv: %q", res.Conditions[0])
 	}
 }
 
@@ -92,27 +86,26 @@ func TestSendSendPotentialDeadlockAfterCleanRun(t *testing.T) {
 	// The 126.lammps case: buffered sends let the app finish, but the
 	// strict blocking model (Sec. 3.3) reveals the send–send deadlock in a
 	// final detection after the run.
-	res := Run(cfg(2), func(pr *mpisim.Proc) {
+	res := Run(2, func(pr *mpisim.Proc) {
 		peer := 1 - pr.Rank()
 		pr.Send([]byte{1}, peer, 0, trace.CommWorld)
 		pr.Recv(peer, 0, trace.CommWorld)
 		pr.Finalize()
-	})
-	if res.AppErr != nil {
-		t.Fatalf("app must complete cleanly: %v", res.AppErr)
+	}, cfg)
+	if res.AppAborted {
+		t.Fatalf("app must complete cleanly: %v", res.AbortCause)
 	}
-	if res.Deadlock == nil || !res.Deadlock.Deadlock {
+	if !res.Deadlock || !res.PotentialOnly {
 		t.Fatal("potential send-send deadlock not detected")
 	}
-	if len(res.Deadlock.Deadlocked) != 2 {
-		t.Fatalf("deadlocked = %v", res.Deadlock.Deadlocked)
+	if len(res.Deadlocked) != 2 {
+		t.Fatalf("deadlocked = %v", res.Deadlocked)
 	}
 }
 
 func TestFig2bManifestDeadlock(t *testing.T) {
 	// Figure 2(b) with rendezvous sends: the final sends deadlock.
-	res := Run(Config{Procs: 3, FanIn: 2, Timeout: 30 * time.Millisecond,
-		SendMode: mpisim.Rendezvous}, func(pr *mpisim.Proc) {
+	res := Run(3, func(pr *mpisim.Proc) {
 		switch pr.Rank() {
 		case 0:
 			pr.Send(nil, 1, 0, trace.CommWorld)
@@ -132,36 +125,36 @@ func TestFig2bManifestDeadlock(t *testing.T) {
 			pr.Recv(1, 0, trace.CommWorld)
 		}
 		pr.Finalize()
-	})
-	if res.Deadlock == nil || !res.Deadlock.Deadlock {
+	}, Options{FanIn: 2, Timeout: 30 * time.Millisecond, Rendezvous: true})
+	if !res.Deadlock {
 		t.Fatal("Figure 2(b) deadlock not detected")
 	}
-	if len(res.Deadlock.Deadlocked) != 3 {
-		t.Fatalf("deadlocked = %v", res.Deadlock.Deadlocked)
+	if len(res.Deadlocked) != 3 {
+		t.Fatalf("deadlocked = %v", res.Deadlocked)
 	}
 }
 
 func TestMissingBarrierDeadlock(t *testing.T) {
 	const p = 4
-	res := Run(cfg(p), func(pr *mpisim.Proc) {
+	res := Run(p, func(pr *mpisim.Proc) {
 		if pr.Rank() != 2 {
 			pr.Barrier(trace.CommWorld)
 		} else {
 			pr.Recv(3, 9, trace.CommWorld) // never sent
 		}
 		pr.Finalize()
-	})
-	if res.Deadlock == nil || !res.Deadlock.Deadlock {
+	}, cfg)
+	if !res.Deadlock {
 		t.Fatal("missing-barrier deadlock not detected")
 	}
 	// All four blocked: 3 in the barrier (waiting for 2), 2 in its recv.
-	if len(res.Deadlock.Blocked) != p {
-		t.Fatalf("blocked = %v", res.Deadlock.Blocked)
+	if len(res.Blocked) != p {
+		t.Fatalf("blocked = %v", res.Blocked)
 	}
 }
 
 func TestNonBlockingWaitallDeadlock(t *testing.T) {
-	res := Run(cfg(2), func(pr *mpisim.Proc) {
+	res := Run(2, func(pr *mpisim.Proc) {
 		if pr.Rank() == 0 {
 			r := pr.Irecv(1, 0, trace.CommWorld)
 			pr.Wait(r) // rank 1 never sends
@@ -169,18 +162,18 @@ func TestNonBlockingWaitallDeadlock(t *testing.T) {
 			pr.Recv(0, 0, trace.CommWorld) // rank 0 never sends
 		}
 		pr.Finalize()
-	})
-	if res.Deadlock == nil || !res.Deadlock.Deadlock {
+	}, cfg)
+	if !res.Deadlock {
 		t.Fatal("wait deadlock not detected")
 	}
-	if len(res.Deadlock.Deadlocked) != 2 {
-		t.Fatalf("deadlocked = %v", res.Deadlock.Deadlocked)
+	if len(res.Deadlocked) != 2 {
+		t.Fatalf("deadlocked = %v", res.Deadlocked)
 	}
 }
 
 func TestSubCommunicatorCleanRun(t *testing.T) {
 	const p = 8
-	res := Run(cfg(p), func(pr *mpisim.Proc) {
+	res := Run(p, func(pr *mpisim.Proc) {
 		sub := pr.CommSplit(trace.CommWorld, pr.Rank()%2, pr.Rank())
 		group := pr.World().CommGroup(sub)
 		n := len(group)
@@ -196,18 +189,18 @@ func TestSubCommunicatorCleanRun(t *testing.T) {
 		}
 		pr.Barrier(trace.CommWorld)
 		pr.Finalize()
-	})
-	if res.AppErr != nil {
-		t.Fatalf("app error: %v", res.AppErr)
+	}, cfg)
+	if res.AbortCause != nil {
+		t.Fatalf("app error: %v", res.AbortCause)
 	}
-	if res.Deadlock != nil {
-		t.Fatalf("false positive on sub-communicators: %+v", res.Deadlock.Entries)
+	if res.Deadlock {
+		t.Fatalf("false positive on sub-communicators: %v", res.Conditions)
 	}
 }
 
 func TestSubCommunicatorDeadlock(t *testing.T) {
 	const p = 4
-	res := Run(cfg(p), func(pr *mpisim.Proc) {
+	res := Run(p, func(pr *mpisim.Proc) {
 		sub := pr.CommSplit(trace.CommWorld, pr.Rank()%2, pr.Rank())
 		if pr.Rank() < 2 {
 			pr.Barrier(sub) // even subgroup {0,2}: rank 0 joins...
@@ -216,8 +209,8 @@ func TestSubCommunicatorDeadlock(t *testing.T) {
 			pr.Recv(0, 5, trace.CommWorld) // ...rank 2 receives instead
 		}
 		pr.Finalize()
-	})
-	if res.Deadlock == nil || !res.Deadlock.Deadlock {
+	}, cfg)
+	if !res.Deadlock {
 		t.Fatal("sub-communicator deadlock not detected")
 	}
 }
@@ -227,14 +220,13 @@ func TestSubCommunicatorDeadlock(t *testing.T) {
 func TestNoFalsePositivesRandomPrograms(t *testing.T) {
 	testseed.Run(t, 0, 6, func(t *testing.T, seed int64) {
 		p := 4 + int(seed%3)*2
-		res := Run(Config{Procs: p, FanIn: 2, Timeout: 20 * time.Millisecond},
-			randomProgram(p, seed))
-		if res.AppErr != nil {
-			t.Fatalf("seed %d: app error %v", seed, res.AppErr)
+		res := Run(p, randomProgram(p, seed), Options{FanIn: 2, Timeout: 20 * time.Millisecond})
+		if res.AbortCause != nil {
+			t.Fatalf("seed %d: app error %v", seed, res.AbortCause)
 		}
-		if res.Deadlock != nil {
-			t.Fatalf("seed %d: false positive: ranks %v entries %+v",
-				seed, res.Deadlock.Deadlocked, res.Deadlock.Entries)
+		if res.Deadlock {
+			t.Fatalf("seed %d: false positive: ranks %v conditions %v",
+				seed, res.Deadlocked, res.Conditions)
 		}
 	})
 }

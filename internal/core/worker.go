@@ -15,7 +15,7 @@ import (
 )
 
 // NetOptions configures the coordinator side of a TCP-fabric run
-// (Config.Net). The zero value of each field selects a sane default.
+// (Options.Net). The zero value of each field selects a sane default.
 type NetOptions struct {
 	// Listen is the coordinator's listen address (default "127.0.0.1:0").
 	Listen string

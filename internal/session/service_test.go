@@ -51,16 +51,20 @@ func newTestService(t *testing.T, cfg ServiceConfig) *Service {
 
 func TestSubmitRunVerdict(t *testing.T) {
 	svc := newTestService(t, ServiceConfig{Pool: 2, QueueDepth: 8})
-	h, err := svc.Submit(quickSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := h.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.State != StateDone || out.Stats == nil || out.Stats.Verdict != "deadlock" {
-		t.Fatalf("outcome = %+v, want done/deadlock", out)
+	for _, mode := range []string{"distributed", "centralized"} {
+		spec := quickSpec()
+		spec.Mode = mode
+		h, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := h.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.State != StateDone || out.Stats == nil || out.Stats.Verdict != "deadlock" || !out.Stats.Deadlock {
+			t.Fatalf("%s: outcome = %+v, want done/deadlock", mode, out)
+		}
 	}
 }
 

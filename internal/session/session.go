@@ -83,7 +83,7 @@ func Run(ctx context.Context, spec *Spec) (out *Outcome) {
 		return &Outcome{State: StateFailed, Error: rep.Err.Error()}
 	}
 
-	stats := StatsFor(spec.Workload, spec.Procs, spec.modeName(), "chan", !spec.NoBatch, rep)
+	stats := StatsFor(spec.Workload, spec.Procs, spec.modeName(), "chan", rep)
 	out = &Outcome{State: StateDone, Stats: &stats, Report: rep}
 
 	// Classify abnormal endings off the one abort path. A rank panic is
@@ -116,40 +116,37 @@ func (s *Spec) modeName() string {
 // chaos suite can diff outcomes across seeds regardless of how the run
 // was launched.
 type RunStats struct {
-	Workload         string      `json:"workload"`
-	Procs            int         `json:"procs"`
-	Mode             string      `json:"mode"`
-	Transport        string      `json:"transport"`
-	Batch            bool        `json:"batch"`
-	Verdict          string      `json:"verdict"`
-	Deadlock         bool        `json:"deadlock"`
-	PotentialOnly    bool        `json:"potential_only"`
-	Deadlocked       []int       `json:"deadlocked,omitempty"`
-	DeadRanks        []int       `json:"dead_ranks,omitempty"`
-	DeadLastCalls    map[int]int `json:"dead_last_calls,omitempty"`
-	FailureBlocked   []int       `json:"failure_blocked,omitempty"`
-	StalledRanks     []int       `json:"stalled_ranks,omitempty"`
-	WatchdogFires    int         `json:"watchdog_fires"`
-	Retransmits      uint64      `json:"retransmits"`
-	AbandonedFrames  uint64      `json:"abandoned_frames"`
-	Reconnects       uint64      `json:"reconnects"`
-	CodecErrors      uint64      `json:"codec_errors"`
-	BytesOnWire      uint64      `json:"bytes_on_wire"`
-	DroppedEvents    int         `json:"dropped_events"`
-	SnapshotRetries  int         `json:"snapshot_retries"`
-	Partial          bool        `json:"partial"`
-	UnknownRanks     []int       `json:"unknown_ranks,omitempty"`
-	Recoveries       int         `json:"recoveries"`
-	JournalHighWater int         `json:"journal_high_water"`
-	ReplayedMsgs     int         `json:"replayed_msgs"`
-	ReplayMS         int64       `json:"replay_ms"`
-	WorkerRespawns   uint64      `json:"worker_respawns"`
-	RespawnBackoffMS int64       `json:"respawn_backoff_ms"`
-	ShippedJournal   uint64      `json:"shipped_journal_entries"`
-	Detections       int         `json:"detections"`
-	ToolNodes        int         `json:"tool_nodes"`
-	LostMessages     int         `json:"lost_messages"`
-	ElapsedMS        int64       `json:"elapsed_ms"`
+	Workload       string      `json:"workload"`
+	Procs          int         `json:"procs"`
+	Mode           string      `json:"mode"`
+	Transport      string      `json:"transport"`
+	Verdict        string      `json:"verdict"`
+	Deadlock       bool        `json:"deadlock"`
+	PotentialOnly  bool        `json:"potential_only"`
+	Deadlocked     []int       `json:"deadlocked,omitempty"`
+	DeadRanks      []int       `json:"dead_ranks,omitempty"`
+	DeadLastCalls  map[int]int `json:"dead_last_calls,omitempty"`
+	FailureBlocked []int       `json:"failure_blocked,omitempty"`
+	StalledRanks   []int       `json:"stalled_ranks,omitempty"`
+	WatchdogFires  int         `json:"watchdog_fires"`
+	// Counters are the report's tool-plane counters as they are: transport
+	// and TCP-fabric activity, recoveries and worker respawns, and the
+	// resource-governance accounting (peak resident tool-plane bytes of any
+	// process, budget-exhausted admissions, gated intake waits, per-link-class
+	// up/down/peer/wire depth and byte high-water marks).
+	must.Counters
+	DroppedEvents    int   `json:"dropped_events"`
+	SnapshotRetries  int   `json:"snapshot_retries"`
+	Partial          bool  `json:"partial"`
+	UnknownRanks     []int `json:"unknown_ranks,omitempty"`
+	JournalHighWater int   `json:"journal_high_water"`
+	ReplayedMsgs     int   `json:"replayed_msgs"`
+	ReplayMS         int64 `json:"replay_ms"`
+	RespawnBackoffMS int64 `json:"respawn_backoff_ms"`
+	Detections       int   `json:"detections"`
+	ToolNodes        int   `json:"tool_nodes"`
+	LostMessages     int   `json:"lost_messages"`
+	ElapsedMS        int64 `json:"elapsed_ms"`
 	// EngineVerdicts maps each detection engine that ran to its verdict
 	// string (engine selection or differential mode only); Deviations
 	// lists disagreements with the WFG reference; DroppedResults counts
@@ -157,18 +154,11 @@ type RunStats struct {
 	EngineVerdicts   map[string]string `json:"engine_verdicts,omitempty"`
 	EngineDeviations []string          `json:"engine_deviations,omitempty"`
 	DroppedResults   int               `json:"dropped_results,omitempty"`
-	// Resource-governance accounting (zero with governance off):
-	// configured budget, peak resident tool-plane bytes of any process,
-	// budget-exhausted admissions, gated intake waits, per-link-class
-	// (up/down/peer/wire) depth and byte high-water marks, and the honest
-	// overload flag (overflow despite backpressure; implies partial).
-	MemBudget      int64            `json:"mem_budget,omitempty"`
-	MemHighWater   int64            `json:"mem_high_water,omitempty"`
-	OverflowEvents uint64           `json:"overflow_events,omitempty"`
-	GatedWaits     uint64           `json:"gated_waits,omitempty"`
-	QueueDepthHW   map[string]int64 `json:"queue_depth_hw,omitempty"`
-	QueueBytesHW   map[string]int64 `json:"queue_bytes_hw,omitempty"`
-	Overloaded     bool             `json:"overloaded,omitempty"`
+	// MemBudget is the per-process byte budget the run was governed by
+	// (absent in centralized mode, which has no tool plane); Overloaded the
+	// honest overload flag (overflow despite backpressure; implies partial).
+	MemBudget  int64 `json:"mem_budget,omitempty"`
+	Overloaded bool  `json:"overloaded,omitempty"`
 	// Interrupted marks a run torn down before its natural end (signal,
 	// cancel, deadline): the verdict reflects what was known at teardown,
 	// not a completed analysis.
@@ -176,13 +166,12 @@ type RunStats struct {
 }
 
 // StatsFor flattens a report into the shared statistics schema.
-func StatsFor(wl string, procs int, mode, transport string, batch bool, rep *must.Report) RunStats {
+func StatsFor(wl string, procs int, mode, transport string, rep *must.Report) RunStats {
 	return RunStats{
 		Workload:         wl,
 		Procs:            procs,
 		Mode:             mode,
 		Transport:        transport,
-		Batch:            batch,
 		Verdict:          rep.Verdict.String(),
 		Deadlock:         rep.Deadlock,
 		PotentialOnly:    rep.PotentialOnly,
@@ -192,22 +181,15 @@ func StatsFor(wl string, procs int, mode, transport string, batch bool, rep *mus
 		FailureBlocked:   rep.FailureBlocked,
 		StalledRanks:     rep.StalledRanks,
 		WatchdogFires:    rep.WatchdogFires,
-		Retransmits:      rep.Retransmits,
-		AbandonedFrames:  rep.AbandonedFrames,
-		Reconnects:       rep.Reconnects,
-		CodecErrors:      rep.CodecErrors,
-		BytesOnWire:      rep.BytesOnWire,
+		Counters:         rep.Counters,
 		DroppedEvents:    rep.DroppedEvents,
 		SnapshotRetries:  rep.SnapshotRetries,
 		Partial:          rep.Partial,
 		UnknownRanks:     rep.UnknownRanks,
-		Recoveries:       rep.Recoveries,
 		JournalHighWater: rep.JournalHighWater,
 		ReplayedMsgs:     rep.ReplayedMsgs,
 		ReplayMS:         rep.ReplayTime.Milliseconds(),
-		WorkerRespawns:   rep.WorkerRespawns,
 		RespawnBackoffMS: rep.RespawnBackoff.Milliseconds(),
-		ShippedJournal:   rep.ShippedJournalEntries,
 		Detections:       rep.Detections,
 		ToolNodes:        rep.ToolNodes,
 		LostMessages:     rep.LostMessages,
@@ -216,11 +198,6 @@ func StatsFor(wl string, procs int, mode, transport string, batch bool, rep *mus
 		EngineDeviations: rep.EngineDeviations,
 		DroppedResults:   rep.DroppedResults,
 		MemBudget:        rep.MemBudget,
-		MemHighWater:     rep.MemHighWater,
-		OverflowEvents:   rep.OverflowEvents,
-		GatedWaits:       rep.GatedWaits,
-		QueueDepthHW:     rep.QueueDepthHW,
-		QueueBytesHW:     rep.QueueBytesHW,
 		Overloaded:       rep.Overloaded,
 	}
 }

@@ -110,8 +110,6 @@ type Spec struct {
 	Rendezvous bool `json:"rendezvous,omitempty"`
 	// PreferWaitState prioritizes wait-state messages on tool nodes.
 	PreferWaitState bool `json:"prefer_waitstate,omitempty"`
-	// NoBatch disables hot-path batching (equivalence testing).
-	NoBatch bool `json:"no_batch,omitempty"`
 	// TrackCallSites records call sites so reports point at source lines.
 	TrackCallSites bool `json:"sites,omitempty"`
 	// LinkDelay injects a per-message delay on tool-internal links.
@@ -126,11 +124,9 @@ type Spec struct {
 	// Differential runs every applicable engine on each snapshot and
 	// records verdict agreement/deviations. Distributed mode only.
 	Differential bool `json:"differential,omitempty"`
-	// MemBudget bounds resident tool-plane buffer bytes per process:
-	// 0 (the default) applies the generous must.DefaultMemBudget, -1
-	// disables governance entirely (legacy unbounded behavior, for A/B
-	// equivalence runs), and a positive value is the budget in bytes.
-	// Distributed mode only.
+	// MemBudget bounds resident tool-plane buffer bytes per process: 0 (the
+	// default) applies must.DefaultMemBudget, a positive value is the budget
+	// in bytes; there is no unbounded mode. Distributed mode only.
 	MemBudget int64 `json:"mem_budget,omitempty"`
 	// Deadline bounds the whole session; past it the run is canceled and
 	// the session ends in state canceled/"deadline exceeded". 0 uses the
@@ -189,97 +185,43 @@ func (s *Spec) Program() (mpi.Program, error) {
 
 // Validate rejects malformed specs before any work starts: a bad
 // probability or cap silently clamped would make results lie about what
-// was run. It subsumes mustrun's historical validateFaultFlags.
+// was run.
 func (s *Spec) Validate() error {
-	if s.Workload == "" {
-		return fmt.Errorf("spec: workload is required")
-	}
-	if _, err := s.Program(); err != nil {
-		return fmt.Errorf("spec: %v", err)
-	}
-	if s.Procs <= 0 {
-		return fmt.Errorf("spec: bad procs %d: want > 0", s.Procs)
-	}
-	switch s.Mode {
-	case "", "distributed", "centralized":
-	default:
-		return fmt.Errorf("spec: bad mode %q: want distributed or centralized", s.Mode)
-	}
-	if s.FanIn < 0 {
-		return fmt.Errorf("spec: bad fanin %d: want >= 0 (0 = default)", s.FanIn)
-	}
-	switch s.Engine {
-	case "", "wfg", "cmh", "all":
-	default:
-		return fmt.Errorf("spec: bad engine %q: want wfg, cmh, or all", s.Engine)
-	}
-	if (s.Engine != "" || s.Differential) && s.Mode == "centralized" {
-		return fmt.Errorf("spec: engine selection and differential mode require distributed mode")
-	}
-	if s.MemBudget < -1 {
-		return fmt.Errorf("spec: bad mem_budget %d: want -1 (unbounded), 0 (default), or a positive byte count", s.MemBudget)
-	}
-	if s.MemBudget > 0 && s.Mode == "centralized" {
-		return fmt.Errorf("spec: mem_budget requires distributed mode (the centralized tool has no tool plane to govern)")
-	}
-	for _, d := range []struct {
-		name string
-		v    Duration
-	}{
-		{"timeout", s.Timeout}, {"link_delay", s.LinkDelay},
-		{"snapshot_deadline", s.SnapshotDeadline}, {"watchdog_quiet", s.WatchdogQuiet},
-		{"deadline", s.Deadline},
-	} {
-		if d.v < 0 {
-			return fmt.Errorf("spec: bad %s %v: want >= 0", d.name, time.Duration(d.v))
-		}
-	}
-	f := s.Fault
-	if f == nil {
-		return nil
-	}
-	if s.Mode == "centralized" {
-		return fmt.Errorf("spec: fault plans require distributed mode (the centralized tool has no tree to fault)")
-	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{{"drop", f.Drop}, {"dup", f.Dup}, {"reorder", f.Reorder}} {
-		if p.v < 0 || p.v > 1 {
-			return fmt.Errorf("spec: bad fault.%s %v: want a probability in [0, 1]", p.name, p.v)
-		}
-	}
-	if f.JitterMax < 0 {
-		return fmt.Errorf("spec: bad fault.jitter_max %v: want >= 0", time.Duration(f.JitterMax))
-	}
-	if f.JournalCap < 0 {
-		return fmt.Errorf("spec: bad fault.journal_cap %d: want >= 0 (0 = default)", f.JournalCap)
-	}
-	for _, c := range f.Crashes {
-		if c.Node < 0 {
-			return fmt.Errorf("spec: bad fault.crashes node %d: want >= 0", c.Node)
-		}
-		if c.After < 0 {
-			return fmt.Errorf("spec: bad fault.crashes after %v: want >= 0", time.Duration(c.After))
-		}
-	}
-	if _, err := ParseRankCrashes(f.RankCrashes); err != nil {
-		return fmt.Errorf("spec: %v", err)
-	}
-	if _, err := ParseRankStalls(f.RankStalls); err != nil {
-		return fmt.Errorf("spec: %v", err)
-	}
-	return nil
+	_, err := s.Options()
+	return err
 }
 
-// Options builds the must.Options for this spec (channel transport; the
-// TCP fabric is a mustrun orchestration concern layered on top). Validate
-// first — Options assumes a valid spec.
+// Options validates the spec and builds its must.Options (channel
+// transport; the TCP fabric is a mustrun orchestration concern layered on
+// top). What is about the JSON form is checked here — workload lookup, the
+// mode name, probability ranges, the rank-crash/stall mini-language; option
+// compatibility and ranges are must.Options.Validate's, the same rules a
+// library caller of must.Run gets.
 func (s *Spec) Options() (must.Options, error) {
-	if err := s.Validate(); err != nil {
-		return must.Options{}, err
+	opts, err := s.options()
+	if err == nil {
+		err = opts.Validate()
 	}
-	opts := must.Options{
+	if err != nil {
+		return must.Options{}, fmt.Errorf("spec: %v", err)
+	}
+	return opts, nil
+}
+
+func (s *Spec) options() (opts must.Options, err error) {
+	if s.Workload == "" {
+		return opts, fmt.Errorf("workload is required")
+	}
+	if _, err = s.Program(); err != nil {
+		return opts, err
+	}
+	if s.Procs <= 0 {
+		return opts, fmt.Errorf("bad procs %d: want > 0", s.Procs)
+	}
+	if s.Deadline < 0 {
+		return opts, fmt.Errorf("bad deadline %v: want >= 0", time.Duration(s.Deadline))
+	}
+	opts = must.Options{
 		FanIn:            s.FanIn,
 		Timeout:          time.Duration(s.Timeout),
 		Rendezvous:       s.Rendezvous,
@@ -290,41 +232,59 @@ func (s *Spec) Options() (must.Options, error) {
 		WatchdogQuiet:    time.Duration(s.WatchdogQuiet),
 		Engine:           s.Engine,
 		Differential:     s.Differential,
+		MemBudget:        s.MemBudget,
 	}
-	// MemBudget semantics: 0 = the generous default, -1 = governance off,
-	// positive = bytes. The library-level zero (no governance) is reached
-	// only through the explicit -1, so API tenants are governed by default.
-	switch {
-	case s.MemBudget == 0:
-		opts.MemBudget = must.DefaultMemBudget
-	case s.MemBudget > 0:
-		opts.MemBudget = s.MemBudget
-	}
-	if s.NoBatch {
-		opts.Batch = must.BatchOff
-	}
-	if s.Mode == "centralized" {
+	switch s.Mode {
+	case "", "distributed":
+	case "centralized":
 		opts.Mode = must.Centralized
-		opts.MemBudget = 0 // no tool plane to govern
+	default:
+		return opts, fmt.Errorf("bad mode %q: want distributed or centralized", s.Mode)
 	}
-	if f := s.Fault; f != nil {
-		plan := &must.FaultPlan{Seed: f.Seed, JournalCap: f.JournalCap}
-		if f.Drop > 0 || f.Dup > 0 || f.Reorder > 0 || f.JitterMax > 0 {
-			plan.Rules = []must.FaultRule{{
-				Drop:      f.Drop,
-				Dup:       f.Dup,
-				Reorder:   f.Reorder,
-				JitterMax: time.Duration(f.JitterMax),
-			}}
-		}
-		for _, c := range f.Crashes {
-			plan.Crashes = append(plan.Crashes, must.Crash{Layer: 0, Index: c.Node, After: time.Duration(c.After)})
-		}
-		plan.RankCrashes, _ = ParseRankCrashes(f.RankCrashes)
-		plan.RankStalls, _ = ParseRankStalls(f.RankStalls)
-		plan.Recover = f.Recover == nil || *f.Recover
-		opts.Fault = plan
+	f := s.Fault
+	if f == nil {
+		return opts, nil
 	}
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{{"drop", f.Drop}, {"dup", f.Dup}, {"reorder", f.Reorder}} {
+		if p.v < 0 || p.v > 1 {
+			return opts, fmt.Errorf("bad fault.%s %v: want a probability in [0, 1]", p.name, p.v)
+		}
+	}
+	if f.JitterMax < 0 {
+		return opts, fmt.Errorf("bad fault.jitter_max %v: want >= 0", time.Duration(f.JitterMax))
+	}
+	if f.JournalCap < 0 {
+		return opts, fmt.Errorf("bad fault.journal_cap %d: want >= 0 (0 = default)", f.JournalCap)
+	}
+	plan := &must.FaultPlan{Seed: f.Seed, JournalCap: f.JournalCap}
+	if f.Drop > 0 || f.Dup > 0 || f.Reorder > 0 || f.JitterMax > 0 {
+		plan.Rules = []must.FaultRule{{
+			Drop:      f.Drop,
+			Dup:       f.Dup,
+			Reorder:   f.Reorder,
+			JitterMax: time.Duration(f.JitterMax),
+		}}
+	}
+	for _, c := range f.Crashes {
+		if c.Node < 0 {
+			return opts, fmt.Errorf("bad fault.crashes node %d: want >= 0", c.Node)
+		}
+		if c.After < 0 {
+			return opts, fmt.Errorf("bad fault.crashes after %v: want >= 0", time.Duration(c.After))
+		}
+		plan.Crashes = append(plan.Crashes, must.Crash{Layer: 0, Index: c.Node, After: time.Duration(c.After)})
+	}
+	if plan.RankCrashes, err = ParseRankCrashes(f.RankCrashes); err != nil {
+		return opts, err
+	}
+	if plan.RankStalls, err = ParseRankStalls(f.RankStalls); err != nil {
+		return opts, err
+	}
+	plan.Recover = f.Recover == nil || *f.Recover
+	opts.Fault = plan
 	return opts, nil
 }
 

@@ -3,6 +3,9 @@ package session
 import (
 	"context"
 	"encoding/json"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,6 +83,9 @@ func TestSpecValidate(t *testing.T) {
 		{"unknown engine", func(s *Spec) { s.Engine = "magic" }, true},
 		{"centralized rejects engine", func(s *Spec) { s.Mode = "centralized"; s.Engine = "cmh" }, true},
 		{"centralized rejects differential", func(s *Spec) { s.Mode = "centralized"; s.Differential = true }, true},
+		{"centralized rejects watchdog", func(s *Spec) { s.Mode = "centralized"; s.WatchdogQuiet = Duration(time.Second) }, true},
+		{"centralized rejects mem_budget", func(s *Spec) { s.Mode = "centralized"; s.MemBudget = 1 << 20 }, true},
+		{"mem_budget -1 (retired unbounded sentinel)", func(s *Spec) { s.MemBudget = -1 }, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -96,7 +102,7 @@ func TestSpecValidate(t *testing.T) {
 func TestSpecOptionsMapsFaultPlan(t *testing.T) {
 	no := false
 	s := Spec{
-		Workload: "recvrecv", Procs: 8, FanIn: 2, NoBatch: true,
+		Workload: "recvrecv", Procs: 8, FanIn: 2,
 		Timeout: Duration(10 * time.Millisecond),
 		Fault: &FaultSpec{
 			Seed: 7, Drop: 0.25, JitterMax: Duration(time.Millisecond),
@@ -109,9 +115,6 @@ func TestSpecOptionsMapsFaultPlan(t *testing.T) {
 	opts, err := s.Options()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if opts.Batch != must.BatchOff {
-		t.Error("NoBatch did not map to BatchOff")
 	}
 	p := opts.Fault
 	if p == nil {
@@ -195,5 +198,67 @@ func TestSessionDifferentialStats(t *testing.T) {
 	}
 	if st.DroppedResults != 0 {
 		t.Fatalf("dropped results: %d", st.DroppedResults)
+	}
+	if st.MemBudget != must.DefaultMemBudget {
+		t.Fatalf("a spec without mem_budget ran under budget %d, want the default %d", st.MemBudget, must.DefaultMemBudget)
+	}
+}
+
+// populate sets every settable field of a struct to a non-zero value, so
+// that marshalling it emits every key, omitempty ones included.
+func populate(v reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Struct:
+			populate(f)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Int, reflect.Int64:
+			f.SetInt(1e6) // 1ms as a Duration, so the *_ms keys are non-zero too
+		case reflect.Uint64:
+			f.SetUint(1)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+		case reflect.Map:
+			f.Set(reflect.MakeMap(f.Type()))
+			f.SetMapIndex(reflect.Zero(f.Type().Key()), reflect.Zero(f.Type().Elem()))
+		}
+	}
+}
+
+// TestStatsSchemaKeySet pins the stats JSON schema that mustserve clients,
+// cmd_smoke_test.go and bench/serve.go decode: a fully populated report
+// flattens to exactly these keys (the schema before Report and RunStats
+// shared their counters struct, minus the retired "batch").
+func TestStatsSchemaKeySet(t *testing.T) {
+	const want = "abandoned_frames bytes_on_wire codec_errors dead_last_calls dead_ranks deadlock " +
+		"deadlocked detections dropped_events dropped_results elapsed_ms engine_deviations " +
+		"engine_verdicts failure_blocked gated_waits interrupted journal_high_water lost_messages " +
+		"mem_budget mem_high_water mode overflow_events overloaded partial potential_only procs " +
+		"queue_bytes_hw queue_depth_hw reconnects recoveries replay_ms replayed_msgs " +
+		"respawn_backoff_ms retransmits shipped_journal_entries snapshot_retries stalled_ranks " +
+		"tool_nodes transport unknown_ranks verdict watchdog_fires worker_respawns workload"
+	var rep must.Report
+	populate(reflect.ValueOf(&rep).Elem())
+	st := StatsFor("recvrecv", 4, "distributed", "chan", &rep)
+	st.Interrupted = true
+	b, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]any
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(got))
+	for k := range got {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if g := strings.Join(keys, " "); g != want {
+		t.Fatalf("stats JSON keys changed:\n got %s\nwant %s", g, want)
 	}
 }

@@ -61,7 +61,7 @@ type wireWelcome struct {
 	Budget    time.Duration
 
 	// MemBudget is the tool-plane byte budget each worker process applies
-	// to its own buffers (see Config.MemBudget); 0 = governance off.
+	// to its own buffers (see Config.MemBudget).
 	MemBudget int64
 
 	// LeafGids maps first-layer index to current global id. The two drift
@@ -149,6 +149,78 @@ type wireRespawn struct {
 	NewGids []int // parallel: fresh gid per leaf
 }
 
+// Counters are the tool-plane counters of one process or, folded, of a whole
+// run: Tree.Counters reads this process's, a worker ships its own in its
+// WorkerFinal, and the run report and the stats JSON embed the fold of all of
+// them (the JSON tags are the stats schema's).
+type Counters struct {
+	// Retransmits and AbandonedFrames count reliable-transport activity on
+	// tool links (zero without a fault plan or TCP fabric).
+	Retransmits     uint64 `json:"retransmits"`
+	AbandonedFrames uint64 `json:"abandoned_frames"`
+	// Reconnects, CodecErrors and BytesOnWire are TCP-fabric counters (zero
+	// on the channel transport): accepted worker reconnections, malformed
+	// or unencodable wire payloads, and total bytes moved on the wire.
+	Reconnects  uint64 `json:"reconnects"`
+	CodecErrors uint64 `json:"codec_errors"`
+	BytesOnWire uint64 `json:"bytes_on_wire"`
+	// Recoveries counts crashed first-layer tool nodes that were respawned
+	// and rebuilt exactly by journal replay (fault plan with Recover).
+	Recoveries int `json:"recoveries"`
+	// WorkerRespawns counts worker processes re-admitted through the
+	// supervised-respawn handshake (TCP fabric with recovery on), and
+	// ShippedJournalEntries the coordinator-journaled inputs shipped to
+	// those fresh incarnations for replay.
+	WorkerRespawns        uint64 `json:"worker_respawns"`
+	ShippedJournalEntries uint64 `json:"shipped_journal_entries"`
+	// Resource-governor accounting: MemHighWater is the peak resident
+	// tool-plane buffer bytes of any single process, OverflowEvents counts
+	// budget-exhausted admissions and GatedWaits the intake admissions that
+	// had to wait for backpressure. QueueDepthHW / QueueBytesHW are
+	// per-link-class (up/down/peer/wire) high-water marks.
+	MemHighWater   int64            `json:"mem_high_water,omitempty"`
+	OverflowEvents uint64           `json:"overflow_events,omitempty"`
+	GatedWaits     uint64           `json:"gated_waits,omitempty"`
+	QueueDepthHW   map[string]int64 `json:"queue_depth_hw,omitempty"`
+	QueueBytesHW   map[string]int64 `json:"queue_bytes_hw,omitempty"`
+}
+
+// Fold merges another process's counters into c: event counts add up,
+// high-water marks keep the worst single process.
+func (c *Counters) Fold(o Counters) {
+	c.Retransmits += o.Retransmits
+	c.AbandonedFrames += o.AbandonedFrames
+	c.Reconnects += o.Reconnects
+	c.CodecErrors += o.CodecErrors
+	c.BytesOnWire += o.BytesOnWire
+	c.Recoveries += o.Recoveries
+	c.WorkerRespawns += o.WorkerRespawns
+	c.ShippedJournalEntries += o.ShippedJournalEntries
+	c.OverflowEvents += o.OverflowEvents
+	c.GatedWaits += o.GatedWaits
+	if o.MemHighWater > c.MemHighWater {
+		c.MemHighWater = o.MemHighWater
+	}
+	c.QueueDepthHW = foldClassHW(c.QueueDepthHW, o.QueueDepthHW)
+	c.QueueBytesHW = foldClassHW(c.QueueBytesHW, o.QueueBytesHW)
+}
+
+// foldClassHW merges per-link-class high-water maps by max (nil-safe).
+func foldClassHW(dst, src map[string]int64) map[string]int64 {
+	if len(src) == 0 {
+		return dst
+	}
+	if dst == nil {
+		dst = make(map[string]int64, len(src))
+	}
+	for k, v := range src {
+		if v > dst[k] {
+			dst[k] = v
+		}
+	}
+	return dst
+}
+
 // WorkerFinal is a worker's terminal statistics report, delivered on
 // shutdown and merged into the run result by the coordinator.
 type WorkerFinal struct {
@@ -156,19 +228,7 @@ type WorkerFinal struct {
 	Handled         uint64
 	MsgStats        dws.Stats
 	WindowHighWater int
-	Retransmits     uint64
-	Abandoned       uint64
-	BytesOnWire     uint64
-	CodecErrors     uint64
-
-	// Resource-governor accounting of the worker process (zero value with
-	// governance off): the coordinator folds these into the run totals —
-	// high-water marks by max, counters by sum.
-	MemHighWater   int64
-	OverflowEvents uint64
-	GatedWaits     uint64
-	QueueDepthHW   map[string]int64
-	QueueBytesHW   map[string]int64
+	Counters
 }
 
 func init() {

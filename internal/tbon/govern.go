@@ -30,9 +30,8 @@ package tbon
 // rank-event window (fab.win) is the per-link instance of the same credit
 // mechanism; the governor adds the global byte-denominated one.
 //
-// A budget of 0 disables all of this: no governor is allocated, no charge
-// sites execute, and behavior is bit-identical to the ungoverned tool —
-// the A/B equivalence contract the chaos suites pin down.
+// Every tree is governed: Config.MemBudget 0 selects DefaultMemBudget; there
+// is no unbounded mode.
 
 import (
 	"sync"
@@ -41,6 +40,13 @@ import (
 	"dwst/internal/collmatch"
 	"dwst/internal/dws"
 )
+
+// DefaultMemBudget is the per-process tool-plane byte budget a zero
+// Config.MemBudget selects: generous enough that healthy runs never approach
+// it (the high-water of the paper's workloads is orders of magnitude below),
+// small enough that a pinned link under an event storm degrades the run long
+// before the OS would kill the process.
+const DefaultMemBudget int64 = 256 << 20
 
 // Governed buffer classes. Up/Down/Peer mirror the fault.Class link taxonomy
 // for the in-process queue pumps; Wire covers the TCP sendq buffers, which
@@ -62,7 +68,7 @@ var govClassNames = [govClasses]string{"up", "down", "peer", "wire"}
 // admissions that found the budget already exhausted — for the honest
 // overload verdict.
 type governor struct {
-	budget int64 // bytes; always > 0 (nil governor = unbounded)
+	budget int64 // bytes; always > 0
 	hi     int64 // gate engages at used >= hi
 	lo     int64 // gate reopens at used <= lo
 
@@ -81,9 +87,6 @@ type governor struct {
 }
 
 func newGovernor(budget int64) *governor {
-	if budget <= 0 {
-		return nil
-	}
 	return &governor{budget: budget, hi: budget / 4 * 3, lo: budget / 2}
 }
 
@@ -173,10 +176,10 @@ func (g *governor) gateEngaged() bool {
 	return g.gate != nil
 }
 
-// GovernorStats is a point-in-time snapshot of one process's tool-plane
+// governorStats is a point-in-time snapshot of one process's tool-plane
 // resource accounting.
-type GovernorStats struct {
-	// Budget is the configured byte budget (0 = governance off).
+type governorStats struct {
+	// Budget is the configured byte budget.
 	Budget int64
 	// Used and HighWater are resident data-lane bytes: current, and the
 	// run's maximum.
@@ -193,8 +196,8 @@ type GovernorStats struct {
 	QueueBytesHW map[string]int64
 }
 
-func (g *governor) stats() GovernorStats {
-	s := GovernorStats{
+func (g *governor) stats() governorStats {
+	s := governorStats{
 		Budget:       g.budget,
 		Used:         g.used.Load(),
 		HighWater:    g.highWater.Load(),

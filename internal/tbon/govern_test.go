@@ -59,9 +59,6 @@ func TestMsgCostBatchAndFrames(t *testing.T) {
 }
 
 func TestGovernorHysteresisAndOverflow(t *testing.T) {
-	if g := newGovernor(0); g != nil {
-		t.Fatal("budget 0 must produce a nil governor")
-	}
 	g := newGovernor(1000) // hi=750, lo=500
 	g.charge(govUp, 700)
 	if g.gateEngaged() {
@@ -187,14 +184,18 @@ func TestSendqByteCapOverflowCut(t *testing.T) {
 	if ov := g.overflow.Load(); ov != 1 {
 		t.Fatalf("overflow %d, want 1", ov)
 	}
+}
 
-	// Uncapped queue (governance off) never cuts.
-	sq2 := newSendq(nil, 0)
-	sq2.onFull = func(net.Conn) { t.Error("uncapped sendq fired the cut") }
-	sq2.attach(c1)
-	sq2.push(make([]byte, 1000))
-	sq2.push(make([]byte, 1000))
-	if sq2.bytes != 2000 {
-		t.Fatalf("uncapped queued bytes %d, want 2000", sq2.bytes)
+func TestGovernorBudgetZeroIsDefaultNegativeRejected(t *testing.T) {
+	tr, err := NewNet(Config{Leaves: 4, FanIn: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Stop()
+	if tr.gov.budget != DefaultMemBudget {
+		t.Fatalf("zero MemBudget governs at %d, want DefaultMemBudget", tr.gov.budget)
+	}
+	if _, err := NewNet(Config{Leaves: 4, FanIn: 2, MemBudget: -1}); err == nil {
+		t.Fatal("negative MemBudget accepted")
 	}
 }

@@ -80,7 +80,7 @@ type Config struct {
 	// reliable transport acknowledges once per slab instead of once per
 	// frame. Handlers implementing Flusher are flushed at the end of every
 	// delivery cycle. Off by default: direct tbon users get the one-message-
-	// per-op behavior; the tool layer turns it on (see core.Config.NoBatch).
+	// per-op behavior; the tool layer (internal/core) always turns it on.
 	Batch bool
 	// Fault, when non-nil, activates the fault plane: link faults per the
 	// plan's rules, scheduled node crashes, heartbeat supervision, and —
@@ -102,12 +102,12 @@ type Config struct {
 	// journal replay (fault plan with Recover). The argument is the
 	// replacement node; OnNodeDown is NOT called for recovered nodes.
 	OnNodeRecovered func(n *Node)
-	// MemBudget, when positive, bounds the resident bytes of the tool-plane
-	// buffers (queue pumps and TCP send buffers) in this process: data-lane
-	// traffic is byte-accounted against the budget and backpressure is
-	// applied at the rank → leaf intake, while control-lane traffic
-	// (heartbeats, snapshot/epoch control, supervision) is always admitted
-	// free — see govern.go. 0 keeps the historical unbounded behavior.
+	// MemBudget bounds the resident bytes of the tool-plane buffers (queue
+	// pumps and TCP send buffers) in this process: data-lane traffic is
+	// byte-accounted against the budget and backpressure is applied at the
+	// rank → leaf intake, while control-lane traffic (heartbeats,
+	// snapshot/epoch control, supervision) is always admitted free — see
+	// govern.go. 0 selects DefaultMemBudget; negative is rejected.
 	MemBudget int64
 }
 
@@ -235,9 +235,6 @@ func newQueue(quit <-chan struct{}, wg *sync.WaitGroup, delay time.Duration, fl 
 		// consumer has processed it, so the charge covers the whole
 		// residence (buf, ready slab, out channel).
 		charge := func(e envelope, copies int) {
-			if gov == nil {
-				return
-			}
 			if c := envCost(e.msg); c > 0 {
 				for i := 0; i < copies; i++ {
 					gov.charge(class, c)
@@ -454,7 +451,7 @@ type Tree struct {
 	injector  *fault.Injector
 	transport *transport // nil unless the reliable link layer is active
 	net       *netFabric // nil unless the TCP fabric is active
-	gov       *governor  // nil unless Config.MemBudget > 0
+	gov       *governor
 	gidIndex  map[int]*Node
 
 	// nextGid hands out fresh global ids to respawned replacement nodes
@@ -498,6 +495,12 @@ func NewNet(cfg Config) (*Tree, error) {
 	}
 	if cfg.EventBuf == 0 {
 		cfg.EventBuf = 256
+	}
+	if cfg.MemBudget == 0 {
+		cfg.MemBudget = DefaultMemBudget
+	}
+	if cfg.MemBudget < 0 {
+		return nil, fmt.Errorf("MemBudget must not be negative (got %d; 0 selects the default)", cfg.MemBudget)
 	}
 	width0 := (cfg.Leaves + cfg.FanIn - 1) / cfg.FanIn
 	if nc := cfg.Net; nc != nil {
@@ -751,10 +754,8 @@ func (t *Tree) inject(rank int, env rankEnvelope) error {
 		// the global, byte-denominated analogue of the bounded events
 		// channel below. Quiet (watchdog) injections bypass the gate so
 		// liveness probes keep flowing through an overloaded tree.
-		if g := t.gov; g != nil && !env.quiet {
-			if !g.admitIntake(n.dead, t.quit) {
-				return ErrStopped
-			}
+		if !env.quiet && !t.gov.admitIntake(n.dead, t.quit) {
+			return ErrStopped
 		}
 		select {
 		case n.events <- env:
@@ -833,27 +834,29 @@ func (t *Tree) Abandoned() uint64 {
 	return t.transport.abandoned.Load()
 }
 
-// Recoveries returns the number of first-layer nodes successfully
-// respawned after a crash.
-func (t *Tree) Recoveries() uint64 { return t.recoveries.Load() }
-
-// GovStats returns a snapshot of this process's tool-plane resource
-// accounting (zero value when governance is off, Config.MemBudget == 0).
-// On a TCP-fabric coordinator it covers only coordinator-local buffers;
-// the workers' accounting arrives in their WorkerFinal reports.
-func (t *Tree) GovStats() GovernorStats {
-	if t.gov == nil {
-		return GovernorStats{}
+// Counters returns this process's tool-plane counters. On a TCP-fabric
+// coordinator they cover only coordinator-local links and buffers; each
+// worker's arrive in its WorkerFinal report, to be folded in by the caller.
+func (t *Tree) Counters() Counters {
+	gs := t.gov.stats()
+	c := Counters{
+		Retransmits:     t.Retransmits(),
+		AbandonedFrames: t.Abandoned(),
+		Recoveries:      int(t.recoveries.Load()),
+		MemHighWater:    gs.HighWater,
+		OverflowEvents:  gs.Overflow,
+		GatedWaits:      gs.Gated,
+		QueueDepthHW:    gs.QueueDepthHW,
+		QueueBytesHW:    gs.QueueBytesHW,
 	}
-	return t.gov.stats()
-}
-
-// Overloaded reports whether the resource governor observed budget
-// overflow: backpressure alone could not keep resident tool-plane bytes
-// under Config.MemBudget (typically a fault-stalled or dead link pinning
-// buffered frames). Always false with governance off.
-func (t *Tree) Overloaded() bool {
-	return t.gov != nil && t.gov.overflow.Load() > 0
+	if fab := t.net; fab != nil {
+		c.Reconnects = fab.reconnects.Load()
+		c.CodecErrors = fab.codecErrors.Load()
+		c.BytesOnWire = fab.bytesOut.Load() + fab.bytesIn.Load()
+		c.WorkerRespawns = fab.respawns.Load()
+		c.ShippedJournalEntries = fab.shippedEntries.Load()
+	}
+	return c
 }
 
 // FirstLayer returns the first tool layer.
@@ -1104,11 +1107,9 @@ func (n *Node) dispatchSlab(s *slab, class int, fn func(envelope)) {
 	for _, env := range s.envs {
 		fn(env)
 	}
-	if g := n.tree.gov; g != nil {
-		for _, env := range s.envs {
-			if c := envCost(env.msg); c > 0 {
-				g.release(class, c)
-			}
+	for _, env := range s.envs {
+		if c := envCost(env.msg); c > 0 {
+			n.tree.gov.release(class, c)
 		}
 	}
 	putSlab(s)
@@ -1123,8 +1124,8 @@ func (n *Node) dispatchRank(env rankEnvelope) {
 			n.rankHandler.FromRankEvent(env.from, env.ev)
 			return
 		}
-		// Batching off, or a handler without the typed extension: box at
-		// delivery, the historical per-event shape.
+		// Config.Batch off, or a handler without the typed extension: box
+		// at delivery, the historical per-event shape.
 		n.handler.FromRank(env.from, env.ev)
 		return
 	}

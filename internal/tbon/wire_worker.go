@@ -394,20 +394,9 @@ func (t *Tree) ServeWorker() error {
 	t.wg.Wait() // node loops and scanner quiesce before final stats
 	if reason == nil && fab.shuttingDown.Load() {
 		fin := WorkerFinal{
-			Worker:      fab.nc.Worker,
-			Handled:     t.handled.Load(),
-			Retransmits: t.Retransmits(),
-			Abandoned:   t.Abandoned(),
-			BytesOnWire: fab.bytesOut.Load() + fab.bytesIn.Load(),
-			CodecErrors: fab.codecErrors.Load(),
-		}
-		if t.gov != nil {
-			gs := t.gov.stats()
-			fin.MemHighWater = gs.HighWater
-			fin.OverflowEvents = gs.Overflow
-			fin.GatedWaits = gs.Gated
-			fin.QueueDepthHW = gs.QueueDepthHW
-			fin.QueueBytesHW = gs.QueueBytesHW
+			Worker:   fab.nc.Worker,
+			Handled:  t.handled.Load(),
+			Counters: t.Counters(),
 		}
 		if fab.nc.FinalStats != nil {
 			fin.MsgStats, fin.WindowHighWater = fab.nc.FinalStats()
@@ -490,51 +479,6 @@ func (t *Tree) WorkerFinals() []WorkerFinal {
 	return out
 }
 
-// Reconnects returns the number of accepted worker reconnections
-// (coordinator side; 0 without the fabric).
-func (t *Tree) Reconnects() uint64 {
-	if t.net == nil {
-		return 0
-	}
-	return t.net.reconnects.Load()
-}
-
-// CodecErrors returns the number of malformed or unencodable wire payloads
-// observed by this process's fabric.
-func (t *Tree) CodecErrors() uint64 {
-	if t.net == nil {
-		return 0
-	}
-	return t.net.codecErrors.Load()
-}
-
-// BytesOnWire returns the bytes this process's fabric moved (sent +
-// received).
-func (t *Tree) BytesOnWire() uint64 {
-	if t.net == nil {
-		return 0
-	}
-	return t.net.bytesOut.Load() + t.net.bytesIn.Load()
-}
-
-// WorkerRespawns returns how many supervised respawns the coordinator
-// re-admitted (0 without the fabric, or on workers).
-func (t *Tree) WorkerRespawns() uint64 {
-	if t.net == nil {
-		return 0
-	}
-	return t.net.respawns.Load()
-}
-
-// ShippedJournalEntries returns the total journal entries shipped to
-// respawned workers across all re-admissions.
-func (t *Tree) ShippedJournalEntries() uint64 {
-	if t.net == nil {
-		return 0
-	}
-	return t.net.shippedEntries.Load()
-}
-
 // WireReplayTime returns the cumulative wall time respawned workers spent
 // replaying shipped journals (as reported in their replay completion
 // frames).
@@ -558,10 +502,8 @@ func (t *Tree) injectRemote(n *Node, env rankEnvelope) error {
 	// Global governor backpressure first (byte-denominated, whole-tree),
 	// then the per-leaf frame window — two instances of the same credit
 	// mechanism at different granularities (see govern.go).
-	if g := t.gov; g != nil && !env.quiet {
-		if !g.admitIntake(n.dead, t.quit) {
-			return ErrStopped
-		}
+	if !env.quiet && !t.gov.admitIntake(n.dead, t.quit) {
+		return ErrStopped
 	}
 	select {
 	case fab.win[n.index] <- struct{}{}:

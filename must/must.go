@@ -19,13 +19,15 @@
 // deadlocks that did not manifest because the MPI implementation buffered
 // sends — the strict interpretation of MPI blocking semantics from
 // Section 3.3 of the paper.
+//
+// Options and Report are aliases of the tool driver's own types: each is
+// declared once, in internal/core, and its fields are documented there
+// (go doc dwst/internal/core.Options, go doc dwst/internal/core.Report).
 package must
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"dwst/internal/centralized"
 	"dwst/internal/core"
@@ -77,36 +79,14 @@ const (
 )
 
 // Mode selects the tool architecture.
-type Mode int
+type Mode = core.Mode
 
 const (
 	// Distributed is the paper's TBON architecture (default).
-	Distributed Mode = iota
+	Distributed = core.Distributed
 	// Centralized is the prior single-tool-process architecture.
-	Centralized
+	Centralized = core.Centralized
 )
-
-// Batching selects hot-path batching on the TBON: slab delivery on tool
-// queues, per-destination coalescing of wait-state messages, and slab-level
-// transport acknowledgements. The zero value is BatchOn — batching is the
-// default; BatchOff ships every message as its own envelope, kept available
-// for equivalence testing and bisection. Distributed mode only.
-type Batching int
-
-const (
-	// BatchOn enables hot-path batching (the default).
-	BatchOn Batching = iota
-	// BatchOff disables batching: one envelope per message, one ack per
-	// frame — the pre-batching behavior.
-	BatchOff
-)
-
-func (b Batching) String() string {
-	if b == BatchOff {
-		return "off"
-	}
-	return "on"
-}
 
 // PanicError re-exports mpisim.PanicError: the abort cause when a rank's
 // program panicked. The simulator contains the panic to its own run, so an
@@ -115,285 +95,46 @@ func (b Batching) String() string {
 // Report.AbortCause.
 type PanicError = mpisim.PanicError
 
-// DefaultMemBudget is the tool-plane byte budget the command-line tools
-// apply per process when governance is not explicitly configured: generous
-// enough that healthy runs never approach it (the high-water of the paper's
-// workloads is orders of magnitude below), small enough that a pinned link
-// under an event storm degrades the run long before the OS would kill the
-// process. Library embedders opt in by setting Options.MemBudget — the
-// zero-value Options stays byte-identical to the ungoverned tool.
-const DefaultMemBudget int64 = 256 << 20
+// DefaultMemBudget is the tool-plane byte budget per process that a zero
+// Options.MemBudget selects: generous enough that healthy runs never
+// approach it, small enough that a pinned link under an event storm degrades
+// the run long before the OS would kill the process.
+const DefaultMemBudget = core.DefaultMemBudget
 
-// Options configures a tool run.
-type Options struct {
-	// Context, when non-nil, cancels the run from outside: on Done the
-	// application world aborts with context.Cause, blocked ranks unwind,
-	// and the tool tears down cleanly. External cancellation, per-session
-	// deadlines, the tool's own deadlock/stall aborts, and mpi.Options.
-	// HangTimeout all share one cancellation path — the simulated world's
-	// abort. The cause is reported in Report.AbortCause.
-	Context context.Context
-	// Mode selects the tool architecture (default Distributed).
-	Mode Mode
-	// FanIn is the TBON fan-in (2, 4 or 8 in the paper; default 4).
-	FanIn int
-	// Timeout is the event-quiescence period before the root triggers
-	// graph-based detection (default 50ms).
-	Timeout time.Duration
-	// PreferWaitState prioritizes wait-state messages over new application
-	// events on first-layer nodes (the paper's Sec. 4.2 future-work option
-	// for bounding the trace window).
-	PreferWaitState bool
-	// EventBuf is the application→tool link depth (backpressure).
-	EventBuf int
-	// LinkDelay injects a per-message delay on tool-internal links
-	// (fault injection for robustness testing).
-	LinkDelay time.Duration
-	// Fault injects link faults (message drop / duplication / reordering /
-	// jitter / stalls) and tool-node crashes into the TBON; nil (the
-	// default) runs fault-free. Distributed mode only.
-	Fault *FaultPlan
-	// SnapshotDeadline bounds one consistent-state attempt before the root
-	// aborts and retries it under a fresh epoch (default 2s). Distributed
-	// mode only.
-	SnapshotDeadline time.Duration
-	// WatchdogQuiet enables the progress watchdog: a rank that is alive,
-	// not blocked in MPI, and issues no call for longer than this period is
-	// flagged Stalled. Zero (the default) disables the watchdog and its
-	// heartbeat traffic entirely. Distributed mode only.
-	WatchdogQuiet time.Duration
-	// Batch selects hot-path batching (default BatchOn; see Batching).
-	Batch Batching
-	// Engine selects the verdict engine at the detection root: "" or "wfg"
-	// (the reference WFG release fixpoint), "cmh" (Chandy–Misra–Haas
-	// probes), or "all" (run every applicable engine; the reference verdict
-	// wins). Distributed mode only.
-	Engine string
-	// Differential runs every applicable detection engine on each snapshot
-	// plus the static pre-run queue-matching pass, records their verdicts
-	// in Report.EngineVerdicts, and reports disagreements with the WFG
-	// reference in Report.EngineDeviations — the standing differential
-	// oracle. Distributed mode only.
-	Differential bool
-	// Net, when non-nil, runs the distributed tool over real TCP sockets:
-	// this process is the coordinator and Net.Workers separate worker
-	// processes (started via RunWorker, typically the mustnode binary) own
-	// the first tool layer. Distributed mode only; mutually exclusive with
-	// Fault — over real sockets the adversary is the wire.
-	Net *NetOptions
-	// MemBudget, when positive, bounds resident tool-plane buffer bytes per
-	// process: dws data traffic is byte-accounted across the tool's
-	// internal queues (and TCP send buffers), backpressure propagates to
-	// the rank → tool intake when buffers approach the budget, and genuine
-	// exhaustion (a stalled link pinning frames) degrades the run honestly
-	// — Report.Overloaded + Partial — instead of growing without limit.
-	// Control traffic (heartbeats, snapshot/epoch control, supervision) is
-	// never charged or gated, so supervision cannot be starved. 0 (the
-	// default here) keeps the historical unbounded behavior; embedders that
-	// want governance without tuning use DefaultMemBudget. Distributed
-	// mode only.
-	MemBudget int64
+// Options configures a tool run; Options.Validate reports the combinations
+// Run refuses. The type is declared — and every field documented — once, in
+// internal/core/options.go (`go doc dwst/internal/core.Options`).
+type Options = core.Options
 
-	// TrackCallSites records the application source line of every MPI call
-	// so wait-for conditions and reports point at code (one runtime.Caller
-	// lookup per call).
-	TrackCallSites bool
+// Report is the outcome of a tool run, filled by the tool driver itself.
+// Declared and documented field by field in internal/core/report.go
+// (`go doc dwst/internal/core.Report`).
+type Report = core.Report
 
-	// Application/runtime semantics.
-	Rendezvous               bool // standard sends block until matched
-	BufferSlots              int
-	BufferedSendCost         int
-	SsendEvery               int // every n-th standard send synchronous
-	SynchronizingCollectives bool
-}
+// Timings is the detection-phase breakdown of Figures 10(b)/11(b)
+// (Report.Timings).
+type Timings = core.Timings
 
-// Timings is the detection-phase breakdown of Figures 10(b)/11(b).
-type Timings struct {
-	Synchronization  time.Duration
-	WFGGather        time.Duration
-	GraphBuild       time.Duration
-	DeadlockCheck    time.Duration
-	OutputGeneration time.Duration
-}
+// ToolMessages is the distributed tool's wait-state message census
+// (Report.ToolMessages).
+type ToolMessages = core.ToolMessages
 
-// Total sums all phases.
-func (t Timings) Total() time.Duration {
-	return t.Synchronization + t.WFGGather + t.GraphBuild + t.DeadlockCheck + t.OutputGeneration
-}
+// Counters are the tool-plane counters embedded in Report (transport,
+// TCP-fabric, recovery and resource-governance accounting).
+type Counters = core.Counters
 
-// Report is the outcome of a tool run.
-type Report struct {
-	// Deadlock reports whether a deadlock was found.
-	Deadlock bool
-	// PotentialOnly is set when the application completed but the strict
-	// blocking model revealed a deadlock (e.g. unbuffered send–send).
-	PotentialOnly bool
-	// Deadlocked, Blocked and Cycle identify the affected ranks.
-	Deadlocked []int
-	Blocked    []int
-	Cycle      []int
-	// Groups decomposes the deadlocked set into independent deadlock
-	// clusters (e.g. pairwise send-send deadlocks yield one group per pair).
-	Groups [][]int
-	// Conditions describes each blocked rank's wait-for condition.
-	Conditions map[int]string
-	// UnexpectedMatches counts Sec. 3.3 wildcard situations in the state.
-	UnexpectedMatches int
-	// Arcs is the wait-for graph size.
-	Arcs int
-	// HTML and DOT are the generated report artifacts.
-	HTML string
-	DOT  string
-	// SimplifiedDOT is the class-compressed wait-for graph whose size is
-	// proportional to the number of distinct wait patterns rather than to
-	// p² (the paper's Sec. 6 graph-simplification direction); Summary is
-	// its one-line description.
-	SimplifiedDOT string
-	Summary       string
-	// Timings is the detection breakdown (Distributed mode only).
-	Timings Timings
-
-	// CallMismatches lists collective verification errors: participants of
-	// one collective wave issued different operations or roots (one of
-	// MUST's checks beyond deadlock detection).
-	CallMismatches []string
-	// LostMessages counts sends that never matched any receive; meaningful
-	// when the application completed (AppAborted == false).
-	LostMessages int
-
-	// Verdict classifies the run: none, deadlock (a communication cycle),
-	// deadlock-by-failure (waits unsatisfiable because ranks crashed), or
-	// stalled (progress watchdog fired without a deadlock).
-	Verdict Verdict
-	// DeadRanks lists crashed application ranks; DeadLastCalls maps each to
-	// its completed MPI call count; FailureBlocked lists the live ranks
-	// transitively blocked on the failure.
-	DeadRanks      []int
-	DeadLastCalls  map[int]int
-	FailureBlocked []int
-	// StalledRanks lists ranks the progress watchdog flagged; WatchdogFires
-	// counts detections that reported at least one stalled rank.
-	StalledRanks  []int
-	WatchdogFires int
-
-	// EngineVerdicts maps each detection engine that ran to its verdict
-	// string ("none", "deadlock", …, or "inapplicable"/"inconclusive"/
-	// "error: …"), merged over all detection rounds plus the static
-	// pre-run pass. Nil unless Options.Engine or Options.Differential
-	// asked for extra engines.
-	EngineVerdicts map[string]string
-	// EngineDeviations lists engine disagreements with the WFG reference
-	// (differential mode; empty means every applicable engine agreed).
-	EngineDeviations []string
-	// DroppedResults counts completed detections the root could not
-	// deliver to the driver within the delivery timeout (should be zero).
-	DroppedResults int
-
-	// Partial marks a degraded report: tool nodes hosting UnknownRanks
-	// crashed, so those ranks' wait states are unknown (conservatively
-	// modeled as permanently blocked).
-	Partial      bool
-	UnknownRanks []int
-	// DroppedEvents counts application events lost because their hosting
-	// tool node crashed (degraded-mode observation gap).
-	DroppedEvents int
-	// SnapshotRetries counts consistent-state attempts that missed
-	// SnapshotDeadline and were retried under a fresh epoch.
-	SnapshotRetries int
-	// Retransmits and AbandonedFrames count reliable-transport activity on
-	// tool links (zero without a fault plan or TCP fabric).
-	Retransmits     uint64
-	AbandonedFrames uint64
-	// Reconnects, CodecErrors and BytesOnWire are TCP-fabric counters (zero
-	// on the channel transport): accepted worker reconnections, malformed
-	// or unencodable wire payloads, and total bytes moved on the wire.
-	Reconnects  uint64
-	CodecErrors uint64
-	BytesOnWire uint64
-	// Err is set when the run never executed: configuration rejected or the
-	// TCP fabric failed to assemble (e.g. workers never connected). Tool
-	// aborts of a running application (deadlock, stall) do NOT set Err.
-	Err error
-	// AbortCause is the cause the application was aborted with, when it
-	// was: the tool's deadlock/stall abort, an Options.Context
-	// cancellation cause, mpisim's hang watchdog, or a contained rank
-	// panic (PanicError). Nil when the application completed on its own.
-	AbortCause error
-
-	// Recoveries counts crashed first-layer tool nodes that were respawned
-	// and rebuilt exactly by journal replay (FaultPlan.Recover). A recovered
-	// crash does NOT set Partial.
-	Recoveries int
-	// JournalHighWater is the largest live journal suffix observed on any
-	// first-layer slot — bounded-memory evidence: with watermark GC it
-	// tracks outstanding work, not run length.
-	JournalHighWater int
-	// ReplayedMsgs counts journal entries re-applied during recoveries;
-	// ReplayTime is the total wall clock spent replaying.
-	ReplayedMsgs int
-	ReplayTime   time.Duration
-	// WorkerRespawns counts worker processes re-admitted through the
-	// supervised-respawn handshake (TCP fabric, NetOptions.Recover), and
-	// ShippedJournalEntries the coordinator-journaled inputs shipped to
-	// those fresh incarnations for replay. RespawnBackoff is the total
-	// wall clock the orchestrator spent in respawn backoff delays.
-	WorkerRespawns        uint64
-	ShippedJournalEntries uint64
-	RespawnBackoff        time.Duration
-
-	// Resource-governance accounting (zero unless Options.MemBudget > 0).
-	// MemBudget echoes the configured budget; MemHighWater is the peak
-	// resident tool-plane buffer bytes of any single process.
-	// OverflowEvents counts budget-exhausted admissions and GatedWaits the
-	// intake admissions that had to wait for backpressure. QueueDepthHW /
-	// QueueBytesHW are per-link-class (up/down/peer/wire) high-water marks.
-	// Overloaded marks a run whose budget was genuinely exhausted despite
-	// backpressure (a stalled or dead link pinning buffered frames): the
-	// report is then also Partial — honest degradation instead of
-	// unbounded growth.
-	MemBudget      int64
-	MemHighWater   int64
-	OverflowEvents uint64
-	GatedWaits     uint64
-	QueueDepthHW   map[string]int64
-	QueueBytesHW   map[string]int64
-	Overloaded     bool
-
-	// Run statistics.
-	Elapsed         time.Duration
-	Detections      int
-	ToolNodes       int
-	WindowHighWater int
-	AppAborted      bool
-	// ToolMessages counts the wait-state messages the distributed tool
-	// generated (passSend / recvActive / recvActiveAck / collectiveReady).
-	ToolMessages ToolMessages
-}
-
-// ToolMessages is the distributed tool's message census.
-type ToolMessages struct {
-	PassSends      int
-	RecvActives    int
-	RecvActiveAcks int
-	CollReadys     int
-}
-
-// Total sums all counters.
-func (t ToolMessages) Total() int {
-	return t.PassSends + t.RecvActives + t.RecvActiveAcks + t.CollReadys
-}
-
-// Run executes prog on procs ranks under the tool.
+// Run executes prog on procs ranks under the tool. Options that fail
+// Validate are not run: the report carries the reason in Err.
 func Run(procs int, prog mpi.Program, opts Options) *Report {
-	simProg := func(p *mpisim.Proc) { prog(mpi.NewProc(p)) }
-	mode := mpisim.Eager
-	if opts.Rendezvous {
-		mode = mpisim.Rendezvous
+	if err := opts.Validate(); err != nil {
+		return &Report{Err: fmt.Errorf("must: %w", err)}
 	}
+	simProg := func(p *mpisim.Proc) { prog(mpi.NewProc(p)) }
 
 	if opts.Mode == Centralized {
-		if opts.Engine != "" || opts.Differential {
-			return &Report{Err: errors.New("must: engine selection and differential mode require the distributed architecture")}
+		mode := mpisim.Eager
+		if opts.Rendezvous {
+			mode = mpisim.Rendezvous
 		}
 		res := centralized.Run(centralized.Config{
 			Ctx:                      opts.Context,
@@ -426,6 +167,11 @@ func Run(procs int, prog mpi.Program, opts Options) *Report {
 			AppAborted:        res.AppErr != nil,
 			AbortCause:        res.AppErr,
 		}
+		if res.Deadlock {
+			// The baseline knows no rank failures or stalls: every deadlock
+			// it finds is a communication deadlock.
+			rep.Verdict = VerdictDeadlock
+		}
 		return rep
 	}
 
@@ -441,88 +187,7 @@ func Run(procs int, prog mpi.Program, opts Options) *Report {
 		static = &engine.Finding{Engine: "static", Verdict: v, Deadlocked: dl, Err: err}
 	}
 
-	res := core.Run(core.Config{
-		Ctx:                      opts.Context,
-		Procs:                    procs,
-		FanIn:                    opts.FanIn,
-		Timeout:                  opts.Timeout,
-		EventBuf:                 opts.EventBuf,
-		PreferWaitState:          opts.PreferWaitState,
-		LinkDelay:                opts.LinkDelay,
-		Fault:                    opts.Fault,
-		SnapshotDeadline:         opts.SnapshotDeadline,
-		WatchdogQuiet:            opts.WatchdogQuiet,
-		NoBatch:                  opts.Batch == BatchOff,
-		MemBudget:                opts.MemBudget,
-		Engine:                   opts.Engine,
-		Differential:             opts.Differential,
-		Net:                      opts.Net,
-		SendMode:                 mode,
-		BufferSlots:              opts.BufferSlots,
-		BufferedSendCost:         opts.BufferedSendCost,
-		SsendEvery:               opts.SsendEvery,
-		SynchronizingCollectives: opts.SynchronizingCollectives,
-		TrackCallSites:           opts.TrackCallSites,
-	}, simProg)
-
-	rep := &Report{
-		Elapsed:               res.Elapsed,
-		Detections:            res.Detections,
-		ToolNodes:             res.ToolNodes,
-		WindowHighWater:       res.WindowHighWater,
-		AppAborted:            res.AppErr != nil,
-		AbortCause:            res.AppErr,
-		Verdict:               res.Verdict,
-		DeadRanks:             res.DeadRanks,
-		DeadLastCalls:         res.DeadLastCalls,
-		FailureBlocked:        res.FailureBlocked,
-		StalledRanks:          res.StalledRanks,
-		WatchdogFires:         res.WatchdogFires,
-		CallMismatches:        res.CallMismatches,
-		LostMessages:          res.LostMessages,
-		EngineVerdicts:        res.EngineVerdicts,
-		EngineDeviations:      res.EngineDeviations,
-		DroppedResults:        res.DroppedResults,
-		Partial:               res.Partial,
-		UnknownRanks:          res.UnknownRanks,
-		DroppedEvents:         res.DroppedEvents,
-		SnapshotRetries:       res.SnapshotRetries,
-		Retransmits:           res.Retransmits,
-		AbandonedFrames:       res.AbandonedFrames,
-		Reconnects:            res.Reconnects,
-		CodecErrors:           res.CodecErrors,
-		BytesOnWire:           res.BytesOnWire,
-		Recoveries:            res.Recoveries,
-		JournalHighWater:      res.JournalHighWater,
-		ReplayedMsgs:          res.ReplayedMsgs,
-		ReplayTime:            res.ReplayTime,
-		WorkerRespawns:        res.WorkerRespawns,
-		ShippedJournalEntries: res.ShippedJournalEntries,
-		MemBudget:             res.MemBudget,
-		MemHighWater:          res.MemHighWater,
-		OverflowEvents:        res.OverflowEvents,
-		GatedWaits:            res.GatedWaits,
-		QueueDepthHW:          res.QueueDepthHW,
-		QueueBytesHW:          res.QueueBytesHW,
-		Overloaded:            res.Overloaded,
-		ToolMessages: ToolMessages{
-			PassSends:      res.MsgStats.PassSends,
-			RecvActives:    res.MsgStats.RecvActives,
-			RecvActiveAcks: res.MsgStats.RecvActiveAcks,
-			CollReadys:     res.MsgStats.CollReadys,
-		},
-	}
-	if res.Failed {
-		// The run never executed: AppErr is a configuration/fabric error,
-		// not an application abort.
-		rep.Err = res.AppErr
-		rep.AppAborted = false
-		rep.AbortCause = nil
-	}
-	if d := res.Deadlock; d != nil {
-		fillFromDetect(rep, d)
-		rep.PotentialOnly = res.AppErr == nil
-	}
+	rep := core.Run(procs, simProg, opts)
 	if static != nil {
 		if rep.EngineVerdicts == nil {
 			rep.EngineVerdicts = make(map[string]string, 1)
@@ -581,29 +246,4 @@ func staticDeviation(rep *Report, static *engine.Finding, opts Options) string {
 // (error). The mustnode binary is a thin wrapper around this call.
 func RunWorker(addr string, worker int, opts WorkerOptions) error {
 	return core.RunWorker(addr, worker, opts)
-}
-
-func fillFromDetect(rep *Report, d *detect.Result) {
-	rep.Deadlock = d.Deadlock
-	rep.Deadlocked = d.Deadlocked
-	rep.Blocked = d.Blocked
-	rep.Cycle = d.Cycle
-	rep.Groups = d.Groups
-	rep.UnexpectedMatches = len(d.UnexpectedMatches)
-	rep.Arcs = d.Arcs
-	rep.HTML = d.HTML
-	rep.DOT = d.DOT
-	rep.SimplifiedDOT = d.SimplifiedDOT
-	rep.Summary = d.Summary
-	rep.Timings = Timings{
-		Synchronization:  d.Timings.Synchronization,
-		WFGGather:        d.Timings.WFGGather,
-		GraphBuild:       d.Timings.GraphBuild,
-		DeadlockCheck:    d.Timings.DeadlockCheck,
-		OutputGeneration: d.Timings.OutputGeneration,
-	}
-	rep.Conditions = make(map[int]string, len(d.Entries))
-	for r, e := range d.Entries {
-		rep.Conditions[r] = e.Desc
-	}
 }

@@ -42,6 +42,9 @@ func TestBothModesDetectRecvRecv(t *testing.T) {
 		if rep.PotentialOnly {
 			t.Fatalf("mode %v: this deadlock manifests", mode)
 		}
+		if rep.Verdict != must.VerdictDeadlock {
+			t.Fatalf("mode %v: verdict %v beside Deadlock=true", mode, rep.Verdict)
+		}
 		if len(rep.Deadlocked) != 2 || len(rep.Cycle) != 2 {
 			t.Fatalf("mode %v: deadlocked=%v cycle=%v", mode, rep.Deadlocked, rep.Cycle)
 		}
@@ -115,5 +118,40 @@ func TestTimingsPopulatedForWildcardCase(t *testing.T) {
 	}
 	if rep.Timings.OutputGeneration <= 0 {
 		t.Fatal("output generation must be measured")
+	}
+}
+
+// TestRunRefusesIncompatibleOptions: an option the selected architecture
+// cannot honour is an error, never a silently fault-free (or unwatched, or
+// in-process) run that reports clean.
+func TestRunRefusesIncompatibleOptions(t *testing.T) {
+	plan := &must.FaultPlan{RankCrashes: []must.RankCrash{{Rank: 1, AtCall: 2}}}
+	cases := []struct {
+		name string
+		opts must.Options
+	}{
+		{"centralized with Fault", must.Options{Mode: must.Centralized, Fault: plan}},
+		{"centralized with Net", must.Options{Mode: must.Centralized, Net: &must.NetOptions{Workers: 1}}},
+		{"centralized with WatchdogQuiet", must.Options{Mode: must.Centralized, WatchdogQuiet: time.Second}},
+		{"centralized with Engine", must.Options{Mode: must.Centralized, Engine: "cmh"}},
+		{"Net with Fault", must.Options{Net: &must.NetOptions{Workers: 1}, Fault: plan}},
+		{"unknown engine", must.Options{Engine: "magic"}},
+		{"negative MemBudget", must.Options{MemBudget: -1}},
+		{"negative Timeout", must.Options{Timeout: -time.Second}},
+		{"FanIn 1", must.Options{FanIn: 1}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.opts.Validate(); err == nil {
+				t.Fatal("Validate accepted the combination")
+			}
+			rep := must.Run(4, cleanProg, c.opts)
+			if rep.Err == nil {
+				t.Fatalf("Run executed instead of refusing: %+v", rep)
+			}
+			if rep.Deadlock || rep.AppAborted || rep.Detections != 0 {
+				t.Fatalf("refused run carries results: %+v", rep)
+			}
+		})
 	}
 }
