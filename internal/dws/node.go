@@ -141,8 +141,14 @@ type rankState struct {
 	ops     map[int]*opState
 	reqs    map[trace.ReqID]*reqRec
 	collSeq map[trace.CommID]int
-	done    bool // returned from the program (Done event)
-	lastTS  int  // highest timestamp received
+	// creating maps the timestamp of each Comm_dup/Comm_split call to the
+	// (parent communicator, wave) it ran in, until the rank's CommInfo event
+	// for that call was consumed. The window entry cannot serve: the
+	// collective's Ack can overtake the trailing CommInfo (different links
+	// into the node loop) and retires the operation first.
+	creating map[int]collKey
+	done     bool // returned from the program (Done event)
+	lastTS   int  // highest timestamp received
 
 	// crashed/lastCall record the rank's death (RankDown event).
 	crashed  bool
@@ -445,6 +451,12 @@ func (n *Node) newOp(op trace.Op) {
 		rs.collSeq[op.Comm] = wave + 1
 		o.wave = wave
 		k := collKey{op.Comm, wave}
+		if kind == trace.CommDup || kind == trace.CommSplit {
+			if rs.creating == nil {
+				rs.creating = make(map[int]collKey)
+			}
+			rs.creating[op.TS] = k
+		}
 		n.collOps[k] = append(n.collOps[k], opRef{op.Proc, op.TS})
 		if n.ackedEarly[k] {
 			o.collAcked = true
@@ -484,13 +496,14 @@ func (n *Node) onStatus(proc, ts, src int) {
 // onCommInfo reports a created communicator to the root's registry.
 func (n *Node) onCommInfo(proc, ts int, newComm trace.CommID) {
 	rs := n.rank(proc)
-	o := rs.ops[ts]
-	if o == nil {
+	k, ok := rs.creating[ts]
+	if !ok {
 		return
 	}
+	delete(rs.creating, ts)
 	m := collmatch.Member{
 		NewComm: newComm, Rank: proc,
-		Parent: o.op.Comm, ParentWave: o.wave,
+		Parent: k.comm, ParentWave: k.wave,
 	}
 	n.membersSent = append(n.membersSent, m)
 	n.out.Up(m)

@@ -150,6 +150,12 @@ func cloneRankState(rs *rankState) *rankState {
 	for k, v := range rs.collSeq {
 		cp.collSeq[k] = v
 	}
+	if len(rs.creating) > 0 {
+		cp.creating = make(map[int]collKey, len(rs.creating))
+		for ts, k := range rs.creating {
+			cp.creating[ts] = k
+		}
+	}
 	return cp
 }
 

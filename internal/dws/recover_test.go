@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dwst/internal/event"
 	"dwst/internal/trace"
 )
 
@@ -158,5 +159,48 @@ func TestCheckpointRefusedMidSnapshot(t *testing.T) {
 	n.Abort(1)
 	if n.Checkpoint() == nil {
 		t.Fatal("checkpoint must work again after the epoch aborted")
+	}
+}
+
+// TestCommInfoAfterCollAckStillEmitsMember is the regression test for the
+// sub-communicator false positive: the Ack of a Comm_split can overtake the
+// rank's own trailing CommInfo event (they enter the node loop on different
+// links), retiring the operation first. The registry report must still be
+// emitted — and survive a checkpoint/restore cut between the two.
+func TestCommInfoAfterCollAckStillEmitsMember(t *testing.T) {
+	const p, newComm = 4, trace.CommID(2)
+	h := newHarness(t, p, 2)
+	for r := 0; r < p; r++ {
+		h.enter(trace.Op{Proc: r, TS: 0, Kind: trace.CommSplit, Comm: trace.CommWorld})
+	}
+	h.drain()
+	for r := 0; r < p; r++ {
+		// The harness root acked synchronously: every split already retired.
+		if h.node(r).CurrentTS(r) != 1 {
+			t.Fatalf("rank %d did not pass the split, l = %d", r, h.node(r).CurrentTS(r))
+		}
+	}
+	// Node 1 crashes and is rebuilt between the Ack and its CommInfo events.
+	m := h.nodes[1].Checkpoint()
+	if m == nil {
+		t.Fatal("checkpoint refused on a quiescent node")
+	}
+	neu := NewNode(1, []int{2, 3}, func(rank int) int { return rank / 2 }, harnessOut{h: h, id: 1})
+	neu.Restore(m)
+	h.nodes[1] = neu
+
+	for r := 0; r < p; r++ {
+		h.node(r).OnEvent(event.Event{Type: event.CommInfo, Proc: r, TS: 0, Comm: newComm})
+	}
+	if g := h.root.Group(newComm); len(g) != p {
+		t.Fatalf("communicator %d sealed with group %v, want all %d ranks", newComm, g, p)
+	}
+	// Consumed: the pending set is empty again, so a checkpoint carries none.
+	for _, n := range h.nodes {
+		for _, rs := range n.Checkpoint().ranks {
+			if len(rs.creating) != 0 {
+				t.Fatalf("rank %d still has pending creations %v", rs.rank, rs.creating)
+			}
+		}
 	}
 }

@@ -83,9 +83,9 @@ func (t *Tree) respawn(old *Node) bool {
 		loopDone:  make(chan struct{}),
 		respawned: make(chan struct{}),
 	}
-	neu.fromBelow = newQueue(t.quit, &t.wg, t.cfg.LinkDelay, t.faultLink(gid, fault.UpLink), t.slabCap(), t.gov, govUp)
-	neu.fromAbove = newQueue(t.quit, &t.wg, t.cfg.LinkDelay, t.faultLink(gid, fault.DownLink), t.slabCap(), t.gov, govDown)
-	neu.fromPeer = newQueue(t.quit, &t.wg, t.cfg.LinkDelay, t.faultLink(gid, fault.PeerLink), t.slabCap(), t.gov, govPeer)
+	neu.fromBelow = newQueue(t.quit, &t.wg, t.cfg.LinkDelay, t.faultLink(gid, fault.UpLink), t.gov, govUp)
+	neu.fromAbove = newQueue(t.quit, &t.wg, t.cfg.LinkDelay, t.faultLink(gid, fault.DownLink), t.gov, govDown)
+	neu.fromPeer = newQueue(t.quit, &t.wg, t.cfg.LinkDelay, t.faultLink(gid, fault.PeerLink), t.gov, govPeer)
 	// Arm the liveness clock before the supervisor can see the node, or it
 	// would be declared dead while still replaying.
 	neu.lastBeat.Store(time.Now().UnixNano())

@@ -9,9 +9,9 @@
 //     send order — upward, downward, and on intralayer links;
 //   - every node processes its messages in a single goroutine, so handler
 //     state needs no locking;
-//   - tool-internal links never deadlock: they are pumped queues that
-//     accept unboundedly, so cyclic intralayer flows (A→B while B→A) cannot
-//     wedge the tool.
+//   - tool-internal links never deadlock: they are queues that accept
+//     unboundedly, so cyclic intralayer flows (A→B while B→A) cannot wedge
+//     the tool.
 //
 // Application ranks feed the first tool layer through Inject over bounded
 // links, which apply backpressure when the tool lags — the mechanism behind
@@ -62,21 +62,22 @@ type Config struct {
 	// FanIn is the maximum number of children per node (≥ 2; the paper
 	// evaluates 2, 4 and 8).
 	FanIn int
-	// EventBuf is the capacity of the rank → first-layer links. Small
-	// buffers emphasize backpressure; default 256.
+	// EventBuf is the capacity of the rank → first-layer links, in events:
+	// that many injections may wait in a first-layer node's mailbox before
+	// Inject blocks. Small buffers emphasize backpressure; default 256.
 	EventBuf int
 	// PreferWaitState makes first-layer node loops drain intralayer
 	// (wait-state) messages before application events — the paper's
 	// future-work mitigation for trace-window growth (Sec. 4.2).
 	PreferWaitState bool
 	// LinkDelay, when positive, delays every tool-internal message by this
-	// duration in the link pumps (simulating slow network links between
+	// duration in the queues' pump stage (simulating slow network links between
 	// tool nodes). Per-link FIFO order is preserved; messages on one link
 	// are serialized delay apart.
 	LinkDelay time.Duration
-	// Batch enables hot-path batching: queue pumps deliver a slab of all
-	// due messages per wakeup instead of one envelope per channel op, node
-	// loops drain already-queued rank events opportunistically, and the
+	// Batch enables hot-path batching: a node takes a slab of up to maxSlab
+	// queued messages per delivery cycle instead of one envelope per cycle,
+	// node loops drain already-queued rank events opportunistically, and the
 	// reliable transport acknowledges once per slab instead of once per
 	// frame. Handlers implementing Flusher are flushed at the end of every
 	// delivery cycle. Off by default: direct tbon users get the one-message-
@@ -176,203 +177,248 @@ type timed struct {
 	due time.Time
 }
 
-// maxSlab bounds how many envelopes one slab (and one opportunistic event
-// drain) may carry: large enough to amortize the channel op and select
-// rebuild, small enough to keep a node responsive to its other inputs.
+// maxSlab bounds how many envelopes one delivery cycle takes from a queue
+// (and how many rank events one opportunistic drain absorbs at most): large
+// enough to amortize the wakeup, small enough to keep a node responsive to
+// its other inputs.
 const maxSlab = 128
 
-// slab is one pump wakeup's worth of envelopes, delivered to the node in a
-// single channel operation and returned to the pool after dispatch.
-type slab struct {
-	envs []envelope
+// rankEnvPool recycles the mailbox slots' payloads: the events channel
+// carries pointers, so a slot costs 8 bytes instead of a whole rankEnvelope
+// and building a tree allocates no event storage up front. An envelope is
+// taken at the intake (Tree.inject, the wire intake sites) and returned once
+// dispatchRank consumed it.
+var rankEnvPool = sync.Pool{New: func() any { return new(rankEnvelope) }}
+
+func newRankEnv(env rankEnvelope) *rankEnvelope {
+	p := rankEnvPool.Get().(*rankEnvelope)
+	*p = env
+	return p
 }
 
-var slabPool = sync.Pool{
-	// Pool *slab, not []envelope: a slice value would be boxed into a fresh
-	// interface allocation on every Put, defeating the pool.
-	New: func() any { return &slab{envs: make([]envelope, 0, 16)} },
-}
-
-func getSlab() *slab { return slabPool.Get().(*slab) }
-
-func putSlab(s *slab) {
-	for i := range s.envs {
-		s.envs[i] = envelope{} // release payload references before pooling
-	}
-	s.envs = s.envs[:0]
-	slabPool.Put(s)
+func putRankEnv(p *rankEnvelope) {
+	*p = rankEnvelope{} // release payload references before pooling
+	rankEnvPool.Put(p)
 }
 
 // queue is an unbounded FIFO link: senders enqueue without ever blocking
-// permanently; a pump goroutine feeds the consumer channel in order. The
-// pump drains the intake eagerly — fault delays and stalls gate delivery,
-// never admission, so a stalled link cannot block its senders. Delivery is
-// in slabs of up to maxBatch due messages per channel op (maxBatch 1
-// reproduces the one-envelope-per-op behavior exactly).
+// permanently, and the receiving node takes up to a slab of envelopes per
+// delivery cycle. Admitted envelopes wait in pending; ready carries one
+// token while pending is non-empty, so the node loop has a single receive
+// arm per queue however the envelopes got there.
+//
+// Without a fault link and without a simulated link delay — every run but
+// the chaos suites and the LinkDelay experiments — send appends to pending
+// directly and the queue costs nothing until used: no goroutine, no timer,
+// no buffer. Otherwise a pump goroutine sits in front as the fault/delay
+// stage: it drains stage eagerly (delays and stalls gate delivery, never
+// admission, so a stalled link cannot block its senders), applies the
+// plan's decisions, and moves envelopes into pending as they fall due.
+//
+// Data-lane envelopes are charged to the governor at admission and released
+// by takeSlab's caller once dispatched, so the charge covers the whole
+// residence.
 type queue struct {
-	in  chan envelope
-	out chan *slab
+	gov   *governor
+	class int
+
+	mu      sync.Mutex
+	pending []envelope
+	ready   chan struct{} // capacity 1: the "pending is non-empty" token
+
+	stage chan envelope // pump intake; nil when there is nothing to pump
 }
 
-func newQueue(quit <-chan struct{}, wg *sync.WaitGroup, delay time.Duration, fl *fault.Link, maxBatch int, gov *governor, class int) *queue {
-	if maxBatch < 1 {
-		maxBatch = 1
+func newQueue(quit <-chan struct{}, wg *sync.WaitGroup, delay time.Duration, fl *fault.Link, gov *governor, class int) *queue {
+	q := &queue{gov: gov, class: class, ready: make(chan struct{}, 1)}
+	if fl == nil && delay == 0 {
+		return q
 	}
-	q := &queue{in: make(chan envelope, 64), out: make(chan *slab, 16)}
+	// 64 slots decouple bursty senders from the pump's wakeup latency; the
+	// pump empties the channel on every wakeup, so it never holds a backlog.
+	q.stage = make(chan envelope, 64)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var buf []timed
-		var lastDue time.Time
-		var stallUntil time.Time
-		timer := time.NewTimer(time.Hour)
-		if !timer.Stop() {
-			<-timer.C
-		}
-		timerArmed := false
-		// charge accounts an admitted envelope against the governor's
-		// budget; the matching release happens in dispatchSlab once the
-		// consumer has processed it, so the charge covers the whole
-		// residence (buf, ready slab, out channel).
-		charge := func(e envelope, copies int) {
-			if c := envCost(e.msg); c > 0 {
-				for i := 0; i < copies; i++ {
-					gov.charge(class, c)
-				}
-			}
-		}
-		admit := func(e envelope) {
-			if fl == nil && delay == 0 {
-				// Fast path: no fault plan, no simulated link delay — the
-				// envelope is due immediately (a zero due time is never
-				// after now), so skip the clock read and the whole
-				// decision/serialization bookkeeping.
-				charge(e, 1)
-				buf = append(buf, timed{env: e})
-				return
-			}
-			now := time.Now()
-			var d fault.Decision
-			if fl != nil {
-				d = fl.Decide(innerMsg(e.msg))
-			}
-			if d.Stall > 0 {
-				if until := now.Add(d.Stall); until.After(stallUntil) {
-					stallUntil = until
-				}
-			}
-			if d.Drop {
-				return
-			}
-			due := now
-			if delay > 0 {
-				// Serialize: each message occupies the link for `delay`.
-				base := now
-				if lastDue.After(base) {
-					base = lastDue
-				}
-				due = base.Add(delay)
-				lastDue = due
-			}
-			if d.Delay > 0 {
-				due = due.Add(d.Delay)
-			}
-			if stallUntil.After(due) {
-				due = stallUntil
-			}
-			copies := 1
-			if d.Dup {
-				copies = 2
-			}
-			charge(e, copies)
-			first := len(buf)
-			for i := 0; i < copies; i++ {
-				buf = append(buf, timed{env: e, due: due})
-			}
-			if d.Reorder && first >= 1 {
-				// The new message overtakes its predecessor (dues stay in
-				// place so head wakeups remain monotone).
-				buf[first-1].env, buf[first].env = buf[first].env, buf[first-1].env
-			}
-		}
-		// ready is the slab prebuilt from the current due prefix of buf;
-		// stale forces a rebuild after any admission (which may reorder or
-		// extend the prefix). Rebuilding only when the prefix changed keeps
-		// the steady state allocation- and copy-free across failed selects.
-		var ready *slab
-		nready := 0
-		stale := true
-		for {
-			var outCh chan *slab
-			var timerCh <-chan time.Time
-			if len(buf) > 0 {
-				now := time.Now()
-				due := 0
-				for due < len(buf) && due < maxBatch && !buf[due].due.After(now) {
-					due++
-				}
-				if due > 0 {
-					if stale || due != nready {
-						if ready == nil {
-							ready = getSlab()
-						}
-						ready.envs = ready.envs[:0]
-						for i := 0; i < due; i++ {
-							ready.envs = append(ready.envs, buf[i].env)
-						}
-						nready = due
-						stale = false
-					}
-					outCh = q.out
-				} else {
-					if timerArmed && !timer.Stop() {
-						<-timer.C
-					}
-					timer.Reset(buf[0].due.Sub(now))
-					timerArmed = true
-					timerCh = timer.C
-				}
-			}
-			select {
-			case e := <-q.in:
-				admit(e)
-				// Drain the intake opportunistically: senders that raced the
-				// wakeup land in the same slab instead of costing one select
-				// round-trip each.
-			drain:
-				for i := 1; i < maxSlab; i++ {
-					select {
-					case e := <-q.in:
-						admit(e)
-					default:
-						break drain
-					}
-				}
-				stale = true
-			case outCh <- ready:
-				// Compact instead of reslicing: buf[nready:] would abandon
-				// the array prefix, so every slab consumed forces the next
-				// appends into a fresh allocation. Moving the (typically
-				// tiny) tail down reuses one backing array forever.
-				rest := copy(buf, buf[nready:])
-				buf = buf[:rest]
-				ready = nil
-				nready = 0
-				stale = true
-			case <-timerCh:
-				timerArmed = false
-			case <-quit:
-				return
-			}
-		}
+		q.pump(quit, delay, fl)
 	}()
 	return q
 }
 
+// send admits one envelope; it blocks only while the pump's intake is full,
+// and gives up when the tree stops.
 func (q *queue) send(e envelope, quit <-chan struct{}) {
+	if q.stage == nil {
+		q.charge(e, 1)
+		q.deliver(e)
+		return
+	}
 	select {
-	case q.in <- e:
+	case q.stage <- e:
 	case <-quit:
+	}
+}
+
+func (q *queue) charge(e envelope, copies int) {
+	if c := envCost(e.msg); c > 0 {
+		for i := 0; i < copies; i++ {
+			q.gov.charge(q.class, c)
+		}
+	}
+}
+
+// deliver appends (already charged) envelopes to pending and raises the
+// token on the empty → non-empty edge.
+func (q *queue) deliver(envs ...envelope) {
+	q.mu.Lock()
+	wasEmpty := len(q.pending) == 0
+	q.pending = append(q.pending, envs...)
+	q.mu.Unlock()
+	if wasEmpty {
+		q.signal()
+	}
+}
+
+func (q *queue) signal() {
+	select {
+	case q.ready <- struct{}{}:
+	default:
+	}
+}
+
+// takeSlab moves up to max pending envelopes into dst (reusing its storage)
+// in FIFO order, re-raising the token when some remain. Called by the
+// receiving node after it took the token.
+func (q *queue) takeSlab(dst []envelope, max int) []envelope {
+	q.mu.Lock()
+	n := len(q.pending)
+	if n > max {
+		n = max
+	}
+	dst = append(dst[:0], q.pending[:n]...)
+	// Compact instead of reslicing: pending[n:] would abandon the array
+	// prefix, so every slab taken forces the next appends into a fresh
+	// allocation. Moving the (typically empty) tail down reuses one backing
+	// array for the queue's lifetime.
+	rest := copy(q.pending, q.pending[n:])
+	for i := rest; i < len(q.pending); i++ {
+		q.pending[i] = envelope{} // release payload references
+	}
+	q.pending = q.pending[:rest]
+	q.mu.Unlock()
+	if rest > 0 {
+		q.signal()
+	}
+	return dst
+}
+
+// pump is the fault/delay stage of a queue: it decides each staged
+// envelope's fate (drop, duplicate, reorder, delay, stall) and delivers the
+// survivors when they fall due.
+func (q *queue) pump(quit <-chan struct{}, delay time.Duration, fl *fault.Link) {
+	var buf []timed
+	var lastDue time.Time
+	var stallUntil time.Time
+	timer := time.NewTimer(time.Hour)
+	if !timer.Stop() {
+		<-timer.C
+	}
+	timerArmed := false
+	admit := func(e envelope) {
+		now := time.Now()
+		var d fault.Decision
+		if fl != nil {
+			d = fl.Decide(innerMsg(e.msg))
+		}
+		if d.Stall > 0 {
+			if until := now.Add(d.Stall); until.After(stallUntil) {
+				stallUntil = until
+			}
+		}
+		if d.Drop {
+			return
+		}
+		due := now
+		if delay > 0 {
+			// Serialize: each message occupies the link for `delay`.
+			base := now
+			if lastDue.After(base) {
+				base = lastDue
+			}
+			due = base.Add(delay)
+			lastDue = due
+		}
+		if d.Delay > 0 {
+			due = due.Add(d.Delay)
+		}
+		if stallUntil.After(due) {
+			due = stallUntil
+		}
+		copies := 1
+		if d.Dup {
+			copies = 2
+		}
+		q.charge(e, copies)
+		first := len(buf)
+		for i := 0; i < copies; i++ {
+			buf = append(buf, timed{env: e, due: due})
+		}
+		if d.Reorder && first >= 1 {
+			// The new message overtakes its predecessor (dues stay in
+			// place so head wakeups remain monotone).
+			buf[first-1].env, buf[first].env = buf[first].env, buf[first-1].env
+		}
+	}
+	var due []envelope
+	for {
+		var timerCh <-chan time.Time
+		if len(buf) > 0 {
+			now := time.Now()
+			n := 0
+			for n < len(buf) && !buf[n].due.After(now) {
+				n++
+			}
+			if n > 0 {
+				due = due[:0]
+				for i := 0; i < n; i++ {
+					due = append(due, buf[i].env)
+				}
+				q.deliver(due...)
+				rest := copy(buf, buf[n:])
+				for i := rest; i < len(buf); i++ {
+					buf[i] = timed{}
+				}
+				buf = buf[:rest]
+			}
+		}
+		if len(buf) > 0 {
+			if timerArmed && !timer.Stop() {
+				<-timer.C
+			}
+			timer.Reset(time.Until(buf[0].due))
+			timerArmed = true
+			timerCh = timer.C
+		}
+		select {
+		case e := <-q.stage:
+			admit(e)
+			// Drain the intake opportunistically: senders that raced the
+			// wakeup are decided together (which is also what lets a
+			// Reorder decision find its predecessor still here).
+		drain:
+			for i := 1; i < maxSlab; i++ {
+				select {
+				case e := <-q.stage:
+					admit(e)
+				default:
+					break drain
+				}
+			}
+		case <-timerCh:
+			timerArmed = false
+		case <-quit:
+			return
+		}
 	}
 }
 
@@ -392,11 +438,14 @@ type Node struct {
 	parent   *Node
 	children []*Node
 
-	events    chan rankEnvelope // app events (layer 0; bounded)
-	fromBelow *queue            // tool messages from children / self
-	fromAbove *queue            // broadcasts from parent
-	fromPeer  *queue            // intralayer (layer 0)
+	events    chan *rankEnvelope // app events (layer 0; EventBuf pooled slots)
+	fromBelow *queue             // tool messages from children / self
+	fromAbove *queue             // broadcasts from parent
+	fromPeer  *queue             // intralayer (layer 0)
 	control   chan envelope
+	// slab is the node goroutine's scratch for one delivery cycle's
+	// envelopes (see queue.takeSlab).
+	slab []envelope
 
 	handler Handler
 	// flusher and rankHandler cache the handler's optional extensions (set
@@ -555,14 +604,14 @@ func NewNet(cfg Config) (*Tree, error) {
 				respawned: make(chan struct{}),
 			}
 			if n.local {
-				n.fromBelow = newQueue(t.quit, &t.wg, cfg.LinkDelay, t.faultLink(gid, fault.UpLink), t.slabCap(), t.gov, govUp)
-				n.fromAbove = newQueue(t.quit, &t.wg, cfg.LinkDelay, t.faultLink(gid, fault.DownLink), t.slabCap(), t.gov, govDown)
+				n.fromBelow = newQueue(t.quit, &t.wg, cfg.LinkDelay, t.faultLink(gid, fault.UpLink), t.gov, govUp)
+				n.fromAbove = newQueue(t.quit, &t.wg, cfg.LinkDelay, t.faultLink(gid, fault.DownLink), t.gov, govDown)
 			}
 			gid++
 			if layer == 0 {
 				if n.local {
-					n.events = make(chan rankEnvelope, cfg.EventBuf)
-					n.fromPeer = newQueue(t.quit, &t.wg, cfg.LinkDelay, t.faultLink(n.gid, fault.PeerLink), t.slabCap(), t.gov, govPeer)
+					n.events = make(chan *rankEnvelope, cfg.EventBuf)
+					n.fromPeer = newQueue(t.quit, &t.wg, cfg.LinkDelay, t.faultLink(n.gid, fault.PeerLink), t.gov, govPeer)
 				}
 			} else {
 				lo := i * cfg.FanIn
@@ -624,8 +673,8 @@ func NewNet(cfg Config) (*Tree, error) {
 	return t, nil
 }
 
-// slabCap is the per-wakeup delivery batch for the tree's queues: maxSlab
-// with batching, 1 (one envelope per channel op, the historical behavior)
+// slabCap is the per-cycle delivery batch for the tree's queues: maxSlab
+// with batching, 1 (one envelope per cycle, the historical behavior)
 // without.
 func (t *Tree) slabCap() int {
 	if t.cfg.Batch {
@@ -757,13 +806,15 @@ func (t *Tree) inject(rank int, env rankEnvelope) error {
 		if !env.quiet && !t.gov.admitIntake(n.dead, t.quit) {
 			return ErrStopped
 		}
+		slot := newRankEnv(env)
 		select {
-		case n.events <- env:
+		case n.events <- slot:
 			if !env.quiet {
 				t.injected.Add(1)
 			}
 			return nil
 		case <-n.dead:
+			putRankEnv(slot)
 			if !t.recoveryEnabled() {
 				return ErrNodeDown
 			}
@@ -780,6 +831,7 @@ func (t *Tree) inject(rank int, env rankEnvelope) error {
 			}
 			// A replacement took over: retry against it.
 		case <-t.quit:
+			putRankEnv(slot)
 			return ErrStopped
 		}
 	}
@@ -1038,12 +1090,12 @@ func (n *Node) loop() {
 			// before new application events when configured.
 			if n.tree.cfg.PreferWaitState {
 				select {
-				case s := <-n.fromPeer.out:
-					n.dispatchSlab(s, govPeer, n.dispatchPeer)
+				case <-n.fromPeer.ready:
+					n.dispatchSlab(n.fromPeer, n.dispatchPeer)
 					n.endCycle()
 					continue
-				case s := <-n.fromAbove.out:
-					n.dispatchSlab(s, govDown, n.dispatchParent)
+				case <-n.fromAbove.ready:
+					n.dispatchSlab(n.fromAbove, n.dispatchParent)
 					n.endCycle()
 					continue
 				default:
@@ -1053,12 +1105,12 @@ func (n *Node) loop() {
 			case env := <-n.control:
 				n.tree.handled.Add(1)
 				n.handler.Control(env.msg)
-			case s := <-n.fromPeer.out:
-				n.dispatchSlab(s, govPeer, n.dispatchPeer)
-			case s := <-n.fromAbove.out:
-				n.dispatchSlab(s, govDown, n.dispatchParent)
-			case s := <-n.fromBelow.out:
-				n.dispatchSlab(s, govUp, n.dispatchChild)
+			case <-n.fromPeer.ready:
+				n.dispatchSlab(n.fromPeer, n.dispatchPeer)
+			case <-n.fromAbove.ready:
+				n.dispatchSlab(n.fromAbove, n.dispatchParent)
+			case <-n.fromBelow.ready:
+				n.dispatchSlab(n.fromBelow, n.dispatchChild)
 			case env := <-n.events:
 				n.dispatchRank(env)
 				n.drainEvents()
@@ -1075,10 +1127,10 @@ func (n *Node) loop() {
 		case env := <-n.control:
 			n.tree.handled.Add(1)
 			n.handler.Control(env.msg)
-		case s := <-n.fromAbove.out:
-			n.dispatchSlab(s, govDown, n.dispatchParent)
-		case s := <-n.fromBelow.out:
-			n.dispatchSlab(s, govUp, n.dispatchChild)
+		case <-n.fromAbove.ready:
+			n.dispatchSlab(n.fromAbove, n.dispatchParent)
+		case <-n.fromBelow.ready:
+			n.dispatchSlab(n.fromBelow, n.dispatchChild)
 		case <-hbC:
 		case <-n.dead:
 			return
@@ -1100,22 +1152,28 @@ func (n *Node) endCycle() {
 	}
 }
 
-// dispatchSlab dispatches every envelope of one slab, releases the slab's
-// governor charges (the envelopes are no longer tool-plane residents once
-// the handler consumed them), and returns it to the pool.
-func (n *Node) dispatchSlab(s *slab, class int, fn func(envelope)) {
-	for _, env := range s.envs {
+// dispatchSlab runs one delivery cycle on a queue whose token the loop just
+// took: up to slabCap envelopes are dispatched in order and their governor
+// charges released (they are no longer tool-plane residents once the handler
+// consumed them).
+func (n *Node) dispatchSlab(q *queue, fn func(envelope)) {
+	n.slab = q.takeSlab(n.slab, n.tree.slabCap())
+	for _, env := range n.slab {
 		fn(env)
 	}
-	for _, env := range s.envs {
+	for i, env := range n.slab {
 		if c := envCost(env.msg); c > 0 {
-			n.tree.gov.release(class, c)
+			q.gov.release(q.class, c)
 		}
+		n.slab[i] = envelope{} // release payload references
 	}
-	putSlab(s)
 }
 
-func (n *Node) dispatchRank(env rankEnvelope) {
+// dispatchRank delivers one mailbox slot to the handler and returns the
+// slot to the pool.
+func (n *Node) dispatchRank(slot *rankEnvelope) {
+	env := *slot
+	putRankEnv(slot)
 	if !env.quiet {
 		n.tree.handled.Add(1)
 	}

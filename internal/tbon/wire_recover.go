@@ -325,7 +325,7 @@ func (fab *netFabric) replayOne(leaf int, wd wireData) {
 			fab.codecErrors.Add(1)
 			return
 		}
-		renv := rankEnvelope{from: wr.Rank, ev: wr.Ev, msg: wr.Msg, typed: wr.Typed, quiet: wr.Quiet}
+		renv := newRankEnv(rankEnvelope{from: wr.Rank, ev: wr.Ev, msg: wr.Msg, typed: wr.Typed, quiet: wr.Quiet})
 		select {
 		case n.events <- renv:
 		case <-t.quit:

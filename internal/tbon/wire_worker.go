@@ -331,7 +331,7 @@ func (fab *netFabric) deliverRank(wd wireData) {
 			fab.codecErrors.Add(1)
 			continue
 		}
-		renv := rankEnvelope{from: wr.Rank, ev: wr.Ev, msg: wr.Msg, typed: wr.Typed, quiet: wr.Quiet}
+		renv := newRankEnv(rankEnvelope{from: wr.Rank, ev: wr.Ev, msg: wr.Msg, typed: wr.Typed, quiet: wr.Quiet})
 		select {
 		case n.events <- renv:
 		case <-n.dead:
