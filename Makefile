@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos short fuzz ci bench-test service-soak overload
+.PHONY: all build vet test race chaos short fuzz ci bench-test service-soak overload soak-clean
 
 all: build vet test
 
@@ -50,4 +50,11 @@ overload:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: vet build race bench-test
+# The clean-program verdict tests, many times over: a report that is wrong
+# about a clean program is the one failure a single pass hides (the
+# sub-communicator false positive showed 1 run in 40), and every change to
+# link latency shifts the interleavings.
+soak-clean:
+	$(GO) test ./internal/core ./must -run 'Clean' -count=300
+
+ci: vet build race bench-test soak-clean

@@ -21,6 +21,7 @@ package dwst_test
 
 import (
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
@@ -288,7 +289,11 @@ func BenchmarkAblationGraphSimplification(b *testing.B) {
 			if !rep.Deadlock || rep.SimplifiedDOT == "" {
 				b.Fatal("missing simplified output")
 			}
-			b.ReportMetric(float64(len(rep.DOT)), "dot_bytes")
+			dotBytes, err := rep.DOT.WriteTo(io.Discard)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(dotBytes), "dot_bytes")
 			b.ReportMetric(float64(len(rep.SimplifiedDOT)), "simplified_bytes")
 		})
 	}

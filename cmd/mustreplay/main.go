@@ -106,8 +106,8 @@ func doAnalyze(path, htmlPath string) error {
 	if res.Unexpected > 0 {
 		fmt.Printf("unexpected wildcard matches: %d\n", res.Unexpected)
 	}
-	if htmlPath != "" && res.HTML != "" {
-		if err := os.WriteFile(htmlPath, []byte(res.HTML), 0o644); err != nil {
+	if htmlPath != "" {
+		if err := os.WriteFile(htmlPath, []byte(res.HTML.String()), 0o644); err != nil {
 			return err
 		}
 		fmt.Println("wrote", htmlPath)

@@ -32,6 +32,7 @@ import (
 	"syscall"
 	"time"
 
+	"dwst/internal/report"
 	"dwst/internal/session"
 	"dwst/internal/supervise"
 	"dwst/must"
@@ -387,11 +388,25 @@ func summarizeRanks(rs []int) string {
 	return fmt.Sprintf("[%d..%d] (%d ranks)", rs[0], rs[len(rs)-1], len(rs))
 }
 
-func writeIf(path, content string) {
-	if path == "" || content == "" {
+// writeIf renders a report artifact into path and says what that cost —
+// the full graph of a wildcard deadlock is p² lines, rendered only here.
+func writeIf(path string, a report.Artifact) {
+	if path == "" || a.Empty() {
 		return
 	}
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+	start := time.Now()
+	f, err := os.Create(path)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "write:", err)
+		return
 	}
+	n, err := a.WriteTo(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "write:", err)
+		return
+	}
+	fmt.Printf("wrote %s (%d bytes, rendered in %v)\n", path, n, time.Since(start).Round(time.Microsecond))
 }

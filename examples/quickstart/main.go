@@ -44,10 +44,10 @@ func main() {
 
 	// The tool produces the same artifacts MUST emits: an HTML report and a
 	// DOT rendering of the wait-for graph.
-	if err := os.WriteFile("deadlock_report.html", []byte(report.HTML), 0o644); err == nil {
+	if err := os.WriteFile("deadlock_report.html", []byte(report.HTML.String()), 0o644); err == nil {
 		fmt.Println("wrote deadlock_report.html")
 	}
-	if err := os.WriteFile("wait_for_graph.dot", []byte(report.DOT), 0o644); err == nil {
+	if err := os.WriteFile("wait_for_graph.dot", []byte(report.DOT.String()), 0o644); err == nil {
 		fmt.Println("wrote wait_for_graph.dot")
 	}
 }

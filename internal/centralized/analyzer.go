@@ -2,7 +2,6 @@ package centralized
 
 import (
 	"dwst/internal/event"
-	"dwst/internal/report"
 )
 
 // Analyzer is the offline (postmortem) face of the centralized tool: feed
@@ -42,8 +41,7 @@ func (a *Analyzer) Detect() *Result {
 	res.Deadlock = true
 	res.Deadlocked = dead
 	res.Cycle = cycle
-	res.DOT = report.DOT(g, dead)
-	res.HTML = centralHTML(a.p, dead, cycle, entries, g)
+	res.HTML, res.DOT = artifacts(a.p, dead, cycle, entries, g)
 	return res
 }
 

@@ -45,7 +45,7 @@ func TestAnalyzerFindsPotentialDeadlockOffline(t *testing.T) {
 	if !res.Deadlock || len(res.Deadlocked) != 2 {
 		t.Fatalf("res = %+v", res)
 	}
-	if res.HTML == "" || res.DOT == "" {
+	if res.HTML.String() == "" || res.DOT.String() == "" {
 		t.Fatal("outputs missing")
 	}
 }

@@ -11,6 +11,7 @@ package centralized
 import (
 	"context"
 	"errors"
+	"io"
 	"time"
 
 	"dwst/internal/collmatch"
@@ -56,8 +57,8 @@ type Result struct {
 	Unexpected     int
 	Detections     int
 	Elapsed        time.Duration
-	HTML, DOT      string
-	TraceOps       int // total operations retained (centralized keeps them all)
+	HTML, DOT      report.Artifact // rendered on request
+	TraceOps       int             // total operations retained (centralized keeps them all)
 	CallMismatches []string
 	LostMessages   int
 	// Conditions describes each blocked rank's wait-for condition.
@@ -330,8 +331,7 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 		for r, w := range entries {
 			res.Conditions[r] = w.Desc
 		}
-		res.DOT = report.DOT(g, dead)
-		res.HTML = centralHTML(cfg.Procs, dead, cycle, entries, g)
+		res.HTML, res.DOT = artifacts(cfg.Procs, dead, cycle, entries, g)
 		if !final {
 			world.Abort(ErrDeadlockDetected)
 		}
@@ -389,7 +389,12 @@ func traceOps(mt *trace.MatchedTrace) int {
 	return n
 }
 
-// centralHTML renders the deadlock report using the shared template.
-func centralHTML(p int, dead, cycle []int, entries map[int]waitstate.WaitInfo, g *wfg.Graph) string {
-	return report.HTMLFromWaitInfo(p, dead, cycle, entries, g.Arcs())
+// artifacts are the deadlock report (shared template) and the wait-for
+// graph of the deadlocked ranks, rendered when the caller asks.
+func artifacts(p int, dead, cycle []int, entries map[int]waitstate.WaitInfo, g *wfg.Graph) (html, dot report.Artifact) {
+	html = report.Render(func(w io.Writer) error {
+		return report.WriteHTML(w, report.DataFromWaitInfo(p, dead, cycle, entries, g.Arcs()))
+	})
+	dot = report.Render(func(w io.Writer) error { return g.DOT(w, dead) })
+	return html, dot
 }

@@ -43,7 +43,7 @@ func TestRecvRecvDeadlock(t *testing.T) {
 	if !res.Deadlock || len(res.Deadlocked) != 2 {
 		t.Fatalf("deadlock=%v deadlocked=%v", res.Deadlock, res.Deadlocked)
 	}
-	if res.HTML == "" || res.DOT == "" {
+	if res.HTML.String() == "" || res.DOT.String() == "" {
 		t.Fatal("missing outputs")
 	}
 }

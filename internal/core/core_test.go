@@ -54,7 +54,7 @@ func TestRecvRecvDeadlockDetected(t *testing.T) {
 	if len(res.Cycle) != 2 {
 		t.Fatalf("cycle = %v", res.Cycle)
 	}
-	if res.HTML == "" || res.DOT == "" {
+	if res.HTML.String() == "" || res.DOT.String() == "" {
 		t.Fatal("missing report outputs")
 	}
 }

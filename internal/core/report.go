@@ -5,6 +5,7 @@ import (
 
 	"dwst/internal/detect"
 	"dwst/internal/dws"
+	"dwst/internal/report"
 	"dwst/internal/tbon"
 )
 
@@ -42,9 +43,11 @@ type Report struct {
 	UnexpectedMatches int
 	// Arcs is the wait-for graph size.
 	Arcs int
-	// HTML and DOT are the generated report artifacts.
-	HTML string
-	DOT  string
+	// HTML and DOT are the report artifacts — the MUST-style page and the
+	// full wait-for graph of the deadlocked ranks — rendered when asked
+	// (WriteTo streams, String builds in memory); empty without a deadlock.
+	HTML report.Artifact
+	DOT  report.Artifact
 	// SimplifiedDOT is the class-compressed wait-for graph whose size is
 	// proportional to the number of distinct wait patterns rather than to
 	// p² (the paper's Sec. 6 graph-simplification direction); Summary is

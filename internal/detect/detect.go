@@ -9,6 +9,7 @@ package detect
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -27,7 +28,7 @@ type Timings struct {
 	WFGGather        time.Duration // receiving wait-for info of all processes
 	GraphBuild       time.Duration // building the wait-for graph
 	DeadlockCheck    time.Duration // the graph search (release fixpoint)
-	OutputGeneration time.Duration // HTML report + DOT graph
+	OutputGeneration time.Duration // summary + class graph (page and full graph render on request)
 }
 
 // Total sums all phases.
@@ -111,9 +112,10 @@ type Result struct {
 	// LostMessages counts sends that never matched a receive, summed over
 	// all nodes (meaningful for detections after the application finished).
 	LostMessages int
-	// HTML and DOT are the generated outputs (only for deadlocks).
-	HTML string
-	DOT  string
+	// HTML and DOT are the report page and the full wait-for graph of the
+	// deadlocked ranks, rendered when asked (empty without a deadlock).
+	HTML report.Artifact
+	DOT  report.Artifact
 	// SimplifiedDOT is the class-compressed wait-for graph (the paper's
 	// Sec. 6 future work), and Summary its one-line description.
 	SimplifiedDOT string
@@ -428,7 +430,92 @@ func (r *Root) finish() *Result {
 	return res
 }
 
-// analyze builds the WFG from the gathered reports and checks for deadlock.
+// wave names one collective wave; sets indexes the rank sets a detection's
+// waits share, so that p waits on one communicator reference one set.
+type wave struct {
+	comm trace.CommID
+	w    int
+}
+
+type sets struct {
+	r      *Root
+	inWave map[wave]map[int]bool
+	comms  map[trace.CommID]*engine.RankSet
+	waves  map[wave]*engine.RankSet
+	unions map[string]*engine.RankSet
+}
+
+// comm is "every process of communicator c" (a wildcard receive on c).
+func (s *sets) comm(c trace.CommID) *engine.RankSet {
+	rs := s.comms[c]
+	if rs == nil {
+		rs = &engine.RankSet{Members: s.r.groupOrWorld(c)}
+		s.comms[c] = rs
+	}
+	return rs
+}
+
+// missing is "every process of the wave's communicator not blocked in the
+// wave" (what a participant of a collective waits for).
+func (s *sets) missing(k wave) *engine.RankSet {
+	rs := s.waves[k]
+	if rs == nil {
+		rs = &engine.RankSet{}
+		for _, m := range s.r.groupOrWorld(k.comm) {
+			if !s.inWave[k][m] {
+				rs.Members = append(rs.Members, m)
+			}
+		}
+		s.waves[k] = rs
+	}
+	return rs
+}
+
+// of returns the one set an entry's set-valued wait conditions add up to:
+// nil without any, the shared set itself for one (every case the paper
+// has), their interned union for several (a Waitany over wildcard receives
+// on different communicators).
+func (s *sets) of(e dws.WaitEntry) *engine.RankSet {
+	switch {
+	case e.IsColl && len(e.WildComms) == 0:
+		return s.missing(wave{e.CollComm, e.CollWave})
+	case !e.IsColl && len(e.WildComms) == 0:
+		return nil
+	case !e.IsColl && len(e.WildComms) == 1:
+		return s.comm(e.WildComms[0])
+	}
+	key := fmt.Sprint(e.WildComms, e.IsColl, e.CollComm, e.CollWave)
+	u := s.unions[key]
+	if u != nil {
+		return u
+	}
+	u = &engine.RankSet{}
+	seen := map[int]bool{}
+	add := func(rs *engine.RankSet) {
+		for _, m := range rs.Members {
+			if !seen[m] {
+				seen[m] = true
+				u.Members = append(u.Members, m)
+			}
+		}
+	}
+	for _, wc := range e.WildComms {
+		add(s.comm(wc))
+	}
+	if e.IsColl {
+		add(s.missing(wave{e.CollComm, e.CollWave}))
+	}
+	s.unions[key] = u
+	return u
+}
+
+// analyze turns the gathered reports into the engine-neutral snapshot in
+// its grouped form — conditions on a whole communicator or wave stay
+// references to one shared rank set, never p explicit targets per rank —
+// and checks it for deadlock. Nothing here is proportional to the p² arcs
+// of a wildcard deadlock; the arc-by-arc graph is built only when extra
+// engines were asked for, as their input and the reference they are
+// compared with.
 func (r *Root) analyze() *Result {
 	res := &Result{Entries: make(map[int]dws.WaitEntry), Epoch: r.epoch}
 	res.Timings.Synchronization = r.acksDone.Sub(r.began)
@@ -444,12 +531,13 @@ func (r *Root) analyze() *Result {
 	res.Partial = len(res.UnknownRanks) > 0
 
 	buildStart := time.Now()
-	// Index blocked collective participants per wave for target expansion.
-	type wave struct {
-		comm trace.CommID
-		w    int
+	shared := &sets{
+		r:      r,
+		inWave: map[wave]map[int]bool{},
+		comms:  map[trace.CommID]*engine.RankSet{},
+		waves:  map[wave]*engine.RankSet{},
+		unions: map[string]*engine.RankSet{},
 	}
-	inWave := map[wave]map[int]bool{}
 	var all []dws.WaitEntry
 	var finished []int
 	crashedEntries := map[int]dws.WaitEntry{}
@@ -478,67 +566,41 @@ func (r *Root) analyze() *Result {
 			all = append(all, e)
 			if e.IsColl {
 				k := wave{e.CollComm, e.CollWave}
-				if inWave[k] == nil {
-					inWave[k] = map[int]bool{}
+				if shared.inWave[k] == nil {
+					shared.inWave[k] = map[int]bool{}
 				}
-				inWave[k][e.Rank] = true
+				shared.inWave[k][e.Rank] = true
 			}
 		}
 	}
 
-	// The expansion below fills an engine.Snapshot — the engine-neutral
-	// wait-state view every detection engine analyzes — instead of writing
-	// straight into a graph, so independent engines cannot inherit a
+	// The snapshot is the engine-neutral wait-state view every detection
+	// engine analyzes — not a graph, so independent engines cannot inherit a
 	// graph-build bug from the reference.
 	snap := &engine.Snapshot{
 		Procs:    r.p,
-		Blocked:  make(map[int]engine.Wait),
+		Blocked:  make(map[int]engine.Wait, len(all)),
 		Finished: finished,
 	}
-	// expTargets records each blocked rank's fully expanded target list,
-	// for the failure-blocked reverse reachability below.
-	expTargets := map[int][]int{}
 	for _, e := range all {
 		res.Entries[e.Rank] = e
 		res.Blocked = append(res.Blocked, e.Rank)
-		targets := append([]int(nil), e.Targets...)
-		if len(e.WildComms) > 0 || len(e.ResolvedSrcs) > 0 || e.IsColl {
-			seen := make(map[int]bool, len(targets)+4)
-			for _, t := range targets {
-				seen[t] = true
+		targets := e.Targets
+		for _, rs := range e.ResolvedSrcs {
+			grp := r.groupOrWorld(rs.Comm)
+			if rs.Src < 0 || rs.Src >= len(grp) {
+				continue
 			}
-			add := func(m int) {
-				if m != e.Rank && !seen[m] {
-					seen[m] = true
-					targets = append(targets, m)
-				}
-			}
-			for _, wc := range e.WildComms {
-				for _, m := range r.groupOrWorld(wc) {
-					add(m)
-				}
-			}
-			for _, rs := range e.ResolvedSrcs {
-				grp := r.groupOrWorld(rs.Comm)
-				if rs.Src >= 0 && rs.Src < len(grp) {
-					add(grp[rs.Src])
-				}
-			}
-			if e.IsColl {
-				k := wave{e.CollComm, e.CollWave}
-				for _, m := range r.groupOrWorld(e.CollComm) {
-					if !inWave[k][m] {
-						add(m)
-					}
-				}
+			if m := grp[rs.Src]; m != e.Rank && !containsRank(targets, m) {
+				// Copy on first append: the entry's own list stays as reported.
+				targets = append(targets[:len(targets):len(targets)], m)
 			}
 		}
 		sem := waitstate.AndWait
 		if e.Sem == dws.SemOr {
 			sem = waitstate.OrWait
 		}
-		snap.Blocked[e.Rank] = engine.Wait{Sem: sem, Targets: targets, Desc: e.Desc}
-		expTargets[e.Rank] = targets
+		snap.Blocked[e.Rank] = engine.Wait{Sem: sem, Targets: targets, Desc: e.Desc, Others: shared.of(e)}
 	}
 	// Crashed application ranks enter the graph as permanently blocked
 	// sinks with a *known* cause (unlike Unknown): an AND-wait on the rank
@@ -575,7 +637,6 @@ func (r *Root) analyze() *Result {
 		res.Blocked = append(res.Blocked, rk)
 		snap.Blocked[rk] = engine.Wait{Sem: waitstate.AndWait, Targets: []int{rk}, Desc: e.Desc}
 		snap.Dead = append(snap.Dead, rk)
-		expTargets[rk] = []int{rk}
 	}
 	// Stalled ranks are reported but never enter the graph: they may
 	// resume, so treating them as blocked could fabricate a deadlock.
@@ -606,39 +667,43 @@ func (r *Root) analyze() *Result {
 		snap.Unknown = append(snap.Unknown, u)
 	}
 	sort.Ints(res.Blocked)
-	g := engine.BuildWFG(snap)
-	res.Arcs = g.Arcs()
+	an := engine.NewAnalysis(snap)
+	res.Arcs = an.Arcs
 	res.Timings.GraphBuild = time.Since(buildStart)
 
 	checkStart := time.Now()
-	// The WFG release fixpoint is the reference engine; the graph it built
-	// is reused below for cycle extraction, grouping, and DOT output.
-	refDead := g.Deadlocked()
-	ref := engine.Finding{
-		Engine:     "wfg",
-		Verdict:    engine.Classify(snap, refDead),
-		Deadlocked: refDead,
-	}
-	primary := ref
+	// The release fixpoint on the grouped form gives the verdict; cycle,
+	// groups and the class graph below come from the same analysis.
+	primary := engine.Finding{Engine: "wfg", Deadlocked: an.Deadlocked()}
+	primary.Verdict = engine.Classify(snap, primary.Deadlocked)
 	if extra := r.engineList(); len(extra) > 0 {
-		findings := engine.RunAll(extra, engine.Input{Snapshot: snap})
+		// Extra engines analyze the expanded snapshot, and the arc-by-arc
+		// graph on it is the reference — for them and, in a differential
+		// run, for the grouped analysis itself.
+		flat := snap.Flat()
+		ref := engine.Finding{Engine: "wfg"}
+		ref.Verdict, ref.Deadlocked, _ = engine.WFG{}.AnalyzeGraph(flat)
+		findings := engine.RunAll(extra, engine.Input{Snapshot: flat})
 		res.EngineVerdicts = map[string]string{"wfg": ref.VerdictString()}
+		if r.differential {
+			grouped := primary
+			grouped.Engine = "wfg-grouped"
+			res.EngineDeviations = append(engine.Deviations(ref, nil, []engine.Finding{grouped}),
+				engine.Deviations(ref, extra, findings)...)
+		}
 		for _, f := range findings {
 			res.EngineVerdicts[f.Engine] = f.VerdictString()
 			if r.engineSel == f.Engine && f.Err == nil {
 				primary = f
 			}
 		}
-		if r.differential {
-			res.EngineDeviations = engine.Deviations(ref, extra, findings)
-		}
 	}
 	res.Verdict = primary.Verdict
 	res.Deadlocked = primary.Deadlocked
 	res.Deadlock = len(res.Deadlocked) > 0
 	if res.Deadlock {
-		res.Cycle = g.Cycle(res.Deadlocked)
-		res.Groups = g.Groups(res.Deadlocked)
+		res.Cycle = an.Cycle()
+		res.Groups = an.Groups()
 	}
 	res.Timings.DeadlockCheck = time.Since(checkStart)
 
@@ -646,30 +711,24 @@ func (r *Root) analyze() *Result {
 	// deadlock, not a communication deadlock: name the live ranks
 	// transitively blocked on the dead ones.
 	if res.Verdict == VerdictDeadlockByFailure {
-		inDead := make(map[int]bool, len(res.Deadlocked))
-		for _, d := range res.Deadlocked {
-			inDead[d] = true
-		}
-		var seeds []int
-		for _, rk := range res.DeadRanks {
-			if inDead[rk] {
-				seeds = append(seeds, rk)
-			}
-		}
-		res.FailureBlocked = failureBlocked(seeds, inDead, expTargets)
+		res.FailureBlocked = an.BlockedOn(res.DeadRanks)
 	}
 
 	if res.Deadlock {
 		outStart := time.Now()
 		res.UnexpectedMatches = findUnexpectedMatches(all)
-		cg := g.Simplify(res.Deadlocked)
+		cg := an.Simplify()
 		res.Summary = cg.Summary()
 		var sb strings.Builder
 		if cg.DOT(&sb) == nil {
 			res.SimplifiedDOT = sb.String()
 		}
-		res.DOT = report.DOT(g, res.Deadlocked)
-		res.HTML = report.HTML(&report.Data{
+		// The page and the full graph are rendered when somebody asks. The
+		// renderers hold what they read — the report's fields, the grouped
+		// snapshot — and nothing else of this root.
+		dead := res.Deadlocked
+		res.DOT = report.Render(func(w io.Writer) error { return snap.DOT(w, dead) })
+		data := &report.Data{
 			Procs:             r.p,
 			Deadlocked:        res.Deadlocked,
 			Cycle:             res.Cycle,
@@ -682,15 +741,24 @@ func (r *Root) analyze() *Result {
 			DeadLastCalls:     res.DeadLastCalls,
 			FailureBlocked:    res.FailureBlocked,
 			StalledRanks:      res.StalledRanks,
-		})
+		}
+		res.HTML = report.Render(func(w io.Writer) error { return report.WriteHTML(w, data) })
 		res.Timings.OutputGeneration = time.Since(outStart)
 	}
 	return res
 }
 
-// engineList returns the additional engines to run beside the WFG
-// reference, per the configured selection. The reference itself always
-// runs (its graph also drives output generation).
+func containsRank(xs []int, v int) bool {
+	for _, x := range xs {
+		if x == v {
+			return true
+		}
+	}
+	return false
+}
+
+// engineList returns the additional engines to run beside the grouped
+// reference analysis, per the configured selection.
 func (r *Root) engineList() []engine.Engine {
 	var out []engine.Engine
 	switch {
@@ -700,42 +768,6 @@ func (r *Root) engineList() []engine.Engine {
 		out = []engine.Engine{engine.CMH{}}
 	}
 	return append(out, r.extraEngines...)
-}
-
-// failureBlocked computes the live ranks transitively blocked on a crashed
-// rank: reverse reachability from the dead seeds over the expanded target
-// lists, restricted to the deadlocked set (where every wait is known to be
-// permanently unsatisfiable).
-func failureBlocked(seeds []int, inDead map[int]bool, targets map[int][]int) []int {
-	deadSet := make(map[int]bool, len(seeds))
-	reached := make(map[int]bool, len(seeds))
-	for _, d := range seeds {
-		deadSet[d] = true
-		reached[d] = true
-	}
-	for changed := true; changed; {
-		changed = false
-		for rk, ts := range targets {
-			if !inDead[rk] || reached[rk] {
-				continue
-			}
-			for _, t := range ts {
-				if reached[t] {
-					reached[rk] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	out := make([]int, 0, len(reached))
-	for rk := range reached {
-		if !deadSet[rk] {
-			out = append(out, rk)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // groupOrWorld returns the registry group, falling back to the full world

@@ -63,7 +63,7 @@ func TestDetectsCycleAcrossNodes(t *testing.T) {
 	if len(res.Cycle) != 2 {
 		t.Fatalf("cycle = %v", res.Cycle)
 	}
-	if res.HTML == "" || res.DOT == "" {
+	if res.HTML.String() == "" || res.DOT.String() == "" {
 		t.Fatal("outputs missing")
 	}
 	if res.Timings.Synchronization < 0 || res.Timings.OutputGeneration <= 0 {
@@ -133,6 +133,24 @@ func TestWildcardExpansionUsesGroups(t *testing.T) {
 	}
 	if res.Arcs != 6 { // each of the 3 waits for the other 2
 		t.Fatalf("arcs = %d", res.Arcs)
+	}
+	// A Waitany over wildcard receives on both sub-communicators waits for
+	// their union; with an explicit target inside it and a status-resolved
+	// source (group rank 1 of {0,2,4} = world rank 2) nothing is counted
+	// twice: rank 1 has exactly the 5 other ranks as targets.
+	both := e
+	both.Kind = trace.Waitany
+	both.WildComms = []trace.CommID{7, 8, 7}
+	both.Targets = []int{3}
+	both.ResolvedSrcs = []dws.GroupRef{{Comm: 8, Src: 1}}
+	res = runDetection(t, r, []dws.WaitReport{
+		{Node: 0, Entries: []dws.WaitEntry{running(0), both, running(2), e3, running(4), e5}},
+	})
+	if res.Arcs != 5+2+2 {
+		t.Fatalf("arcs = %d, want 9", res.Arcs)
+	}
+	if res.Deadlock {
+		t.Fatalf("rank 1 can be served by a running rank, so nobody is stuck: %+v", res.Deadlocked)
 	}
 }
 
@@ -226,7 +244,7 @@ func TestUnexpectedMatchSurfacesInHTML(t *testing.T) {
 	if !res.Deadlock || len(res.UnexpectedMatches) != 1 {
 		t.Fatalf("res = %+v", res)
 	}
-	if !strings.Contains(res.HTML, "Unexpected matches") {
+	if !strings.Contains(res.HTML.String(), "Unexpected matches") {
 		t.Fatal("HTML must explain unexpected matches")
 	}
 }

@@ -30,7 +30,7 @@ func TestEngineSelectionCMH(t *testing.T) {
 		t.Fatalf("non-differential run reported deviations: %v", res.EngineDeviations)
 	}
 	// Graph outputs still come from the reference graph.
-	if res.HTML == "" || res.DOT == "" || len(res.Cycle) != 2 {
+	if res.HTML.String() == "" || res.DOT.String() == "" || len(res.Cycle) != 2 {
 		t.Fatal("outputs missing under cmh selection")
 	}
 }

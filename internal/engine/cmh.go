@@ -43,7 +43,7 @@ type probe struct{ from, to int }
 
 // Analyze implements Engine.
 func (CMH) Analyze(in Input) (Verdict, []int, error) {
-	s := in.Snapshot
+	s := in.Snapshot.Flat()
 	finished := make(map[int]bool, len(s.Finished))
 	for _, f := range s.Finished {
 		finished[f] = true

@@ -78,13 +78,17 @@ func (v Verdict) Deadlockish() bool {
 	return v == VerdictDeadlock || v == VerdictDeadlockByFailure
 }
 
-// Wait is one rank's blocking condition with fully expanded targets
-// (wildcard communicators, resolved sources, and collective waves have
-// already been flattened to world-rank lists by the snapshot builder).
+// Wait is one rank's blocking condition. Targets are explicit world ranks
+// (resolved sources have already been translated by the snapshot builder).
+// Others, when set, adds "every member of that set but me" — a wildcard
+// communicator, a collective wave's missing participants — by reference:
+// the members follow Targets in the expanded list, less the waiting rank
+// itself and ranks Targets already names. Snapshot.Flat expands it away.
 type Wait struct {
 	Sem     waitstate.Semantics
 	Targets []int
 	Desc    string
+	Others  *RankSet
 }
 
 // Snapshot is the engine-neutral view of one consistent wait state at the

@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"dwst/internal/waitstate"
@@ -94,23 +98,81 @@ func TestCMHAgainstWFGHandCases(t *testing.T) {
 }
 
 // TestCMHAgainstWFGRandom is the property check behind the differential
-// oracle: over thousands of seeded random snapshots (mixed AND/OR waits,
-// finished, dead, unknown, stalled ranks), the probe engine must agree
-// with the reference fixpoint on verdict and deadlocked set exactly.
+// oracle: over thousands of seeded random snapshots (mixed AND/OR waits on
+// explicit targets and on shared rank sets, finished, dead, unknown, stalled
+// ranks), the probe engine must agree with the reference fixpoint on verdict
+// and deadlocked set exactly — and the grouped Analysis with everything the
+// materialized graph yields.
 func TestCMHAgainstWFGRandom(t *testing.T) {
 	for seed := int64(0); seed < 2000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		snap := randomSnapshot(rng)
 		compareCMH(t, snap)
+		compareAnalysis(t, snap)
 		if t.Failed() {
-			t.Fatalf("seed %d: snapshot %+v", seed, snap)
+			t.Fatalf("seed %d: snapshot %s", seed, describe(snap))
 		}
+	}
+}
+
+// TestAnalysisAgainstWFGHandCases pins the grouped-form corner cases: the
+// waiter inside and outside its set, explicit targets the set repeats, an
+// explicit self-target, sets of equal content, empty sets.
+func TestAnalysisAgainstWFGHandCases(t *testing.T) {
+	all := &RankSet{Members: []int{0, 1, 2, 3}}
+	pair := &RankSet{Members: []int{2, 3}}
+	cases := []struct {
+		name string
+		snap *Snapshot
+	}{
+		{"wildcard-storm", &Snapshot{Procs: 4, Blocked: map[int]Wait{
+			0: {Sem: waitstate.OrWait, Others: all}, 1: {Sem: waitstate.OrWait, Others: all},
+			2: {Sem: waitstate.OrWait, Others: all}, 3: {Sem: waitstate.OrWait, Others: all},
+		}}},
+		{"storm-with-one-runner", &Snapshot{Procs: 4, Blocked: map[int]Wait{
+			0: {Sem: waitstate.OrWait, Others: all}, 1: {Sem: waitstate.OrWait, Others: all},
+			2: {Sem: waitstate.OrWait, Others: all},
+		}}},
+		{"storm-with-one-finished", &Snapshot{Procs: 4, Finished: []int{3}, Blocked: map[int]Wait{
+			0: {Sem: waitstate.OrWait, Others: all}, 1: {Sem: waitstate.OrWait, Others: all},
+			2: {Sem: waitstate.OrWait, Others: all},
+		}}},
+		{"barrier-missing-two", &Snapshot{Procs: 4, Blocked: map[int]Wait{
+			0: {Others: pair}, 1: {Others: pair}, 2: andWait(3), 3: andWait(2),
+		}}},
+		{"and-on-all-others", &Snapshot{Procs: 4, Blocked: map[int]Wait{
+			0: {Others: all}, 1: {Others: all}, 2: {Others: all}, 3: {Others: all},
+		}}},
+		{"explicit-repeats-set", &Snapshot{Procs: 4, Blocked: map[int]Wait{
+			0: {Targets: []int{1, 1, 3}, Others: all}, 1: {Sem: waitstate.OrWait, Targets: []int{2}, Others: pair},
+			2: andWait(0), 3: andWait(0),
+		}}},
+		{"explicit-self-in-set", &Snapshot{Procs: 3, Blocked: map[int]Wait{
+			0: {Targets: []int{0}, Others: &RankSet{Members: []int{0, 1}}},
+			1: {Targets: []int{1}, Others: &RankSet{Members: []int{0, 1}}},
+			2: andWait(0, 1),
+		}}},
+		{"explicit-equals-set", &Snapshot{Procs: 4, Blocked: map[int]Wait{
+			0: {Others: pair}, 1: andWait(3, 2), 2: andWait(3), 3: andWait(2),
+		}}},
+		{"empty-and-singleton-sets", &Snapshot{Procs: 3, Blocked: map[int]Wait{
+			0: {Sem: waitstate.OrWait, Others: &RankSet{}},
+			1: {Sem: waitstate.OrWait, Others: &RankSet{Members: []int{1}}},
+			2: {Others: &RankSet{Members: []int{2}}},
+		}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			compareCMH(t, tc.snap)
+			compareAnalysis(t, tc.snap)
+		})
 	}
 }
 
 func randomSnapshot(rng *rand.Rand) *Snapshot {
 	n := 2 + rng.Intn(9)
 	snap := &Snapshot{Procs: n, Blocked: map[int]Wait{}}
+	sets := randomSets(rng, n)
 	for r := 0; r < n; r++ {
 		switch rng.Intn(6) {
 		case 0: // finished
@@ -129,17 +191,151 @@ func randomSnapshot(rng *rand.Rand) *Snapshot {
 			if rng.Intn(2) == 0 {
 				sem = waitstate.OrWait
 			}
-			var targets []int
-			for k := rng.Intn(3) + 1; k > 0; k-- {
+			w := Wait{Sem: sem}
+			if rng.Intn(3) > 0 { // explicit targets, a shared set, or both
+				w.Others = sets[rng.Intn(len(sets))]
+			}
+			for k := rng.Intn(3) + 1 - rng.Intn(2); k > 0 && (w.Others == nil || rng.Intn(2) == 0); k-- {
 				tgt := rng.Intn(n)
-				if tgt != r {
-					targets = append(targets, tgt) // duplicates allowed
+				if tgt != r || rng.Intn(8) == 0 {
+					w.Targets = append(w.Targets, tgt) // duplicates allowed
 				}
 			}
-			snap.Blocked[r] = Wait{Sem: sem, Targets: targets}
+			snap.Blocked[r] = w
 		}
 	}
 	return snap
+}
+
+// randomSets draws a few overlapping rank sets over n ranks: the world,
+// and random subsets (possibly empty, possibly equal in content).
+func randomSets(rng *rand.Rand, n int) []*RankSet {
+	world := &RankSet{}
+	for r := 0; r < n; r++ {
+		world.Members = append(world.Members, r)
+	}
+	sets := []*RankSet{world}
+	for k := rng.Intn(3); k > 0; k-- {
+		sub := &RankSet{}
+		for _, r := range rng.Perm(n) {
+			if rng.Intn(2) == 0 {
+				sub.Members = append(sub.Members, r)
+			}
+		}
+		sets = append(sets, sub)
+	}
+	return sets
+}
+
+// describe prints a snapshot with its set members spelled out (%+v shows
+// only the set pointers).
+func describe(s *Snapshot) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "procs=%d finished=%v dead=%v unknown=%v stalled=%v", s.Procs, s.Finished, s.Dead, s.Unknown, s.Stalled)
+	for _, rk := range sortedKeys(blockedSet(s)) {
+		w := s.Blocked[rk]
+		fmt.Fprintf(&b, "\n  %d: %v targets=%v", rk, w.Sem, w.Targets)
+		if w.Others != nil {
+			fmt.Fprintf(&b, " others=%v", w.Others.Members)
+		}
+	}
+	return b.String()
+}
+
+// compareAnalysis holds the grouped Analysis against the materialized
+// graph of the expanded snapshot: verdict, deadlocked set, arc count,
+// cycle, groups, class graph and full DOT bytes, and the ranks blocked on
+// the dead ones.
+func compareAnalysis(t *testing.T, snap *Snapshot) {
+	t.Helper()
+	refVerdict, refDead, g := WFG{}.AnalyzeGraph(snap)
+	an := NewAnalysis(snap)
+	dead := an.Deadlocked()
+	if v := Classify(snap, dead); v != refVerdict {
+		t.Errorf("grouped verdict %v, wfg %v", v, refVerdict)
+	}
+	if !equalInts(dead, refDead) {
+		t.Errorf("grouped deadlocked %v, wfg %v", dead, refDead)
+	}
+	if an.Arcs != g.Arcs() {
+		t.Errorf("grouped arcs %d, wfg %d", an.Arcs, g.Arcs())
+	}
+	if got, want := an.Cycle(), g.Cycle(refDead); !equalInts(got, want) {
+		t.Errorf("grouped cycle %v, wfg %v", got, want)
+	}
+	if got, want := an.Groups(), g.Groups(refDead); !reflect.DeepEqual(got, want) {
+		t.Errorf("grouped groups %v, wfg %v", got, want)
+	}
+	cg, refCG := an.Simplify(), g.Simplify(refDead)
+	var dot, refDOT bytes.Buffer
+	if err := cg.DOT(&dot); err != nil {
+		t.Fatal(err)
+	}
+	if err := refCG.DOT(&refDOT); err != nil {
+		t.Fatal(err)
+	}
+	if dot.String() != refDOT.String() {
+		t.Errorf("grouped class graph:\n%s\nwfg:\n%s", dot.String(), refDOT.String())
+	}
+	if cg.Summary() != refCG.Summary() {
+		t.Errorf("grouped summary %q, wfg %q", cg.Summary(), refCG.Summary())
+	}
+	if len(refDead) > 0 { // the report renders the graph of a deadlock only
+		dot.Reset()
+		refDOT.Reset()
+		if err := snap.DOT(&dot, dead); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.DOT(&refDOT, refDead); err != nil {
+			t.Fatal(err)
+		}
+		if dot.String() != refDOT.String() {
+			t.Errorf("streamed DOT:\n%s\nwfg:\n%s", dot.String(), refDOT.String())
+		}
+	}
+
+	// Reverse reachability from the dead ranks inside the residue, the
+	// slow way: a rank is blocked on them once one of its targets is.
+	inDead := map[int]bool{}
+	for _, d := range refDead {
+		inDead[d] = true
+	}
+	reached := map[int]bool{}
+	var seeds []int
+	for _, d := range snap.Dead {
+		if inDead[d] {
+			seeds = append(seeds, d)
+			reached[d] = true
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, rk := range refDead {
+			for _, tgt := range g.Targets(rk) {
+				if !reached[rk] && reached[int(tgt)] {
+					reached[rk], changed = true, true
+				}
+			}
+		}
+	}
+	var want []int
+	for _, rk := range refDead {
+		if reached[rk] && !contains(seeds, rk) {
+			want = append(want, rk)
+		}
+	}
+	if got := an.BlockedOn(seeds); !equalInts(got, want) {
+		t.Errorf("blocked on %v: grouped %v, wfg %v", seeds, got, want)
+	}
+}
+
+func contains(xs []int, v int) bool {
+	for _, x := range xs {
+		if x == v {
+			return true
+		}
+	}
+	return false
 }
 
 func compareCMH(t *testing.T, snap *Snapshot) {

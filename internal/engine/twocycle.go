@@ -34,7 +34,7 @@ func (TwoCycle) Partial() bool { return true }
 
 // Analyze implements Engine.
 func (TwoCycle) Analyze(in Input) (Verdict, []int, error) {
-	s := in.Snapshot
+	s := in.Snapshot.Flat()
 	found := map[int]bool{}
 	for a, wa := range s.Blocked {
 		for _, b := range wa.Targets {

@@ -65,7 +65,7 @@ func TestChaosRankCrashYieldsDeadlockByFailure(t *testing.T) {
 		if !dead[rank] {
 			t.Fatalf("crashed rank %d missing from deadlocked set %v", rank, rep.Deadlocked)
 		}
-		if !strings.Contains(rep.HTML, "DEADLOCK BY FAILURE") {
+		if !strings.Contains(rep.HTML.String(), "DEADLOCK BY FAILURE") {
 			t.Fatal("HTML report lacks the deadlock-by-failure section")
 		}
 		if rep.Partial {

@@ -1,12 +1,15 @@
 // Package report generates the user-facing deadlock outputs, mirroring
 // MUST's reporting: an HTML error report and a DOT rendering of the
-// wait-for graph of the deadlocked processes. Output generation is a
-// measured phase of detection (Figure 10(b) shows it dominating at scale).
+// wait-for graph of the deadlocked processes. Both are streamed to a writer
+// when somebody asks (Figure 10(b) shows output generation dominating
+// detection at scale — the full graph of the wildcard case is p² lines
+// nobody reads), so a detection result carries them as Artifacts.
 package report
 
 import (
 	"fmt"
 	"html/template"
+	"io"
 	"strings"
 
 	"dwst/internal/dws"
@@ -44,13 +47,54 @@ type Data struct {
 	StalledRanks []int
 }
 
-// DOT renders the wait-for graph of the given processes.
-func DOT(g *wfg.Graph, procs []int) string {
+// Artifact is one report output — the HTML page, the full DOT graph — that
+// is rendered when asked for, not when the deadlock is found: WriteTo
+// streams it, String builds it in memory. It holds what rendering needs
+// (the detection's entries, its snapshot), never the rendered bytes. The
+// zero Artifact is empty: no deadlock, nothing to render.
+type Artifact struct {
+	render func(w io.Writer) error
+}
+
+// Render makes an Artifact of a streaming renderer.
+func Render(render func(w io.Writer) error) Artifact { return Artifact{render: render} }
+
+// Empty reports whether there is nothing to render.
+func (a Artifact) Empty() bool { return a.render == nil }
+
+// WriteTo implements io.WriterTo.
+func (a Artifact) WriteTo(w io.Writer) (int64, error) {
+	if a.render == nil {
+		return 0, nil
+	}
+	cw := countingWriter{w: w}
+	err := a.render(&cw)
+	return cw.n, err
+}
+
+// String renders the artifact in memory ("" when empty or failed).
+func (a Artifact) String() string {
 	var sb strings.Builder
-	if err := g.DOT(&sb, procs); err != nil {
+	if _, err := a.WriteTo(&sb); err != nil {
 		return ""
 	}
 	return sb.String()
+}
+
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// DOT renders the wait-for graph of the given processes.
+func DOT(g *wfg.Graph, procs []int) string {
+	return Render(func(w io.Writer) error { return g.DOT(w, procs) }).String()
 }
 
 var htmlTmpl = template.Must(template.New("report").Parse(`<!DOCTYPE html>
@@ -105,8 +149,13 @@ type row struct {
 	Desc string
 }
 
-// HTML renders the deadlock report.
+// HTML renders the deadlock report in memory.
 func HTML(d *Data) string {
+	return Render(func(w io.Writer) error { return WriteHTML(w, d) }).String()
+}
+
+// WriteHTML streams the deadlock report.
+func WriteHTML(w io.Writer, d *Data) error {
 	rows := make([]row, 0, len(d.Deadlocked))
 	for _, r := range d.Deadlocked {
 		e := d.Entries[r]
@@ -150,8 +199,7 @@ func HTML(d *Data) string {
 			deadRanks = append(deadRanks, fmt.Sprintf("%d", rk))
 		}
 	}
-	var sb strings.Builder
-	err := htmlTmpl.Execute(&sb, map[string]any{
+	return htmlTmpl.Execute(w, map[string]any{
 		"Procs":             d.Procs,
 		"NumDead":           len(d.Deadlocked),
 		"Arcs":              d.Arcs,
@@ -166,10 +214,6 @@ func HTML(d *Data) string {
 		"FailureBlockedStr": joinInts(d.FailureBlocked),
 		"StalledStr":        joinInts(d.StalledRanks),
 	})
-	if err != nil {
-		return fmt.Sprintf("<html><body>report generation failed: %v</body></html>", err)
-	}
-	return sb.String()
 }
 
 func firstCycle(cyc []string) string {
@@ -188,9 +232,15 @@ func joinInts(xs []int) string {
 }
 
 // HTMLFromWaitInfo renders a deadlock report from reference wait-state
-// conditions (used by the centralized baseline, which computes waitstate
-// WaitInfo directly instead of distributed WaitEntry records).
+// conditions (the centralized baseline computes waitstate WaitInfo directly
+// instead of distributed WaitEntry records).
 func HTMLFromWaitInfo(p int, dead, cycle []int, entries map[int]waitstate.WaitInfo, arcs int) string {
+	return HTML(DataFromWaitInfo(p, dead, cycle, entries, arcs))
+}
+
+// DataFromWaitInfo converts reference wait-state conditions into the HTML
+// report's input.
+func DataFromWaitInfo(p int, dead, cycle []int, entries map[int]waitstate.WaitInfo, arcs int) *Data {
 	d := &Data{Procs: p, Deadlocked: dead, Cycle: cycle, Arcs: arcs,
 		Entries: make(map[int]dws.WaitEntry, len(entries))}
 	for r, w := range entries {
@@ -203,5 +253,5 @@ func HTMLFromWaitInfo(p int, dead, cycle []int, entries map[int]waitstate.WaitIn
 			Sem: sem, Desc: w.Desc, Targets: w.Targets,
 		}
 	}
-	return HTML(d)
+	return d
 }

@@ -807,12 +807,18 @@ func (t *Tree) inject(rank int, env rankEnvelope) error {
 			return ErrStopped
 		}
 		slot := newRankEnv(env)
+		// Common case first — a live node with room in its mailbox — as two
+		// non-blocking channel operations instead of a three-way select.
+		if !n.Dead() {
+			select {
+			case n.events <- slot:
+				return t.admitted(env.quiet)
+			default:
+			}
+		}
 		select {
 		case n.events <- slot:
-			if !env.quiet {
-				t.injected.Add(1)
-			}
-			return nil
+			return t.admitted(env.quiet)
 		case <-n.dead:
 			putRankEnv(slot)
 			if !t.recoveryEnabled() {
@@ -835,6 +841,14 @@ func (t *Tree) inject(rank int, env rankEnvelope) error {
 			return ErrStopped
 		}
 	}
+}
+
+// admitted counts one event that entered a mailbox.
+func (t *Tree) admitted(quiet bool) error {
+	if !quiet {
+		t.injected.Add(1)
+	}
+	return nil
 }
 
 // Injected returns the number of injected application events.
@@ -1171,9 +1185,8 @@ func (n *Node) dispatchSlab(q *queue, fn func(envelope)) {
 
 // dispatchRank delivers one mailbox slot to the handler and returns the
 // slot to the pool.
-func (n *Node) dispatchRank(slot *rankEnvelope) {
-	env := *slot
-	putRankEnv(slot)
+func (n *Node) dispatchRank(env *rankEnvelope) {
+	defer putRankEnv(env)
 	if !env.quiet {
 		n.tree.handled.Add(1)
 	}

@@ -89,6 +89,17 @@ func (fab *netFabric) handshake(conn net.Conn) {
 		inc = sl.fence.Fence()
 		sl.assigned = true
 	}
+	sl.mu.Unlock()
+	// Welcome first, attach second: once attached, the slot's writer may
+	// flush queued data at once (the run starts when the last slot is up,
+	// and peers relay through here), and a worker that reads anything but
+	// a welcome gives the handshake up — which a first claimant, still at
+	// incarnation 0, cannot retry without being fenced as a fresh process.
+	if err := fab.writeSync(conn, wire.KindWelcome, fab.welcome(inc)); err != nil {
+		conn.Close()
+		return
+	}
+	sl.mu.Lock()
 	reconnect := sl.everUp
 	sl.everUp = true
 	old := sl.sq.attach(conn)
@@ -98,10 +109,6 @@ func (fab *netFabric) handshake(conn net.Conn) {
 	}
 	if reconnect {
 		fab.reconnects.Add(1)
-	}
-	if err := fab.writeSync(conn, wire.KindWelcome, fab.welcome(inc)); err != nil {
-		fab.slotConnFailed(sl, conn)
-		return
 	}
 	if gids := fab.degradedLeafGids(); len(gids) > 0 {
 		// Catch a late (re)connector up on splice-outs it missed.

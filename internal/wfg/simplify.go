@@ -38,7 +38,9 @@ type Class struct {
 	// AllOthers marks the "waits for every other process in the set"
 	// pattern.
 	AllOthers bool
-	// Targets are the shared explicit targets (empty for AllOthers).
+	// Targets are the shared explicit targets, ascending (empty for
+	// AllOthers, and for classes engine.Analysis derives from a shared rank
+	// set, whose members it does not copy per class).
 	Targets []int
 }
 

@@ -281,7 +281,6 @@ func (g *Graph) Groups(dead []int) [][]int {
 // in the style of MUST's deadlock reports. The writer receives one line per
 // node and arc, so the output streams for very large graphs.
 func (g *Graph) DOT(w io.Writer, procs []int) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
 	if procs == nil {
 		for i := 0; i < g.n; i++ {
 			if g.blocked[i] {
@@ -289,6 +288,20 @@ func (g *Graph) DOT(w io.Writer, procs []int) error {
 			}
 		}
 	}
+	return WriteDOT(w, procs,
+		func(p int) waitstate.Semantics { return g.sem[p] },
+		func(p int, visit func(t int)) {
+			for _, t := range g.targets[p] {
+				visit(int(t))
+			}
+		})
+}
+
+// WriteDOT is the DOT renderer behind Graph.DOT, for callers that can
+// enumerate a process's wait semantics and targets without holding a Graph
+// (the grouped snapshot of internal/engine streams its p² arcs through it).
+func WriteDOT(w io.Writer, procs []int, sem func(p int) waitstate.Semantics, targets func(p int, visit func(t int))) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
 	include := make(map[int]bool, len(procs))
 	for _, p := range procs {
 		include[p] = true
@@ -298,20 +311,20 @@ func (g *Graph) DOT(w io.Writer, procs []int) error {
 	for _, p := range procs {
 		shape := "box"
 		label := fmt.Sprintf("rank %d\\nAND", p)
-		if g.sem[p] == waitstate.OrWait {
+		if sem(p) == waitstate.OrWait {
 			shape = "diamond"
 			label = fmt.Sprintf("rank %d\\nOR", p)
 		}
 		fmt.Fprintf(bw, "  p%d [shape=%s,label=\"%s\"];\n", p, shape, label)
 	}
 	for _, p := range procs {
-		for _, t := range g.targets[p] {
-			if include[int(t)] {
+		targets(p, func(t int) {
+			if include[t] {
 				fmt.Fprintf(bw, "  p%d -> p%d;\n", p, t)
 			} else {
 				fmt.Fprintf(bw, "  p%d -> ext%d [style=dashed];\n", p, t)
 			}
-		}
+		})
 	}
 	fmt.Fprintln(bw, "}")
 	return bw.Flush()

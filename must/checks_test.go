@@ -108,7 +108,7 @@ func TestCallSiteTracking(t *testing.T) {
 	if !strings.Contains(cond, "must_test.go:") {
 		t.Fatalf("condition lacks a call site: %q", cond)
 	}
-	if !strings.Contains(rep.HTML, "must_test.go:") {
+	if !strings.Contains(rep.HTML.String(), "must_test.go:") {
 		t.Fatal("HTML report lacks call sites")
 	}
 	// Off by default: no source paths leak into conditions.

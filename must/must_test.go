@@ -48,10 +48,10 @@ func TestBothModesDetectRecvRecv(t *testing.T) {
 		if len(rep.Deadlocked) != 2 || len(rep.Cycle) != 2 {
 			t.Fatalf("mode %v: deadlocked=%v cycle=%v", mode, rep.Deadlocked, rep.Cycle)
 		}
-		if !strings.Contains(rep.HTML, "Deadlock detected") {
+		if !strings.Contains(rep.HTML.String(), "Deadlock detected") {
 			t.Fatalf("mode %v: HTML report missing", mode)
 		}
-		if !strings.Contains(rep.DOT, "digraph WaitForGraph") {
+		if !strings.Contains(rep.DOT.String(), "digraph WaitForGraph") {
 			t.Fatalf("mode %v: DOT missing", mode)
 		}
 	}
