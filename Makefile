@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos short fuzz ci bench-test service-soak overload soak-clean
+.PHONY: all build vet test race chaos short fuzz ci bench-test service-soak overload soak-clean figures
 
 all: build vet test
 
@@ -56,5 +56,22 @@ bench-test:
 # link latency shifts the interleavings.
 soak-clean:
 	$(GO) test ./internal/core ./must -run 'Clean' -count=300
+
+# Regenerate the committed results_fig*.txt with the one figure driver
+# (cmd/figures: one timing convention, every verdict checked). Each file
+# starts with the scales that were run; figures 10 and 11 take one fresh
+# process per scale so no scale pays for its predecessor's garbage.
+FIG9_PROCS   ?= 16,32,64,128,256,512,1024,2048,4096
+DETECT_PROCS ?= 16 64 256 1024 2048 4096
+FIGURES       = $(GO) run ./cmd/figures
+figures:
+	{ echo "# scales run on this box: $(FIG9_PROCS)"; $(FIGURES) -fig 9 -procs $(FIG9_PROCS); } > results_fig9.txt
+	for f in 10 11; do \
+	  { echo "# scales run on this box, one fresh process each: $(DETECT_PROCS)"; \
+	    for p in $(DETECT_PROCS); do $(FIGURES) -fig $$f -procs $$p || exit 1; done; } > results_fig$$f.raw && \
+	  awk '!/^#/ || !seen[$$0]++' results_fig$$f.raw > results_fig$$f.txt && rm results_fig$$f.raw || exit 1; \
+	done
+	{ echo "# scales run on this box: 64"; $(FIGURES) -fig 12 -procs 64; } > results_fig12.txt
+	{ echo "# scales run on this box: 256"; $(FIGURES) -fig 12 -procs 256 -iters 30; } > results_fig12_256.txt
 
 ci: vet build race bench-test soak-clean

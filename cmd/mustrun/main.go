@@ -10,7 +10,7 @@
 //	mustrun -workload fig2b -procs 3 -rendezvous -html report.html -dot wfg.dot
 //
 // Workloads: stress, wildcard, recvrecv, fig2b, unexpected, clean, or
-// spec:<name> for a SPEC MPI2007 proxy (see cmd/specmpi -list).
+// spec:<name> for a SPEC MPI2007 proxy (see cmd/figures -list).
 //
 // SIGINT/SIGTERM drain the run: the workload is canceled through the
 // tool's single cancellation path, the final report is printed marked
@@ -246,8 +246,14 @@ func main() {
 		fmt.Printf("POTENTIAL DEADLOCK (did not manifest; strict blocking model, Sec. 3.3)\n")
 	case rep.Deadlock:
 		fmt.Printf("DEADLOCK — application aborted\n")
+	case rep.FinalUnverified:
+		fmt.Printf("NO VERDICT — no deadlock was found, but the final detection could not confirm there is none\n")
 	default:
 		fmt.Printf("no deadlock\n")
+	}
+	if rep.FinalUnverified {
+		fmt.Printf("PARTIAL REPORT: the final detection gave up after %d snapshot attempt(s) missed their deadline\n",
+			rep.SnapshotRetries)
 	}
 	if interrupted {
 		fmt.Printf("PARTIAL REPORT: the run was canceled before analysis completed\n")

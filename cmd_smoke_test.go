@@ -429,35 +429,18 @@ func extractRanks(t *testing.T, out, marker string) string {
 	return rest[:j]
 }
 
-func TestCmdDetecttimeRow(t *testing.T) {
+// The figures' verdicts and layouts are pinned in-process by
+// cmd/figures/main_test.go; this is the executable's own smoke test.
+func TestCmdFiguresRow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("command smoke tests skipped in -short")
 	}
-	out, code := goRun(t, "./cmd/detecttime", "-case", "wildcard", "-procs", "8")
-	if code != 0 {
+	out, code := goRun(t, "./cmd/figures", "-fig", "9", "-procs", "8", "-fanins", "2", "-iters", "10", "-reps", "1")
+	if code != 0 || !strings.Contains(out, "Figure 9") || !strings.Contains(out, "dist(fanin=2)") {
 		t.Fatalf("exit=%d\n%s", code, out)
 	}
-	if !strings.Contains(out, "56") { // 8·7 arcs
-		t.Fatalf("arc count missing:\n%s", out)
-	}
-}
-
-func TestCmdSpecmpiList(t *testing.T) {
-	if testing.Short() {
-		t.Skip("command smoke tests skipped in -short")
-	}
-	out, code := goRun(t, "./cmd/specmpi", "-list")
+	out, code = goRun(t, "./cmd/figures", "-list")
 	if code != 0 || !strings.Contains(out, "126.lammps") || !strings.Contains(out, "137.lu") {
-		t.Fatalf("exit=%d\n%s", code, out)
-	}
-}
-
-func TestCmdStressRow(t *testing.T) {
-	if testing.Short() {
-		t.Skip("command smoke tests skipped in -short")
-	}
-	out, code := goRun(t, "./cmd/stress", "-procs", "8", "-fanins", "2", "-iters", "10", "-reps", "1")
-	if code != 0 || !strings.Contains(out, "Figure 9") {
 		t.Fatalf("exit=%d\n%s", code, out)
 	}
 }

@@ -17,7 +17,7 @@
 // and that is where every field is documented
 // (go doc dwst/internal/core.Options, go doc dwst/internal/core.Report).
 //
-// The benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation; see DESIGN.md for the experiment index and
-// EXPERIMENTS.md for measured-vs-paper results.
+// cmd/figures regenerates every table and figure of the paper's evaluation
+// (go run ./cmd/figures -fig 9|10|11|12|ablation); see DESIGN.md for the
+// experiment index and EXPERIMENTS.md for measured-vs-paper results.
 package dwst

@@ -671,15 +671,18 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 				// canceled run skips it — the caller asked for prompt
 				// teardown, and a post-cancel verdict would be misleading
 				// anyway (ranks were torn out mid-protocol).
-				if r := finalDetect(root, tree, rootNode, cfg.SnapshotDeadline, &inFlight); r != nil {
+				if r := finalDetect(root, tree, rootNode, cfg.SnapshotDeadline, &inFlight, &res.SnapshotRetries); r != nil {
 					record(r, false)
 					res.LostMessages = r.LostMessages
+				} else {
+					// It gave up: "nothing found" is not "nothing there".
+					res.FinalUnverified = true
+					res.Partial = true
 				}
 			}
 			res.AppAborted = appErr != nil
 			res.AbortCause = appErr
 			res.PotentialOnly = res.Deadlock && appErr == nil
-			res.SnapshotRetries = root.Aborted()
 			res.DroppedResults = root.DroppedResults()
 			tree.Stop() // idempotent; quiesces node loops and the supervisor
 			leafMu.Lock()
@@ -750,6 +753,7 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 					// order on the root goroutine.
 					tree.Control(rootNode, detect.AbortDetection{})
 					tree.Control(rootNode, detect.TriggerDetection{})
+					res.SnapshotRetries++
 					detectStart = time.Now()
 				}
 				continue
@@ -826,8 +830,9 @@ func waitQuiesce(tree *tbon.Tree) {
 // finalDetect runs the after-the-application detection with the same
 // deadline-abort-retry discipline as the in-run driver, bounded so a
 // hopelessly degraded tree (everything dropped, retransmission disabled)
-// terminates rather than hangs.
-func finalDetect(root *detect.Root, tree *tbon.Tree, rootNode *tbon.Node, deadline time.Duration, inFlight *bool) *detect.Result {
+// terminates rather than hangs: a nil result means every attempt missed its
+// deadline (each counted in *retries), so no verdict was reached.
+func finalDetect(root *detect.Root, tree *tbon.Tree, rootNode *tbon.Node, deadline time.Duration, inFlight *bool, retries *int) *detect.Result {
 	const maxAttempts = 5
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		waitQuiesce(tree)
@@ -842,6 +847,7 @@ func finalDetect(root *detect.Root, tree *tbon.Tree, rootNode *tbon.Node, deadli
 		case <-time.After(deadline):
 			tree.Control(rootNode, detect.AbortDetection{})
 			*inFlight = false
+			*retries++
 		}
 	}
 	return nil

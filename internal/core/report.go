@@ -97,7 +97,8 @@ type Report struct {
 
 	// Partial marks a degraded report: tool nodes hosting UnknownRanks
 	// crashed, so those ranks' wait states are unknown (conservatively
-	// modeled as permanently blocked).
+	// modeled as permanently blocked) — or the run was Overloaded or
+	// FinalUnverified (below).
 	Partial      bool
 	UnknownRanks []int
 	// DroppedEvents counts application events lost because their hosting
@@ -106,6 +107,11 @@ type Report struct {
 	// SnapshotRetries counts consistent-state attempts that missed
 	// SnapshotDeadline and were retried under a fresh epoch.
 	SnapshotRetries int
+	// FinalUnverified marks a run whose after-the-application detection
+	// gave up: every bounded attempt missed SnapshotDeadline. The report is
+	// then Partial — without a Deadlock it says nothing was found, not that
+	// nothing is there.
+	FinalUnverified bool
 	// Err is set when the run never executed: options rejected (see
 	// Options.Validate) or the TCP fabric failed to assemble (e.g. workers
 	// never connected). Tool aborts of a running application (deadlock,

@@ -163,7 +163,6 @@ type Root struct {
 	acksDone    time.Time
 	reports     map[int]dws.WaitReport
 	gatherStart time.Time
-	aborted     int // snapshot attempts aborted after missing the deadline
 
 	// deadNodes maps crashed first-layer nodes to their hosted ranks;
 	// detection proceeds without them and flags results as partial.
@@ -284,9 +283,6 @@ func (r *Root) Start() bool {
 // Epoch returns the current snapshot epoch (the one Start just opened).
 func (r *Root) Epoch() int { return r.epoch }
 
-// Aborted returns the number of snapshot attempts aborted by the driver.
-func (r *Root) Aborted() int { return r.aborted }
-
 // Abort cancels an in-flight detection (deadline missed) and returns the
 // aborted epoch so the driver can broadcast the matching dws.AbortSnapshot;
 // it returns 0 when no detection was running.
@@ -295,7 +291,6 @@ func (r *Root) Abort() int {
 		return 0
 	}
 	r.phase = idle
-	r.aborted++
 	return r.epoch
 }
 

@@ -236,3 +236,35 @@ func TestChaosSnapshotEpochRetry(t *testing.T) {
 		t.Fatal("epoch retry must not degrade the report")
 	}
 }
+
+// TestChaosFinalDetectionGiveUpIsPartial drops every AckConsistentState of
+// a clean program with retransmission off: no snapshot can ever complete,
+// the final detection gives up after its bounded attempts, and the report
+// must say so — Partial, not a clean bill of health.
+func TestChaosFinalDetectionGiveUpIsPartial(t *testing.T) {
+	rep := runBounded(t, 8, workload.Stress(10), must.Options{
+		FanIn:            2,
+		Timeout:          20 * time.Millisecond,
+		SnapshotDeadline: 50 * time.Millisecond,
+		Fault: &must.FaultPlan{
+			Seed:              1,
+			DisableRetransmit: true,
+			Rules: []must.FaultRule{{
+				Drop: 1,
+				Match: func(msg any) bool {
+					_, ok := msg.(dws.AckConsistentState)
+					return ok
+				},
+			}},
+		},
+	})
+	if rep.Deadlock {
+		t.Fatalf("clean program reported deadlocked: %v", rep.Deadlocked)
+	}
+	if !rep.Partial || !rep.FinalUnverified {
+		t.Fatalf("Partial=%v FinalUnverified=%v after a final detection that gave up; want both", rep.Partial, rep.FinalUnverified)
+	}
+	if rep.SnapshotRetries < 5 {
+		t.Fatalf("snapshot retries = %d, want >= 5 (every bounded attempt must have missed its deadline)", rep.SnapshotRetries)
+	}
+}

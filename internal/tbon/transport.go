@@ -104,6 +104,29 @@ func newTransport(t *Tree, plan *fault.Plan) *transport {
 	return tr
 }
 
+// link returns the sender-side state of one directed link, creating it on
+// first use. The caller holds tr.mu.
+func (tr *transport) link(key linkKey) *linkOut {
+	lo := tr.links[key]
+	if lo == nil {
+		lo = &linkOut{pend: make(map[uint64]*pending)}
+		tr.links[key] = lo
+	}
+	return lo
+}
+
+// inbox is the queue on which n receives links of the given class.
+func (n *Node) inbox(class fault.Class) *queue {
+	switch class {
+	case fault.UpLink:
+		return n.fromBelow
+	case fault.DownLink:
+		return n.fromAbove
+	default:
+		return n.fromPeer
+	}
+}
+
 // wrap assigns the next sequence number on the (from → to, class) link,
 // records the frame as pending, and returns the framed envelope. Callers
 // hold Tree.topo, which makes the parent resolution they just did and the
@@ -111,11 +134,7 @@ func newTransport(t *Tree, plan *fault.Plan) *transport {
 func (tr *transport) wrap(from, to *Node, class fault.Class, env envelope) envelope {
 	key := linkKey{from: from.gid, to: to.gid, class: class}
 	tr.mu.Lock()
-	lo := tr.links[key]
-	if lo == nil {
-		lo = &linkOut{pend: make(map[uint64]*pending)}
-		tr.links[key] = lo
-	}
+	lo := tr.link(key)
 	seq := lo.nextSeq
 	lo.nextSeq++
 	fenv := envelope{from: env.from, msg: frame{key: key, seq: seq, msg: env.msg}}
@@ -123,14 +142,7 @@ func (tr *transport) wrap(from, to *Node, class fault.Class, env envelope) envel
 	// the TCP fabric instead of a local queue.
 	var q *queue
 	if to.local {
-		switch class {
-		case fault.UpLink:
-			q = to.fromBelow
-		case fault.DownLink:
-			q = to.fromAbove
-		default:
-			q = to.fromPeer
-		}
+		q = to.inbox(class)
 	}
 	if q != nil || !tr.deadGids[key.to] {
 		// Frames to a spliced-out remote receiver are not worth tracking:
@@ -147,11 +159,7 @@ func (tr *transport) wrap(from, to *Node, class fault.Class, env envelope) envel
 // pending like wrap does.
 func (tr *transport) wrapRemote(key linkKey, from int, msg any) envelope {
 	tr.mu.Lock()
-	lo := tr.links[key]
-	if lo == nil {
-		lo = &linkOut{pend: make(map[uint64]*pending)}
-		tr.links[key] = lo
-	}
+	lo := tr.link(key)
 	seq := lo.nextSeq
 	lo.nextSeq++
 	fenv := envelope{from: from, msg: frame{key: key, seq: seq, msg: msg}}
@@ -196,50 +204,65 @@ func (tr *transport) trim(key linkKey, upTo uint64) int {
 	return removed
 }
 
-// redirect migrates a child's unacknowledged upward frames from the dead
-// old parent's link onto the new parent's link, preserving sequence order.
-// The caller holds Tree.topo and has already swapped the child's parent
-// pointer, so no new frame can target the old link concurrently.
-func (tr *transport) redirect(child, oldParent, newParent *Node) {
-	oldKey := linkKey{from: child.gid, to: oldParent.gid, class: fault.UpLink}
-	newKey := linkKey{from: child.gid, to: newParent.gid, class: fault.UpLink}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
+// migrate moves link oldKey's unacknowledged frames onto newKey, the one
+// routine behind every topology change: frames are taken in sequence order,
+// re-framed with newKey's next sequence numbers and made due immediately, so
+// the new link delivers them in the original order. Frames below mark are
+// dropped and counted instead. q, when non-nil, becomes the frames'
+// destination queue (the receiver is a different Node); nil keeps each
+// frame's own (same or remote receiver). The old link is deleted. The caller
+// holds tr.mu, and Tree.topo with the topology already swapped, so no new
+// frame can target the old link concurrently.
+func (tr *transport) migrate(oldKey, newKey linkKey, q *queue, mark int64) (dropped int) {
 	old := tr.links[oldKey]
+	delete(tr.links, oldKey)
 	if old == nil || len(old.pend) == 0 {
-		delete(tr.links, oldKey)
-		return
+		return 0
 	}
 	seqs := make([]uint64, 0, len(old.pend))
 	for s := range old.pend {
 		seqs = append(seqs, s)
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	nl := tr.links[newKey]
-	if nl == nil {
-		nl = &linkOut{pend: make(map[uint64]*pending)}
-		tr.links[newKey] = nl
-	}
 	now := time.Now()
+	var nl *linkOut // created only if a frame survives the watermark
 	for _, s := range seqs {
+		if int64(s) < mark {
+			dropped++
+			continue
+		}
+		if nl == nil {
+			nl = tr.link(newKey)
+		}
 		p := old.pend[s]
+		dst := p.q
+		if q != nil {
+			dst = q
+		}
 		seq := nl.nextSeq
 		nl.nextSeq++
-		f := p.env.msg.(frame)
 		nl.pend[seq] = &pending{
-			env: envelope{from: p.env.from, msg: frame{key: newKey, seq: seq, msg: f.msg}},
-			q:   newParent.fromBelow,
-			due: now, // resend promptly on the new link
+			env: envelope{from: p.env.from, msg: frame{key: newKey, seq: seq, msg: p.env.msg.(frame).msg}},
+			q:   dst,
+			due: now,
 		}
 	}
-	delete(tr.links, oldKey)
+	return dropped
+}
+
+// redirect migrates a child's unacknowledged upward frames from the dead
+// old parent's link onto the new parent's link. The caller has already
+// swapped the child's parent pointer.
+func (tr *transport) redirect(child, oldParent, newParent *Node) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	tr.migrate(linkKey{from: child.gid, to: oldParent.gid, class: fault.UpLink},
+		linkKey{from: child.gid, to: newParent.gid, class: fault.UpLink}, newParent.fromBelow, 0)
 }
 
 // migrateTo moves every unacknowledged frame addressed to or sent by a
 // dead first-layer node onto the corresponding link of its replacement
-// (fresh gid ⇒ fresh links), preserving per-link sequence order. The
-// caller holds Tree.topo and has already swapped the topology, so no new
-// frame can target the old links concurrently.
+// (fresh gid ⇒ fresh links).
 //
 // Inbound frames (to == old): acknowledgements are synchronous with
 // dispatch, so the pending set is exactly what the dead incarnation never
@@ -251,53 +274,17 @@ func (tr *transport) redirect(child, oldParent, newParent *Node) {
 func (tr *transport) migrateTo(old, neu *Node) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	now := time.Now()
-	for key, lo := range tr.links {
-		if key.from != old.gid && key.to != old.gid {
-			continue
-		}
-		delete(tr.links, key)
-		if len(lo.pend) == 0 {
-			continue
-		}
-		newKey := key
-		if newKey.from == old.gid {
+	for key := range tr.links {
+		newKey, q := key, (*queue)(nil)
+		if key.from == old.gid {
 			newKey.from = neu.gid
 		}
-		if newKey.to == old.gid {
+		if key.to == old.gid {
 			newKey.to = neu.gid
+			q = neu.inbox(key.class)
 		}
-		nl := tr.links[newKey]
-		if nl == nil {
-			nl = &linkOut{pend: make(map[uint64]*pending)}
-			tr.links[newKey] = nl
-		}
-		seqs := make([]uint64, 0, len(lo.pend))
-		for s := range lo.pend {
-			seqs = append(seqs, s)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, s := range seqs {
-			p := lo.pend[s]
-			f := p.env.msg.(frame)
-			q := p.q
-			if key.to == old.gid {
-				switch key.class {
-				case fault.UpLink:
-					q = neu.fromBelow
-				case fault.DownLink:
-					q = neu.fromAbove
-				default:
-					q = neu.fromPeer
-				}
-			}
-			seq := nl.nextSeq
-			nl.nextSeq++
-			nl.pend[seq] = &pending{
-				env: envelope{from: p.env.from, msg: frame{key: newKey, seq: seq, msg: f.msg}},
-				q:   q,
-				due: now, // resend promptly on the new link
-			}
+		if newKey != key {
+			tr.migrate(key, newKey, q, 0)
 		}
 	}
 }
@@ -308,62 +295,26 @@ func (tr *transport) migrateTo(old, neu *Node) {
 // — the recovery shipment replays them, so resending would deliver
 // duplicates of non-idempotent inputs (rank events) — and are dropped;
 // pendings at or above it are stragglers the journal never saw and
-// migrate onto the fresh link with fresh sequence numbers, due
-// immediately, exactly like the in-process migrateTo. Returns the count
-// of dropped rank-link pendings so the caller can release the leaf's
-// in-flight window.
+// migrate onto the fresh link. Returns the count of dropped rank-link
+// pendings so the caller can release the leaf's in-flight window.
 //
 // Surviving workers (which cannot know the coordinator's watermarks) call
 // this with a zero markFor: every unacked pending migrates, giving
 // at-least-once with preserved order for peer traffic across the
 // incarnation boundary — the same contract migrateTo documents, absorbed
 // by the protocol layers' dedup.
-//
-// The caller holds Tree.topo with the gid swap already done, so no new
-// frame can target the old gid concurrently.
 func (tr *transport) cutOver(old, neu int, markFor func(linkKey) int64) (droppedRank int) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	now := time.Now()
-	for key, lo := range tr.links {
+	for key := range tr.links {
 		if key.to != old {
 			continue
 		}
-		delete(tr.links, key)
-		if len(lo.pend) == 0 {
-			continue
-		}
-		w := markFor(key)
-		seqs := make([]uint64, 0, len(lo.pend))
-		for s := range lo.pend {
-			seqs = append(seqs, s)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 		newKey := key
 		newKey.to = neu
-		var nl *linkOut
-		for _, s := range seqs {
-			if int64(s) < w {
-				if key.class == fault.RankLink {
-					droppedRank++
-				}
-				continue
-			}
-			if nl == nil {
-				nl = tr.links[newKey]
-				if nl == nil {
-					nl = &linkOut{pend: make(map[uint64]*pending)}
-					tr.links[newKey] = nl
-				}
-			}
-			p := lo.pend[s]
-			f := p.env.msg.(frame)
-			seq := nl.nextSeq
-			nl.nextSeq++
-			nl.pend[seq] = &pending{
-				env: envelope{from: p.env.from, msg: frame{key: newKey, seq: seq, msg: f.msg}},
-				due: now, // resend promptly on the new link
-			}
+		dropped := tr.migrate(key, newKey, nil, markFor(key))
+		if key.class == fault.RankLink {
+			droppedRank += dropped
 		}
 	}
 	return droppedRank

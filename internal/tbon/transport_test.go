@@ -323,3 +323,130 @@ func TestCrashReattachesChildrenToGrandparent(t *testing.T) {
 		return len(recs[grand].child) > before
 	})
 }
+
+// TestMigrateFrames pins the one frame-migration routine through its three
+// callers, on a bare transport: a link's unacknowledged frames move to the
+// new key in their original order, numbered from the new link's nextSeq and
+// due at once; frames below the watermark are dropped and counted; the
+// destination queue is replaced only where the receiver is a different
+// Node; the old link is deleted.
+func TestMigrateFrames(t *testing.T) {
+	type link struct {
+		key      linkKey
+		first    uint64   // before: nextSeq; after: sequence number of payloads[0]
+		payloads []uint64 // before: seq (= payload) of each unacknowledged frame; after: payloads in seq order
+		q        *queue
+		stays    bool // after: a link the migration must not have touched
+	}
+	keep := &queue{} // a live receiver's queue
+	adopter := &Node{gid: 0, fromBelow: &queue{}}
+	neu := &Node{gid: 9, fromBelow: &queue{}, fromAbove: &queue{}, fromPeer: &queue{}}
+	up, down, peer, rank := fault.UpLink, fault.DownLink, fault.PeerLink, fault.RankLink
+	for _, c := range []struct {
+		name    string
+		before  []link
+		act     func(*transport) int
+		after   []link
+		dropped int
+	}{
+		{
+			name: "redirect",
+			before: []link{
+				{key: linkKey{5, 7, up}, first: 7, payloads: []uint64{6, 3, 4}, q: &queue{}},
+				{key: linkKey{5, 0, up}, first: 2},
+				{key: linkKey{6, 7, up}, first: 1, payloads: []uint64{0}, q: keep},
+			},
+			act: func(tr *transport) int {
+				tr.redirect(&Node{gid: 5}, &Node{gid: 7}, adopter)
+				return 0
+			},
+			after: []link{
+				{key: linkKey{5, 0, up}, first: 2, payloads: []uint64{3, 4, 6}, q: adopter.fromBelow},
+				{key: linkKey{6, 7, up}, payloads: []uint64{0}, q: keep, stays: true}, // another child's
+			},
+		},
+		{
+			name: "migrateTo",
+			before: []link{
+				{key: linkKey{3, 7, peer}, first: 4, payloads: []uint64{2, 3}, q: &queue{}},
+				{key: linkKey{0, 7, down}, first: 1, payloads: []uint64{0}, q: &queue{}},
+				{key: linkKey{7, 0, up}, first: 12, payloads: []uint64{11, 10}, q: keep},
+				{key: linkKey{7, 3, peer}, first: 5}, // fully acknowledged: deleted, nothing to move
+			},
+			act: func(tr *transport) int {
+				tr.migrateTo(&Node{gid: 7}, neu)
+				return 0
+			},
+			after: []link{
+				{key: linkKey{3, 9, peer}, payloads: []uint64{2, 3}, q: neu.fromPeer},
+				{key: linkKey{0, 9, down}, payloads: []uint64{0}, q: neu.fromAbove},
+				{key: linkKey{9, 0, up}, payloads: []uint64{10, 11}, q: keep}, // outbound: same receiver
+			},
+		},
+		{
+			name: "cutOver",
+			before: []link{
+				{key: linkKey{-1, 7, rank}, first: 6, payloads: []uint64{5, 0, 1, 2, 3, 4}},
+				{key: linkKey{2, 7, peer}, first: 4, payloads: []uint64{1, 2, 3}},
+				{key: linkKey{-2, 7, rank}, first: 2, payloads: []uint64{0, 1}}, // wholly journal-covered
+				{key: linkKey{7, 2, peer}, first: 1, payloads: []uint64{0}, q: keep},
+			},
+			act: func(tr *transport) int {
+				marks := map[linkKey]int64{{-1, 7, rank}: 3, {2, 7, peer}: 2, {-2, 7, rank}: 2}
+				return tr.cutOver(7, 9, func(k linkKey) int64 { return marks[k] })
+			},
+			after: []link{
+				{key: linkKey{-1, 9, rank}, payloads: []uint64{3, 4, 5}},
+				{key: linkKey{2, 9, peer}, payloads: []uint64{2, 3}},
+				{key: linkKey{7, 2, peer}, payloads: []uint64{0}, q: keep, stays: true}, // outbound: not cutOver's
+			},
+			dropped: 5, // rank-link frames only: the peer frame below its mark goes uncounted
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := &transport{links: make(map[linkKey]*linkOut)}
+			later := time.Now().Add(time.Hour)
+			for _, l := range c.before {
+				lo := tr.link(l.key)
+				lo.nextSeq = l.first
+				for _, s := range l.payloads {
+					lo.pend[s] = &pending{
+						env: envelope{from: l.key.from, msg: frame{key: l.key, seq: s, msg: s}},
+						q:   l.q, attempts: 3, due: later,
+					}
+				}
+			}
+			if got := c.act(tr); got != c.dropped {
+				t.Fatalf("dropped = %d, want %d", got, c.dropped)
+			}
+			if len(tr.links) != len(c.after) {
+				t.Fatalf("%d links left, want %d: %v", len(tr.links), len(c.after), tr.links)
+			}
+			for _, l := range c.after {
+				lo := tr.links[l.key]
+				if lo == nil || len(lo.pend) != len(l.payloads) {
+					t.Fatalf("link %+v = %+v, want %d pendings", l.key, lo, len(l.payloads))
+				}
+				for i, payload := range l.payloads {
+					seq := l.first + uint64(i)
+					p := lo.pend[seq]
+					if p == nil {
+						t.Fatalf("link %+v: no frame at seq %d", l.key, seq)
+					}
+					if f := p.env.msg.(frame); f.key != l.key || f.seq != seq || f.msg != any(payload) {
+						t.Fatalf("link %+v seq %d carries %+v, want payload %d", l.key, seq, f, payload)
+					}
+					if p.q != l.q {
+						t.Fatalf("link %+v seq %d: wrong destination queue", l.key, seq)
+					}
+					if resendNow := p.attempts == 0 && !p.due.After(time.Now()); resendNow == l.stays {
+						t.Fatalf("link %+v seq %d: attempts=%d due=%v, stays=%v", l.key, seq, p.attempts, p.due, l.stays)
+					}
+				}
+				if want := l.first + uint64(len(l.payloads)); !l.stays && lo.nextSeq != want {
+					t.Fatalf("link %+v nextSeq = %d, want %d", l.key, lo.nextSeq, want)
+				}
+			}
+		})
+	}
+}

@@ -22,17 +22,6 @@ type SpecApp struct {
 	Build func(iters int, grain time.Duration) mpi.Program
 }
 
-// SpecConfig scales a suite run.
-type SpecConfig struct {
-	Iters int           // communication iterations per app
-	Grain time.Duration // compute per iteration (spin)
-}
-
-// DefaultSpecConfig is sized for single-machine benchmarking.
-func DefaultSpecConfig() SpecConfig {
-	return SpecConfig{Iters: 40, Grain: 40 * time.Microsecond}
-}
-
 // SpecSuite returns proxies for the SPEC MPI2007 applications of Figure 12.
 func SpecSuite() []SpecApp {
 	return []SpecApp{
