@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos short fuzz ci bench-test service-soak overload soak-clean figures
+.PHONY: all build fmt vet test race chaos short fuzz ci bench-test service-soak overload soak-clean figures
 
 all: build vet test
 
 build:
 	$(GO) build ./...
+
+# Fails, listing the files, when any Go file is not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -74,4 +78,4 @@ figures:
 	{ echo "# scales run on this box: 64"; $(FIGURES) -fig 12 -procs 64; } > results_fig12.txt
 	{ echo "# scales run on this box: 256"; $(FIGURES) -fig 12 -procs 256 -iters 30; } > results_fig12_256.txt
 
-ci: vet build race bench-test soak-clean
+ci: fmt vet build race bench-test soak-clean

@@ -89,14 +89,18 @@ func (jr *journalRec) append(origin, kind int, payload any) {
 
 // maybeCheckpoint applies the checkpoint policy after a journaled input:
 // cut when enough operations retired since the last cut (the journal then
-// holds mostly dead history) or when the suffix hit the hard cap.
+// holds mostly dead history) or when the suffix hit the hard cap. "Enough"
+// is at least the window a checkpoint copies, so a tracker lagging by
+// thousands of operations pays O(1) copying per retired operation, not
+// O(window) every 64.
 func (h *handler) maybeCheckpoint() {
 	const retireEvery = 64
 	jr := h.jr
 	if jr == nil {
 		return
 	}
-	if jr.j.Len() < jr.cap && h.leaf.RetiredOps()-jr.lastRetired < retireEvery {
+	every := max(retireEvery, h.leaf.WindowSize())
+	if jr.j.Len() < jr.cap && h.leaf.RetiredOps()-jr.lastRetired < every {
 		return
 	}
 	h.checkpointNow()

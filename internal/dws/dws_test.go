@@ -2,6 +2,7 @@ package dws
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dwst/internal/collmatch"
@@ -366,9 +367,10 @@ func TestWindowBoundedOnCleanTraffic(t *testing.T) {
 // TestNoDuplicateHandshakeMessages pins a regression: when a receive's
 // match is installed during its own newOp (the passSend arrived first),
 // applyMatches→tryAdvance activates the operation; newOp must not activate
-// it a second time, or the recvActive is emitted twice.
+// it a second time, or the recvActive is emitted twice. The pair lives on
+// two nodes so every recvActive crosses Out, where it is counted.
 func TestNoDuplicateHandshakeMessages(t *testing.T) {
-	h := newHarness(t, 2, 2) // one node hosts both ranks (self-messages)
+	h := newHarness(t, 2, 1)
 	const pairs = 10
 	seen := map[[2]int]int{}
 	drainCount := func() {
@@ -384,12 +386,13 @@ func TestNoDuplicateHandshakeMessages(t *testing.T) {
 	for i := 0; i < pairs; i++ {
 		h.enter(trace.Op{Proc: 0, TS: i, Kind: trace.Send, Peer: 1, Tag: i, Comm: trace.CommWorld})
 	}
+	drainCount() // every passSend reaches the receiver before its receive
 	for i := 0; i < pairs; i++ {
 		h.enter(trace.Op{Proc: 1, TS: i, Kind: trace.Recv, Peer: 0, Tag: i, Comm: trace.CommWorld})
 		if i == 4 {
-			h.nodes[0].BeginSnapshot(1)
+			h.nodes[1].BeginSnapshot(1)
 			drainCount()
-			h.nodes[0].BuildReports(1)
+			h.nodes[1].BuildReports(1)
 		}
 		if i%3 == 0 {
 			drainCount()
@@ -404,8 +407,176 @@ func TestNoDuplicateHandshakeMessages(t *testing.T) {
 			t.Fatalf("recvActive for %v emitted %d times", k, c)
 		}
 	}
-	if got := h.nodes[0].Stats().RecvActives; got != pairs {
+	if got := h.nodes[1].Stats().RecvActives; got != pairs {
 		t.Fatalf("stats recvActives = %d, want %d", got, pairs)
+	}
+	if h.nodes[0].CurrentTS(0) != pairs || h.nodes[1].CurrentTS(1) != pairs {
+		t.Fatalf("l0=%d l1=%d, want both %d", h.nodes[0].CurrentTS(0), h.nodes[1].CurrentTS(1), pairs)
+	}
+}
+
+// ringSendrecv enters iters iterations of the stress test's ring exchange
+// on every rank — MPI_Sendrecv, which the runtime records as Isend + Irecv
+// + Waitall — followed by Finalize. Every rank is hosted on one node.
+func ringSendrecv(h *harness, procs, iters int) {
+	for i := 0; i < iters; i++ {
+		for r := 0; r < procs; r++ {
+			sreq, rreq := trace.ReqID(2*i+1), trace.ReqID(2*i+2)
+			h.enter(trace.Op{Proc: r, TS: 3 * i, Kind: trace.Isend, Peer: (r + 1) % procs, Req: sreq, Comm: trace.CommWorld})
+			h.enter(trace.Op{Proc: r, TS: 3*i + 1, Kind: trace.Irecv, Peer: (r + procs - 1) % procs, Req: rreq, Comm: trace.CommWorld})
+			h.enter(trace.Op{Proc: r, TS: 3*i + 2, Kind: trace.Waitall, Reqs: []trace.ReqID{sreq, rreq}})
+		}
+	}
+	for r := 0; r < procs; r++ {
+		h.enter(trace.Op{Proc: r, TS: 3 * iters, Kind: trace.Finalize})
+	}
+}
+
+// TestSelfAddressedHandshakesStayInNode: a node hosting every rank of a
+// ring consumes all of its handshakes in-line, within the entry point that
+// produced them. Nothing reaches Out.Peer, every rank reaches Finalize
+// without a single delivery from outside, and a snapshot needs no Ping
+// because the node's link to itself is empty.
+func TestSelfAddressedHandshakesStayInNode(t *testing.T) {
+	const procs, iters = 4, 25
+	h := newHarness(t, procs, procs)
+	n := h.nodes[0]
+	ringSendrecv(h, procs, iters)
+	if len(h.peerQ) != 0 {
+		t.Fatalf("%d messages left through Out.Peer, want 0 (first: %T)", len(h.peerQ), h.peerQ[0].msg)
+	}
+	for r := 0; r < procs; r++ {
+		if got := n.CurrentTS(r); got != 3*iters || !n.Finished(r) {
+			t.Fatalf("rank %d at l=%d (finished %v), want Finalize at %d", r, got, n.Finished(r), 3*iters)
+		}
+	}
+	if st := n.Stats(); st.PassSends != procs*iters || st.RecvActiveAcks != procs*iters {
+		t.Fatalf("stats %+v: self-delivered messages must still be counted", st)
+	}
+	if n.WindowSize() != procs {
+		t.Fatalf("window holds %d operations, want only the %d Finalizes", n.WindowSize(), procs)
+	}
+	n.BeginSnapshot(1)
+	if len(h.peerQ) != 0 {
+		t.Fatalf("snapshot sent %T, want no ping to the node itself", h.peerQ[0].msg)
+	}
+	if h.acks != 1 {
+		t.Fatalf("acks = %d, want the consistent state acknowledged at once", h.acks)
+	}
+	rep, ok := n.BuildReports(1)
+	if !ok {
+		t.Fatal("BuildReports refused the current epoch")
+	}
+	for _, e := range rep.Entries {
+		if e.State != Finished {
+			t.Fatalf("rank %d reported %v, want Finished", e.Rank, e.State)
+		}
+	}
+}
+
+// footprint counts the map entries and slice elements reachable from v: a
+// size measure of a memento that needs no knowledge of its layout.
+func footprint(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if v.IsNil() {
+			return 0
+		}
+		return footprint(v.Elem())
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < v.NumField(); i++ {
+			n += footprint(v.Field(i))
+		}
+		return n
+	case reflect.Slice:
+		n := v.Len()
+		for i := 0; i < v.Len(); i++ {
+			n += footprint(v.Index(i))
+		}
+		return n
+	case reflect.Map:
+		n := v.Len()
+		for it := v.MapRange(); it.Next(); {
+			n += footprint(it.Key()) + footprint(it.Value())
+		}
+		return n
+	}
+	return 0
+}
+
+// TestRequestRecordsFreedByWait: a blocking Waitall frees the requests it
+// returned, so a long ring of Sendrecvs leaves no request record behind and
+// the checkpoint stays the same size however long the run was.
+func TestRequestRecordsFreedByWait(t *testing.T) {
+	const procs = 4
+	measure := func(iters int) (records, size int) {
+		h := newHarness(t, procs, procs)
+		ringSendrecv(h, procs, iters)
+		h.drain()
+		n := h.nodes[0]
+		for _, rs := range n.ranks {
+			records += len(rs.reqs)
+		}
+		m := n.Checkpoint()
+		if m == nil {
+			t.Fatal("checkpoint refused on a quiescent node")
+		}
+		return records, footprint(reflect.ValueOf(m))
+	}
+	r10, s10 := measure(10)
+	r80, s80 := measure(80)
+	if r10 != 0 || r80 != 0 {
+		t.Fatalf("request records after 10/80 iterations: %d/%d, want 0", r10, r80)
+	}
+	if s80 != s10 {
+		t.Fatalf("checkpoint footprint grows with the run: %d after 10 iterations, %d after 80", s10, s80)
+	}
+}
+
+// TestWaitanyKeepsCompletedRecords: Waitany returns one request; the other
+// one, completed but not returned, must still read as done to a later
+// Waitany, so its record survives.
+func TestWaitanyKeepsCompletedRecords(t *testing.T) {
+	h := newHarness(t, 3, 1)
+	h.enter(trace.Op{Proc: 0, TS: 0, Kind: trace.Irecv, Peer: 1, Req: 1, Comm: trace.CommWorld})
+	h.enter(trace.Op{Proc: 0, TS: 1, Kind: trace.Irecv, Peer: 2, Req: 2, Comm: trace.CommWorld})
+	h.enter(trace.Op{Proc: 1, TS: 0, Kind: trace.Send, Peer: 0, Comm: trace.CommWorld})
+	h.enter(trace.Op{Proc: 2, TS: 0, Kind: trace.Send, Peer: 0, Comm: trace.CommWorld})
+	h.drain()
+	h.enter(trace.Op{Proc: 0, TS: 2, Kind: trace.Waitany, Reqs: []trace.ReqID{1, 2}})
+	h.enter(trace.Op{Proc: 0, TS: 3, Kind: trace.Waitany, Reqs: []trace.ReqID{1, 2}})
+	h.drain()
+	if got := h.nodes[0].CurrentTS(0); got != 4 {
+		t.Fatalf("both Waitanys must pass, l = %d", got)
+	}
+	if got := len(h.nodes[0].ranks[0].reqs); got != 2 {
+		t.Fatalf("request records = %d, want both kept", got)
+	}
+}
+
+// TestWindowReusesReclaimedSlots: a rank whose tracker lags by a steady
+// number of operations — each new one stored while the oldest retires —
+// keeps a bounded slice, and every stored operation stays reachable by its
+// timestamp.
+func TestWindowReusesReclaimedSlots(t *testing.T) {
+	const lag, total = 100, 5000
+	var w window
+	for ts := 0; ts < total; ts++ {
+		w.put(&opState{op: trace.Op{TS: ts}})
+		if ts >= lag {
+			if o := w.take(ts - lag); o == nil || o.op.TS != ts-lag {
+				t.Fatalf("take(%d) = %v", ts-lag, o)
+			}
+		}
+		if c := cap(w.slots); c > 4*lag {
+			t.Fatalf("at ts %d the window's slice holds %d slots for %d stored operations", ts, c, lag)
+		}
+	}
+	for ts := 0; ts < total; ts++ {
+		if got := w.get(ts); (got != nil) != (ts >= total-lag) || (got != nil && got.op.TS != ts) {
+			t.Fatalf("get(%d) = %v", ts, got)
+		}
 	}
 }
 

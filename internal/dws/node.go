@@ -2,6 +2,7 @@ package dws
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dwst/internal/collmatch"
@@ -14,8 +15,9 @@ import (
 // first-layer nodes and upward messages towards the root. Implementations
 // wrap a tbon.Node; tests drive nodes directly.
 type Out interface {
-	// Peer sends an intralayer message to first-layer node `node`
-	// (self-sends allowed and delivered through the queue).
+	// Peer sends an intralayer message to first-layer node `node`, never
+	// to the sending node itself: a node consumes the messages it addresses
+	// to itself in-line (see Node.self).
 	Peer(node int, msg any)
 	// Up sends a message towards the root (Ready, Member,
 	// AckConsistentState, WaitReport).
@@ -101,6 +103,18 @@ type Node struct {
 	pendPeer map[int][]any
 	pendDest []int
 
+	// self holds the peer messages this node addressed to itself, in send
+	// order. Every exported entry point consumes them (drainSelf) before it
+	// returns, so a self-addressed handshake costs no flush, queue hop or
+	// delivery cycle, and the self link is empty at every entry-point
+	// boundary: checkpoints need not capture it and snapshots need not ping
+	// it.
+	self []any
+
+	// free holds reclaimed operation records for reuse by newOp. A record
+	// is reused only by newOp, which no handler holding a record can reach.
+	free []*opState
+
 	stats Stats
 }
 
@@ -138,15 +152,15 @@ type opRef struct {
 type rankState struct {
 	rank    int
 	l       int // current timestamp l_i
-	ops     map[int]*opState
-	reqs    map[trace.ReqID]*reqRec
+	ops     window
+	reqs    map[trace.ReqID]int // request → timestamp of the operation that created it
 	collSeq map[trace.CommID]int
-	// creating maps the timestamp of each Comm_dup/Comm_split call to the
-	// (parent communicator, wave) it ran in, until the rank's CommInfo event
-	// for that call was consumed. The window entry cannot serve: the
-	// collective's Ack can overtake the trailing CommInfo (different links
-	// into the node loop) and retires the operation first.
-	creating map[int]collKey
+	// creating holds each Comm_dup/Comm_split call with the (parent
+	// communicator, wave) it ran in, until the rank's CommInfo event for that
+	// call was consumed. The window entry cannot serve: the collective's Ack
+	// can overtake the trailing CommInfo (different links into the node loop)
+	// and retires the operation first.
+	creating []creation
 	done     bool // returned from the program (Done event)
 	lastTS   int  // highest timestamp received
 
@@ -156,20 +170,19 @@ type rankState struct {
 
 	// Progress-watchdog bookkeeping: enters counts processed Enter events,
 	// beatCalls is the rank's call counter carried by the latest heartbeat,
-	// lastProgress the arrival time of the rank's latest event. A rank is
-	// Stalled when it is between calls, its event stream is drained
-	// (beatCalls <= enters), and lastProgress is older than the quiet
-	// period.
+	// lastProgress the arrival time of the rank's latest event (stamped only
+	// while the watchdog is on). A rank is Stalled when it is between calls,
+	// its event stream is drained (beatCalls <= enters), and lastProgress is
+	// older than the quiet period.
 	enters       int
 	beatCalls    int
 	lastProgress time.Time
 }
 
-// reqRec survives its operation's window entry: once the communication
-// completed, completions only need the boolean.
-type reqRec struct {
-	ts   int
-	done bool
+// creation is one pending Comm_dup/Comm_split call of a rank.
+type creation struct {
+	ts int
+	collKey
 }
 
 type opState struct {
@@ -197,6 +210,66 @@ type opState struct {
 	retired   bool
 }
 
+// window stores the operations of one rank that may still see a message or
+// a transition, indexed by timestamp. A rank's timestamps are dense (one per
+// MPI call, in issue order), so operation ts sits in slots[ts-base], and a
+// reclaimed slot is nil. lo is the first slot that may be non-nil.
+type window struct {
+	base  int
+	lo    int
+	slots []*opState
+}
+
+// get returns the stored operation with timestamp ts, or nil.
+func (w *window) get(ts int) *opState {
+	if i := ts - w.base; i >= w.lo && i < len(w.slots) {
+		return w.slots[i]
+	}
+	return nil
+}
+
+// put stores o, the rank's next operation.
+func (w *window) put(o *opState) {
+	switch {
+	case w.lo == len(w.slots):
+		// Empty: restart at o.
+		w.slots, w.lo, w.base = w.slots[:0], 0, o.op.TS
+	case len(w.slots) == cap(w.slots) && 2*w.lo >= len(w.slots):
+		// Full, and at least half of it reclaimed: slide the stored part
+		// down instead of growing. Each slide moves at most as many slots as
+		// were reclaimed since the previous one.
+		k := copy(w.slots, w.slots[w.lo:])
+		clear(w.slots[k:])
+		w.slots, w.base, w.lo = w.slots[:k], w.base+w.lo, 0
+	}
+	i := o.op.TS - w.base
+	if i < len(w.slots) {
+		panic(fmt.Sprintf("dws: rank %d entered timestamp %d twice or out of order", o.op.Proc, o.op.TS))
+	}
+	for len(w.slots) < i {
+		w.slots = append(w.slots, nil) // a gap (timestamps are dense in practice)
+	}
+	w.slots = append(w.slots, o)
+}
+
+// take removes operation ts from the window and returns it (nil if it was
+// not stored).
+func (w *window) take(ts int) *opState {
+	o := w.get(ts)
+	if o == nil {
+		return nil
+	}
+	w.slots[ts-w.base] = nil
+	for w.lo < len(w.slots) && w.slots[w.lo] == nil {
+		w.lo++
+	}
+	return o
+}
+
+// stored returns the slots from the first stored operation on; callers
+// skip the nil ones.
+func (w *window) stored() []*opState { return w.slots[w.lo:] }
+
 // NewNode creates a tracker for the given hosted world ranks.
 func NewNode(id int, hosted []int, nodeFor func(int) int, out Out) *Node {
 	n := &Node{
@@ -218,8 +291,7 @@ func NewNode(id int, hosted []int, nodeFor func(int) int, out Out) *Node {
 	for _, r := range hosted {
 		n.ranks[r] = &rankState{
 			rank:         r,
-			ops:          make(map[int]*opState),
-			reqs:         make(map[trace.ReqID]*reqRec),
+			reqs:         make(map[trace.ReqID]int),
 			collSeq:      make(map[trace.CommID]int),
 			lastTS:       -1,
 			lastProgress: now,
@@ -245,10 +317,12 @@ func (n *Node) WindowSize() int { return n.curWindow }
 // Frozen reports whether the transition system is frozen for a snapshot.
 func (n *Node) Frozen() bool { return n.frozen }
 
-// peer sends a wait-state message to another first-layer node, recording it
-// for the snapshot ping set and the message statistics.
+// peer sends a wait-state message to a first-layer node, recording it for
+// the snapshot ping set (unless it is this node) and the message statistics.
 func (n *Node) peer(node int, msg any) {
-	n.dirty[node] = true
+	if node != n.id {
+		n.dirty[node] = true
+	}
 	switch msg.(type) {
 	case PassSend:
 		n.stats.PassSends++
@@ -261,13 +335,18 @@ func (n *Node) peer(node int, msg any) {
 }
 
 // sendPeer routes one intralayer message through the per-destination
-// coalescing buffer, or straight out when batching is off. ALL peer traffic
-// — wait-state messages and the snapshot Ping/Pong alike — must take this
-// path: the consistent-state protocol's drain argument rests on per-link
-// FIFO between them, which a Ping bypassing a buffered PassSend would break
-// (the ping-pong would "prove" a message consumed that is still sitting in
-// this node's buffer — a false-deadlock hazard).
+// coalescing buffer, or straight out when batching is off; a message to this
+// node itself joins the self queue instead. ALL peer traffic — wait-state
+// messages and the snapshot Ping/Pong alike — must take this path: the
+// consistent-state protocol's drain argument rests on per-link FIFO between
+// them, which a Ping bypassing a buffered PassSend would break (the
+// ping-pong would "prove" a message consumed that is still sitting in this
+// node's buffer — a false-deadlock hazard).
 func (n *Node) sendPeer(node int, msg any) {
+	if node == n.id {
+		n.self = append(n.self, msg)
+		return
+	}
 	if !n.batch {
 		n.out.Peer(node, msg)
 		return
@@ -314,7 +393,20 @@ func (n *Node) FlushPeers() {
 	n.pendDest = n.pendDest[:0]
 }
 
-// Stats returns the node's tool-message counters.
+// drainSelf consumes the self queue in FIFO order, including what the
+// consumed messages add to it. Exported entry points that can emit
+// wait-state messages call it last.
+func (n *Node) drainSelf() {
+	for i := 0; i < len(n.self); i++ {
+		n.onPeer(n.self[i])
+	}
+	clear(n.self)
+	n.self = n.self[:0]
+}
+
+// Stats returns the node's tool-message counters. They count every
+// wait-state message the node generated, the ones it consumed in-line
+// included.
 func (n *Node) Stats() Stats { return n.stats }
 
 // UnmatchedSends returns the number of sends destined to hosted ranks that
@@ -354,13 +446,14 @@ func (n *Node) OnEvent(ev event.Event) {
 		n.deferred = append(n.deferred, ev)
 		return
 	}
-	n.processEvent(ev)
+	n.processEvent(&ev)
+	n.drainSelf()
 }
 
-func (n *Node) processEvent(ev event.Event) {
+func (n *Node) processEvent(ev *event.Event) {
 	switch ev.Type {
 	case event.Enter:
-		n.newOp(ev.Op)
+		n.newOp(&ev.Op)
 	case event.Status:
 		n.onStatus(ev.Proc, ev.TS, ev.Src)
 	case event.CommInfo:
@@ -368,7 +461,7 @@ func (n *Node) processEvent(ev event.Event) {
 	case event.Done:
 		rs := n.rank(ev.Proc)
 		rs.done = true
-		rs.lastProgress = time.Now()
+		n.progress(rs)
 	case event.RankDown:
 		if first := n.OnRankDown(ev.Proc, ev.TS); first {
 			n.out.Up(RankDown{Rank: ev.Proc, LastCall: ev.TS, Node: n.id})
@@ -391,21 +484,31 @@ func (n *Node) OnRankDown(rank, lastCall int) bool {
 	if rs := n.ranks[rank]; rs != nil {
 		rs.crashed = true
 		rs.lastCall = lastCall
-		for ts := range rs.ops {
-			n.dropOp(rs, ts)
+		for _, o := range rs.ops.stored() {
+			if o != nil {
+				n.dropOp(rs, o.op.TS)
+			}
 		}
 	}
 	return true
 }
 
+// progress stamps a rank's watchdog clock. Only the watchdog reads it, so
+// without one the clock is not read either.
+func (n *Node) progress(rs *rankState) {
+	if n.quiet > 0 {
+		rs.lastProgress = time.Now()
+	}
+}
+
 // newOp is Figure 7's newOp handler.
-func (n *Node) newOp(op trace.Op) {
+func (n *Node) newOp(op *trace.Op) {
 	rs := n.rank(op.Proc)
 	rs.lastTS = op.TS
 	rs.enters++
-	rs.lastProgress = time.Now()
-	o := &opState{op: op, peerProc: -1, resolvedGr: -1}
-	rs.ops[op.TS] = o
+	n.progress(rs)
+	o := n.newOpState(op)
+	rs.ops.put(o)
 	n.curWindow++
 	if n.curWindow > n.maxWindow {
 		n.maxWindow = n.curWindow
@@ -427,7 +530,7 @@ func (n *Node) newOp(op trace.Op) {
 			Kind: kind, FromNode: n.id,
 		})
 		if kind.IsNonBlockingP2P() {
-			rs.reqs[op.Req] = &reqRec{ts: op.TS}
+			rs.reqs[op.Req] = op.TS
 		}
 
 	case kind == trace.Iprobe:
@@ -439,7 +542,7 @@ func (n *Node) newOp(op trace.Op) {
 			o.canAdv = true
 		}
 		if kind.IsNonBlockingP2P() {
-			rs.reqs[op.Req] = &reqRec{ts: op.TS}
+			rs.reqs[op.Req] = op.TS
 		}
 		n.applyMatches(n.match.AddRecv(p2pmatch.RecvInfo{
 			Proc: op.Proc, TS: op.TS, Src: op.Peer, Tag: op.Tag,
@@ -452,10 +555,7 @@ func (n *Node) newOp(op trace.Op) {
 		o.wave = wave
 		k := collKey{op.Comm, wave}
 		if kind == trace.CommDup || kind == trace.CommSplit {
-			if rs.creating == nil {
-				rs.creating = make(map[int]collKey)
-			}
-			rs.creating[op.TS] = k
+			rs.creating = append(rs.creating, creation{op.TS, k})
 		}
 		n.collOps[k] = append(n.collOps[k], opRef{op.Proc, op.TS})
 		if n.ackedEarly[k] {
@@ -485,8 +585,8 @@ func (n *Node) newOp(op trace.Op) {
 // received from group rank src.
 func (n *Node) onStatus(proc, ts, src int) {
 	rs := n.rank(proc)
-	rs.lastProgress = time.Now()
-	if o := rs.ops[ts]; o != nil {
+	n.progress(rs)
+	if o := rs.ops.get(ts); o != nil {
 		o.resolved = true
 		o.resolvedGr = src
 	}
@@ -496,11 +596,12 @@ func (n *Node) onStatus(proc, ts, src int) {
 // onCommInfo reports a created communicator to the root's registry.
 func (n *Node) onCommInfo(proc, ts int, newComm trace.CommID) {
 	rs := n.rank(proc)
-	k, ok := rs.creating[ts]
-	if !ok {
+	i := slices.IndexFunc(rs.creating, func(c creation) bool { return c.ts == ts })
+	if i < 0 {
 		return
 	}
-	delete(rs.creating, ts)
+	k := rs.creating[i].collKey
+	rs.creating = slices.Delete(rs.creating, i, i+1)
 	m := collmatch.Member{
 		NewComm: newComm, Rank: proc,
 		Parent: k.comm, ParentWave: k.wave,
@@ -512,6 +613,11 @@ func (n *Node) onCommInfo(proc, ts int, newComm trace.CommID) {
 // OnPeer dispatches an intralayer message. Batches unpack in send order —
 // receivers understand them regardless of their own batch setting.
 func (n *Node) OnPeer(from int, msg any) {
+	n.onPeer(msg)
+	n.drainSelf()
+}
+
+func (n *Node) onPeer(msg any) {
 	switch m := msg.(type) {
 	case PassSend:
 		n.handlePassSend(m)
@@ -525,7 +631,7 @@ func (n *Node) OnPeer(from int, msg any) {
 		n.handlePong(m)
 	case Batch:
 		for _, sub := range m.Msgs {
-			n.OnPeer(from, sub)
+			n.onPeer(sub)
 		}
 	default:
 		panic(fmt.Sprintf("dws: unexpected intralayer message %T", msg))
@@ -551,7 +657,7 @@ func (n *Node) handlePassSend(m PassSend) {
 func (n *Node) applyMatches(ms []p2pmatch.Match) {
 	for _, m := range ms {
 		rs := n.rank(m.Recv.Proc)
-		o := rs.ops[m.Recv.TS]
+		o := rs.ops.get(m.Recv.TS)
 		if o == nil {
 			continue // already retired (stale probe duplicate)
 		}
@@ -579,7 +685,7 @@ func (n *Node) sendRecvActive(o *opState) {
 // handleRecvActive is Figure 7's handler on the send side.
 func (n *Node) handleRecvActive(m RecvActive) {
 	rs := n.rank(m.SendProc)
-	o := rs.ops[m.SendTS]
+	o := rs.ops.get(m.SendTS)
 	if o == nil {
 		// The send already completed its handshake and was cleaned up; a
 		// probe request can still arrive afterwards. Ack directly: the send
@@ -612,14 +718,14 @@ func (n *Node) completeSendHandshake(rs *rankState, o *opState) {
 	if o.op.Kind.Blocking() {
 		o.canAdv = true
 	}
-	n.markReqDone(rs, o)
+	n.reclaimIfRetired(rs, o)
 	n.tryAdvance(rs)
 }
 
 // handleRecvActiveAck is Figure 7's handler on the receive side.
 func (n *Node) handleRecvActiveAck(m RecvActiveAck) {
 	rs := n.rank(m.RecvProc)
-	o := rs.ops[m.RecvTS]
+	o := rs.ops.get(m.RecvTS)
 	if o == nil {
 		return // probe acked twice or already cleaned up
 	}
@@ -627,22 +733,38 @@ func (n *Node) handleRecvActiveAck(m RecvActiveAck) {
 	if o.op.Kind.Blocking() {
 		o.canAdv = true
 	}
-	n.markReqDone(rs, o)
+	n.reclaimIfRetired(rs, o)
 	n.tryAdvance(rs)
 }
 
-// markReqDone flips the request record of a completed non-blocking
-// communication and garbage-collects its window entry if already retired.
-func (n *Node) markReqDone(rs *rankState, o *opState) {
-	if !o.op.Kind.IsNonBlockingP2P() {
-		return
-	}
-	if rec := rs.reqs[o.op.Req]; rec != nil {
-		rec.done = true
-	}
+// reclaimIfRetired drops the window entry of a non-blocking operation whose
+// communication just completed after the operation retired: nothing can
+// arrive for it any more, and its request reads as done without it.
+func (n *Node) reclaimIfRetired(rs *rankState, o *opState) {
 	if o.retired {
 		n.dropOp(rs, o.op.TS)
 	}
+}
+
+// request looks up the operation that created request rq. known is false
+// for an unknown or freed request; o is nil when its communication
+// completed — the operation's commComplete is set, or the window reclaimed
+// it, which for a non-blocking operation happens only after completion (or
+// with the rank's crash).
+//
+// The records themselves: a blocking Wait/Waitall deletes the requests it
+// returned (MPI freed them); requests completed through Waitany/Waitsome/
+// Test* keep theirs, because a request that completed but was not returned
+// must still read as done to a later call.
+func (rs *rankState) request(rq trace.ReqID) (o *opState, known bool) {
+	ts, ok := rs.reqs[rq]
+	if !ok {
+		return nil, false
+	}
+	if o := rs.ops.get(ts); o != nil && !o.commComplete {
+		return o, true
+	}
+	return nil, true
 }
 
 // OnCollAck applies a collectiveAck: every hosted operation of the wave can
@@ -660,7 +782,7 @@ func (n *Node) OnCollAck(a collmatch.Ack) {
 	}
 	for _, ref := range n.collOps[k] {
 		rs := n.rank(ref.rank)
-		if o := rs.ops[ref.ts]; o != nil {
+		if o := rs.ops.get(ref.ts); o != nil {
 			o.collAcked = true
 			o.canAdv = true
 			n.tryAdvance(rs)
@@ -668,6 +790,7 @@ func (n *Node) OnCollAck(a collmatch.Ack) {
 	}
 	delete(n.collOps, k)
 	delete(n.readySent, k)
+	n.drainSelf()
 }
 
 // ResendReady re-emits every collective report not yet answered by an Ack
@@ -733,11 +856,11 @@ func (n *Node) canAdvance(rs *rankState, o *opState) bool {
 	any := o.op.Kind.IsWaitAnySemantics()
 	pending := 0
 	for _, rq := range o.op.Reqs {
-		rec := rs.reqs[rq]
-		if rec == nil {
+		pend, known := rs.request(rq)
+		if !known {
 			continue // unknown/freed request: does not constrain
 		}
-		if rec.done {
+		if pend == nil {
 			if any {
 				return true
 			}
@@ -758,7 +881,7 @@ func (n *Node) tryAdvance(rs *rankState) {
 		return
 	}
 	for {
-		o := rs.ops[rs.l]
+		o := rs.ops.get(rs.l)
 		if o == nil || o.op.Kind == trace.Finalize {
 			return
 		}
@@ -770,7 +893,7 @@ func (n *Node) tryAdvance(rs *rankState) {
 		}
 		n.retire(rs, o)
 		rs.l++
-		if next := rs.ops[rs.l]; next != nil && !next.active {
+		if next := rs.ops.get(rs.l); next != nil && !next.active {
 			n.activate(rs, next)
 		}
 	}
@@ -789,16 +912,44 @@ func (n *Node) retire(rs *rankState, o *opState) {
 		if o.commComplete {
 			n.dropOp(rs, o.op.TS)
 		}
-	case kind.IsCollective():
+	case kind == trace.Wait || kind == trace.Waitall:
+		// The call returned every request it named, and MPI freed them.
+		for _, rq := range o.op.Reqs {
+			delete(rs.reqs, rq)
+		}
 		n.dropOp(rs, o.op.TS)
 	default:
 		n.dropOp(rs, o.op.TS)
 	}
 }
 
+// newOpState returns a fresh record for op from the free list, which is
+// refilled a chunk of records at a time. With the list empty, every record
+// the node allocated is stored in a window, so sizing the chunk by the
+// window doubles the node's records each time, up to opChunk: a node that
+// never stores more than a few operations allocates only a few records.
+func (n *Node) newOpState(op *trace.Op) *opState {
+	if len(n.free) == 0 {
+		chunk := make([]opState, min(max(n.curWindow, 1), opChunk))
+		for i := range chunk {
+			n.free = append(n.free, &chunk[i])
+		}
+	}
+	o := n.free[len(n.free)-1]
+	n.free = n.free[:len(n.free)-1]
+	o.op = *op // reclaimed records are zeroed by dropOp
+	o.peerProc, o.resolvedGr = -1, -1
+	return o
+}
+
+// opChunk is how many operation records one allocation provides.
+const opChunk = 64
+
+// dropOp reclaims a stored operation's window slot and record.
 func (n *Node) dropOp(rs *rankState, ts int) {
-	if _, ok := rs.ops[ts]; ok {
-		delete(rs.ops, ts)
+	if o := rs.ops.take(ts); o != nil {
+		*o = opState{}
+		n.free = append(n.free, o)
 		n.curWindow--
 	}
 }
@@ -812,7 +963,7 @@ func (n *Node) Finished(rank int) bool {
 	if rs.done {
 		return true
 	}
-	o := rs.ops[rs.l]
+	o := rs.ops.get(rs.l)
 	return o != nil && o.op.Kind == trace.Finalize
 }
 
@@ -823,7 +974,7 @@ func (n *Node) AllIdle() bool {
 		if rs.done {
 			continue
 		}
-		o := rs.ops[rs.l]
+		o := rs.ops.get(rs.l)
 		if o == nil || o.op.Kind != trace.Finalize {
 			return false
 		}

@@ -1,11 +1,12 @@
 package dws
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"dwst/internal/collmatch"
 	"dwst/internal/p2pmatch"
-	"dwst/internal/trace"
 )
 
 // This file implements the node side of the recovery plane: a Node can be
@@ -106,6 +107,7 @@ func (n *Node) Restore(m *Memento) {
 	n.frozen = false
 	n.snap = nil
 	n.deferred = nil
+	n.self = nil
 }
 
 // SetOut swaps the node's communication surface. Recovery replays with
@@ -132,38 +134,31 @@ func (discardOut) Peer(int, any) {}
 func (discardOut) Up(any)        {}
 
 func cloneRankState(rs *rankState) *rankState {
-	cp := &rankState{
+	return &rankState{
 		rank: rs.rank, l: rs.l, done: rs.done, lastTS: rs.lastTS,
 		crashed: rs.crashed, lastCall: rs.lastCall,
 		enters: rs.enters, beatCalls: rs.beatCalls, lastProgress: rs.lastProgress,
-		ops:     make(map[int]*opState, len(rs.ops)),
-		reqs:    make(map[trace.ReqID]*reqRec, len(rs.reqs)),
-		collSeq: make(map[trace.CommID]int, len(rs.collSeq)),
+		ops:      rs.ops.clone(),
+		reqs:     maps.Clone(rs.reqs),
+		collSeq:  maps.Clone(rs.collSeq),
+		creating: slices.Clone(rs.creating),
 	}
-	for ts, o := range rs.ops {
-		cp.ops[ts] = cloneOpState(o)
-	}
-	for k, v := range rs.reqs {
-		c := *v
-		cp.reqs[k] = &c
-	}
-	for k, v := range rs.collSeq {
-		cp.collSeq[k] = v
-	}
-	if len(rs.creating) > 0 {
-		cp.creating = make(map[int]collKey, len(rs.creating))
-		for ts, k := range rs.creating {
-			cp.creating[ts] = k
+}
+
+// clone copies the window from its first stored operation on, so a clone
+// of a clone equals the clone. Operation records are copied; they share
+// their trace.Op's Reqs, which nothing mutates.
+func (w *window) clone() window {
+	stored := w.stored()
+	cp := window{base: w.base + w.lo, slots: make([]*opState, len(stored))}
+	for i, o := range stored {
+		if o != nil {
+			c := *o
+			c.probeAcks = slices.Clone(o.probeAcks)
+			cp.slots[i] = &c
 		}
 	}
 	return cp
-}
-
-func cloneOpState(o *opState) *opState {
-	c := *o
-	c.op.Reqs = append([]trace.ReqID(nil), o.op.Reqs...)
-	c.probeAcks = append([]RecvActive(nil), o.probeAcks...)
-	return &c
 }
 
 func cloneIntMap(m map[int]int) map[int]int {

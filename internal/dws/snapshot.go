@@ -43,9 +43,12 @@ func (n *Node) BeginSnapshot(epoch int) {
 	// acknowledgements that are still in transit although the local send
 	// already completed), plus the hosts of currently active sends. Dead
 	// peers are skipped: they can never pong, and the root accounts for
-	// their ranks as unknown.
+	// their ranks as unknown. So is this node itself: it consumes its own
+	// messages before every entry point returns, so nothing it sent itself
+	// can be in transit now (the ping-pong would only prove an empty link
+	// empty).
 	ping := func(peer int) {
-		if n.deadPeers[peer] {
+		if n.deadPeers[peer] || peer == n.id {
 			return
 		}
 		if _, ok := n.snap.outstanding[peer]; !ok {
@@ -57,8 +60,8 @@ func (n *Node) BeginSnapshot(epoch int) {
 		ping(peer)
 	}
 	for _, rs := range n.ranks {
-		for _, o := range rs.ops {
-			if !o.op.Kind.IsSend() || !o.active || o.commComplete {
+		for _, o := range rs.ops.stored() {
+			if o == nil || !o.op.Kind.IsSend() || !o.active || o.commComplete {
 				continue
 			}
 			ping(n.nodeFor(o.op.PeerWorld))
@@ -103,6 +106,7 @@ func (n *Node) Abort(epoch int) {
 	// Keep the dirty set: the aborted ping-pong did not prove our earlier
 	// messages were consumed, so the retry must ping those peers again.
 	n.resume(false)
+	n.drainSelf()
 }
 
 // OnPeerDown marks a first-layer peer as dead: pending and future snapshot
@@ -133,6 +137,7 @@ func (n *Node) BuildReports(epoch int) (WaitReport, bool) {
 		rep.Entries = append(rep.Entries, n.entryFor(rs))
 	}
 	n.resume(true)
+	n.drainSelf()
 	return rep, true
 }
 
@@ -151,8 +156,8 @@ func (n *Node) resume(clearDirty bool) {
 	}
 	deferred := n.deferred
 	n.deferred = nil
-	for _, ev := range deferred {
-		n.processEvent(ev)
+	for i := range deferred {
+		n.processEvent(&deferred[i])
 	}
 }
 
@@ -168,7 +173,7 @@ func (n *Node) entryFor(rs *rankState) WaitEntry {
 		e.Desc = fmt.Sprintf("rank %d crashed after %d MPI calls", rs.rank, rs.lastCall)
 		return e
 	}
-	o := rs.ops[rs.l]
+	o := rs.ops.get(rs.l)
 	if o == nil {
 		if rs.done {
 			e.State = Finished
@@ -240,20 +245,16 @@ func (n *Node) entryFor(rs *rankState) WaitEntry {
 			e.Sem = SemAnd
 		}
 		for _, rq := range o.op.Reqs {
-			rec := rs.reqs[rq]
-			if rec == nil {
+			co, known := rs.request(rq)
+			if !known {
 				continue
 			}
-			if rec.done {
+			if co == nil {
 				if kind.IsWaitAnySemantics() {
 					// Should have advanced; defensive.
 					e.State = Running
 					return e
 				}
-				continue
-			}
-			co := rs.ops[rec.ts]
-			if co == nil {
 				continue
 			}
 			var sub WaitEntry

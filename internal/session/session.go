@@ -140,6 +140,9 @@ type RunStats struct {
 	Partial          bool  `json:"partial"`
 	UnknownRanks     []int `json:"unknown_ranks,omitempty"`
 	JournalHighWater int   `json:"journal_high_water"`
+	// WindowHighWater is the most operations any first-layer node stored at
+	// once: how far its wait-state tracker fell behind its ranks.
+	WindowHighWater  int   `json:"window_high_water"`
 	ReplayedMsgs     int   `json:"replayed_msgs"`
 	ReplayMS         int64 `json:"replay_ms"`
 	RespawnBackoffMS int64 `json:"respawn_backoff_ms"`
@@ -187,6 +190,7 @@ func StatsFor(wl string, procs int, mode, transport string, rep *must.Report) Ru
 		Partial:          rep.Partial,
 		UnknownRanks:     rep.UnknownRanks,
 		JournalHighWater: rep.JournalHighWater,
+		WindowHighWater:  rep.WindowHighWater,
 		ReplayedMsgs:     rep.ReplayedMsgs,
 		ReplayMS:         rep.ReplayTime.Milliseconds(),
 		RespawnBackoffMS: rep.RespawnBackoff.Milliseconds(),

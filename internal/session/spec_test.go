@@ -232,7 +232,8 @@ func populate(v reflect.Value) {
 // TestStatsSchemaKeySet pins the stats JSON schema that mustserve clients,
 // cmd_smoke_test.go and bench/serve.go decode: a fully populated report
 // flattens to exactly these keys (the schema before Report and RunStats
-// shared their counters struct, minus the retired "batch").
+// shared their counters struct, minus the retired "batch", plus
+// "window_high_water").
 func TestStatsSchemaKeySet(t *testing.T) {
 	const want = "abandoned_frames bytes_on_wire codec_errors dead_last_calls dead_ranks deadlock " +
 		"deadlocked detections dropped_events dropped_results elapsed_ms engine_deviations " +
@@ -240,7 +241,7 @@ func TestStatsSchemaKeySet(t *testing.T) {
 		"mem_budget mem_high_water mode overflow_events overloaded partial potential_only procs " +
 		"queue_bytes_hw queue_depth_hw reconnects recoveries replay_ms replayed_msgs " +
 		"respawn_backoff_ms retransmits shipped_journal_entries snapshot_retries stalled_ranks " +
-		"tool_nodes transport unknown_ranks verdict watchdog_fires worker_respawns workload"
+		"tool_nodes transport unknown_ranks verdict watchdog_fires window_high_water worker_respawns workload"
 	var rep must.Report
 	populate(reflect.ValueOf(&rep).Elem())
 	st := StatsFor("recvrecv", 4, "distributed", "chan", &rep)
