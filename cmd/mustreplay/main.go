@@ -14,13 +14,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"dwst/internal/centralized"
 	"dwst/internal/event"
 	"dwst/internal/mpisim"
-	"dwst/internal/workload"
+	"dwst/internal/session"
 	"dwst/mpi"
 )
 
@@ -28,7 +27,7 @@ func main() {
 	var (
 		record   = flag.String("record", "", "record a run's event trace to this file")
 		analyze  = flag.String("analyze", "", "analyze a recorded trace file")
-		wl       = flag.String("workload", "stress", "workload to record (see cmd/mustrun)")
+		wl       = flag.String("workload", "stress", "workload to record: a session workload name (see cmd/mustrun)")
 		procs    = flag.Int("procs", 4, "ranks for recording")
 		iters    = flag.Int("iters", 30, "workload iterations")
 		htmlPath = flag.String("html", "", "write the HTML report here")
@@ -53,7 +52,7 @@ func main() {
 }
 
 func doRecord(path, wl string, procs, iters int) error {
-	prog, err := buildWorkload(wl, iters)
+	prog, err := (&session.Spec{Workload: wl, Iters: iters}).Program()
 	if err != nil {
 		return err
 	}
@@ -114,24 +113,4 @@ func doAnalyze(path, htmlPath string) error {
 	}
 	os.Exit(1)
 	return nil
-}
-
-func buildWorkload(name string, iters int) (mpi.Program, error) {
-	switch {
-	case name == "stress":
-		return workload.Stress(iters), nil
-	case name == "wildcard":
-		return workload.WildcardDeadlock(), nil
-	case name == "recvrecv":
-		return workload.RecvRecvDeadlock(), nil
-	case name == "fig2b":
-		return workload.Fig2b(), nil
-	case strings.HasPrefix(name, "spec:"):
-		app := workload.SpecApps(strings.TrimPrefix(name, "spec:"))
-		if app == nil {
-			return nil, fmt.Errorf("unknown SPEC proxy %q", name)
-		}
-		return app.Build(iters, 20*time.Microsecond), nil
-	}
-	return nil, fmt.Errorf("unknown workload %q", name)
 }

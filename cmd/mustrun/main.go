@@ -68,8 +68,7 @@ func main() {
 
 		memBudget = flag.Int64("mem-budget", 0, "tool-plane memory budget in bytes per process (distributed mode; 0 = the 256 MiB default)")
 
-		engineSel    = flag.String("engine", "", "detection engine: wfg (reference, default) | cmh (Chandy–Misra–Haas probes) | all (every applicable engine)")
-		differential = flag.Bool("differential", false, "run every applicable engine on each snapshot plus the static pre-run pass; report verdict deviations")
+		differential = flag.Bool("differential", false, "also run the oracle engines (wfg, cmh, twocycle) on each snapshot and the static pre-run pass; report verdict deviations")
 
 		recoverNodes = flag.Bool("recover", true, "exact recovery of crashed first-layer tool nodes (journal replay); active with a chan fault plan, and with -transport=tcp enables supervised worker respawn")
 		journalCap   = flag.Int("journal-cap", 0, "recovery journal cap: chan suffix length forcing a checkpoint (default 512); tcp per-leaf entries before overflow disables exact respawn (default 4096)")
@@ -119,7 +118,6 @@ func main() {
 		LinkDelay:        session.Duration(*linkDelay),
 		SnapshotDeadline: session.Duration(*snapDeadl),
 		WatchdogQuiet:    session.Duration(*wdQuiet),
-		Engine:           *engineSel,
 		Differential:     *differential,
 		MemBudget:        *memBudget,
 	}
@@ -252,7 +250,7 @@ func main() {
 		fmt.Printf("no deadlock\n")
 	}
 	if rep.FinalUnverified {
-		fmt.Printf("PARTIAL REPORT: the final detection gave up after %d snapshot attempt(s) missed their deadline\n",
+		fmt.Printf("PARTIAL REPORT: the final detection is unverified: the tool never quiesced, or its attempts missed their deadline (%d retried)\n",
 			rep.SnapshotRetries)
 	}
 	if interrupted {

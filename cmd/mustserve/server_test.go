@@ -104,6 +104,7 @@ func TestAPIRejectsBadSpecs(t *testing.T) {
 		{"unknown field", `{"workload": "recvrecv", "procs": 4, "bogus": 1}`},
 		{"retired no_batch field", `{"workload": "recvrecv", "procs": 4, "no_batch": true}`},
 		{"retired mem_budget -1", `{"workload": "recvrecv", "procs": 4, "mem_budget": -1}`},
+		{"retired engine field", `{"workload": "recvrecv", "procs": 4, "engine": "cmh"}`},
 		{"unknown workload", `{"workload": "nope", "procs": 4}`},
 		{"zero procs", `{"workload": "recvrecv"}`},
 		{"over procs cap", `{"workload": "recvrecv", "procs": 64}`},

@@ -119,9 +119,9 @@ func TestCmdMustrunFaultFlags(t *testing.T) {
 		!strings.Contains(out, "bad fault.drop") {
 		t.Fatalf("bad -fault-drop not rejected with exit 2 (code %d):\n%s", code, out)
 	}
-	// Retired knobs are refused, not ignored: the -batch flag is gone and a
-	// negative -mem-budget no longer means "unbounded".
-	for _, args := range [][]string{{"-batch=false"}, {"-mem-budget", "-1"}} {
+	// Retired knobs are refused, not ignored: the -batch and -engine flags
+	// are gone and a negative -mem-budget no longer means "unbounded".
+	for _, args := range [][]string{{"-batch=false"}, {"-engine", "cmh"}, {"-mem-budget", "-1"}} {
 		out, code = goRun(t, append([]string{"./cmd/mustrun", "-workload", "recvrecv"}, args...)...)
 		if code == 0 || !strings.Contains(out, "exit status 2") {
 			t.Fatalf("%v not rejected with exit 2 (code %d):\n%s", args, code, out)

@@ -10,12 +10,11 @@ import (
 // production run without any online tool attached.
 type Analyzer struct {
 	t *tool
-	p int
 }
 
 // NewAnalyzer creates an analyzer for a trace of procs ranks.
 func NewAnalyzer(procs int) *Analyzer {
-	return &Analyzer{t: newTool(procs), p: procs}
+	return &Analyzer{t: newTool(procs)}
 }
 
 // Feed replays one recorded event. Events of one rank must be fed in their
@@ -31,24 +30,16 @@ func (a *Analyzer) FeedAll(evs []event.Event) {
 
 // Detect runs graph-based deadlock detection on the current state.
 func (a *Analyzer) Detect() *Result {
-	res := &Result{Detections: 1, TraceOps: traceOps(a.t.mt)}
-	blocked, dead, cycle, entries, unexpected, g := a.t.detectDeadlock()
-	res.Blocked = blocked
-	res.Unexpected = unexpected
-	if len(dead) == 0 {
-		return res
-	}
-	res.Deadlock = true
-	res.Deadlocked = dead
-	res.Cycle = cycle
-	res.HTML, res.DOT = artifacts(a.p, dead, cycle, entries, g)
+	res := a.t.detectDeadlock()
+	res.Detections = 1
+	res.TraceOps = traceOps(a.t.mt)
 	return res
 }
 
 // Progress returns the current timestamp vector (how far the wait-state
 // simulation advanced per rank).
 func (a *Analyzer) Progress() []int {
-	out := make([]int, a.p)
+	out := make([]int, a.t.p)
 	copy(out, a.t.l)
 	return out
 }

@@ -2,12 +2,15 @@ package centralized
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
 	"dwst/internal/event"
 	"dwst/internal/mpisim"
 	"dwst/internal/trace"
+	"dwst/internal/workload"
+	"dwst/mpi"
 )
 
 // recordRun executes a program with a recording sink and returns the trace.
@@ -71,6 +74,44 @@ func TestAnalyzerCleanTrace(t *testing.T) {
 		if l == 0 {
 			t.Fatalf("rank %d never advanced", r)
 		}
+	}
+}
+
+// TestAnalyzerMatchesRun: offline analysis of a recorded trace reports what
+// the online tool reports on the same program, groups and conditions
+// included.
+func TestAnalyzerMatchesRun(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		procs int
+		prog  mpi.Program
+	}{
+		{"recvrecv", 4, workload.RecvRecvDeadlock()},
+		{"fig2b", 3, workload.Fig2b()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			live := Run(cfg(tc.procs), simProgram(tc.prog))
+			p, evs := recordRun(t, tc.procs, simProgram(tc.prog))
+			a := NewAnalyzer(p)
+			a.FeedAll(evs)
+			off := a.Detect()
+			if !live.Deadlock || !off.Deadlock {
+				t.Fatalf("deadlock: live %v, offline %v", live.Deadlock, off.Deadlock)
+			}
+			for _, f := range []struct {
+				name        string
+				live, offln any
+			}{
+				{"deadlocked", live.Deadlocked, off.Deadlocked},
+				{"cycle", live.Cycle, off.Cycle},
+				{"groups", live.Groups, off.Groups},
+				{"conditions", live.Conditions, off.Conditions},
+			} {
+				if !reflect.DeepEqual(f.live, f.offln) {
+					t.Errorf("%s: live %v, offline %v", f.name, f.live, f.offln)
+				}
+			}
+		})
 	}
 }
 

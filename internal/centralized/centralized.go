@@ -15,13 +15,13 @@ import (
 	"time"
 
 	"dwst/internal/collmatch"
+	"dwst/internal/engine"
 	"dwst/internal/event"
 	"dwst/internal/mpisim"
 	"dwst/internal/p2pmatch"
 	"dwst/internal/report"
 	"dwst/internal/trace"
 	"dwst/internal/waitstate"
-	"dwst/internal/wfg"
 )
 
 // ErrDeadlockDetected is the abort cause used when the tool found a
@@ -245,28 +245,44 @@ func (t *tool) syncGroups() {
 	}
 }
 
-// detectDeadlock runs the graph-based detection on the current state.
-func (t *tool) detectDeadlock() (blocked, dead, cycle []int, entries map[int]waitstate.WaitInfo, unexpected int, g *wfg.Graph) {
+// detectDeadlock runs the graph-based detection on the current state: blocked
+// ranks and their wait-for conditions, and the finished ranks, form the
+// snapshot engine.Analysis decides, as at the distributed tool's root. The
+// result always carries Blocked and Unexpected; the deadlock, its cycle,
+// groups, conditions and outputs when there is one.
+func (t *tool) detectDeadlock() *Result {
 	t.syncGroups()
-	g = wfg.New(t.p)
-	entries = make(map[int]waitstate.WaitInfo)
+	res := &Result{Unexpected: len(t.sys.UnexpectedMatches(t.l))}
+	snap := &engine.Snapshot{Procs: t.p, Blocked: make(map[int]engine.Wait)}
+	entries := make(map[int]waitstate.WaitInfo)
 	for i := 0; i < t.p; i++ {
 		switch {
 		case t.sys.Blocked(t.l, i):
 			w := t.sys.WaitFor(t.l, i)
 			entries[i] = w
-			g.AddWait(w)
-			blocked = append(blocked, i)
+			snap.Blocked[i] = engine.Wait{Sem: w.Semantics, Targets: w.Targets, Desc: w.Desc}
+			res.Blocked = append(res.Blocked, i)
 		case t.sys.Done(t.l, i):
-			g.SetFinished(i)
+			snap.Finished = append(snap.Finished, i)
 		}
 	}
-	dead = g.Deadlocked()
-	if len(dead) > 0 {
-		cycle = g.Cycle(dead)
+	an := engine.NewAnalysis(snap)
+	dead := an.Deadlocked()
+	if len(dead) == 0 {
+		return res
 	}
-	unexpected = len(t.sys.UnexpectedMatches(t.l))
-	return
+	res.Deadlock = true
+	res.Deadlocked = dead
+	res.Cycle = an.Cycle()
+	res.Groups = an.Groups()
+	res.Conditions = make(map[int]string, len(entries))
+	for r, w := range entries {
+		res.Conditions[r] = w.Desc
+	}
+	page := report.DataFromWaitInfo(t.p, dead, res.Cycle, entries, an.Arcs)
+	res.HTML = report.Render(func(w io.Writer) error { return report.WriteHTML(w, page) })
+	res.DOT = report.Render(func(w io.Writer) error { return snap.DOT(w, dead) })
+	return res
 }
 
 // Run executes the program under the centralized tool.
@@ -296,7 +312,6 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 		}),
 	})
 
-	res := &Result{}
 	if cfg.Ctx != nil {
 		stopWatch := make(chan struct{})
 		defer close(stopWatch)
@@ -315,27 +330,15 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 	t := newTool(cfg.Procs)
 	finished := false
 	var appErr error
-	runDetection := func(final bool) bool {
-		res.Detections++
-		blocked, dead, cycle, entries, unexpected, g := t.detectDeadlock()
-		if len(dead) == 0 {
-			return false
+	// res becomes the first detection that found a deadlock.
+	res := &Result{}
+	detections := 0
+	runDetection := func() bool {
+		detections++
+		if r := t.detectDeadlock(); r.Deadlock {
+			res = r
 		}
-		res.Deadlock = true
-		res.Deadlocked = dead
-		res.Blocked = blocked
-		res.Cycle = cycle
-		res.Groups = g.Groups(dead)
-		res.Unexpected = unexpected
-		res.Conditions = make(map[int]string, len(entries))
-		for r, w := range entries {
-			res.Conditions[r] = w.Desc
-		}
-		res.HTML, res.DOT = artifacts(cfg.Procs, dead, cycle, entries, g)
-		if !final {
-			world.Abort(ErrDeadlockDetected)
-		}
-		return true
+		return res.Deadlock
 	}
 
 	for {
@@ -351,13 +354,15 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 					draining = false
 				}
 			}
-			res.Elapsed = time.Since(start)
+			elapsed := time.Since(start)
 			if !res.Deadlock && (cfg.Ctx == nil || cfg.Ctx.Err() == nil) {
 				// Canceled runs skip the final detection: ranks were torn
 				// out mid-protocol, so a potential-deadlock verdict computed
 				// from the truncated trace would be misleading.
-				runDetection(true)
+				runDetection()
 			}
+			res.Detections = detections
+			res.Elapsed = elapsed
 			res.AppErr = appErr
 			res.TraceOps = traceOps(t.mt)
 			res.LostMessages = t.lostMessages()
@@ -374,8 +379,8 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 			appErr = err
 			finished = true
 		case <-time.After(cfg.Timeout):
-			if !res.Deadlock {
-				runDetection(false)
+			if !res.Deadlock && runDetection() {
+				world.Abort(ErrDeadlockDetected)
 			}
 		}
 	}
@@ -387,14 +392,4 @@ func traceOps(mt *trace.MatchedTrace) int {
 		n += mt.Len(i)
 	}
 	return n
-}
-
-// artifacts are the deadlock report (shared template) and the wait-for
-// graph of the deadlocked ranks, rendered when the caller asks.
-func artifacts(p int, dead, cycle []int, entries map[int]waitstate.WaitInfo, g *wfg.Graph) (html, dot report.Artifact) {
-	html = report.Render(func(w io.Writer) error {
-		return report.WriteHTML(w, report.DataFromWaitInfo(p, dead, cycle, entries, g.Arcs()))
-	})
-	dot = report.Render(func(w io.Writer) error { return g.DOT(w, dead) })
-	return html, dot
 }

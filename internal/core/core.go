@@ -466,7 +466,7 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 	defer tree.Stop()
 
 	root := detect.NewRoot(procs, len(tree.FirstLayer()))
-	root.SetEngines(cfg.Engine, cfg.Differential)
+	root.SetDifferential(cfg.Differential)
 
 	// One journal per first-layer slot, shared by every incarnation of the
 	// node hosted there; slotLeaf tracks the current incarnation's dws node
@@ -675,11 +675,15 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 				// canceled run skips it — the caller asked for prompt
 				// teardown, and a post-cancel verdict would be misleading
 				// anyway (ranks were torn out mid-protocol).
-				if r := finalDetect(root, tree, rootNode, cfg.SnapshotDeadline, &inFlight, &res.SnapshotRetries); r != nil {
+				r, quiet := finalDetect(root, tree, rootNode, cfg.SnapshotDeadline, &inFlight, &res.SnapshotRetries)
+				if r != nil {
 					record(r, false)
 					res.LostMessages = r.LostMessages
-				} else {
-					// It gave up: "nothing found" is not "nothing there".
+				}
+				if r == nil || (!quiet && !res.Deadlock) {
+					// It gave up, or looked at a tool that never drained:
+					// "nothing found" is not "nothing there". A deadlock
+					// found stands either way — deadlock is stable.
 					res.FinalUnverified = true
 					res.Partial = true
 				}
@@ -813,10 +817,11 @@ func heartbeatPump(tree *tbon.Tree, world *mpisim.World, procs int, quiet time.D
 // waitQuiesce waits until the tool processed everything in flight: handled
 // counter stable across consecutive checks AND no reliable-layer frames
 // awaiting acknowledgement (over TCP a retransmit-pending frame is invisible
-// to the handled counter). The deadline bounds a fabric that never drains —
-// better a possibly-incomplete final snapshot than a hang.
-func waitQuiesce(tree *tbon.Tree) {
-	deadline := time.Now().Add(10 * time.Second)
+// to the handled counter). It reports whether that was established before
+// quiesceDeadline: a fabric that never drains must not hang the run, but
+// the snapshot taken on it may be incomplete.
+func waitQuiesce(tree *tbon.Tree) bool {
+	deadline := time.Now().Add(quiesceDeadline)
 	stable := 0
 	last := tree.Handled()
 	for stable < 5 && time.Now().Before(deadline) {
@@ -829,17 +834,23 @@ func waitQuiesce(tree *tbon.Tree) {
 			last = cur
 		}
 	}
+	return stable >= 5
 }
+
+// quiesceDeadline bounds waitQuiesce. A variable so tests can exercise the
+// give-up without the full wait.
+var quiesceDeadline = 10 * time.Second
 
 // finalDetect runs the after-the-application detection with the same
 // deadline-abort-retry discipline as the in-run driver, bounded so a
 // hopelessly degraded tree (everything dropped, retransmission disabled)
 // terminates rather than hangs: a nil result means every attempt missed its
-// deadline (each counted in *retries), so no verdict was reached.
-func finalDetect(root *detect.Root, tree *tbon.Tree, rootNode *tbon.Node, deadline time.Duration, inFlight *bool, retries *int) *detect.Result {
+// deadline (each counted in *retries), so no verdict was reached. quiet
+// reports whether the tool had quiesced before the attempt that returned.
+func finalDetect(root *detect.Root, tree *tbon.Tree, rootNode *tbon.Node, deadline time.Duration, inFlight *bool, retries *int) (r *detect.Result, quiet bool) {
 	const maxAttempts = 5
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		waitQuiesce(tree)
+		quiet = waitQuiesce(tree)
 		if !*inFlight {
 			tree.Control(rootNode, detect.TriggerDetection{})
 			*inFlight = true
@@ -847,14 +858,14 @@ func finalDetect(root *detect.Root, tree *tbon.Tree, rootNode *tbon.Node, deadli
 		select {
 		case r := <-root.Results:
 			*inFlight = false
-			return r
+			return r, quiet
 		case <-time.After(deadline):
 			tree.Control(rootNode, detect.AbortDetection{})
 			*inFlight = false
 			*retries++
 		}
 	}
-	return nil
+	return nil, quiet
 }
 
 // windowHighWater reads the per-node window statistics after the tree

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dwst/internal/fault"
 	"dwst/internal/mpisim"
 	"dwst/internal/testseed"
 	"dwst/internal/trace"
@@ -32,6 +33,51 @@ func TestCleanRingRun(t *testing.T) {
 	}
 	if res.Deadlock {
 		t.Fatalf("false positive: %v", res.Conditions)
+	}
+}
+
+// TestQuiescenceGiveUpIsUnverified: every peer message stalls its link for
+// longer than the (shortened) quiescence deadline, and retransmission waits
+// longer still, so frames stay unacknowledged when the final detection has
+// to go ahead. It finds nothing on a clean ring — which must be reported as
+// unverified, not as a clean bill of health.
+func TestQuiescenceGiveUpIsUnverified(t *testing.T) {
+	old := quiesceDeadline
+	quiesceDeadline = 20 * time.Millisecond
+	defer func() { quiesceDeadline = old }()
+
+	const p = 4
+	done := make(chan *Report, 1)
+	go func() {
+		done <- Run(p, func(pr *mpisim.Proc) {
+			right := (pr.Rank() + 1) % p
+			left := (pr.Rank() + p - 1) % p
+			for i := 0; i < 5; i++ {
+				pr.Sendrecv([]byte{byte(i)}, right, 0, left, 0, trace.CommWorld)
+			}
+			pr.Finalize()
+		}, Options{
+			FanIn: 2, Timeout: 30 * time.Millisecond, SnapshotDeadline: 5 * time.Second,
+			Fault: &fault.Plan{
+				Seed:      1,
+				Rules:     []fault.Rule{{Link: fault.PeerLink, StallEvery: 1, StallFor: 150 * time.Millisecond}},
+				RetryBase: time.Second,
+				RetryCap:  time.Second,
+			},
+		})
+	}()
+	var res *Report
+	select {
+	case res = <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("run did not terminate")
+	}
+	if res.Deadlock || res.AppAborted {
+		t.Fatalf("clean ring: deadlock=%v aborted=%v (%v)", res.Deadlock, res.AppAborted, res.AbortCause)
+	}
+	if !res.FinalUnverified || !res.Partial {
+		t.Fatalf("FinalUnverified=%v Partial=%v after a final detection on an undrained tool; want both",
+			res.FinalUnverified, res.Partial)
 	}
 }
 

@@ -68,16 +68,12 @@ type Options struct {
 	// period is flagged Stalled. Zero (the default) disables the watchdog
 	// and its heartbeat traffic entirely. Distributed mode only.
 	WatchdogQuiet time.Duration
-	// Engine selects the verdict engine at the detection root: "" or "wfg"
-	// (the reference WFG release fixpoint), "cmh" (Chandy–Misra–Haas
-	// probes), or "all" (run every applicable engine; the reference verdict
-	// wins). Distributed mode only.
-	Engine string
-	// Differential runs every applicable detection engine on each snapshot
-	// plus the static pre-run queue-matching pass, records their verdicts
-	// in Report.EngineVerdicts, and reports disagreements with the WFG
-	// reference in Report.EngineDeviations — the standing differential
-	// oracle. Distributed mode only.
+	// Differential also runs the oracles — the flat wfg reference, CMH and
+	// TwoCycle on each snapshot, and the static pre-run queue-matching pass
+	// — records their verdicts in Report.EngineVerdicts, and reports
+	// disagreements with the analysis or the wfg reference in
+	// Report.EngineDeviations: the standing differential oracle. The verdict
+	// is the analysis's either way. Distributed mode only.
 	Differential bool
 	// Net, when non-nil, runs the distributed tool over real TCP sockets:
 	// this process is the coordinator (upper tool layers, root, driver,
@@ -135,11 +131,6 @@ func (o *Options) Validate() error {
 			return fmt.Errorf("bad %s %v: want >= 0", d.name, d.v)
 		}
 	}
-	switch o.Engine {
-	case "", "wfg", "cmh", "all":
-	default:
-		return fmt.Errorf("unknown detection engine %q: want wfg, cmh, or all", o.Engine)
-	}
 	if o.Net != nil && o.Fault != nil {
 		return errors.New("fault plans require the channel transport; over TCP the adversary is the wire (use the wire-level fault proxy)")
 	}
@@ -151,8 +142,8 @@ func (o *Options) Validate() error {
 			return errors.New("the TCP fabric requires the distributed architecture (the centralized tool has no tree to distribute)")
 		case o.WatchdogQuiet > 0:
 			return errors.New("the progress watchdog requires the distributed architecture")
-		case o.Engine != "" || o.Differential:
-			return errors.New("engine selection and differential mode require the distributed architecture")
+		case o.Differential:
+			return errors.New("differential mode requires the distributed architecture")
 		case o.MemBudget > 0:
 			return errors.New("a memory budget requires the distributed architecture (the centralized tool has no tool plane to govern)")
 		}

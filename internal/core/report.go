@@ -82,11 +82,10 @@ type Report struct {
 	StalledRanks  []int
 	WatchdogFires int
 
-	// EngineVerdicts maps each detection engine that ran to its verdict
-	// string ("none", "deadlock", …, or "inapplicable"/"inconclusive"/
-	// "error: …"), merged over all detection rounds plus the static
-	// pre-run pass. Nil unless Options.Engine or Options.Differential
-	// asked for extra engines.
+	// EngineVerdicts maps each oracle engine (wfg, cmh, twocycle, static) to
+	// its verdict string ("none", "deadlock", …, or "inapplicable"/
+	// "inconclusive"/"error: …"), merged over all detection rounds plus the
+	// static pre-run pass. Nil unless Options.Differential.
 	EngineVerdicts map[string]string
 	// EngineDeviations lists engine disagreements with the WFG reference
 	// (differential mode; empty means every applicable engine agreed).
@@ -108,9 +107,10 @@ type Report struct {
 	// SnapshotDeadline and were retried under a fresh epoch.
 	SnapshotRetries int
 	// FinalUnverified marks a run whose after-the-application detection
-	// gave up: every bounded attempt missed SnapshotDeadline. The report is
-	// then Partial — without a Deadlock it says nothing was found, not that
-	// nothing is there.
+	// gave up — every bounded attempt missed SnapshotDeadline — or found no
+	// deadlock on a tool that never drained (quiescence not established
+	// before its deadline). The report is then Partial — without a Deadlock
+	// it says nothing was found, not that nothing is there.
 	FinalUnverified bool
 	// Err is set when the run never executed: options rejected (see
 	// Options.Validate) or the TCP fabric failed to assemble (e.g. workers

@@ -72,14 +72,13 @@ type Result struct {
 	// Verdict classifies the result (true deadlock vs deadlock-by-failure
 	// vs stalled vs none).
 	Verdict Verdict
-	// EngineVerdicts maps each detection engine that ran on this snapshot
-	// to its verdict string (or its skip reason: "inapplicable",
-	// "inconclusive"). Populated only when more than the default reference
-	// engine ran (engine selection or differential mode).
+	// EngineVerdicts maps each oracle engine that ran on this snapshot to
+	// its verdict string (or its skip reason: "inapplicable",
+	// "inconclusive"). Populated only in differential mode.
 	EngineVerdicts map[string]string
-	// EngineDeviations lists disagreements between the engines and the
-	// WFG reference on this snapshot (differential mode only; empty means
-	// all applicable engines agreed).
+	// EngineDeviations lists disagreements between the analysis, the
+	// oracle engines and the WFG reference on this snapshot (differential
+	// mode only; empty means all applicable engines agreed).
 	EngineDeviations []string
 	// DeadRanks lists the application ranks that crashed (ascending), and
 	// DeadLastCalls maps each to the number of MPI calls it completed.
@@ -176,9 +175,8 @@ type Root struct {
 	// found no deadlock) to the driver.
 	Results chan *Result
 
-	// engineSel selects the primary verdict engine ("", "wfg", "cmh",
-	// "all"); differential additionally runs every engine and cross-checks.
-	engineSel    string
+	// differential runs the oracle engines beside the analysis and
+	// cross-checks every verdict.
 	differential bool
 	// extraEngines are appended to the differential engine list; the test
 	// hook that lets a deliberately broken engine prove the oracle bites.
@@ -375,14 +373,10 @@ func (r *Root) OnNodeDown(node int, ranks []int) (ackDone bool) {
 	return false
 }
 
-// SetEngines configures the verdict engine selection ("", "wfg", "cmh",
-// or "all"; empty means the WFG reference) and whether every detection
-// additionally runs all engines and cross-checks their verdicts. Call
-// before the tool starts (not concurrency-safe afterwards).
-func (r *Root) SetEngines(sel string, differential bool) {
-	r.engineSel = sel
-	r.differential = differential
-}
+// SetDifferential makes every detection additionally run the oracle
+// engines and cross-check their verdicts with the analysis. Call before the
+// tool starts (not concurrency-safe afterwards).
+func (r *Root) SetDifferential(on bool) { r.differential = on }
 
 // AddEngine registers an additional snapshot engine for differential
 // runs. This is the seeded-deviation test hook: injecting a deliberately
@@ -508,8 +502,8 @@ func (s *sets) of(e dws.WaitEntry) *engine.RankSet {
 // its grouped form — conditions on a whole communicator or wave stay
 // references to one shared rank set, never p explicit targets per rank —
 // and checks it for deadlock. Nothing here is proportional to the p² arcs
-// of a wildcard deadlock; the arc-by-arc graph is built only when extra
-// engines were asked for, as their input and the reference they are
+// of a wildcard deadlock; the arc-by-arc graph is built only in a
+// differential run, as the oracles' input and the reference they are
 // compared with.
 func (r *Root) analyze() *Result {
 	res := &Result{Entries: make(map[int]dws.WaitEntry), Epoch: r.epoch}
@@ -669,33 +663,26 @@ func (r *Root) analyze() *Result {
 	checkStart := time.Now()
 	// The release fixpoint on the grouped form gives the verdict; cycle,
 	// groups and the class graph below come from the same analysis.
-	primary := engine.Finding{Engine: "wfg", Deadlocked: an.Deadlocked()}
-	primary.Verdict = engine.Classify(snap, primary.Deadlocked)
-	if extra := r.engineList(); len(extra) > 0 {
-		// Extra engines analyze the expanded snapshot, and the arc-by-arc
-		// graph on it is the reference — for them and, in a differential
-		// run, for the grouped analysis itself.
+	res.Deadlocked = an.Deadlocked()
+	res.Verdict = engine.Classify(snap, res.Deadlocked)
+	res.Deadlock = len(res.Deadlocked) > 0
+	if r.differential {
+		// The oracles analyze the expanded snapshot, and the arc-by-arc
+		// graph on it is the reference — for them and for the grouped
+		// analysis itself.
 		flat := snap.Flat()
 		ref := engine.Finding{Engine: "wfg"}
-		ref.Verdict, ref.Deadlocked, _ = engine.WFG{}.AnalyzeGraph(flat)
-		findings := engine.RunAll(extra, engine.Input{Snapshot: flat})
+		ref.Verdict, ref.Deadlocked, _ = engine.WFG{}.Analyze(engine.Input{Snapshot: flat})
+		oracles := append([]engine.Engine{engine.CMH{}, engine.TwoCycle{}}, r.extraEngines...)
+		findings := engine.RunAll(oracles, engine.Input{Snapshot: flat})
+		grouped := engine.Finding{Engine: "wfg-grouped", Verdict: res.Verdict, Deadlocked: res.Deadlocked}
+		res.EngineDeviations = append(engine.Deviations(ref, nil, []engine.Finding{grouped}),
+			engine.Deviations(ref, oracles, findings)...)
 		res.EngineVerdicts = map[string]string{"wfg": ref.VerdictString()}
-		if r.differential {
-			grouped := primary
-			grouped.Engine = "wfg-grouped"
-			res.EngineDeviations = append(engine.Deviations(ref, nil, []engine.Finding{grouped}),
-				engine.Deviations(ref, extra, findings)...)
-		}
 		for _, f := range findings {
 			res.EngineVerdicts[f.Engine] = f.VerdictString()
-			if r.engineSel == f.Engine && f.Err == nil {
-				primary = f
-			}
 		}
 	}
-	res.Verdict = primary.Verdict
-	res.Deadlocked = primary.Deadlocked
-	res.Deadlock = len(res.Deadlocked) > 0
 	if res.Deadlock {
 		res.Cycle = an.Cycle()
 		res.Groups = an.Groups()
@@ -750,19 +737,6 @@ func containsRank(xs []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// engineList returns the additional engines to run beside the grouped
-// reference analysis, per the configured selection.
-func (r *Root) engineList() []engine.Engine {
-	var out []engine.Engine
-	switch {
-	case r.differential || r.engineSel == "all":
-		out = []engine.Engine{engine.CMH{}, engine.TwoCycle{}}
-	case r.engineSel == "cmh":
-		out = []engine.Engine{engine.CMH{}}
-	}
-	return append(out, r.extraEngines...)
 }
 
 // groupOrWorld returns the registry group, falling back to the full world

@@ -9,37 +9,11 @@ import (
 	"dwst/internal/engine"
 )
 
-// TestEngineSelectionCMH verifies that -engine=cmh makes the probe
-// engine's finding primary while still recording the reference verdict.
-func TestEngineSelectionCMH(t *testing.T) {
-	r := NewRoot(2, 1)
-	r.SetEngines("cmh", false)
-	res := runDetection(t, r, []dws.WaitReport{
-		{Node: 0, Entries: []dws.WaitEntry{blockedSend(0, 1), blockedSend(1, 0)}},
-	})
-	if !res.Deadlock || res.Verdict != VerdictDeadlock {
-		t.Fatalf("res = %+v", res)
-	}
-	if len(res.Deadlocked) != 2 || res.Deadlocked[0] != 0 || res.Deadlocked[1] != 1 {
-		t.Fatalf("deadlocked = %v", res.Deadlocked)
-	}
-	if res.EngineVerdicts["wfg"] != "deadlock" || res.EngineVerdicts["cmh"] != "deadlock" {
-		t.Fatalf("engine verdicts = %v", res.EngineVerdicts)
-	}
-	if len(res.EngineDeviations) != 0 {
-		t.Fatalf("non-differential run reported deviations: %v", res.EngineDeviations)
-	}
-	// Graph outputs still come from the reference graph.
-	if res.HTML.String() == "" || res.DOT.String() == "" || len(res.Cycle) != 2 {
-		t.Fatal("outputs missing under cmh selection")
-	}
-}
-
 // TestDifferentialAgreement: a differential run over a clean deadlock
 // snapshot records every engine's verdict and zero deviations.
 func TestDifferentialAgreement(t *testing.T) {
 	r := NewRoot(4, 2)
-	r.SetEngines("", true)
+	r.SetDifferential(true)
 	res := runDetection(t, r, []dws.WaitReport{
 		{Node: 0, Entries: []dws.WaitEntry{blockedSend(0, 3), running(1)}},
 		{Node: 1, Entries: []dws.WaitEntry{running(2), blockedSend(3, 0)}},
@@ -61,8 +35,7 @@ func TestDifferentialAgreement(t *testing.T) {
 // seeded fault that must surface as a deviation.
 type wrongEngine struct{}
 
-func (wrongEngine) Name() string       { return "seeded-wrong" }
-func (wrongEngine) Needs() engine.Need { return engine.NeedSnapshot }
+func (wrongEngine) Name() string { return "seeded-wrong" }
 func (wrongEngine) Analyze(in engine.Input) (engine.Verdict, []int, error) {
 	return engine.VerdictNone, nil, nil
 }
@@ -72,7 +45,7 @@ func (wrongEngine) Analyze(in engine.Input) (engine.Verdict, []int, error) {
 // AddEngine must produce a deviation on a deadlocking snapshot.
 func TestSeededDeviationIsDetected(t *testing.T) {
 	r := NewRoot(2, 1)
-	r.SetEngines("", true)
+	r.SetDifferential(true)
 	r.AddEngine(wrongEngine{})
 	res := runDetection(t, r, []dws.WaitReport{
 		{Node: 0, Entries: []dws.WaitEntry{blockedSend(0, 1), blockedSend(1, 0)}},

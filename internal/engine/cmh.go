@@ -34,9 +34,6 @@ type CMH struct{}
 // Name implements Engine.
 func (CMH) Name() string { return "cmh" }
 
-// Needs implements Engine.
-func (CMH) Needs() Need { return NeedSnapshot }
-
 // probe is one wait-for edge traversal: `from` asks whether `to` can
 // still make progress.
 type probe struct{ from, to int }

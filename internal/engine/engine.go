@@ -1,18 +1,16 @@
-// Package engine defines the pluggable deadlock-detection engine interface
-// and the differential verdict oracle that cross-checks engines against
-// each other.
+// Package engine holds the deadlock analysis every detection runs —
+// Analysis, the paper's AND⊕OR criterion on the grouped wait-state
+// snapshot — and the oracles a differential run cross-checks it with.
 //
-// The WFG release-fixpoint (internal/wfg, driven from internal/detect) was
-// the only verdict source in the system, so a bug in matching, graph build,
-// or the fixpoint had nothing to disagree with it. This package breaks that
-// monoculture: every engine consumes the same inputs (a root-side wait-state
-// snapshot, or a pre-run call trace) and independently produces a Verdict
-// plus the set of deadlocked ranks. A differential run executes every
-// applicable engine on the same inputs and reports any disagreement with
-// the WFG reference as a deviation — a standing oracle the chaos suites
-// turn into a hard failure.
+// One analysis with nothing to disagree with it would hide a bug in
+// matching, snapshot build or the fixpoint. So each oracle engine consumes
+// the same inputs (a root-side wait-state snapshot, or a pre-run call
+// trace) and independently produces a Verdict plus the set of deadlocked
+// ranks. A differential run executes them beside the analysis and reports
+// any disagreement with the WFG reference as a deviation — a standing
+// oracle the chaos suites turn into a hard failure.
 //
-// Engines differ in what they can decide:
+// The oracles differ in what they can decide:
 //
 //   - wfg (reference): the paper's AND⊕OR release fixpoint. Always
 //     applicable to a snapshot; its verdict and deadlocked set define
@@ -131,23 +129,11 @@ type Input struct {
 	TraceLimits []string
 }
 
-// Need describes which inputs an engine consumes.
-type Need int
-
-const (
-	// NeedSnapshot: the engine analyzes the root's wait-state snapshot.
-	NeedSnapshot Need = 1 << iota
-	// NeedTrace: the engine analyzes a pre-run recorded call trace.
-	NeedTrace
-)
-
 // Engine is one deadlock-detection algorithm. Implementations must be
 // stateless (safe for reuse across detections) and deterministic.
 type Engine interface {
 	// Name is the stable identifier used in stats and deviation reports.
 	Name() string
-	// Needs declares which Input fields the engine consumes.
-	Needs() Need
 	// Analyze produces the verdict and the deadlocked ranks (ascending).
 	// It returns ErrInapplicable when the input is outside the engine's
 	// domain and ErrInconclusive when a screen cannot decide either way;
@@ -218,17 +204,11 @@ func (f Finding) VerdictString() string {
 	}
 }
 
-// RunAll executes every engine whose needs the input satisfies and returns
-// one Finding per engine, in the given order.
+// RunAll executes every engine on the input and returns one Finding per
+// engine, in the given order.
 func RunAll(engines []Engine, in Input) []Finding {
 	var out []Finding
 	for _, e := range engines {
-		if e.Needs()&NeedSnapshot != 0 && in.Snapshot == nil {
-			continue
-		}
-		if e.Needs()&NeedTrace != 0 && in.Trace == nil {
-			continue
-		}
 		v, dl, err := e.Analyze(in)
 		out = append(out, Finding{Engine: e.Name(), Verdict: v, Deadlocked: dl, Err: err})
 	}

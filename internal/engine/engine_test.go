@@ -248,7 +248,9 @@ func describe(s *Snapshot) string {
 // the dead ones.
 func compareAnalysis(t *testing.T, snap *Snapshot) {
 	t.Helper()
-	refVerdict, refDead, g := WFG{}.AnalyzeGraph(snap)
+	g := BuildWFG(snap)
+	refDead := g.Deadlocked()
+	refVerdict := Classify(snap, refDead)
 	an := NewAnalysis(snap)
 	dead := an.Deadlocked()
 	if v := Classify(snap, dead); v != refVerdict {
@@ -340,7 +342,7 @@ func contains(xs []int, v int) bool {
 
 func compareCMH(t *testing.T, snap *Snapshot) {
 	t.Helper()
-	refVerdict, refDead, _ := WFG{}.AnalyzeGraph(snap)
+	refVerdict, refDead, _ := WFG{}.Analyze(Input{Snapshot: snap})
 	v, dl, err := CMH{}.Analyze(Input{Snapshot: snap})
 	if err != nil {
 		t.Fatalf("cmh error: %v", err)
@@ -400,7 +402,7 @@ func TestTwoCycleWitnessSubset(t *testing.T) {
 		if !v.Deadlockish() {
 			t.Fatalf("seed %d: fired with verdict %v", seed, v)
 		}
-		_, refDead, _ := WFG{}.AnalyzeGraph(snap)
+		_, refDead, _ := WFG{}.Analyze(Input{Snapshot: snap})
 		if !subsetOf(dl, refDead) {
 			t.Fatalf("seed %d: witness %v not in residue %v (snapshot %+v)", seed, dl, refDead, snap)
 		}
@@ -415,7 +417,6 @@ func TestTwoCycleWitnessSubset(t *testing.T) {
 type brokenEngine struct{ verdict Verdict }
 
 func (brokenEngine) Name() string { return "broken" }
-func (brokenEngine) Needs() Need  { return NeedSnapshot }
 func (b brokenEngine) Analyze(Input) (Verdict, []int, error) {
 	if b.verdict == VerdictDeadlock {
 		return VerdictDeadlock, []int{0, 1}, nil
@@ -426,7 +427,6 @@ func (b brokenEngine) Analyze(Input) (Verdict, []int, error) {
 type errorEngine struct{}
 
 func (errorEngine) Name() string { return "erroring" }
-func (errorEngine) Needs() Need  { return NeedSnapshot }
 func (errorEngine) Analyze(Input) (Verdict, []int, error) {
 	return VerdictNone, nil, errors.New("boom")
 }
@@ -442,7 +442,7 @@ func TestDeviations(t *testing.T) {
 
 	// Agreement produces none; inconclusive partial detectors are skipped.
 	snap := &Snapshot{Procs: 2, Blocked: map[int]Wait{0: andWait(1), 1: andWait(0)}}
-	refVerdict, refDead, _ := WFG{}.AnalyzeGraph(snap)
+	refVerdict, refDead, _ := WFG{}.Analyze(Input{Snapshot: snap})
 	ref = Finding{Engine: "wfg", Verdict: refVerdict, Deadlocked: refDead}
 	engines = []Engine{CMH{}, TwoCycle{}}
 	devs = Deviations(ref, engines, RunAll(engines, Input{Snapshot: snap}))
@@ -464,7 +464,6 @@ func TestDeviations(t *testing.T) {
 type brokenPartial struct{}
 
 func (brokenPartial) Name() string  { return "broken-partial" }
-func (brokenPartial) Needs() Need   { return NeedSnapshot }
 func (brokenPartial) Partial() bool { return true }
 func (brokenPartial) Analyze(Input) (Verdict, []int, error) {
 	return VerdictDeadlock, []int{0, 1}, nil

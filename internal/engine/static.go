@@ -28,9 +28,6 @@ type Static struct{}
 // Name implements Engine.
 func (Static) Name() string { return "static" }
 
-// Needs implements Engine.
-func (Static) Needs() Need { return NeedTrace }
-
 // Analyze implements Engine.
 func (Static) Analyze(in Input) (Verdict, []int, error) {
 	if len(in.TraceLimits) > 0 {

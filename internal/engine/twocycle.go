@@ -25,9 +25,6 @@ type TwoCycle struct{}
 // Name implements Engine.
 func (TwoCycle) Name() string { return "twocycle" }
 
-// Needs implements Engine.
-func (TwoCycle) Needs() Need { return NeedSnapshot }
-
 // Partial implements PartialDetector: the witness set is a subset of the
 // true residue (only the pair members, not everything blocked behind them).
 func (TwoCycle) Partial() bool { return true }

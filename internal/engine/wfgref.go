@@ -14,22 +14,10 @@ type WFG struct{}
 // Name implements Engine.
 func (WFG) Name() string { return "wfg" }
 
-// Needs implements Engine.
-func (WFG) Needs() Need { return NeedSnapshot }
-
 // Analyze implements Engine.
-func (e WFG) Analyze(in Input) (Verdict, []int, error) {
-	v, dl, _ := e.AnalyzeGraph(in.Snapshot)
-	return v, dl, nil
-}
-
-// AnalyzeGraph runs the reference analysis and additionally returns the
-// built graph, so the detect root can reuse it for cycle extraction,
-// grouping, and DOT/HTML output generation without building it twice.
-func (WFG) AnalyzeGraph(s *Snapshot) (Verdict, []int, *wfg.Graph) {
-	g := BuildWFG(s)
-	dl := g.Deadlocked()
-	return Classify(s, dl), dl, g
+func (WFG) Analyze(in Input) (Verdict, []int, error) {
+	dl := BuildWFG(in.Snapshot).Deadlocked()
+	return Classify(in.Snapshot, dl), dl, nil
 }
 
 // BuildWFG materializes the snapshot as a wait-for graph, expanding shared

@@ -150,9 +150,9 @@ type RunStats struct {
 	ToolNodes        int   `json:"tool_nodes"`
 	LostMessages     int   `json:"lost_messages"`
 	ElapsedMS        int64 `json:"elapsed_ms"`
-	// EngineVerdicts maps each detection engine that ran to its verdict
-	// string (engine selection or differential mode only); Deviations
-	// lists disagreements with the WFG reference; DroppedResults counts
+	// EngineVerdicts maps each oracle engine to its verdict string
+	// (differential mode only); Deviations lists disagreements with the
+	// analysis or the WFG reference; DroppedResults counts
 	// detections the root failed to deliver to the driver.
 	EngineVerdicts   map[string]string `json:"engine_verdicts,omitempty"`
 	EngineDeviations []string          `json:"engine_deviations,omitempty"`

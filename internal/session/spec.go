@@ -118,11 +118,9 @@ type Spec struct {
 	SnapshotDeadline Duration `json:"snapshot_deadline,omitempty"`
 	// WatchdogQuiet enables the progress watchdog (0 = disabled).
 	WatchdogQuiet Duration `json:"watchdog_quiet,omitempty"`
-	// Engine selects the detection engine: "" or "wfg" (the reference),
-	// "cmh", or "all". Distributed mode only.
-	Engine string `json:"engine,omitempty"`
-	// Differential runs every applicable engine on each snapshot and
-	// records verdict agreement/deviations. Distributed mode only.
+	// Differential also runs the oracle engines on each snapshot and the
+	// static pre-run pass, and records verdict agreement/deviations.
+	// Distributed mode only.
 	Differential bool `json:"differential,omitempty"`
 	// MemBudget bounds resident tool-plane buffer bytes per process: 0 (the
 	// default) applies must.DefaultMemBudget, a positive value is the budget
@@ -230,7 +228,6 @@ func (s *Spec) options() (opts must.Options, err error) {
 		LinkDelay:        time.Duration(s.LinkDelay),
 		SnapshotDeadline: time.Duration(s.SnapshotDeadline),
 		WatchdogQuiet:    time.Duration(s.WatchdogQuiet),
-		Engine:           s.Engine,
 		Differential:     s.Differential,
 		MemBudget:        s.MemBudget,
 	}

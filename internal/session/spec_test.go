@@ -78,10 +78,6 @@ func TestSpecValidate(t *testing.T) {
 		{"negative crash node", func(s *Spec) { s.Fault = &FaultSpec{Crashes: []CrashSpec{{Node: -1}}} }, true},
 		{"malformed rank crash", func(s *Spec) { s.Fault = &FaultSpec{RankCrashes: "1:2:3"} }, true},
 		{"malformed rank stall", func(s *Spec) { s.Fault = &FaultSpec{RankStalls: "1:2"} }, true},
-		{"engine cmh", func(s *Spec) { s.Engine = "cmh" }, false},
-		{"engine all differential", func(s *Spec) { s.Engine = "all"; s.Differential = true }, false},
-		{"unknown engine", func(s *Spec) { s.Engine = "magic" }, true},
-		{"centralized rejects engine", func(s *Spec) { s.Mode = "centralized"; s.Engine = "cmh" }, true},
 		{"centralized rejects differential", func(s *Spec) { s.Mode = "centralized"; s.Differential = true }, true},
 		{"centralized rejects watchdog", func(s *Spec) { s.Mode = "centralized"; s.WatchdogQuiet = Duration(time.Second) }, true},
 		{"centralized rejects mem_budget", func(s *Spec) { s.Mode = "centralized"; s.MemBudget = 1 << 20 }, true},
@@ -173,7 +169,7 @@ func TestSessionDifferentialStats(t *testing.T) {
 	// surface engine verdicts (including the static pre-run pass) and
 	// zero deviations in the session's RunStats.
 	var spec Spec
-	blob := `{"workload":"recvrecv","procs":4,"fanin":2,"timeout":"20ms","engine":"all","differential":true}`
+	blob := `{"workload":"recvrecv","procs":4,"fanin":2,"timeout":"20ms","differential":true}`
 	if err := json.Unmarshal([]byte(blob), &spec); err != nil {
 		t.Fatal(err)
 	}

@@ -47,9 +47,6 @@ func New(n int) *Graph {
 	}
 }
 
-// NumProcs returns the number of processes.
-func (g *Graph) NumProcs() int { return g.n }
-
 // Arcs returns the total number of wait-for arcs.
 func (g *Graph) Arcs() int { return g.arcs }
 
@@ -69,11 +66,6 @@ func (g *Graph) SetBlocked(proc int, sem waitstate.Semantics, targets []int, des
 	g.arcs += len(ts)
 }
 
-// AddWait records a waitstate.WaitInfo as the condition of its process.
-func (g *Graph) AddWait(w waitstate.WaitInfo) {
-	g.SetBlocked(w.Proc, w.Semantics, w.Targets, w.Desc)
-}
-
 // SetFinished marks a process as terminated (at MPI_Finalize or returned):
 // it can never issue another operation, so it can never satisfy a waiter.
 // A wait arc towards a finished process is permanently unsatisfiable — this
@@ -84,17 +76,8 @@ func (g *Graph) SetFinished(proc int) {
 	g.finished[proc] = true
 }
 
-// Blocked reports whether proc was marked blocked.
-func (g *Graph) Blocked(proc int) bool { return g.blocked[proc] }
-
-// Finished reports whether proc was marked finished.
-func (g *Graph) Finished(proc int) bool { return g.finished[proc] }
-
 // Desc returns the recorded wait description of proc.
 func (g *Graph) Desc(proc int) string { return g.desc[proc] }
-
-// Semantics returns the wait semantics of a blocked proc.
-func (g *Graph) Semantics(proc int) waitstate.Semantics { return g.sem[proc] }
 
 // Targets returns the wait-for targets of proc (shared slice; do not modify).
 func (g *Graph) Targets(proc int) []int32 { return g.targets[proc] }

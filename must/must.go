@@ -181,7 +181,7 @@ func Run(procs int, prog mpi.Program, opts Options) *Report {
 	// deterministic subset. The finding is compared with the runtime
 	// verdict after the run.
 	var static *engine.Finding
-	if opts.Differential || opts.Engine == "all" {
+	if opts.Differential {
 		ct := mpi.Record(procs, prog)
 		v, dl, err := (engine.Static{}).Analyze(engine.Input{Trace: ct.Ops, TraceLimits: ct.Limits})
 		static = &engine.Finding{Engine: "static", Verdict: v, Deadlocked: dl, Err: err}
@@ -193,10 +193,8 @@ func Run(procs int, prog mpi.Program, opts Options) *Report {
 			rep.EngineVerdicts = make(map[string]string, 1)
 		}
 		rep.EngineVerdicts["static"] = static.VerdictString()
-		if opts.Differential {
-			if dev := staticDeviation(rep, static, opts); dev != "" {
-				rep.EngineDeviations = append(rep.EngineDeviations, dev)
-			}
+		if dev := staticDeviation(rep, static, opts); dev != "" {
+			rep.EngineDeviations = append(rep.EngineDeviations, dev)
 		}
 	}
 	return rep

@@ -133,9 +133,8 @@ func TestRunRefusesIncompatibleOptions(t *testing.T) {
 		{"centralized with Fault", must.Options{Mode: must.Centralized, Fault: plan}},
 		{"centralized with Net", must.Options{Mode: must.Centralized, Net: &must.NetOptions{Workers: 1}}},
 		{"centralized with WatchdogQuiet", must.Options{Mode: must.Centralized, WatchdogQuiet: time.Second}},
-		{"centralized with Engine", must.Options{Mode: must.Centralized, Engine: "cmh"}},
+		{"centralized with Differential", must.Options{Mode: must.Centralized, Differential: true}},
 		{"Net with Fault", must.Options{Net: &must.NetOptions{Workers: 1}, Fault: plan}},
-		{"unknown engine", must.Options{Engine: "magic"}},
 		{"negative MemBudget", must.Options{MemBudget: -1}},
 		{"negative Timeout", must.Options{Timeout: -time.Second}},
 		{"FanIn 1", must.Options{FanIn: 1}},
