@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race chaos short fuzz ci bench-test service-soak overload soak-clean figures
+.PHONY: all build fmt vet test race chaos short fuzz ci bench-test service-soak overload soak-clean figures lines
 
 all: build vet test
 
@@ -13,6 +13,11 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines outside bench/: the number the design budget and every
+# simplicity change's acceptance criterion cite.
+lines:
+	@find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l
 
 test:
 	$(GO) test ./...

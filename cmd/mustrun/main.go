@@ -164,8 +164,7 @@ func main() {
 			tcpOnlySet = append(tcpOnlySet, "-"+f.Name)
 		}
 	})
-	if err := validateTransportFlags(*transport, *mode, *procs, *fanIn, *workers,
-		faultActive || *linkDelay > 0, wf, *killWorker,
+	if err := validateTransportFlags(*transport, *workers, wf, *killWorker,
 		*respawnMax, *respawnBackoff, tcpOnlySet); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -12,18 +12,14 @@ import (
 func TestValidateTransportFlags(t *testing.T) {
 	type args struct {
 		transport      string
-		mode           string
-		procs          int
-		fanIn          int
 		workers        int
-		faultActive    bool
 		wf             wireFlags
 		killWorker     int
 		respawnMax     int
 		respawnBackoff time.Duration
 		tcpOnlySet     []string
 	}
-	ok := args{transport: "tcp", mode: "distributed", procs: 8, fanIn: 2, workers: 2,
+	ok := args{transport: "tcp", workers: 2,
 		killWorker: -1, respawnMax: 3, respawnBackoff: 100 * time.Millisecond}
 	cases := []struct {
 		name    string
@@ -45,11 +41,6 @@ func TestValidateTransportFlags(t *testing.T) {
 			a.tcpOnlySet = []string{"-dial-timeout"}
 		}, true},
 		{"unknown transport", func(a *args) { a.transport = "udp" }, true},
-		{"tcp needs distributed mode", func(a *args) { a.mode = "centralized" }, true},
-		{"tcp rejects chan fault plans", func(a *args) { a.faultActive = true }, true},
-		{"single first-layer node", func(a *args) { a.procs = 4; a.fanIn = 4 }, true},
-		{"zero workers", func(a *args) { a.workers = 0 }, true},
-		{"more workers than leaves", func(a *args) { a.workers = 5 }, true},
 		{"wire drop above one", func(a *args) { a.wf.Drop = 1.5 }, true},
 		{"wire dup negative", func(a *args) { a.wf.Dup = -0.1 }, true},
 		{"wire delay negative", func(a *args) { a.wf.Delay = -time.Millisecond }, true},
@@ -76,8 +67,8 @@ func TestValidateTransportFlags(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			a := ok
 			c.mut(&a)
-			err := validateTransportFlags(a.transport, a.mode, a.procs, a.fanIn, a.workers,
-				a.faultActive, a.wf, a.killWorker, a.respawnMax, a.respawnBackoff, a.tcpOnlySet)
+			err := validateTransportFlags(a.transport, a.workers, a.wf, a.killWorker,
+				a.respawnMax, a.respawnBackoff, a.tcpOnlySet)
 			if (err != nil) != c.wantErr {
 				t.Fatalf("validateTransportFlags(%+v) error = %v, wantErr %v", a, err, c.wantErr)
 			}

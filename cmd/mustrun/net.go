@@ -34,12 +34,14 @@ func (w wireFlags) active() bool {
 	return w.Drop > 0 || w.Dup > 0 || w.Delay > 0 || w.PartitionAfter > 0
 }
 
-// validateTransportFlags rejects inconsistent transport configurations up
-// front. tcpOnlySet lists tcp-only flags the user set explicitly (from
-// flag.Visit), so `-transport=chan -wire-drop 0.1` fails loudly instead of
-// silently ignoring the fault.
-func validateTransportFlags(transport, mode string, procs, fanIn, workers int,
-	faultActive bool, wf wireFlags, killWorker int,
+// validateTransportFlags rejects inconsistent transport flags up front.
+// tcpOnlySet lists tcp-only flags the user set explicitly (from flag.Visit),
+// so `-transport=chan -wire-drop 0.1` fails loudly instead of silently
+// ignoring the fault. Option combinations are not re-checked here: mode,
+// fault plans and link delay against TCP are must.Options.Validate's, the
+// tree geometry (procs vs fan-in, the worker count) is tbon.NewNet's, and
+// both reach mustrun as Report.Err (exit 2).
+func validateTransportFlags(transport string, workers int, wf wireFlags, killWorker int,
 	respawnMax int, respawnBackoff time.Duration, tcpOnlySet []string) error {
 	switch transport {
 	case "chan":
@@ -50,25 +52,6 @@ func validateTransportFlags(transport, mode string, procs, fanIn, workers int,
 	case "tcp":
 	default:
 		return fmt.Errorf("bad -transport %q: want chan or tcp", transport)
-	}
-	if mode != "distributed" {
-		return fmt.Errorf("-transport=tcp requires -mode=distributed (the centralized tool has no tree to distribute)")
-	}
-	if faultActive {
-		return fmt.Errorf("-fault-*, -rank-* and -link-delay require -transport=chan: over TCP the adversary is the wire (use -wire-drop/-wire-dup/-wire-delay/-wire-partition-*)")
-	}
-	if fanIn <= 0 {
-		fanIn = 4
-	}
-	width0 := (procs + fanIn - 1) / fanIn
-	if width0 < 2 {
-		return fmt.Errorf("-transport=tcp needs at least 2 first-layer nodes (procs > fanin); got procs=%d fanin=%d", procs, fanIn)
-	}
-	if workers < 1 {
-		return fmt.Errorf("bad -workers %d: want >= 1", workers)
-	}
-	if workers > width0 {
-		return fmt.Errorf("bad -workers %d: more workers than first-layer nodes (%d)", workers, width0)
 	}
 	for _, p := range []struct {
 		name string

@@ -131,8 +131,8 @@ func (o *Options) Validate() error {
 			return fmt.Errorf("bad %s %v: want >= 0", d.name, d.v)
 		}
 	}
-	if o.Net != nil && o.Fault != nil {
-		return errors.New("fault plans require the channel transport; over TCP the adversary is the wire (use the wire-level fault proxy)")
+	if o.Net != nil && (o.Fault != nil || o.LinkDelay > 0) {
+		return errors.New("fault plans and link delays require the channel transport; over TCP the adversary is the wire (use the wire-level fault proxy)")
 	}
 	if o.Mode == Centralized {
 		switch {

@@ -153,7 +153,7 @@ func RunWorker(addr string, worker int, opts WorkerOptions) error {
 		h := &handler{tn: n}
 		idx := n.Index()
 		h.leaf = dws.NewNode(idx, n.Tree().RanksOf(idx), n.Tree().NodeFor, tbonOut{tn: n})
-		h.leaf.SetBatch(cfg.Batch)
+		h.leaf.SetBatch(true)
 		h.leaf.SetWatchdogQuiet(wx.WatchdogQuiet)
 		mu.Lock()
 		leaves = append(leaves, h.leaf)

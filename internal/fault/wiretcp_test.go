@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,6 +51,9 @@ type tcpHarness struct {
 	recoverOn  bool
 	journalCap int
 	killEvery  time.Duration
+
+	// onListen, when set, also receives the address workers dial.
+	onListen func(dial string)
 
 	ctl *must.NetControl
 
@@ -150,6 +154,9 @@ func (h *tcpHarness) run(t *testing.T, procs int, prog mpi.Program, opts must.Op
 					defer wg.Done()
 					h.workerErrs[w] = h.runSlot(dial, w, halt)
 				}()
+			}
+			if h.onListen != nil {
+				h.onListen(dial)
 			}
 		},
 	}
@@ -307,6 +314,63 @@ func TestWireTCPWorkerKillDegradesHonestly(t *testing.T) {
 	}
 	if h.workerErrs[1] == nil {
 		t.Fatal("halted worker must exit with an error")
+	}
+}
+
+// TestWireTCPFencedClaimantCannotHoldDeadSlot: a process that keeps dialing
+// a dead worker's slot as a fresh claimant is fenced on every hello, and
+// those rejected hellos must not count as the slot's progress. Worker 1 is
+// halted as in TestWireTCPWorkerKillDegradesHonestly while a claimant
+// redials slot 1 every budget/4 for eight budgets: the run must splice the
+// slot out and return its honest partial report while the claimant is
+// still dialing, not once it gives up.
+func TestWireTCPFencedClaimantCannotHoldDeadSlot(t *testing.T) {
+	const budget = 250 * time.Millisecond
+	claimantDone := make(chan struct{})
+	var admitted atomic.Bool
+	h := &tcpHarness{
+		budget:     budget,
+		haltWorker: 1,
+		haltAfter:  30 * time.Millisecond,
+		onListen: func(dial string) {
+			go func() {
+				defer close(claimantDone)
+				// Let worker 1 claim its slot first: a claimant that won the
+				// first hello would simply be worker 1.
+				time.Sleep(100 * time.Millisecond)
+				for end := time.Now().Add(8 * budget); time.Now().Before(end); time.Sleep(budget / 4) {
+					if must.RunWorker(dial, 1, must.WorkerOptions{DialTimeout: budget / 4}) == nil {
+						admitted.Store(true)
+					}
+				}
+			}()
+		},
+	}
+	rep := h.run(t, 8, workload.RecvRecvDeadlock(), must.Options{
+		FanIn:   4, // width0 = 2: worker 1 owns leaf 1 = ranks [4, 8)
+		Timeout: 20 * time.Millisecond,
+	})
+	outlasted := false
+	select {
+	case <-claimantDone:
+		outlasted = true
+	default:
+	}
+	<-claimantDone
+	if outlasted {
+		t.Fatal("the run ended only after the claimant stopped dialing: its fenced hellos held off the dead slot's splice-out")
+	}
+	if admitted.Load() {
+		t.Fatal("a fresh claimant was admitted to an assigned slot")
+	}
+	if !rep.Partial {
+		t.Fatal("dead worker past budget must flag the report partial")
+	}
+	if want := []int{4, 5, 6, 7}; !reflect.DeepEqual(rep.UnknownRanks, want) {
+		t.Fatalf("unknown ranks %v, want %v", rep.UnknownRanks, want)
+	}
+	if !rep.Deadlock {
+		t.Fatal("the surviving ranks' deadlock must still be reported")
 	}
 }
 

@@ -53,9 +53,7 @@ type wireWelcome struct {
 	FanIn       int
 	EventBuf    int
 	Workers     int
-	Batch       bool
 	PreferWS    bool
-	LinkDelay   time.Duration
 
 	KeepAlive time.Duration
 	Budget    time.Duration
@@ -91,10 +89,8 @@ type wireData struct {
 // node, riding a sequenced RankLink frame.
 type wireRank struct {
 	Rank  int
-	Typed bool
 	Quiet bool
 	Ev    event.Event
-	Msg   any
 }
 
 // wireAck is a cumulative acknowledgement for one directed link, routed to

@@ -6,13 +6,16 @@ import (
 	"dwst/internal/fault"
 )
 
-// FuzzResequence fuzzes the receiver side of the reliable link layer:
-// Node.deliver's per-link dedup/resequencing. The input bytes encode an
-// arbitrary arrival schedule of frames on two links — duplicates, stale
-// retransmissions, reorderings, interleavings — and the invariant is the
-// exactly-once FIFO contract the protocol layers rely on: per link, the
-// dispatched messages are exactly the contiguous sequence prefix present
-// in the schedule, in order, each once.
+// FuzzResequence fuzzes the receiver side of the reliable link layer: the
+// one resequencer (reseq.accept) that node links and the worker's rank
+// links share. The input bytes encode an arbitrary arrival schedule of
+// frames on two links — duplicates, stale retransmissions, reorderings,
+// interleavings — and the invariant is the exactly-once FIFO contract the
+// protocol layers rely on: per link, the dispatched messages are exactly
+// the contiguous sequence prefix present in the schedule, in order, each
+// once. Link 0 arrives through Node.deliver, as a node's tool links do;
+// link 1 drives a bare reseq, as the worker's rank links do, and checks
+// every cumulative acknowledgement it returns.
 //
 // Byte encoding: bit 6 selects the link, bits 0-5 the frame sequence
 // number (0..63). A byte with bit 7 set delivers an unframed message,
@@ -40,6 +43,7 @@ func FuzzResequence(f *testing.F) {
 			{from: 1, to: 9, class: fault.UpLink},
 			{from: 2, to: 9, class: fault.PeerLink},
 		}
+		rank := &reseq{buf: make(map[uint64]envelope)}
 		var delivered [2][]uint64
 		unframed := 0
 		dispatch := func(env envelope) {
@@ -70,7 +74,14 @@ func FuzzResequence(f *testing.F) {
 			li := int(b>>6) & 1
 			seq := uint64(b & 0x3f)
 			sent[li][seq] = true
-			env := envelope{from: keys[li].from, msg: frame{key: keys[li], seq: seq, msg: seq}}
+			if li == 1 {
+				upTo, ok := rank.accept(seq, envelope{from: keys[1].from, msg: seq}, dispatch)
+				if ok && upTo+1 != uint64(len(delivered[1])) {
+					t.Fatalf("rank link acknowledged up to %d after delivering %d frames", upTo, len(delivered[1]))
+				}
+				continue
+			}
+			env := envelope{from: keys[0].from, msg: frame{key: keys[0], seq: seq, msg: seq}}
 			n.deliver(env, dispatch)
 		}
 

@@ -125,9 +125,6 @@ func (g *governor) release(class int, n int64) {
 	}
 }
 
-// chargeWire/releaseWire account raw wire-buffer bytes (sendq) without the
-// per-message depth bookkeeping: a sendq slot is a frame, and its depth
-// high-water is tracked in frames like the queue classes.
 func (g *governor) engage() {
 	g.mu.Lock()
 	if g.gate == nil {

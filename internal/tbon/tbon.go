@@ -13,7 +13,7 @@
 //     unboundedly, so cyclic intralayer flows (A→B while B→A) cannot wedge
 //     the tool.
 //
-// Application ranks feed the first tool layer through Inject over bounded
+// Application ranks feed the first tool layer through InjectEvent over bounded
 // links, which apply backpressure when the tool lags — the mechanism behind
 // measured tool slowdown.
 //
@@ -47,11 +47,11 @@ import (
 	"dwst/internal/fault"
 )
 
-// ErrStopped is returned by Inject after the tree stopped: the event was
+// ErrStopped is returned by InjectEvent after the tree stopped: the event was
 // not delivered to the tool.
 var ErrStopped = errors.New("tbon: tree stopped")
 
-// ErrNodeDown is returned by Inject when the first-layer node hosting the
+// ErrNodeDown is returned by InjectEvent when the first-layer node hosting the
 // rank has crashed (fault injection): the event was not delivered.
 var ErrNodeDown = errors.New("tbon: hosting tool node is down")
 
@@ -160,14 +160,10 @@ type envelope struct {
 }
 
 // rankEnvelope is one application-event delivery on the rank → first-layer
-// link. Typed injections (InjectEvent) travel unboxed in ev; Inject's
-// arbitrary payloads ride msg. Keeping both on one channel preserves
-// per-rank FIFO between the two entry points.
+// link; the event travels unboxed.
 type rankEnvelope struct {
 	from  int
 	ev    event.Event
-	msg   any
-	typed bool
 	quiet bool
 }
 
@@ -559,8 +555,8 @@ func NewNet(cfg Config) (*Tree, error) {
 		if width0 < 2 {
 			return nil, fmt.Errorf("TCP fabric needs at least two first-layer nodes (got %d): the root must stay coordinator-local", width0)
 		}
-		if nc.Workers < 1 {
-			return nil, fmt.Errorf("NetConfig.Workers must be positive (got %d)", nc.Workers)
+		if nc.Workers < 1 || nc.Workers > width0 {
+			return nil, fmt.Errorf("NetConfig.Workers must be in [1, %d], at most one worker per first-layer node (got %d)", width0, nc.Workers)
 		}
 		if nc.Role == NetWorker && (nc.Worker < 0 || nc.Worker >= nc.Workers) {
 			return nil, fmt.Errorf("NetConfig.Worker %d out of range [0,%d)", nc.Worker, nc.Workers)
@@ -749,38 +745,27 @@ func (t *Tree) Stop() {
 	}
 }
 
-// Inject delivers an application event to the first-layer node hosting the
-// rank. It blocks when the node's event queue is full (backpressure). It
+// InjectEvent delivers an application event to the first-layer node hosting
+// the rank. It blocks when the node's event queue is full (backpressure). It
 // returns ErrStopped after the tree stopped and ErrNodeDown when the
-// hosting node crashed; in both cases the event was not delivered.
-func (t *Tree) Inject(rank int, ev any) error {
-	return t.inject(rank, rankEnvelope{msg: ev})
+// hosting node crashed; in both cases the event was not delivered. The
+// event reaches a RankEventHandler without ever being boxed into an
+// interface, making the batched intake allocation-free per event. With
+// batching off (or a plain Handler) it is delivered boxed through FromRank.
+func (t *Tree) InjectEvent(rank int, ev event.Event) error {
+	return t.inject(rank, rankEnvelope{ev: ev})
 }
 
-// InjectQuiet delivers an application event like Inject but without
-// counting it: the delivery bumps neither Injected nor Handled, so
+// InjectEventQuiet delivers an application event like InjectEvent but
+// without counting it: the delivery bumps neither Injected nor Handled, so
 // periodic probes (watchdog heartbeats) do not look like tool activity to
 // the quiescence detector. FIFO order with regular events is preserved —
 // both travel the same per-rank link.
-func (t *Tree) InjectQuiet(rank int, ev any) error {
-	return t.inject(rank, rankEnvelope{msg: ev, quiet: true})
-}
-
-// InjectEvent delivers an application event like Inject, but typed: the
-// event reaches a RankEventHandler without ever being boxed into an
-// interface, making the batched intake allocation-free per event. With
-// batching off (or a plain Handler) the event is delivered boxed through
-// FromRank, byte-identical to the legacy path.
-func (t *Tree) InjectEvent(rank int, ev event.Event) error {
-	return t.inject(rank, rankEnvelope{ev: ev, typed: true})
-}
-
-// InjectEventQuiet is InjectEvent without counting (see InjectQuiet).
 func (t *Tree) InjectEventQuiet(rank int, ev event.Event) error {
-	return t.inject(rank, rankEnvelope{ev: ev, typed: true, quiet: true})
+	return t.inject(rank, rankEnvelope{ev: ev, quiet: true})
 }
 
-// inject implements Inject/InjectQuiet. The leafNode read is topology-
+// inject implements InjectEvent(Quiet). The leafNode read is topology-
 // guarded because crash recovery swaps the hosting node at runtime. When
 // the hosting node is dead and the tree can recover it, the injector waits
 // for the slot's fate instead of dropping the event: the replacement
@@ -1069,14 +1054,7 @@ func (n *Node) SendPeer(peer int, msg any) {
 // the reliable layer.
 func (t *Tree) transmit(target *Node, class fault.Class, env envelope) {
 	if target.local {
-		switch class {
-		case fault.UpLink:
-			target.fromBelow.send(env, t.quit)
-		case fault.DownLink:
-			target.fromAbove.send(env, t.quit)
-		default:
-			target.fromPeer.send(env, t.quit)
-		}
+		target.inbox(class).send(env, t.quit)
 		return
 	}
 	t.net.sendData(env)
@@ -1190,17 +1168,13 @@ func (n *Node) dispatchRank(env *rankEnvelope) {
 	if !env.quiet {
 		n.tree.handled.Add(1)
 	}
-	if env.typed {
-		if n.rankHandler != nil {
-			n.rankHandler.FromRankEvent(env.from, env.ev)
-			return
-		}
-		// Config.Batch off, or a handler without the typed extension: box
-		// at delivery, the historical per-event shape.
-		n.handler.FromRank(env.from, env.ev)
+	if n.rankHandler != nil {
+		n.rankHandler.FromRankEvent(env.from, env.ev)
 		return
 	}
-	n.handler.FromRank(env.from, env.msg)
+	// Config.Batch off, or a handler without the typed extension: box at
+	// delivery, the historical per-event shape.
+	n.handler.FromRank(env.from, env.ev)
 }
 
 // maxEventDrain bounds how many rank events one delivery cycle absorbs.

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dwst/internal/event"
 )
 
 // recorder collects everything a node sees, tagged by source kind.
@@ -103,7 +105,7 @@ func TestInjectReachesHostNodeInOrder(t *testing.T) {
 	defer tr.Stop()
 
 	for i := 0; i < 100; i++ {
-		tr.Inject(5, i)
+		tr.InjectEvent(5, event.Event{TS: i})
 	}
 	host := tr.FirstLayer()[1]
 	waitFor(t, func() bool {
@@ -114,7 +116,7 @@ func TestInjectReachesHostNodeInOrder(t *testing.T) {
 	recs[host].mu.Lock()
 	defer recs[host].mu.Unlock()
 	for i, v := range recs[host].rank {
-		if v.(int) != i {
+		if v.(event.Event).TS != i {
 			t.Fatalf("event %d out of order: %v", i, v)
 		}
 	}
@@ -284,7 +286,7 @@ func TestQuiescenceCounters(t *testing.T) {
 	startRecording(tr)
 	defer tr.Stop()
 	for i := 0; i < 10; i++ {
-		tr.Inject(0, i)
+		tr.InjectEvent(0, event.Event{TS: i})
 	}
 	waitFor(t, func() bool { return tr.Handled() >= 10 })
 	if tr.Injected() != 10 {
@@ -318,7 +320,7 @@ func TestEventBackpressure(t *testing.T) {
 	go func() {
 		count := 0
 		for i := 0; i < 100; i++ {
-			tr.Inject(0, i)
+			tr.InjectEvent(0, event.Event{TS: i})
 			count++
 		}
 		injected <- count

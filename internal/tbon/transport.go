@@ -62,6 +62,44 @@ type reseq struct {
 	buf      map[uint64]envelope
 }
 
+// rseq returns the resequencer of one incoming link, creating it on first
+// use.
+func rseq(m map[linkKey]*reseq, key linkKey) *reseq {
+	rs := m[key]
+	if rs == nil {
+		rs = &reseq{buf: make(map[uint64]envelope)}
+		m[key] = rs
+	}
+	return rs
+}
+
+// accept is the receiver half of the reliable layer, shared by node links
+// and the worker's rank links: duplicates and already-delivered frames are
+// dropped, gaps are buffered, and the in-order prefix that frame seq
+// completes is emitted. It returns the cumulative acknowledgement to issue;
+// ok is false when there is none (a buffered duplicate, or nothing
+// delivered yet). A stale duplicate — e.g. a retransmission that crossed its
+// ack — is re-acknowledged so the sender outbox drains.
+func (rs *reseq) accept(seq uint64, env envelope, emit func(envelope)) (upTo uint64, ok bool) {
+	if seq < rs.expected {
+		return rs.expected - 1, true
+	}
+	if _, dup := rs.buf[seq]; dup {
+		return 0, false
+	}
+	rs.buf[seq] = env
+	for {
+		e, found := rs.buf[rs.expected]
+		if !found {
+			break
+		}
+		delete(rs.buf, rs.expected)
+		rs.expected++
+		emit(e)
+	}
+	return rs.expected - 1, rs.expected > 0
+}
+
 type transport struct {
 	t *Tree
 
@@ -364,13 +402,13 @@ func (tr *transport) run() {
 		now := time.Now()
 		fab := tr.t.net
 		var resend []*pending
-		var resendWire []envelope
 		tr.mu.Lock()
 		for key, lo := range tr.links {
 			for s, p := range lo.pend {
 				if p.due.After(now) {
 					continue
 				}
+				maxAttempts := tr.maxAttempts
 				if p.q == nil {
 					// Remote link. While the owning connection is down the
 					// frame parks without consuming attempts: reconnection
@@ -381,26 +419,14 @@ func (tr *transport) run() {
 						p.due = now.Add(tr.retryCap)
 						continue
 					}
-					if p.attempts >= remoteMaxAttempts {
-						delete(lo.pend, s)
-						tr.abandoned.Add(1)
-						if key.class == fault.RankLink {
-							fab.releaseWindow(key.to, 1)
-						}
-						continue
-					}
-					p.attempts++
-					backoff := tr.retryBase << uint(p.attempts)
-					if backoff > tr.retryCap {
-						backoff = tr.retryCap
-					}
-					p.due = now.Add(backoff)
-					resendWire = append(resendWire, p.env)
-					continue
+					maxAttempts = remoteMaxAttempts
 				}
-				if p.attempts >= tr.maxAttempts {
+				if p.attempts >= maxAttempts {
 					delete(lo.pend, s)
 					tr.abandoned.Add(1)
+					if key.class == fault.RankLink { // rank links are remote-only
+						fab.releaseWindow(key.to, 1)
+					}
 					continue
 				}
 				p.attempts++
@@ -415,11 +441,11 @@ func (tr *transport) run() {
 		tr.mu.Unlock()
 		for _, p := range resend {
 			tr.retransmits.Add(1)
-			p.q.send(p.env, tr.t.quit)
-		}
-		for _, env := range resendWire {
-			tr.retransmits.Add(1)
-			fab.sendData(env)
+			if p.q == nil {
+				fab.sendData(p.env)
+			} else {
+				p.q.send(p.env, tr.t.quit)
+			}
 		}
 	}
 }
@@ -460,46 +486,16 @@ func (n *Node) flushAcks() {
 }
 
 // deliver dispatches one received envelope. Reliable frames pass through
-// the per-link resequencer: duplicates and already-delivered frames are
-// dropped, gaps are buffered, and in-order frames are dispatched followed
-// by a cumulative acknowledgement. Unframed messages dispatch directly.
+// their link's resequencer (reseq.accept), followed by a cumulative
+// acknowledgement. Unframed messages dispatch directly.
 func (n *Node) deliver(env envelope, dispatch func(envelope)) {
 	f, ok := env.msg.(frame)
 	if !ok {
 		dispatch(env)
 		return
 	}
-	tr := n.tree.transport
-	if tr == nil {
-		// Frame without an active transport cannot happen; be safe.
-		dispatch(envelope{from: env.from, msg: f.msg})
-		return
-	}
-	rs := n.rsq[f.key]
-	if rs == nil {
-		rs = &reseq{buf: make(map[uint64]envelope)}
-		n.rsq[f.key] = rs
-	}
-	if f.seq < rs.expected {
-		// Stale duplicate (e.g. a retransmission that crossed its ack):
-		// re-acknowledge so the sender outbox drains.
-		n.ackTo(tr, f.key, rs.expected-1)
-		return
-	}
-	if _, dup := rs.buf[f.seq]; dup {
-		return
-	}
-	rs.buf[f.seq] = env
-	for {
-		e, ok := rs.buf[rs.expected]
-		if !ok {
-			break
-		}
-		delete(rs.buf, rs.expected)
-		rs.expected++
-		dispatch(envelope{from: e.from, msg: e.msg.(frame).msg})
-	}
-	if rs.expected > 0 {
-		n.ackTo(tr, f.key, rs.expected-1)
+	// Frames exist only with a transport: wrap or the TCP fabric made them.
+	if upTo, ok := rseq(n.rsq, f.key).accept(f.seq, envelope{from: env.from, msg: f.msg}, dispatch); ok {
+		n.ackTo(n.tree.transport, f.key, upTo)
 	}
 }

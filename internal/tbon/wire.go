@@ -18,7 +18,7 @@ package tbon
 // real frames and the tool must heal exactly as it would under real packet
 // loss.
 //
-// Reconnection is incarnation-fenced (reusing internal/journal): the first
+// Reconnection is incarnation-fenced (a counter per slot): the first
 // hello of a worker slot is assigned a fresh incarnation; a reconnecting
 // live process presents it and is re-admitted; a *new* process claiming an
 // already-assigned slot is fenced — its predecessor's in-memory protocol
@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"dwst/internal/dws"
-	"dwst/internal/journal"
 	"dwst/internal/supervise"
 	"dwst/internal/wire"
 )
@@ -106,7 +105,7 @@ type NetConfig struct {
 	// loops have stopped.
 	FinalStats func() (stats dws.Stats, windowHighWater int)
 
-	// session carries the established handshake from DialWorker into the
+	// session carries the established handshake from DialWorkerResume into the
 	// worker's fabric.
 	session *WorkerSession
 }
@@ -154,6 +153,17 @@ const (
 // (contiguous partition).
 func ownerOfLeaf(idx, width0, workers int) int {
 	return idx * workers / width0
+}
+
+// leavesOf lists the first-layer indices worker slot w owns.
+func (fab *netFabric) leavesOf(w int) []int {
+	var idxs []int
+	for idx := 0; idx < fab.width0; idx++ {
+		if ownerOfLeaf(idx, fab.width0, fab.nc.Workers) == w {
+			idxs = append(idxs, idx)
+		}
+	}
+	return idxs
 }
 
 // sendq is a per-connection outbound frame queue: pushes while the
@@ -299,20 +309,22 @@ func (s *sendq) pop() (net.Conn, [][]byte) {
 
 // workerSlot is the coordinator's per-worker connection state.
 type workerSlot struct {
-	w     int
-	sq    *sendq
-	fence *journal.Journal // incarnation fencing for this slot
+	w  int
+	sq *sendq
 
-	mu       sync.Mutex
-	assigned bool // an incarnation has been handed out
+	mu sync.Mutex
+	// inc is the slot's incarnation fence: the incarnation last handed out
+	// (0 = never assigned). A hello presenting any other nonzero value is
+	// stale; PrepareRespawn bumps it to fence the dead incarnation.
+	inc      uint64
 	degraded bool // spliced out after budget exhaustion
 	everUp   bool
 	lastDown time.Time
-	// lastProgress is the last observed sign of life from a recovering
-	// worker: token mint, resume hello, each shipped recovery chunk, and
-	// (re)attachment. The budget clock counts from max(lastDown,
-	// lastProgress), so a slow-but-alive respawn is not spliced out
-	// mid-recovery.
+	// lastProgress is the last observed sign of life from a worker: token
+	// mint, validated resume hello, each shipped recovery chunk, replay
+	// completion and admission — never a fenced hello. The budget clock
+	// counts from max(lastDown, lastProgress), so a slow-but-alive respawn
+	// is not spliced out mid-recovery.
 	lastProgress time.Time
 	// resumeToken is the one-shot recovery token minted by PrepareRespawn;
 	// cleared on first use so a second claimant is fenced.
@@ -412,7 +424,7 @@ func (t *Tree) startNet() error {
 		fab.ready = make(chan struct{})
 		fab.slots = make([]*workerSlot, nc.Workers)
 		for w := range fab.slots {
-			sl := &workerSlot{w: w, sq: newSendq(t.gov, wireCap), fence: journal.New(), finalCh: make(chan struct{})}
+			sl := &workerSlot{w: w, sq: newSendq(t.gov, wireCap), finalCh: make(chan struct{})}
 			// An overflowing queue cuts its connection exactly like a failed
 			// write: through the slot's degradation/respawn machinery.
 			sl.sq.onFull = func(c net.Conn) { fab.slotConnFailed(sl, c) }
@@ -435,7 +447,7 @@ func (t *Tree) startNet() error {
 		go fab.monitor()
 	case NetWorker:
 		if nc.session == nil {
-			return errors.New("tbon: worker NetConfig requires a DialWorker session")
+			return errors.New("tbon: worker NetConfig requires a DialWorkerResume session")
 		}
 		fab.sess = nc.session
 		fab.wsq = newSendq(t.gov, wireCap)

@@ -66,29 +66,27 @@ func (fab *netFabric) handshake(conn net.Conn) {
 		return
 	}
 	sl.mu.Lock()
-	sl.lastProgress = time.Now() // a hello is observed progress for the budget clock
 	switch {
 	case sl.degraded:
 		sl.mu.Unlock()
 		fab.reject(conn, "worker slot degraded: budget exceeded, nodes spliced out")
 		return
-	case hello.Incarnation == 0 && sl.assigned:
+	case hello.Incarnation == 0 && sl.inc != 0:
 		// A fresh process claiming an assigned slot: its predecessor's
 		// protocol state died with it, so admitting it would silently
 		// corrupt the run. Fence it; the budget decides the slot's fate.
 		sl.mu.Unlock()
 		fab.reject(conn, "worker slot already assigned: fresh process fenced (in-memory state lost)")
 		return
-	case hello.Incarnation != 0 && (!sl.assigned || hello.Incarnation != sl.fence.Incarnation()):
+	case hello.Incarnation != sl.inc:
 		sl.mu.Unlock()
 		fab.reject(conn, fmt.Sprintf("stale incarnation %d fenced", hello.Incarnation))
 		return
 	}
-	inc := hello.Incarnation
-	if inc == 0 {
-		inc = sl.fence.Fence()
-		sl.assigned = true
+	if hello.Incarnation == 0 {
+		sl.inc++ // the first claim: hand out the slot's first incarnation
 	}
+	inc := sl.inc
 	sl.mu.Unlock()
 	// Welcome first, attach second: once attached, the slot's writer may
 	// flush queued data at once (the run starts when the last slot is up,
@@ -99,9 +97,28 @@ func (fab *netFabric) handshake(conn net.Conn) {
 		conn.Close()
 		return
 	}
+	fab.admit(sl, conn, br, nil)
+}
+
+// admit is the one admission path — first hello, reconnect and supervised
+// respawn alike — run once the welcome (and, for a respawn, the journal
+// shipment) is on the wire. It attaches the slot's send queue to conn,
+// stamps the budget clock (only admission is progress: a fenced claimant
+// must not postpone a dead slot's splice-out), counts a reconnect, catches
+// the worker up on splice-outs it missed, and becomes the slot's reader.
+// recovered lists the leaves a supervised respawn re-admitted (nil for a
+// plain hello). A slot the monitor spliced out meanwhile stays out:
+// admitting it would resurrect fenced state.
+func (fab *netFabric) admit(sl *workerSlot, conn net.Conn, br *bufio.Reader, recovered []int) {
 	sl.mu.Lock()
+	if sl.degraded {
+		sl.mu.Unlock()
+		conn.Close()
+		return
+	}
 	reconnect := sl.everUp
 	sl.everUp = true
+	sl.lastProgress = time.Now()
 	old := sl.sq.attach(conn)
 	sl.mu.Unlock()
 	if old != nil {
@@ -110,10 +127,27 @@ func (fab *netFabric) handshake(conn net.Conn) {
 	if reconnect {
 		fab.reconnects.Add(1)
 	}
+	if recovered != nil {
+		// Hold the quiescence gate until the worker's first fresh stats
+		// report (which itself stays elevated until the replay completes).
+		sl.inflight.Store(1)
+		fab.respawns.Add(1)
+	}
 	if gids := fab.degradedLeafGids(); len(gids) > 0 {
 		// Catch a late (re)connector up on splice-outs it missed.
 		if buf, ok := fab.encodeFrame(wire.KindDown, -1, wireDown{Gids: gids}); ok {
 			sl.sq.push(buf)
+		}
+	}
+	if cb := fab.t.cfg.OnNodeRecovered; cb != nil && recovered != nil {
+		fab.t.topo.RLock()
+		nodes := make([]*Node, 0, len(recovered))
+		for _, idx := range recovered {
+			nodes = append(nodes, fab.t.layers[0][idx])
+		}
+		fab.t.topo.RUnlock()
+		for _, n := range nodes {
+			cb(n)
 		}
 	}
 	fab.checkReady()
@@ -136,9 +170,7 @@ func (fab *netFabric) welcome(inc uint64) wireWelcome {
 		FanIn:       cfg.FanIn,
 		EventBuf:    cfg.EventBuf,
 		Workers:     fab.nc.Workers,
-		Batch:       cfg.Batch,
 		PreferWS:    cfg.PreferWaitState,
-		LinkDelay:   cfg.LinkDelay,
 		KeepAlive:   fab.nc.keepAlive(),
 		Budget:      fab.nc.budget(),
 		MemBudget:   cfg.MemBudget,
@@ -274,18 +306,13 @@ func (fab *netFabric) captureRelay(f wire.Frame) {
 	fab.journals[idx].Record(supervise.LinkID{From: wd.FromG, Class: int(wd.Class), Dst: wd.To}, int64(wd.Seq), p)
 }
 
-// deliverData decodes one tool frame addressed to this process and feeds
-// it into the local node's queue; the node-side resequencer restores
-// exactly-once FIFO.
+// deliverData decodes one frame addressed to this process and hands it to
+// the local node it names (see enqueue).
 func (fab *netFabric) deliverData(payload []byte) {
 	body, err := decodePayload(payload)
 	wd, ok := body.(wireData)
 	if err != nil || !ok {
 		fab.codecErrors.Add(1)
-		return
-	}
-	if wd.Class == fault.RankLink {
-		fab.deliverRank(wd)
 		return
 	}
 	fab.t.topo.RLock()
@@ -301,21 +328,53 @@ func (fab *netFabric) deliverData(payload []byte) {
 		fab.codecErrors.Add(1)
 		return
 	}
+	fab.enqueue(n, wd, true)
+}
+
+// enqueue hands one wire frame to local node n: a rank event to its
+// bounded mailbox (the worker-side half of the intake window's
+// backpressure), a tool message to the inbox of its link class. Live frames
+// (deliverData) and replayed journal entries (replayOne) share this path
+// and differ only in the resequencer: a live rank frame passes the worker's
+// rank-link one here, on the serial reader (so rankRsq needs no lock), and
+// a live tool frame stays framed for the node's own. Replayed entries are
+// unframed by design: they consume no sequence or ack state, so the fresh
+// links' sequence spaces stay untouched for live traffic.
+func (fab *netFabric) enqueue(n *Node, wd wireData, live bool) {
 	key := linkKey{from: wd.FromG, to: wd.To, class: wd.Class}
-	env := envelope{from: wd.From, msg: frame{key: key, seq: wd.Seq, msg: wd.Msg}}
-	var q *queue
-	switch wd.Class {
-	case fault.UpLink:
-		q = n.fromBelow
-	case fault.DownLink:
-		q = n.fromAbove
-	default:
-		q = n.fromPeer
-	}
-	if q == nil {
+	env := envelope{from: wd.From, msg: wd.Msg}
+	if wd.Class != fault.RankLink {
+		if live {
+			env.msg = frame{key: key, seq: wd.Seq, msg: wd.Msg}
+		}
+		if q := n.inbox(wd.Class); q != nil {
+			q.send(env, fab.t.quit)
+		}
 		return
 	}
-	q.send(env, fab.t.quit)
+	if n.events == nil {
+		fab.codecErrors.Add(1)
+		return
+	}
+	push := func(e envelope) {
+		wr, ok := e.msg.(wireRank)
+		if !ok {
+			fab.codecErrors.Add(1)
+			return
+		}
+		select {
+		case n.events <- newRankEnv(rankEnvelope{from: wr.Rank, ev: wr.Ev, quiet: wr.Quiet}):
+		case <-n.dead:
+		case <-fab.t.quit:
+		}
+	}
+	if !live {
+		push(env)
+		return
+	}
+	if upTo, ok := rseq(fab.rankRsq, key).accept(wd.Seq, env, push); ok {
+		fab.sendAck(key, upTo)
+	}
 }
 
 // deliverAck trims (or forwards, via transport.ack routing) one cumulative
@@ -393,19 +452,15 @@ func (fab *netFabric) degrade(sl *workerSlot) {
 	t.topo.RLock()
 	var nodes []*Node
 	var gids []int
-	for idx := 0; idx < fab.width0; idx++ {
-		if ownerOfLeaf(idx, fab.width0, len(fab.slots)) == sl.w {
-			n := t.layers[0][idx]
-			nodes = append(nodes, n)
-			gids = append(gids, n.gid)
-		}
+	for _, idx := range fab.leavesOf(sl.w) {
+		n := t.layers[0][idx]
+		nodes = append(nodes, n)
+		gids = append(gids, n.gid)
 	}
 	t.topo.RUnlock()
 	for i, n := range nodes {
 		n.Kill()
-		if t.transport != nil {
-			t.transport.dropLinksTo(gids[i])
-		}
+		t.transport.dropLinksTo(gids[i]) // the TCP fabric implies the reliable layer
 		if t.cfg.OnNodeDown != nil {
 			t.cfg.OnNodeDown(n)
 		}
@@ -436,10 +491,8 @@ func (fab *netFabric) degradedLeafGids() []int {
 			continue
 		}
 		fab.t.topo.RLock()
-		for idx := 0; idx < fab.width0; idx++ {
-			if ownerOfLeaf(idx, fab.width0, len(fab.slots)) == sl.w {
-				gids = append(gids, fab.t.layers[0][idx].gid)
-			}
+		for _, idx := range fab.leavesOf(sl.w) {
+			gids = append(gids, fab.t.layers[0][idx].gid)
 		}
 		fab.t.topo.RUnlock()
 	}

@@ -40,7 +40,6 @@ import (
 	"net"
 	"time"
 
-	"dwst/internal/fault"
 	"dwst/internal/supervise"
 	"dwst/internal/wire"
 )
@@ -60,10 +59,7 @@ func (t *Tree) PrepareRespawn(worker int) (string, error) {
 	if worker < 0 || worker >= len(fab.slots) {
 		return "", fmt.Errorf("tbon: invalid worker id %d", worker)
 	}
-	for idx := 0; idx < fab.width0; idx++ {
-		if ownerOfLeaf(idx, fab.width0, len(fab.slots)) != worker {
-			continue
-		}
+	for _, idx := range fab.leavesOf(worker) {
 		if fab.journals[idx].Overflowed() {
 			return "", fmt.Errorf("tbon: worker %d leaf %d journal overflowed: past exact recovery", worker, idx)
 		}
@@ -79,14 +75,14 @@ func (t *Tree) PrepareRespawn(worker int) (string, error) {
 	switch {
 	case sl.degraded:
 		return "", fmt.Errorf("tbon: worker %d degraded: nodes already spliced out", worker)
-	case !sl.assigned:
+	case sl.inc == 0:
 		return "", fmt.Errorf("tbon: worker %d never admitted: respawn joins via the normal handshake", worker)
 	case sl.sq.isUp():
 		return "", fmt.Errorf("tbon: worker %d still connected: not a process death", worker)
 	}
 	// Fence now: a stale reconnector presenting the old incarnation loses
 	// the race against the supervised respawn, permanently.
-	sl.fence.Fence()
+	sl.inc++
 	sl.resumeToken = token
 	sl.lastProgress = time.Now()
 	return token, nil
@@ -101,13 +97,13 @@ func (fab *netFabric) resumeHandshake(sl *workerSlot, conn net.Conn, br *bufio.R
 		fab.reject(conn, "worker slot degraded: budget exceeded, nodes spliced out")
 		return
 	}
-	if !sl.assigned || sl.resumeToken == "" || token != sl.resumeToken {
+	if sl.resumeToken == "" || token != sl.resumeToken {
 		sl.mu.Unlock()
 		fab.reject(conn, "invalid recovery token: respawn fenced")
 		return
 	}
 	sl.resumeToken = "" // one-shot: a racing second claimant is fenced
-	inc := sl.fence.Incarnation()
+	inc := sl.inc
 	sl.lastProgress = time.Now()
 	sl.mu.Unlock()
 
@@ -146,47 +142,7 @@ func (fab *netFabric) resumeHandshake(sl *workerSlot, conn net.Conn, br *bufio.R
 		return
 	}
 
-	sl.mu.Lock()
-	if sl.degraded {
-		// The monitor spliced the slot out while the shipment was in
-		// flight; admitting now would resurrect fenced state.
-		sl.mu.Unlock()
-		conn.Close()
-		return
-	}
-	reconnect := sl.everUp
-	sl.everUp = true
-	sl.lastProgress = time.Now()
-	old := sl.sq.attach(conn)
-	sl.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	if reconnect {
-		fab.reconnects.Add(1)
-	}
-	// Hold the quiescence gate until the worker's first fresh stats report
-	// (which itself stays elevated until the replay completes).
-	sl.inflight.Store(1)
-	fab.respawns.Add(1)
-	if gids := fab.degradedLeafGids(); len(gids) > 0 {
-		if buf, bok := fab.encodeFrame(wire.KindDown, -1, wireDown{Gids: gids}); bok {
-			sl.sq.push(buf)
-		}
-	}
-	if cb := fab.t.cfg.OnNodeRecovered; cb != nil {
-		fab.t.topo.RLock()
-		nodes := make([]*Node, 0, len(leaves))
-		for _, idx := range leaves {
-			nodes = append(nodes, fab.t.layers[0][idx])
-		}
-		fab.t.topo.RUnlock()
-		for _, n := range nodes {
-			cb(n)
-		}
-	}
-	fab.checkReady()
-	fab.slotReader(sl, conn, br)
+	fab.admit(sl, conn, br, leaves)
 }
 
 // readmitSwap is the atomic core of re-admission: under the topology lock
@@ -201,35 +157,36 @@ func (fab *netFabric) readmitSwap(sl *workerSlot) (leaves, newGids []int, shipme
 	ok = true
 	t.topo.Lock()
 	defer t.topo.Unlock()
-	for idx := 0; idx < fab.width0; idx++ {
-		if ownerOfLeaf(idx, fab.width0, len(fab.slots)) != sl.w {
-			continue
-		}
-		n := t.layers[0][idx]
-		old := n.gid
-		neu := t.nextGid
-		t.nextGid++
-		n.gid = neu
-		if t.gidIndex != nil {
-			delete(t.gidIndex, old)
-			t.gidIndex[neu] = n
-		}
-		fab.setLeafGid(idx, neu)
-		payloads, marks := fab.journals[idx].Cut(old)
+	leaves = fab.leavesOf(sl.w)
+	for _, idx := range leaves {
+		payloads, marks := fab.journals[idx].Cut(t.layers[0][idx].gid)
 		if marks == nil {
-			ok = false
+			ok = false // overflow: marks read 0, everything migrates; admission is rejected anyway
 		}
 		shipment[idx] = payloads
-		droppedRank[idx] = t.transport.cutOver(old, neu, func(key linkKey) int64 {
-			if marks == nil {
-				return 0 // overflow: migrate everything; admission is rejected anyway
-			}
-			return marks[supervise.LinkID{From: key.from, Class: int(key.class), Dst: old}]
+		neu := t.nextGid
+		t.nextGid++
+		droppedRank[idx] = fab.regid(idx, neu, func(key linkKey) int64 {
+			return marks[supervise.LinkID{From: key.from, Class: int(key.class), Dst: key.to}]
 		})
-		leaves = append(leaves, idx)
 		newGids = append(newGids, neu)
 	}
 	return leaves, newGids, shipment, droppedRank, ok
+}
+
+// regid re-keys leaf idx under the fresh gid neu: the topology placeholder,
+// the gid index, the fabric's routing maps, and — through cutOver with
+// markFor — every unacked pending toward the retired gid. The caller holds
+// Tree.topo exclusively. Returns the dropped rank-link pendings.
+func (fab *netFabric) regid(idx, neu int, markFor func(linkKey) int64) int {
+	t := fab.t
+	n := t.layers[0][idx]
+	old := n.gid
+	n.gid = neu
+	delete(t.gidIndex, old)
+	t.gidIndex[neu] = n
+	fab.setLeafGid(idx, neu)
+	return t.transport.cutOver(old, neu, markFor)
 }
 
 // shipJournals streams the journaled inputs in bounded chunks, ending with
@@ -304,9 +261,7 @@ func (fab *netFabric) applyRecover(rc wireRecover) {
 
 // replayOne feeds one journaled input into the leaf it belongs to. Entries
 // are addressed by first-layer index — the gids inside the payloads are
-// from retired incarnations — and are injected as unframed envelopes:
-// deliver dispatches them directly, consuming no resequencer or ack state,
-// so the fresh links' sequence spaces stay untouched for live traffic.
+// from retired incarnations — and enter through enqueue unframed.
 func (fab *netFabric) replayOne(leaf int, wd wireData) {
 	t := fab.t
 	t.topo.RLock()
@@ -319,32 +274,7 @@ func (fab *netFabric) replayOne(leaf int, wd wireData) {
 		fab.codecErrors.Add(1)
 		return
 	}
-	if wd.Class == fault.RankLink {
-		wr, ok := wd.Msg.(wireRank)
-		if !ok {
-			fab.codecErrors.Add(1)
-			return
-		}
-		renv := newRankEnv(rankEnvelope{from: wr.Rank, ev: wr.Ev, msg: wr.Msg, typed: wr.Typed, quiet: wr.Quiet})
-		select {
-		case n.events <- renv:
-		case <-t.quit:
-		}
-		return
-	}
-	env := envelope{from: wd.From, msg: wd.Msg}
-	var q *queue
-	switch wd.Class {
-	case fault.UpLink:
-		q = n.fromBelow
-	case fault.DownLink:
-		q = n.fromAbove
-	default:
-		q = n.fromPeer
-	}
-	if q != nil {
-		q.send(env, t.quit)
-	}
+	fab.enqueue(n, wd, false)
 }
 
 // applyRespawn re-keys a respawned worker's leaves under their fresh gids
@@ -359,19 +289,10 @@ func (fab *netFabric) applyRespawn(wr wireRespawn) {
 		if i >= len(wr.NewGids) || idx < 0 || idx >= fab.width0 {
 			continue
 		}
-		neu := wr.NewGids[i]
-		n := t.layers[0][idx]
-		if n.gid == neu {
+		if t.layers[0][idx].gid == wr.NewGids[i] {
 			continue // duplicate broadcast
 		}
-		old := n.gid
-		n.gid = neu
-		if t.gidIndex != nil {
-			delete(t.gidIndex, old)
-			t.gidIndex[neu] = n
-		}
-		fab.setLeafGid(idx, neu)
-		t.transport.cutOver(old, neu, zero)
+		fab.regid(idx, wr.NewGids[i], zero)
 	}
 	t.topo.Unlock()
 }

@@ -1,9 +1,9 @@
 package tbon
 
 // Worker half of the TCP fabric (see wire.go), plus the tree-level API of
-// the fabric: DialWorker / WorkerSession for bootstrapping a worker
-// process from nothing but an address and a slot id, the reconnect loop
-// with backoff + jitter, the rank-event resequencer, and ServeWorker.
+// the fabric: DialWorkerResume / WorkerSession for bootstrapping a worker
+// process from nothing but an address and a slot id, the one dial loop
+// (first hello and every reconnect) with backoff + jitter, and ServeWorker.
 
 import (
 	"bufio"
@@ -41,8 +41,7 @@ func (ws *WorkerSession) TreeConfig() Config {
 		FanIn:           w.FanIn,
 		EventBuf:        w.EventBuf,
 		PreferWaitState: w.PreferWS,
-		LinkDelay:       w.LinkDelay,
-		Batch:           w.Batch,
+		Batch:           true, // the tool layer always batches
 		MemBudget:       w.MemBudget,
 		Net: &NetConfig{
 			Role:      NetWorker,
@@ -60,18 +59,14 @@ func (ws *WorkerSession) TreeConfig() Config {
 // abandoned before a tree adopts it.
 func (ws *WorkerSession) Close() error { return ws.conn.Close() }
 
-// DialWorker connects a worker process to the coordinator, retrying with
-// backoff + jitter until the handshake succeeds or timeout (default 5s)
-// expires. A fencing rejection is permanent and returned immediately.
-func DialWorker(addr string, worker int, timeout time.Duration) (*WorkerSession, error) {
-	return DialWorkerResume(addr, worker, timeout, "")
-}
-
-// DialWorkerResume is DialWorker for a supervised respawn: the hello
-// presents the coordinator-issued one-shot recovery token, and an accepted
-// handshake is followed (on the same connection, before any live frame) by
-// the journal shipment the new tree replays during startup. An invalid or
-// reused token is a permanent fencing rejection.
+// DialWorkerResume connects a worker process to the coordinator, retrying
+// with backoff + jitter until the handshake succeeds or timeout (default
+// 5s) expires. A fencing rejection is permanent and returned immediately.
+// A non-empty token makes the hello a supervised respawn: it presents the
+// coordinator-issued one-shot recovery token, and an accepted handshake is
+// followed (on the same connection, before any live frame) by the journal
+// shipment the new tree replays during startup. An invalid or reused token
+// is a fencing rejection.
 func DialWorkerResume(addr string, worker int, timeout time.Duration, token string) (*WorkerSession, error) {
 	if worker < 0 {
 		return nil, fmt.Errorf("tbon: invalid worker id %d", worker)
@@ -79,31 +74,51 @@ func DialWorkerResume(addr string, worker int, timeout time.Duration, token stri
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	deadline := time.Now().Add(timeout)
+	conn, br, w, err := dialLoop(addr, worker, 0, token, timeout, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &WorkerSession{
+		Addr:        addr,
+		Worker:      worker,
+		Incarnation: w.Incarnation,
+		Extra:       w.Extra,
+		welcome:     w,
+		conn:        conn,
+		br:          br,
+		resumed:     token != "",
+	}, nil
+}
+
+// dialLoop is the worker's one dial loop, for the first hello and every
+// reconnect alike: hello/welcome exchanges with backoff + jitter until one
+// is answered or budget runs out (for a reconnect, the coordinator's
+// splice-out clock). A rejecting welcome is a permanent fencing and is
+// returned at once. closed and quit (nil for the first dial) abort the wait
+// between attempts.
+func dialLoop(addr string, worker int, inc uint64, token string, budget time.Duration, closed, quit <-chan struct{}) (net.Conn, *bufio.Reader, wireWelcome, error) {
+	deadline := time.Now().Add(budget)
 	backoff := 25 * time.Millisecond
 	rng := rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(worker)<<32))
 	for {
-		conn, br, w, err := dialHello(addr, worker, 0, token, time.Until(deadline))
+		conn, br, w, err := dialHello(addr, worker, inc, token, time.Until(deadline))
 		if err == nil {
 			if !w.OK {
 				conn.Close()
-				return nil, fmt.Errorf("tbon: coordinator rejected worker %d: %s", worker, w.Reason)
+				return nil, nil, wireWelcome{}, fmt.Errorf("tbon: coordinator fenced worker %d: %s", worker, w.Reason)
 			}
-			return &WorkerSession{
-				Addr:        addr,
-				Worker:      worker,
-				Incarnation: w.Incarnation,
-				Extra:       w.Extra,
-				welcome:     w,
-				conn:        conn,
-				br:          br,
-				resumed:     token != "",
-			}, nil
+			return conn, br, w, nil
 		}
 		if !time.Now().Before(deadline) {
-			return nil, fmt.Errorf("tbon: dial coordinator %s: %w", addr, err)
+			return nil, nil, wireWelcome{}, fmt.Errorf("tbon: dial coordinator %s failed past %v: %w", addr, budget, err)
 		}
-		time.Sleep(backoff + time.Duration(rng.Int63n(int64(backoff))))
+		select {
+		case <-time.After(backoff + time.Duration(rng.Int63n(int64(backoff)))):
+		case <-closed:
+			return nil, nil, wireWelcome{}, errors.New("tbon: fabric closed")
+		case <-quit:
+			return nil, nil, wireWelcome{}, ErrStopped
+		}
 		if backoff *= 2; backoff > 500*time.Millisecond {
 			backoff = 500 * time.Millisecond
 		}
@@ -184,10 +199,14 @@ func (fab *netFabric) workerConnLoop() {
 			return
 		default:
 		}
-		nc, nbr, err := fab.redial()
+		nc, nbr, _, err := dialLoop(fab.sess.Addr, fab.nc.Worker, fab.sess.Incarnation, "",
+			fab.nc.budget(), fab.closed, fab.t.quit)
 		if err != nil {
 			fab.signalDone(err)
 			return
+		}
+		if old := fab.wsq.attach(nc); old != nil && old != nc {
+			old.Close()
 		}
 		conn, br = nc, nbr
 	}
@@ -242,105 +261,6 @@ func (fab *netFabric) workerRead(conn net.Conn, br *bufio.Reader) {
 		default:
 			fab.codecErrors.Add(1)
 		}
-	}
-}
-
-// redial re-establishes the worker's connection with its assigned
-// incarnation. A fencing rejection is permanent; otherwise it retries with
-// backoff + jitter until the degradation budget expires (matching the
-// coordinator's splice-out clock).
-func (fab *netFabric) redial() (net.Conn, *bufio.Reader, error) {
-	budget := fab.nc.budget()
-	deadline := time.Now().Add(budget)
-	backoff := 25 * time.Millisecond
-	rng := rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(fab.nc.Worker)<<32))
-	var lastErr error
-	for {
-		if fab.isClosed() {
-			return nil, nil, errors.New("tbon: fabric closed")
-		}
-		conn, br, w, err := dialHello(fab.sess.Addr, fab.nc.Worker, fab.sess.Incarnation, "", time.Until(deadline))
-		if err == nil {
-			if !w.OK {
-				conn.Close()
-				return nil, nil, fmt.Errorf("tbon: reconnect fenced: %s", w.Reason)
-			}
-			if old := fab.wsq.attach(conn); old != nil && old != conn {
-				old.Close()
-			}
-			return conn, br, nil
-		}
-		lastErr = err
-		if !time.Now().Before(deadline) {
-			return nil, nil, fmt.Errorf("tbon: reconnect failed past budget %v: %w", budget, lastErr)
-		}
-		sleep := backoff + time.Duration(rng.Int63n(int64(backoff)))
-		select {
-		case <-time.After(sleep):
-		case <-fab.closed:
-			return nil, nil, errors.New("tbon: fabric closed")
-		case <-fab.t.quit:
-			return nil, nil, ErrStopped
-		}
-		if backoff *= 2; backoff > 500*time.Millisecond {
-			backoff = 500 * time.Millisecond
-		}
-	}
-}
-
-// deliverRank resequences one rank-event frame and pushes it into the
-// hosting node's bounded event queue — the worker-side half of Inject's
-// backpressure. Runs only on the (serial) reader, so rankRsq needs no lock.
-func (fab *netFabric) deliverRank(wd wireData) {
-	fab.t.topo.RLock()
-	n := fab.t.gidIndex[wd.To]
-	fab.t.topo.RUnlock()
-	if n == nil {
-		if !fab.isRetired(wd.To) {
-			fab.codecErrors.Add(1)
-		}
-		return // in-flight rank frame to a retired incarnation: superseded
-	}
-	if !n.local || n.events == nil || fab.rankRsq == nil {
-		fab.codecErrors.Add(1)
-		return
-	}
-	key := linkKey{from: wd.FromG, to: wd.To, class: fault.RankLink}
-	rs := fab.rankRsq[key]
-	if rs == nil {
-		rs = &reseq{buf: make(map[uint64]envelope)}
-		fab.rankRsq[key] = rs
-	}
-	if wd.Seq < rs.expected {
-		fab.sendAck(key, rs.expected-1) // stale duplicate: re-ack
-		return
-	}
-	if _, dup := rs.buf[wd.Seq]; dup {
-		return
-	}
-	rs.buf[wd.Seq] = envelope{from: wd.From, msg: wd.Msg}
-	for {
-		e, ok := rs.buf[rs.expected]
-		if !ok {
-			break
-		}
-		delete(rs.buf, rs.expected)
-		rs.expected++
-		wr, ok := e.msg.(wireRank)
-		if !ok {
-			fab.codecErrors.Add(1)
-			continue
-		}
-		renv := newRankEnv(rankEnvelope{from: wr.Rank, ev: wr.Ev, msg: wr.Msg, typed: wr.Typed, quiet: wr.Quiet})
-		select {
-		case n.events <- renv:
-		case <-n.dead:
-		case <-fab.t.quit:
-			return
-		}
-	}
-	if rs.expected > 0 {
-		fab.sendAck(key, rs.expected-1)
 	}
 }
 
@@ -518,9 +438,7 @@ func (t *Tree) injectRemote(n *Node, env rankEnvelope) error {
 	// migration never saw.
 	t.topo.RLock()
 	key := linkKey{from: -1, to: n.gid, class: fault.RankLink}
-	fenv := t.transport.wrapRemote(key, env.from, wireRank{
-		Rank: env.from, Typed: env.typed, Quiet: env.quiet, Ev: env.ev, Msg: env.msg,
-	})
+	fenv := t.transport.wrapRemote(key, env.from, wireRank{Rank: env.from, Quiet: env.quiet, Ev: env.ev})
 	t.topo.RUnlock()
 	if !env.quiet {
 		t.injected.Add(1)

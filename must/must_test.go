@@ -135,6 +135,7 @@ func TestRunRefusesIncompatibleOptions(t *testing.T) {
 		{"centralized with WatchdogQuiet", must.Options{Mode: must.Centralized, WatchdogQuiet: time.Second}},
 		{"centralized with Differential", must.Options{Mode: must.Centralized, Differential: true}},
 		{"Net with Fault", must.Options{Net: &must.NetOptions{Workers: 1}, Fault: plan}},
+		{"Net with LinkDelay", must.Options{Net: &must.NetOptions{Workers: 1}, LinkDelay: time.Millisecond}},
 		{"negative MemBudget", must.Options{MemBudget: -1}},
 		{"negative Timeout", must.Options{Timeout: -time.Second}},
 		{"FanIn 1", must.Options{FanIn: 1}},
