@@ -410,8 +410,8 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 	if cfg.Net != nil {
 		ka := cfg.Net.KeepAlive
 		if ka == 0 {
-			// Quiescence tracking rides on worker stats reports, which tick at
-			// KeepAlive/2: keep them well inside the driver's stability window.
+			// Worker stats reports, sent on every idle edge, also tick at
+			// KeepAlive/2: keep them well inside the quiescence Timeout.
 			ka = cfg.Timeout / 2
 			if ka < 5*time.Millisecond {
 				ka = 5 * time.Millisecond
@@ -421,7 +421,6 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 			Role:         tbon.NetCoordinator,
 			Workers:      cfg.Net.Workers,
 			Listen:       cfg.Net.Listen,
-			DialTimeout:  cfg.Net.DialTimeout,
 			KeepAlive:    ka,
 			Budget:       cfg.Net.Budget,
 			Extra:        workerExtra{WatchdogQuiet: cfg.WatchdogQuiet},
@@ -609,12 +608,14 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 	}
 
 	rootNode := tree.Root()
-	tick := cfg.Timeout / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
+	// One timer drives the in-run detection. It fires Timeout after the
+	// driver saw the tree go idle and, while a detection is in flight,
+	// enforces SnapshotDeadline; a stale fire only re-evaluates. A driver
+	// that finds the tree busy arms the tree's one-shot idle notification
+	// (idleC) instead of polling.
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	idleC := tree.NotifyIdle()
 
 	record := func(r *detect.Result, live bool) {
 		res.Detections++
@@ -658,16 +659,36 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 		}
 	}
 
-	lastHandled := tree.Handled()
-	lastChange := time.Now()
 	inFlight := false
 	detectStart := time.Time{}
-	appFinished := false
+
+	// watch reads the tree's idle-since stamp: the detection starts once the
+	// tree has stayed idle for Timeout, counted from the application's start
+	// at the earliest.
+	watch := func() {
+		since, idle := tree.Idle()
+		if since.Before(start) {
+			since = start
+		}
+		switch {
+		case !idle:
+			idleC = tree.NotifyIdle()
+		case time.Since(since) < cfg.Timeout:
+			timer.Reset(cfg.Timeout - time.Since(since))
+		default:
+			if onTrigger != nil {
+				onTrigger(since)
+			}
+			tree.Control(rootNode, detect.TriggerDetection{})
+			inFlight = true
+			detectStart = time.Now()
+			timer.Reset(cfg.SnapshotDeadline)
+		}
+	}
 
 	for {
 		select {
 		case appErr := <-appDone:
-			appFinished = true
 			res.Elapsed = time.Since(start)
 			if !res.Deadlock && (cfg.Context == nil || cfg.Context.Err() == nil) {
 				// Final detection: catches potential deadlocks that did not
@@ -744,52 +765,45 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 			return res
 
 		case r := <-root.Results:
+			// Re-armed after each result: the next detection waits for a
+			// fresh idle period.
 			inFlight = false
 			record(r, true)
-			lastHandled = tree.Handled()
-			lastChange = time.Now()
+			idleC = tree.NotifyIdle()
 
-		case <-ticker.C:
-			if appFinished {
+		case <-idleC:
+			idleC = nil
+			if !inFlight {
+				watch()
+			}
+
+		case <-timer.C:
+			if !inFlight {
+				watch()
 				continue
 			}
-			if inFlight {
-				if time.Since(detectStart) >= cfg.SnapshotDeadline {
-					// The snapshot missed its deadline (messages lost beyond
-					// what retransmission healed): abort it and retry
-					// immediately under a fresh epoch. Both controls queue in
-					// order on the root goroutine.
-					tree.Control(rootNode, detect.AbortDetection{})
-					tree.Control(rootNode, detect.TriggerDetection{})
-					res.SnapshotRetries++
-					detectStart = time.Now()
-				}
-				continue
-			}
-			h := tree.Handled()
-			if h != lastHandled {
-				lastHandled = h
-				lastChange = time.Now()
-				continue
-			}
-			if time.Since(lastChange) >= cfg.Timeout && tree.InFlight() == 0 {
-				// The in-flight gate matters over TCP: the handled counter
-				// plateaus while a dropped frame awaits retransmission
-				// (retry backoff exceeds the quiescence window), and a
-				// detection snapshot taken then misses its event. Skip —
-				// without resetting the plateau clock — until the fabric
-				// drains.
+			if time.Since(detectStart) >= cfg.SnapshotDeadline {
+				// The snapshot missed its deadline (messages lost beyond
+				// what retransmission healed): abort it and retry
+				// immediately under a fresh epoch. Both controls queue in
+				// order on the root goroutine.
+				tree.Control(rootNode, detect.AbortDetection{})
 				tree.Control(rootNode, detect.TriggerDetection{})
-				inFlight = true
+				res.SnapshotRetries++
 				detectStart = time.Now()
 			}
+			timer.Reset(cfg.SnapshotDeadline - time.Since(detectStart))
 		}
 	}
 }
 
+// onTrigger, when set (by tests), is called just before the in-run driver
+// triggers a detection, with the instant it saw the idle period begin.
+var onTrigger func(idleSince time.Time)
+
 // heartbeatPump periodically injects one Heartbeat event per live rank,
-// carrying the rank's MPI call counter, through the quiet path (no
-// Handled bump — heartbeats must not defer the quiescence trigger).
+// carrying the rank's MPI call counter, through the quiet path (not
+// outstanding work — heartbeats must not defer the quiescence trigger).
 func heartbeatPump(tree *tbon.Tree, world *mpisim.World, procs int, quiet time.Duration, stop <-chan struct{}) {
 	tick := quiet / 4
 	if tick < time.Millisecond {
@@ -814,27 +828,24 @@ func heartbeatPump(tree *tbon.Tree, world *mpisim.World, procs int, quiet time.D
 	}
 }
 
-// waitQuiesce waits until the tool processed everything in flight: handled
-// counter stable across consecutive checks AND no reliable-layer frames
-// awaiting acknowledgement (over TCP a retransmit-pending frame is invisible
-// to the handled counter). It reports whether that was established before
-// quiesceDeadline: a fabric that never drains must not hang the run, but
-// the snapshot taken on it may be incomplete.
+// waitQuiesce waits until the tree is idle: nothing queued, handled or
+// awaiting acknowledgement anywhere in the tool (tbon.Tree.Idle). It reports
+// whether that was established before quiesceDeadline: a fabric that never
+// drains must not hang the run, but the snapshot taken on it may be
+// incomplete.
 func waitQuiesce(tree *tbon.Tree) bool {
-	deadline := time.Now().Add(quiesceDeadline)
-	stable := 0
-	last := tree.Handled()
-	for stable < 5 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-		cur := tree.Handled()
-		if cur == last && tree.InFlight() == 0 {
-			stable++
-		} else {
-			stable = 0
-			last = cur
+	deadline := time.NewTimer(quiesceDeadline)
+	defer deadline.Stop()
+	for {
+		select {
+		case <-tree.NotifyIdle():
+			if _, idle := tree.Idle(); idle {
+				return true
+			}
+		case <-deadline.C:
+			return false
 		}
 	}
-	return stable >= 5
 }
 
 // quiesceDeadline bounds waitQuiesce. A variable so tests can exercise the

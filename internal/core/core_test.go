@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -81,13 +82,87 @@ func TestQuiescenceGiveUpIsUnverified(t *testing.T) {
 	}
 }
 
-func TestRecvRecvDeadlockDetected(t *testing.T) {
-	res := Run(2, func(pr *mpisim.Proc) {
-		peer := 1 - pr.Rank()
-		pr.Recv(peer, 0, trace.CommWorld)
-		pr.Send(nil, peer, 0, trace.CommWorld)
+// recvRecv deadlocks two ranks that both receive first.
+func recvRecv(pr *mpisim.Proc) {
+	peer := 1 - pr.Rank()
+	pr.Recv(peer, 0, trace.CommWorld)
+	pr.Send(nil, peer, 0, trace.CommWorld)
+	pr.Finalize()
+}
+
+// fig2b is Figure 2(b) on three ranks: with rendezvous sends, the final
+// sends deadlock.
+func fig2b(pr *mpisim.Proc) {
+	switch pr.Rank() {
+	case 0:
+		pr.Send(nil, 1, 0, trace.CommWorld)
+		pr.Barrier(trace.CommWorld)
+		pr.Send(nil, 1, 0, trace.CommWorld)
+		pr.Recv(2, 0, trace.CommWorld)
+	case 1:
+		pr.Recv(trace.AnySource, trace.AnyTag, trace.CommWorld)
+		pr.Recv(trace.AnySource, trace.AnyTag, trace.CommWorld)
+		pr.Barrier(trace.CommWorld)
+		pr.Send(nil, 2, 0, trace.CommWorld)
+		pr.Recv(0, 0, trace.CommWorld)
+	case 2:
+		pr.Send(nil, 1, 0, trace.CommWorld)
+		pr.Barrier(trace.CommWorld)
+		pr.Send(nil, 0, 0, trace.CommWorld)
+		pr.Recv(1, 0, trace.CommWorld)
+	}
+	pr.Finalize()
+}
+
+// TestDetectionWaitsOutTheTimeout: the in-run detection that finds a
+// deadlock starts only once the tree has stayed idle for Timeout — read
+// from the driver's own idle and trigger stamps, not from a wall-clock
+// bound — and a clean run pays for no detection but the final one.
+func TestDetectionWaitsOutTheTimeout(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	var mu sync.Mutex
+	var gaps []time.Duration // trigger stamp − idle stamp, per detection
+	onTrigger = func(idleSince time.Time) {
+		mu.Lock()
+		gaps = append(gaps, time.Since(idleSince))
+		mu.Unlock()
+	}
+	defer func() { onTrigger = nil }()
+	for _, c := range []struct {
+		name  string
+		procs int
+		prog  mpisim.Program
+	}{{"recvrecv", 2, recvRecv}, {"fig2b", 3, fig2b}} {
+		gaps = nil
+		res := Run(c.procs, c.prog, Options{FanIn: 2, Timeout: timeout, Rendezvous: true})
+		if !res.Deadlock || !res.AppAborted {
+			t.Fatalf("%s: deadlock=%v aborted=%v, want the in-run detection's abort", c.name, res.Deadlock, res.AppAborted)
+		}
+		if len(gaps) == 0 {
+			t.Fatalf("%s: the deadlock was found without an in-run trigger", c.name)
+		}
+		for _, g := range gaps {
+			if g < timeout {
+				t.Errorf("%s: detection started %v after the tree went idle, before the %v Timeout", c.name, g, timeout)
+			}
+		}
+	}
+	gaps = nil
+	const p = 8
+	res := Run(p, func(pr *mpisim.Proc) {
+		for i := 0; i < 20; i++ {
+			pr.Sendrecv([]byte{byte(i)}, (pr.Rank()+1)%p, 0, (pr.Rank()+p-1)%p, 0, trace.CommWorld)
+		}
 		pr.Finalize()
-	}, cfg)
+	}, Options{FanIn: 2, Timeout: timeout})
+	if res.Deadlock || res.Detections != 1 || len(gaps) != 0 {
+		t.Fatalf("clean ring: deadlock=%v detections=%d in-run triggers=%d, want only the final detection",
+			res.Deadlock, res.Detections, len(gaps))
+	}
+}
+
+func TestRecvRecvDeadlockDetected(t *testing.T) {
+	res := Run(2, recvRecv, cfg)
 	if !res.AppAborted || !errors.Is(res.AbortCause, ErrDeadlockDetected) {
 		t.Fatalf("abort cause = %v, want the tool's deadlock abort", res.AbortCause)
 	}
@@ -150,28 +225,7 @@ func TestSendSendPotentialDeadlockAfterCleanRun(t *testing.T) {
 }
 
 func TestFig2bManifestDeadlock(t *testing.T) {
-	// Figure 2(b) with rendezvous sends: the final sends deadlock.
-	res := Run(3, func(pr *mpisim.Proc) {
-		switch pr.Rank() {
-		case 0:
-			pr.Send(nil, 1, 0, trace.CommWorld)
-			pr.Barrier(trace.CommWorld)
-			pr.Send(nil, 1, 0, trace.CommWorld)
-			pr.Recv(2, 0, trace.CommWorld)
-		case 1:
-			pr.Recv(trace.AnySource, trace.AnyTag, trace.CommWorld)
-			pr.Recv(trace.AnySource, trace.AnyTag, trace.CommWorld)
-			pr.Barrier(trace.CommWorld)
-			pr.Send(nil, 2, 0, trace.CommWorld)
-			pr.Recv(0, 0, trace.CommWorld)
-		case 2:
-			pr.Send(nil, 1, 0, trace.CommWorld)
-			pr.Barrier(trace.CommWorld)
-			pr.Send(nil, 0, 0, trace.CommWorld)
-			pr.Recv(1, 0, trace.CommWorld)
-		}
-		pr.Finalize()
-	}, Options{FanIn: 2, Timeout: 30 * time.Millisecond, Rendezvous: true})
+	res := Run(3, fig2b, Options{FanIn: 2, Timeout: 30 * time.Millisecond, Rendezvous: true})
 	if !res.Deadlock {
 		t.Fatal("Figure 2(b) deadlock not detected")
 	}

@@ -266,9 +266,11 @@ func TestWireTCPChaosFaultsPreserveVerdict(t *testing.T) {
 // TestWireTCPPartitionReconnects severs every worker connection for a
 // while (well inside the degradation budget): the fabric must reconnect
 // under the same incarnation, retransmit what the partition ate, and
-// produce the exact verdict with no degradation.
+// produce the exact verdict with no degradation. The quiescence Timeout
+// outlasts the partition's start, so the detection cannot end the run
+// before the partition begins.
 func TestWireTCPPartitionReconnects(t *testing.T) {
-	opts := must.Options{FanIn: 2, Timeout: 20 * time.Millisecond}
+	opts := must.Options{FanIn: 2, Timeout: 100 * time.Millisecond}
 	ref := verdictOf(runBounded(t, 8, workload.RecvRecvDeadlock(), opts))
 	h := &tcpHarness{
 		haltWorker:     -1,
@@ -292,7 +294,8 @@ func TestWireTCPPartitionReconnects(t *testing.T) {
 // TestWireTCPWorkerKillDegradesHonestly kills one worker process mid-run
 // and never lets it return: past the budget the coordinator must splice
 // out the worker's leaves and report their ranks unknown — the TCP
-// analogue of the first-layer-crash degradation contract.
+// analogue of the first-layer-crash degradation contract. The quiescence
+// Timeout outlasts the kill, so the detection cannot finish first.
 func TestWireTCPWorkerKillDegradesHonestly(t *testing.T) {
 	h := &tcpHarness{
 		budget:     250 * time.Millisecond,
@@ -301,7 +304,7 @@ func TestWireTCPWorkerKillDegradesHonestly(t *testing.T) {
 	}
 	rep := h.run(t, 8, workload.RecvRecvDeadlock(), must.Options{
 		FanIn:   4, // width0 = 2: worker 1 owns leaf 1 = ranks [4, 8)
-		Timeout: 20 * time.Millisecond,
+		Timeout: 100 * time.Millisecond,
 	})
 	if !rep.Partial {
 		t.Fatal("killed worker past budget must flag the report partial")
@@ -347,8 +350,8 @@ func TestWireTCPFencedClaimantCannotHoldDeadSlot(t *testing.T) {
 		},
 	}
 	rep := h.run(t, 8, workload.RecvRecvDeadlock(), must.Options{
-		FanIn:   4, // width0 = 2: worker 1 owns leaf 1 = ranks [4, 8)
-		Timeout: 20 * time.Millisecond,
+		FanIn:   4,                      // width0 = 2: worker 1 owns leaf 1 = ranks [4, 8)
+		Timeout: 100 * time.Millisecond, // outlasts the kill, as above
 	})
 	outlasted := false
 	select {

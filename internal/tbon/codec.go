@@ -102,13 +102,12 @@ type wireAck struct {
 	UpTo  uint64
 }
 
-// wireStats is the worker's periodic progress report: Handled feeds the
-// coordinator's quiescence detection, InFlight (the worker's unacknowledged
-// outbox depth) gates it — detection must not run while a dropped frame is
-// still awaiting retransmission somewhere in the fabric.
+// wireStats is the worker's report of its outstanding work: envelopes not
+// yet retired and frames not yet acknowledged. The coordinator counts the
+// worker idle from a (0, 0) report until the next frame either way.
 type wireStats struct {
 	Worker   int
-	Handled  uint64
+	Work     uint64
 	InFlight uint64
 }
 
@@ -221,7 +220,6 @@ func foldClassHW(dst, src map[string]int64) map[string]int64 {
 // shutdown and merged into the run result by the coordinator.
 type WorkerFinal struct {
 	Worker          int
-	Handled         uint64
 	MsgStats        dws.Stats
 	WindowHighWater int
 	Counters

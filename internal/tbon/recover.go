@@ -83,9 +83,9 @@ func (t *Tree) respawn(old *Node) bool {
 		loopDone:  make(chan struct{}),
 		respawned: make(chan struct{}),
 	}
-	neu.fromBelow = newQueue(t.quit, &t.wg, t.cfg.LinkDelay, t.faultLink(gid, fault.UpLink), t.gov, govUp)
-	neu.fromAbove = newQueue(t.quit, &t.wg, t.cfg.LinkDelay, t.faultLink(gid, fault.DownLink), t.gov, govDown)
-	neu.fromPeer = newQueue(t.quit, &t.wg, t.cfg.LinkDelay, t.faultLink(gid, fault.PeerLink), t.gov, govPeer)
+	neu.fromBelow = newQueue(t, t.faultLink(gid, fault.UpLink), govUp)
+	neu.fromAbove = newQueue(t, t.faultLink(gid, fault.DownLink), govDown)
+	neu.fromPeer = newQueue(t, t.faultLink(gid, fault.PeerLink), govPeer)
 	// Arm the liveness clock before the supervisor can see the node, or it
 	// would be declared dead while still replaying.
 	neu.lastBeat.Store(time.Now().UnixNano())

@@ -153,18 +153,23 @@ type Flusher interface {
 type envelope struct {
 	from int
 	msg  any
-	// quiet excludes the delivery from the handled counter, so periodic
-	// bookkeeping traffic (watchdog heartbeats) cannot keep deferring the
-	// driver's quiescence-based detection trigger.
-	quiet bool
 }
 
 // rankEnvelope is one application-event delivery on the rank → first-layer
-// link; the event travels unboxed.
+// link; the event travels unboxed. A quiet one (a watchdog heartbeat) is
+// not outstanding work: it never defers quiescence.
 type rankEnvelope struct {
 	from  int
 	ev    event.Event
 	quiet bool
+}
+
+// units is the envelope's share of the tree's outstanding work.
+func (e *rankEnvelope) units() int64 {
+	if e.quiet {
+		return 0
+	}
+	return 1
 }
 
 // timed is a queued message with its earliest delivery time.
@@ -213,30 +218,33 @@ func putRankEnv(p *rankEnvelope) {
 //
 // Data-lane envelopes are charged to the governor at admission and released
 // by takeSlab's caller once dispatched, so the charge covers the whole
-// residence.
+// residence. Every envelope is outstanding work of the tree from send until
+// the delivery cycle that consumed it ends (or the pump drops it).
 type queue struct {
-	gov   *governor
+	t     *Tree
 	class int
 
 	mu      sync.Mutex
 	pending []envelope
+	sunk    bool          // the receiver died: deliveries retire at once
 	ready   chan struct{} // capacity 1: the "pending is non-empty" token
 
 	stage chan envelope // pump intake; nil when there is nothing to pump
 }
 
-func newQueue(quit <-chan struct{}, wg *sync.WaitGroup, delay time.Duration, fl *fault.Link, gov *governor, class int) *queue {
-	q := &queue{gov: gov, class: class, ready: make(chan struct{}, 1)}
+func newQueue(t *Tree, fl *fault.Link, class int) *queue {
+	q := &queue{t: t, class: class, ready: make(chan struct{}, 1)}
+	delay := t.cfg.LinkDelay
 	if fl == nil && delay == 0 {
 		return q
 	}
 	// 64 slots decouple bursty senders from the pump's wakeup latency; the
 	// pump empties the channel on every wakeup, so it never holds a backlog.
 	q.stage = make(chan envelope, 64)
-	wg.Add(1)
+	t.wg.Add(1)
 	go func() {
-		defer wg.Done()
-		q.pump(quit, delay, fl)
+		defer t.wg.Done()
+		q.pump(t.quit, delay, fl)
 	}()
 	return q
 }
@@ -244,6 +252,7 @@ func newQueue(quit <-chan struct{}, wg *sync.WaitGroup, delay time.Duration, fl 
 // send admits one envelope; it blocks only while the pump's intake is full,
 // and gives up when the tree stops.
 func (q *queue) send(e envelope, quit <-chan struct{}) {
+	q.t.admit(1)
 	if q.stage == nil {
 		q.charge(e, 1)
 		q.deliver(e)
@@ -258,7 +267,7 @@ func (q *queue) send(e envelope, quit <-chan struct{}) {
 func (q *queue) charge(e envelope, copies int) {
 	if c := envCost(e.msg); c > 0 {
 		for i := 0; i < copies; i++ {
-			q.gov.charge(q.class, c)
+			q.t.gov.charge(q.class, c)
 		}
 	}
 }
@@ -267,6 +276,11 @@ func (q *queue) charge(e envelope, copies int) {
 // token on the empty → non-empty edge.
 func (q *queue) deliver(envs ...envelope) {
 	q.mu.Lock()
+	if q.sunk {
+		q.mu.Unlock()
+		q.t.retire(int64(len(envs)))
+		return
+	}
 	wasEmpty := len(q.pending) == 0
 	q.pending = append(q.pending, envs...)
 	q.mu.Unlock()
@@ -332,6 +346,7 @@ func (q *queue) pump(quit <-chan struct{}, delay time.Duration, fl *fault.Link) 
 			}
 		}
 		if d.Drop {
+			q.t.retire(1)
 			return
 		}
 		due := now
@@ -353,6 +368,7 @@ func (q *queue) pump(quit <-chan struct{}, delay time.Duration, fl *fault.Link) 
 		copies := 1
 		if d.Dup {
 			copies = 2
+			q.t.admit(1)
 		}
 		q.charge(e, copies)
 		first := len(buf)
@@ -440,8 +456,10 @@ type Node struct {
 	fromPeer  *queue             // intralayer (layer 0)
 	control   chan envelope
 	// slab is the node goroutine's scratch for one delivery cycle's
-	// envelopes (see queue.takeSlab).
-	slab []envelope
+	// envelopes (see queue.takeSlab); taken counts the cycle's counted
+	// envelopes, retired together when the cycle ends.
+	slab  []envelope
+	taken int64
 
 	handler Handler
 	// flusher and rankHandler cache the handler's optional extensions (set
@@ -506,8 +524,14 @@ type Tree struct {
 	mkHandler  func(n *Node) Handler
 	recoveries atomic.Uint64
 
-	injected atomic.Uint64
-	handled  atomic.Uint64
+	// work is the outstanding-work word (see admit); idleAt stamps the
+	// edge that opened its idle epoch (epoch bits, then µs since born);
+	// wantIdle arms the one-shot notification idleCh carries (NotifyIdle).
+	work     atomic.Uint64
+	idleAt   atomic.Uint64
+	born     time.Time
+	wantIdle atomic.Bool
+	idleCh   chan struct{}
 
 	quit chan struct{}
 	wg   sync.WaitGroup
@@ -572,7 +596,7 @@ func NewNet(cfg Config) (*Tree, error) {
 		}
 		return layer == 0 && ownerOfLeaf(idx, width0, nc.Workers) == nc.Worker
 	}
-	t := &Tree{cfg: cfg, quit: make(chan struct{})}
+	t := &Tree{cfg: cfg, quit: make(chan struct{}), idleCh: make(chan struct{}, 1), born: time.Now()}
 	t.gov = newGovernor(cfg.MemBudget)
 	if cfg.Fault != nil {
 		t.injector = fault.NewInjector(cfg.Fault)
@@ -600,14 +624,14 @@ func NewNet(cfg Config) (*Tree, error) {
 				respawned: make(chan struct{}),
 			}
 			if n.local {
-				n.fromBelow = newQueue(t.quit, &t.wg, cfg.LinkDelay, t.faultLink(gid, fault.UpLink), t.gov, govUp)
-				n.fromAbove = newQueue(t.quit, &t.wg, cfg.LinkDelay, t.faultLink(gid, fault.DownLink), t.gov, govDown)
+				n.fromBelow = newQueue(t, t.faultLink(gid, fault.UpLink), govUp)
+				n.fromAbove = newQueue(t, t.faultLink(gid, fault.DownLink), govDown)
 			}
 			gid++
 			if layer == 0 {
 				if n.local {
 					n.events = make(chan *rankEnvelope, cfg.EventBuf)
-					n.fromPeer = newQueue(t.quit, &t.wg, cfg.LinkDelay, t.faultLink(n.gid, fault.PeerLink), t.gov, govPeer)
+					n.fromPeer = newQueue(t, t.faultLink(n.gid, fault.PeerLink), govPeer)
 				}
 			} else {
 				lo := i * cfg.FanIn
@@ -757,10 +781,10 @@ func (t *Tree) InjectEvent(rank int, ev event.Event) error {
 }
 
 // InjectEventQuiet delivers an application event like InjectEvent but
-// without counting it: the delivery bumps neither Injected nor Handled, so
-// periodic probes (watchdog heartbeats) do not look like tool activity to
-// the quiescence detector. FIFO order with regular events is preserved —
-// both travel the same per-rank link.
+// without counting it as outstanding work, so periodic probes (watchdog
+// heartbeats, which the handler turns into no messages) never defer
+// quiescence. FIFO order with regular events is preserved — both travel the
+// same per-rank link.
 func (t *Tree) InjectEventQuiet(rank int, ev event.Event) error {
 	return t.inject(rank, rankEnvelope{ev: ev, quiet: true})
 }
@@ -792,20 +816,24 @@ func (t *Tree) inject(rank int, env rankEnvelope) error {
 			return ErrStopped
 		}
 		slot := newRankEnv(env)
+		// Counted before it can be dispatched; taken back if it never lands.
+		u := env.units()
+		t.admit(u)
 		// Common case first — a live node with room in its mailbox — as two
 		// non-blocking channel operations instead of a three-way select.
 		if !n.Dead() {
 			select {
 			case n.events <- slot:
-				return t.admitted(env.quiet)
+				return nil
 			default:
 			}
 		}
 		select {
 		case n.events <- slot:
-			return t.admitted(env.quiet)
+			return nil
 		case <-n.dead:
 			putRankEnv(slot)
+			t.retire(u)
 			if !t.recoveryEnabled() {
 				return ErrNodeDown
 			}
@@ -828,43 +856,98 @@ func (t *Tree) inject(rank int, env rankEnvelope) error {
 	}
 }
 
-// admitted counts one event that entered a mailbox.
-func (t *Tree) admitted(quiet bool) error {
-	if !quiet {
-		t.injected.Add(1)
+// The outstanding-work word makes quiescence a counted fact. Bits 0–27
+// count envelopes admitted to a local queue, mailbox or control channel and
+// not yet retired (plus, on a TCP coordinator, each worker slot not known
+// idle: markBusy); bits 28–47 count reliable frames not yet acknowledged;
+// bits 48–63 are the idle epoch, bumped by the retire that empties both
+// counts. An envelope is retired after the cycle that consumed it ran
+// endCycle — its acks and its handler's output already counted — so the
+// counts are zero only when no handler runs and nothing is staged, queued
+// or unacknowledged here.
+const (
+	frameUnit  = 1 << 28
+	epochUnit  = 1 << 48
+	countsMask = epochUnit - 1
+)
+
+// admit counts n units of outstanding work (frameUnit per frame), always
+// before the work can be retired.
+func (t *Tree) admit(n int64) { t.work.Add(uint64(n)) }
+
+// retire discounts n units. The retire that empties both counts opens a new
+// idle epoch and announces the edge to whoever asked: the armed waiter of
+// NotifyIdle and, on a TCP worker, the stats reporter.
+func (t *Tree) retire(n int64) {
+	for n != 0 {
+		old := t.work.Load()
+		v := old - uint64(n)
+		if v&countsMask == 0 {
+			v += epochUnit
+		}
+		if t.work.CompareAndSwap(old, v) {
+			if v&countsMask == 0 {
+				t.stampIdle(v)
+				t.wake()
+				if fab := t.net; fab != nil && fab.role == NetWorker {
+					fab.kickStats()
+				}
+			}
+			return
+		}
 	}
-	return nil
 }
 
-// Injected returns the number of injected application events.
-func (t *Tree) Injected() uint64 { return t.injected.Load() }
-
-// Handled returns the number of messages processed across all nodes; stable
-// Injected and Handled values indicate quiescence. On a TCP-fabric
-// coordinator this includes the workers' last progress reports, so remote
-// activity defers the quiescence trigger like local activity does.
-func (t *Tree) Handled() uint64 {
-	h := t.handled.Load()
-	if t.net != nil && t.net.role == NetCoordinator {
-		h += t.net.remoteHandled()
+// stampIdle records when idle epoch v began. A retire that lost the race to
+// a later edge must not overwrite that edge's stamp: the epoch it reads
+// would never match the word again.
+func (t *Tree) stampIdle(v uint64) {
+	s := v | uint64(time.Since(t.born)/time.Microsecond)
+	for old := t.idleAt.Load(); int16(uint16(s>>48)-uint16(old>>48)) > 0; old = t.idleAt.Load() {
+		if t.idleAt.CompareAndSwap(old, s) {
+			return
+		}
 	}
-	return h
 }
 
-// InFlight reports the number of reliable-layer frames sent but not yet
-// acknowledged, across this process and (on the TCP coordinator) every
-// worker's last report. A handled-counter plateau alone is not quiescence
-// over a real network — a dropped frame awaiting retransmission is invisible
-// to Handled — so detection triggers gate on InFlight reaching zero.
-func (t *Tree) InFlight() int {
-	n := 0
-	if t.transport != nil {
-		n = t.transport.inFlight()
+// wake hands the armed waiter its token; never blocks.
+func (t *Tree) wake() {
+	if t.wantIdle.Load() && t.wantIdle.CompareAndSwap(true, false) {
+		select {
+		case t.idleCh <- struct{}{}:
+		default:
+		}
 	}
-	if t.net != nil && t.net.role == NetCoordinator {
-		n += int(t.net.remoteInFlight())
+}
+
+// Idle reports whether the tree (on a TCP coordinator: with every worker)
+// has no outstanding work and, if so, since when: the stamp of the edge
+// that opened the idle epoch, or now while that stamp is still unwritten.
+func (t *Tree) Idle() (since time.Time, idle bool) {
+	v := t.work.Load()
+	if v&countsMask != 0 {
+		return time.Time{}, false
 	}
-	return n
+	since = time.Now()
+	if s := t.idleAt.Load(); s&^countsMask == v {
+		since = t.born.Add(time.Duration(s&countsMask) * time.Microsecond)
+	}
+	return since, true
+}
+
+// NotifyIdle arms a one-shot notification of the next busy → idle edge (at
+// once when idle already). A token can be stale: re-check Idle. One waiter
+// at a time.
+func (t *Tree) NotifyIdle() <-chan struct{} {
+	select {
+	case <-t.idleCh:
+	default:
+	}
+	t.wantIdle.Store(true)
+	if _, idle := t.Idle(); idle {
+		t.wake()
+	}
+	return t.idleCh
 }
 
 // Retransmits returns the number of frames the reliable link layer resent
@@ -948,6 +1031,7 @@ func (t *Tree) RanksOf(idx int) []int {
 // Control injects an out-of-band message into a node. Safe from any
 // goroutine.
 func (t *Tree) Control(n *Node, msg any) {
+	t.admit(1)
 	select {
 	case n.control <- envelope{msg: msg}:
 	case <-t.quit:
@@ -1095,7 +1179,7 @@ func (n *Node) loop() {
 			}
 			select {
 			case env := <-n.control:
-				n.tree.handled.Add(1)
+				n.taken++
 				n.handler.Control(env.msg)
 			case <-n.fromPeer.ready:
 				n.dispatchSlab(n.fromPeer, n.dispatchPeer)
@@ -1108,6 +1192,7 @@ func (n *Node) loop() {
 				n.drainEvents()
 			case <-hbC:
 			case <-n.dead:
+				n.bury()
 				return
 			case <-quit:
 				return
@@ -1117,7 +1202,7 @@ func (n *Node) loop() {
 		}
 		select {
 		case env := <-n.control:
-			n.tree.handled.Add(1)
+			n.taken++
 			n.handler.Control(env.msg)
 		case <-n.fromAbove.ready:
 			n.dispatchSlab(n.fromAbove, n.dispatchParent)
@@ -1125,6 +1210,7 @@ func (n *Node) loop() {
 			n.dispatchSlab(n.fromBelow, n.dispatchChild)
 		case <-hbC:
 		case <-n.dead:
+			n.bury()
 			return
 		case <-quit:
 			return
@@ -1134,13 +1220,47 @@ func (n *Node) loop() {
 }
 
 // endCycle closes one delivery cycle: flush the batched acknowledgements,
-// then the handler's coalesced output. Runs before the loop can observe
-// quit or a crash, so a dead node has always emitted the output of every
-// input it dispatched.
+// then the handler's coalesced output, then retire the cycle's envelopes —
+// last, so everything they caused is counted before they stop counting.
+// Runs before the loop can observe quit or a crash, so a dead node has
+// always emitted the output of every input it dispatched.
 func (n *Node) endCycle() {
 	n.flushAcks()
 	if n.flusher != nil {
 		n.flusher.Flush()
+	}
+	n.tree.retire(n.taken)
+	n.taken = 0
+}
+
+// bury retires what a crashed node will never take: its queues become
+// drains (deliver retires what arrives) and, unless a replacement will
+// adopt them (recovery), so do its mailbox and control channel.
+func (n *Node) bury() {
+	for _, q := range []*queue{n.fromBelow, n.fromAbove, n.fromPeer} {
+		if q == nil {
+			continue // interior nodes have no peer queue
+		}
+		q.mu.Lock()
+		q.sunk = true
+		pend := len(q.pending)
+		q.pending = nil
+		q.mu.Unlock()
+		n.tree.retire(int64(pend))
+	}
+	if n.tree.recoveryEnabled() {
+		return
+	}
+	for {
+		select {
+		case env := <-n.events:
+			n.tree.retire(env.units())
+			putRankEnv(env)
+		case <-n.control:
+			n.tree.retire(1)
+		case <-n.tree.quit:
+			return
+		}
 	}
 }
 
@@ -1150,12 +1270,13 @@ func (n *Node) endCycle() {
 // consumed them).
 func (n *Node) dispatchSlab(q *queue, fn func(envelope)) {
 	n.slab = q.takeSlab(n.slab, n.tree.slabCap())
+	n.taken += int64(len(n.slab))
 	for _, env := range n.slab {
 		fn(env)
 	}
 	for i, env := range n.slab {
 		if c := envCost(env.msg); c > 0 {
-			q.gov.release(q.class, c)
+			q.t.gov.release(q.class, c)
 		}
 		n.slab[i] = envelope{} // release payload references
 	}
@@ -1165,9 +1286,7 @@ func (n *Node) dispatchSlab(q *queue, fn func(envelope)) {
 // slot to the pool.
 func (n *Node) dispatchRank(env *rankEnvelope) {
 	defer putRankEnv(env)
-	if !env.quiet {
-		n.tree.handled.Add(1)
-	}
+	n.taken += env.units()
 	if n.rankHandler != nil {
 		n.rankHandler.FromRankEvent(env.from, env.ev)
 		return
@@ -1203,21 +1322,18 @@ func (n *Node) drainEvents() {
 
 func (n *Node) dispatchPeer(env envelope) {
 	n.deliver(env, func(e envelope) {
-		n.tree.handled.Add(1)
 		n.handler.FromPeer(e.from, e.msg)
 	})
 }
 
 func (n *Node) dispatchParent(env envelope) {
 	n.deliver(env, func(e envelope) {
-		n.tree.handled.Add(1)
 		n.handler.FromParent(e.msg)
 	})
 }
 
 func (n *Node) dispatchChild(env envelope) {
 	n.deliver(env, func(e envelope) {
-		n.tree.handled.Add(1)
 		n.handler.FromChild(e.from, e.msg)
 	})
 }

@@ -283,14 +283,17 @@ func TestControlDelivery(t *testing.T) {
 
 func TestQuiescenceCounters(t *testing.T) {
 	tr := New(Config{Leaves: 4, FanIn: 2})
-	startRecording(tr)
+	recs := startRecording(tr)
 	defer tr.Stop()
 	for i := 0; i < 10; i++ {
 		tr.InjectEvent(0, event.Event{TS: i})
 	}
-	waitFor(t, func() bool { return tr.Handled() >= 10 })
-	if tr.Injected() != 10 {
-		t.Fatalf("injected = %d", tr.Injected())
+	<-tr.NotifyIdle()
+	host := recs[tr.FirstLayer()[0]]
+	host.mu.Lock()
+	defer host.mu.Unlock()
+	if _, idle := tr.Idle(); !idle || len(host.rank) != 10 {
+		t.Fatalf("idle=%v with %d of 10 events handled", idle, len(host.rank))
 	}
 }
 

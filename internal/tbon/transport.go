@@ -115,6 +115,20 @@ type transport struct {
 	abandoned   atomic.Uint64
 }
 
+// frames moves the tree's unacknowledged-frame count by n (the high half of
+// its outstanding-work word; bare transports of the test harnesses have no
+// tree).
+func (tr *transport) frames(n int) {
+	if tr.t == nil {
+		return
+	}
+	if n > 0 {
+		tr.t.admit(int64(n) * frameUnit)
+	} else {
+		tr.t.retire(int64(-n) * frameUnit)
+	}
+}
+
 func newTransport(t *Tree, plan *fault.Plan) *transport {
 	if plan == nil {
 		plan = &fault.Plan{}
@@ -187,6 +201,7 @@ func (tr *transport) wrap(from, to *Node, class fault.Class, env envelope) envel
 		// no ack will ever come and retransmitting them only wedges the
 		// in-flight accounting that gates detection.
 		lo.pend[seq] = &pending{env: fenv, q: q, due: time.Now().Add(tr.retryBase)}
+		tr.frames(1)
 	}
 	tr.mu.Unlock()
 	return fenv
@@ -202,6 +217,7 @@ func (tr *transport) wrapRemote(key linkKey, from int, msg any) envelope {
 	lo.nextSeq++
 	fenv := envelope{from: from, msg: frame{key: key, seq: seq, msg: msg}}
 	lo.pend[seq] = &pending{env: fenv, due: time.Now().Add(tr.retryBase)}
+	tr.frames(1)
 	tr.mu.Unlock()
 	return fenv
 }
@@ -238,6 +254,7 @@ func (tr *transport) trim(key linkKey, upTo uint64) int {
 			}
 		}
 	}
+	tr.frames(-removed)
 	tr.mu.Unlock()
 	return removed
 }
@@ -285,6 +302,7 @@ func (tr *transport) migrate(oldKey, newKey linkKey, q *queue, mark int64) (drop
 			due: now,
 		}
 	}
+	tr.frames(-dropped)
 	return dropped
 }
 
@@ -363,27 +381,14 @@ func (tr *transport) cutOver(old, neu int, markFor func(linkKey) int64) (dropped
 // receiver dead so no later send re-creates pending state toward it.
 func (tr *transport) dropLinksTo(gid int) {
 	tr.mu.Lock()
-	for key := range tr.links {
+	for key, lo := range tr.links {
 		if key.to == gid {
+			tr.frames(-len(lo.pend))
 			delete(tr.links, key)
 		}
 	}
 	tr.deadGids[gid] = true
 	tr.mu.Unlock()
-}
-
-// inFlight reports the total unacknowledged outbox depth — frames that were
-// sent but whose delivery is not yet confirmed. Zero means every tool
-// message this process originated has arrived (or been abandoned), which is
-// what makes quiescence-triggered detection trustworthy.
-func (tr *transport) inFlight() int {
-	tr.mu.Lock()
-	n := 0
-	for _, lo := range tr.links {
-		n += len(lo.pend)
-	}
-	tr.mu.Unlock()
-	return n
 }
 
 // run is the retransmission scanner: it periodically resends overdue
@@ -423,6 +428,7 @@ func (tr *transport) run() {
 				}
 				if p.attempts >= maxAttempts {
 					delete(lo.pend, s)
+					tr.frames(-1)
 					tr.abandoned.Add(1)
 					if key.class == fault.RankLink { // rank links are remote-only
 						fab.releaseWindow(key.to, 1)

@@ -66,8 +66,6 @@ type NetConfig struct {
 	// Listen is the coordinator's listen address (default "127.0.0.1:0";
 	// the effective address is Tree.ListenAddr).
 	Listen string
-	// DialTimeout bounds a worker's initial dial+handshake (default 5s).
-	DialTimeout time.Duration
 	// KeepAlive is the liveness cadence: the coordinator pings and workers
 	// report progress every KeepAlive/2; a connection silent for several
 	// KeepAlive intervals is declared dead (default 200ms).
@@ -122,13 +120,6 @@ func (nc *NetConfig) budget() time.Duration {
 		return nc.Budget
 	}
 	return 3 * time.Second
-}
-
-func (nc *NetConfig) dialTimeout() time.Duration {
-	if nc.DialTimeout > 0 {
-		return nc.DialTimeout
-	}
-	return 5 * time.Second
 }
 
 // readTimeout is the per-frame read deadline: generous multiples of the
@@ -207,10 +198,19 @@ func (s *sendq) dropLocked() {
 	s.bytes = 0
 }
 
-func (s *sendq) push(b []byte) {
+// push queues one frame and reports whether it did: frames pushed while
+// the connection is down are dropped.
+func (s *sendq) push(b []byte) bool { return s.pushBuilt(b, nil) }
+
+// pushBuilt is push for a frame that build makes under the queue lock (b is
+// then nil): what build reads is older than every frame queued after it.
+func (s *sendq) pushBuilt(b []byte, build func() []byte) (queued bool) {
 	var overflowConn net.Conn
 	s.mu.Lock()
-	if s.up && !s.closed {
+	if build != nil && s.up && !s.closed {
+		b = build()
+	}
+	if b != nil && s.up && !s.closed {
 		// Overflow cut only with frames already queued: a single frame
 		// larger than the cap must still be acceptable on an empty queue,
 		// or the retransmitter would cut the fresh connection forever.
@@ -222,6 +222,7 @@ func (s *sendq) push(b []byte) {
 			s.bytes += int64(len(b))
 			s.gov.charge(govWire, int64(len(b)))
 			s.cond.Signal()
+			queued = true
 		}
 	}
 	s.mu.Unlock()
@@ -231,6 +232,7 @@ func (s *sendq) push(b []byte) {
 			s.onFull(overflowConn)
 		}
 	}
+	return queued
 }
 
 // attach installs a new connection, returning the previous one (the caller
@@ -331,9 +333,10 @@ type workerSlot struct {
 	resumeToken string
 	final       *WorkerFinal
 
-	handled  atomic.Uint64 // last progress report
-	inflight atomic.Uint64 // last reported unacked outbox depth
-	finalCh  chan struct{} // closed when final received
+	// busy holds one unit of the coordinator's outstanding work while the
+	// worker may have work of its own (see markBusy).
+	busy    atomic.Bool
+	finalCh chan struct{} // closed when final received
 }
 
 // netFabric is one process's half of the TCP fabric.
@@ -381,7 +384,7 @@ type netFabric struct {
 	doneOnce     sync.Once
 	shuttingDown atomic.Bool
 	rankRsq      map[linkKey]*reseq // touched only by the (serial) reader
-	replaying    atomic.Bool        // resumed worker: holds the in-flight gate until replay done
+	kick         chan struct{}      // idle edge → stats reporter (capacity 1)
 	replayed     uint64             // journal entries replayed (serial reader only)
 	replayT0     time.Time          // replay start (serial reader only)
 }
@@ -457,11 +460,12 @@ func (t *Tree) startNet() error {
 		}
 		fab.done = make(chan error, 1)
 		fab.rankRsq = make(map[linkKey]*reseq)
+		fab.kick = make(chan struct{}, 1)
+		fab.kickStats() // an idle worker announces itself at once
 		if nc.session.resumed {
-			// Hold the quiescence gate until the recovery shipment is fully
-			// replayed: the coordinator always ends it with a Last chunk,
-			// whose handler clears this.
-			fab.replaying.Store(true)
+			// The recovery shipment is work the queues cannot see yet: hold
+			// one unit until its Last chunk is replayed (applyRecover).
+			t.admit(1)
 		}
 		fab.wsq.attach(nc.session.conn)
 		fab.wg.Add(3)
@@ -567,20 +571,24 @@ func (fab *netFabric) encodeFrame(kind wire.Kind, dst int32, body any) ([]byte, 
 
 // route queues an encoded frame toward the process owning dst. Frames to
 // retired gids are dropped: their live successors travel on the fresh link
-// the respawn migration re-keyed them onto.
-func (fab *netFabric) route(dst int32, buf []byte) {
+// the respawn migration re-keyed them onto. On the coordinator, a frame
+// that may give a worker work (work) marks its slot busy.
+func (fab *netFabric) route(dst int32, buf []byte, work bool) {
 	if fab.role == NetWorker {
 		fab.wsq.push(buf)
 		return
 	}
 	if idx := fab.leafIndex(int(dst)); idx >= 0 {
-		fab.slots[ownerOfLeaf(idx, fab.width0, len(fab.slots))].sq.push(buf)
+		sl := fab.slots[ownerOfLeaf(idx, fab.width0, len(fab.slots))]
+		if sl.sq.push(buf) && work {
+			fab.markBusy(sl)
+		}
 	}
 }
 
 func (fab *netFabric) send(kind wire.Kind, dst int32, body any) {
 	if buf, ok := fab.encodeFrame(kind, dst, body); ok {
-		fab.route(dst, buf)
+		fab.route(dst, buf, true)
 	}
 }
 
@@ -612,7 +620,7 @@ func (fab *netFabric) sendData(env envelope) {
 		fab.codecErrors.Add(1)
 		return
 	}
-	fab.route(int32(f.key.to), buf)
+	fab.route(int32(f.key.to), buf, true)
 }
 
 // sendAck ships one cumulative acknowledgement to the process owning the

@@ -127,10 +127,9 @@ func (fab *netFabric) admit(sl *workerSlot, conn net.Conn, br *bufio.Reader, rec
 	if reconnect {
 		fab.reconnects.Add(1)
 	}
+	// Whatever the worker holds is unknown until its first stats report.
+	fab.markBusy(sl)
 	if recovered != nil {
-		// Hold the quiescence gate until the worker's first fresh stats
-		// report (which itself stays elevated until the replay completes).
-		sl.inflight.Store(1)
 		fab.respawns.Add(1)
 	}
 	if gids := fab.degradedLeafGids(); len(gids) > 0 {
@@ -197,6 +196,10 @@ func (fab *netFabric) checkReady() {
 // callback must not block).
 func (fab *netFabric) slotConnFailed(sl *workerSlot, conn net.Conn) {
 	if sl.sq.detach(conn) {
+		// A worker that dropped off may hold work it never reported — or, if
+		// its process died, state a respawn has yet to replay: busy until a
+		// (0, 0) report on a new connection, or until it is spliced out.
+		fab.markBusy(sl)
 		sl.mu.Lock()
 		sl.lastDown = time.Now()
 		sl.mu.Unlock()
@@ -219,8 +222,14 @@ func (fab *netFabric) slotReader(sl *workerSlot, conn net.Conn, br *bufio.Reader
 			return
 		}
 		fab.bytesIn.Add(uint64(wire.HeaderLen + len(f.Payload)))
+		// A worker is idle from a (0, 0) report until the next frame read
+		// from it or written to it (route). FIFO makes the rule exact: the
+		// worker acknowledges before it retires a cycle and reports after,
+		// so the ack of the coordinator's last frame — read as a frame,
+		// marking it busy — precedes the fresh report.
 		switch f.Kind {
 		case wire.KindData, wire.KindAck:
+			fab.markBusy(sl)
 			if fab.leafIndex(int(f.Dst)) >= 0 {
 				// Hub relay: worker → worker traffic forwards on the
 				// header alone (plus a journal capture with recovery on).
@@ -236,11 +245,13 @@ func (fab *netFabric) slotReader(sl *workerSlot, conn net.Conn, br *bufio.Reader
 			}
 		case wire.KindStats:
 			body, err := decodePayload(f.Payload)
-			if st, ok := body.(wireStats); err == nil && ok {
-				sl.handled.Store(st.Handled)
-				sl.inflight.Store(st.InFlight)
+			if st, ok := body.(wireStats); err == nil && ok && st.Work == 0 && st.InFlight == 0 {
+				fab.markIdle(sl)
 			} else {
-				fab.codecErrors.Add(1)
+				fab.markBusy(sl)
+				if !ok || err != nil {
+					fab.codecErrors.Add(1)
+				}
 			}
 		case wire.KindFinal:
 			body, err := decodePayload(f.Payload)
@@ -284,7 +295,7 @@ func (fab *netFabric) forward(f wire.Frame) {
 		fab.codecErrors.Add(1)
 		return
 	}
-	fab.route(f.Dst, buf)
+	fab.route(f.Dst, buf, true)
 }
 
 // captureRelay journals one relayed data frame destined to a first-layer
@@ -328,7 +339,8 @@ func (fab *netFabric) deliverData(payload []byte) {
 		fab.codecErrors.Add(1)
 		return
 	}
-	fab.enqueue(n, wd, true)
+	wr, rank := wd.Msg.(wireRank)
+	fab.enqueue(n, wd, !rank || !wr.Quiet) // heartbeats travel unsequenced
 }
 
 // enqueue hands one wire frame to local node n: a rank event to its
@@ -362,9 +374,13 @@ func (fab *netFabric) enqueue(n *Node, wd wireData, live bool) {
 			fab.codecErrors.Add(1)
 			return
 		}
+		slot := newRankEnv(rankEnvelope{from: wr.Rank, ev: wr.Ev, quiet: wr.Quiet})
+		u := slot.units()
+		fab.t.admit(u)
 		select {
-		case n.events <- newRankEnv(rankEnvelope{from: wr.Rank, ev: wr.Ev, quiet: wr.Quiet}):
+		case n.events <- slot:
 		case <-n.dead:
+			fab.t.retire(u)
 		case <-fab.t.quit:
 		}
 	}
@@ -443,9 +459,8 @@ func (fab *netFabric) degrade(sl *workerSlot) {
 	}
 	sl.degraded = true
 	sl.mu.Unlock()
-	// A degraded slot's last stats report would otherwise keep a stale
-	// nonzero in-flight count pinned forever and wedge quiescence gating.
-	sl.inflight.Store(0)
+	// A spliced-out worker holds no work the tool waits for.
+	fab.markIdle(sl)
 	t := fab.t
 	// Supervised respawns swap leaf gids under topo; resolve the slot's
 	// current nodes under the same lock.
@@ -499,24 +514,25 @@ func (fab *netFabric) degradedLeafGids() []int {
 	return gids
 }
 
-// remoteHandled sums the workers' last progress reports (the remote half of
-// Tree.Handled, feeding quiescence detection).
-func (fab *netFabric) remoteHandled() uint64 {
-	var h uint64
-	for _, sl := range fab.slots {
-		h += sl.handled.Load()
+// markBusy makes worker slot sl one unit of the coordinator's outstanding
+// work, until markIdle. The unit is admitted before the flag is set, so a
+// concurrent markIdle never retires a unit that is not there yet.
+func (fab *netFabric) markBusy(sl *workerSlot) {
+	if sl.busy.Load() {
+		return
 	}
-	return h
+	fab.t.admit(1)
+	if !sl.busy.CompareAndSwap(false, true) {
+		fab.t.retire(1)
+	}
 }
 
-// remoteInFlight sums the workers' last reported unacked outbox depths (the
-// remote half of Tree.InFlight, gating quiescence-triggered detection).
-func (fab *netFabric) remoteInFlight() uint64 {
-	var n uint64
-	for _, sl := range fab.slots {
-		n += sl.inflight.Load()
+// markIdle ends sl's unit of outstanding work: the worker reported (0, 0),
+// or its slot was spliced out.
+func (fab *netFabric) markIdle(sl *workerSlot) {
+	if sl.busy.CompareAndSwap(true, false) {
+		fab.t.retire(1)
 	}
-	return n
 }
 
 // shutdownWorkers asks every reachable worker to stop and collects their

@@ -250,12 +250,12 @@ func (fab *netFabric) applyRecover(rc wireRecover) {
 	}
 	fab.replayed += uint64(len(rc.Payloads))
 	if rc.Last {
-		fab.replaying.Store(false)
 		fab.send(wire.KindRecover, -1, wireRecoverDone{
 			Worker:   fab.nc.Worker,
 			Replayed: fab.replayed,
 			Nanos:    time.Since(fab.replayT0).Nanoseconds(),
 		})
+		fab.t.retire(1) // the unit startNet held for the shipment
 	}
 }
 

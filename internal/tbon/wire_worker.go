@@ -208,6 +208,7 @@ func (fab *netFabric) workerConnLoop() {
 		if old := fab.wsq.attach(nc); old != nil && old != nc {
 			old.Close()
 		}
+		fab.kickStats() // an idle worker re-announces itself at once
 		conn, br = nc, nbr
 	}
 }
@@ -264,8 +265,11 @@ func (fab *netFabric) workerRead(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// workerStats periodically reports the worker's handled counter; it doubles
-// as the worker → coordinator keepalive.
+// workerStats reports the worker's outstanding work to the coordinator:
+// every KeepAlive/2 (it doubles as the worker → coordinator keepalive), and
+// whenever the tree goes idle (kickStats), since the coordinator counts the
+// worker busy until it reads a (0, 0) report. The pair is read under the
+// send-queue lock, so no frame the worker sends afterwards overtakes it.
 func (fab *netFabric) workerStats() {
 	defer fab.wg.Done()
 	ka := fab.nc.keepAlive() / 2
@@ -274,23 +278,30 @@ func (fab *netFabric) workerStats() {
 	}
 	tick := time.NewTicker(ka)
 	defer tick.Stop()
+	build := func() []byte {
+		v := fab.t.work.Load() & countsMask
+		buf, _ := fab.encodeFrame(wire.KindStats, -1, wireStats{Worker: fab.nc.Worker, Work: v % frameUnit, InFlight: v / frameUnit})
+		return buf
+	}
 	for {
 		select {
 		case <-fab.closed:
 			return
 		case <-tick.C:
-			inFlight := uint64(fab.t.transport.inFlight())
-			if fab.replaying.Load() {
-				// An unfinished recovery replay is in-flight work the outbox
-				// cannot see; keep the coordinator's quiescence gate shut.
-				inFlight++
+		case <-fab.kick:
+			if _, idle := fab.t.Idle(); !idle {
+				continue // busy again: the next edge reports
 			}
-			fab.send(wire.KindStats, -1, wireStats{
-				Worker:   fab.nc.Worker,
-				Handled:  fab.t.handled.Load(),
-				InFlight: inFlight,
-			})
 		}
+		fab.wsq.pushBuilt(nil, build)
+	}
+}
+
+// kickStats asks workerStats for a report (an idle edge); never blocks.
+func (fab *netFabric) kickStats() {
+	select {
+	case fab.kick <- struct{}{}:
+	default:
 	}
 }
 
@@ -313,11 +324,7 @@ func (t *Tree) ServeWorker() error {
 	t.stopOnce.Do(func() { close(t.quit) })
 	t.wg.Wait() // node loops and scanner quiesce before final stats
 	if reason == nil && fab.shuttingDown.Load() {
-		fin := WorkerFinal{
-			Worker:   fab.nc.Worker,
-			Handled:  t.handled.Load(),
-			Counters: t.Counters(),
-		}
+		fin := WorkerFinal{Worker: fab.nc.Worker, Counters: t.Counters()}
 		if fab.nc.FinalStats != nil {
 			fin.MsgStats, fin.WindowHighWater = fab.nc.FinalStats()
 		}
@@ -419,10 +426,23 @@ func (t *Tree) injectRemote(n *Node, env rankEnvelope) error {
 	if n.Dead() {
 		return ErrNodeDown
 	}
+	wr := wireRank{Rank: env.from, Quiet: env.quiet, Ev: env.ev}
+	if env.quiet {
+		// A heartbeat travels unsequenced — no window slot, no outbox entry,
+		// no ack — so it is never outstanding work; a lost one only skips a
+		// probe round, and overtaking events only delays a Stalled verdict.
+		t.topo.RLock()
+		gid := n.gid
+		t.topo.RUnlock()
+		if buf, ok := fab.encodeFrame(wire.KindData, int32(gid), wireData{From: env.from, To: gid, FromG: -1, Class: fault.RankLink, Msg: wr}); ok {
+			fab.route(int32(gid), buf, false)
+		}
+		return nil
+	}
 	// Global governor backpressure first (byte-denominated, whole-tree),
 	// then the per-leaf frame window — two instances of the same credit
 	// mechanism at different granularities (see govern.go).
-	if !env.quiet && !t.gov.admitIntake(n.dead, t.quit) {
+	if !t.gov.admitIntake(n.dead, t.quit) {
 		return ErrStopped
 	}
 	select {
@@ -438,11 +458,8 @@ func (t *Tree) injectRemote(n *Node, env rankEnvelope) error {
 	// migration never saw.
 	t.topo.RLock()
 	key := linkKey{from: -1, to: n.gid, class: fault.RankLink}
-	fenv := t.transport.wrapRemote(key, env.from, wireRank{Rank: env.from, Quiet: env.quiet, Ev: env.ev})
+	fenv := t.transport.wrapRemote(key, env.from, wr)
 	t.topo.RUnlock()
-	if !env.quiet {
-		t.injected.Add(1)
-	}
 	fab.sendData(fenv)
 	return nil
 }
