@@ -26,9 +26,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The seeded fault-injection sweep only (190 adversarial runs).
+# The seeded fault-injection sweep only (190 adversarial runs), plus the
+# topology-change races.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestTransport|TestCrash' ./internal/fault/ ./internal/tbon/
+	$(GO) test -race -count=1 -run 'TestChaos|TestTransport|TestCrash|TestTopology' ./internal/fault/ ./internal/tbon/
 
 # Short shard: unit tests plus a small chaos slice; skips `go run` smoke tests.
 short:

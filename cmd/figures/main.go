@@ -242,18 +242,17 @@ func ablation(w io.Writer, c config) error {
 		fmt.Fprintf(w, "%-22d %12.1f\n", n, ms(ref))
 	}
 
-	// Sec. 4.2 trace window on the GAPgeofem proxy: preferring wait-state
-	// messages over new events, and small application→tool buffers, which
-	// bound the window at the cost of application slowdown.
+	// Sec. 4.2 trace window on the GAPgeofem proxy: small application→tool
+	// buffers bound the window at the cost of application slowdown.
 	fmt.Fprintf(w, "# Ablation: trace window (128.GAPgeofem, procs=16, reps=%d)\n%-22s %12s %10s %12s\n", c.reps, "mitigation", "tool(ms)", "slowdown", "window(ops)")
 	geofem := workload.SpecApps("128.GAPgeofem").Build(60, 0)
 	ref, err := reference(16, geofem, must.Options{})
 	if err != nil {
 		return err
 	}
-	for _, o := range []must.Options{{}, {PreferWaitState: true}, {EventBuf: 16}, {PreferWaitState: true, EventBuf: 16}} {
-		label := fmt.Sprintf("prefer=%t buf=%d", o.PreferWaitState, o.EventBuf)
-		o.FanIn, o.Timeout = paperFanIn, c.timeout
+	for _, buf := range []int{0, 16} {
+		label := fmt.Sprintf("buf=%d", buf)
+		o := must.Options{FanIn: paperFanIn, Timeout: c.timeout, EventBuf: buf}
 		tool, rep, err := underTool(16, geofem, o, c.reps, noDeadlock)
 		if err != nil {
 			return fmt.Errorf("trace window %s: %w", label, err)

@@ -47,7 +47,6 @@ func main() {
 		timeout    = flag.Duration("timeout", 50*time.Millisecond, "detection quiescence timeout")
 		iters      = flag.Int("iters", 50, "iterations (stress/spec workloads)")
 		rendezvous = flag.Bool("rendezvous", false, "force synchronous standard sends")
-		prefer     = flag.Bool("prefer-waitstate", false, "prioritize wait-state messages on tool nodes")
 		htmlPath   = flag.String("html", "", "write the HTML report to this file")
 		dotPath    = flag.String("dot", "", "write the DOT wait-for graph to this file")
 		sites      = flag.Bool("sites", false, "record call sites (reports point at source lines)")
@@ -113,7 +112,6 @@ func main() {
 		FanIn:            *fanIn,
 		Timeout:          session.Duration(*timeout),
 		Rendezvous:       *rendezvous,
-		PreferWaitState:  *prefer,
 		TrackCallSites:   *sites,
 		LinkDelay:        session.Duration(*linkDelay),
 		SnapshotDeadline: session.Duration(*snapDeadl),

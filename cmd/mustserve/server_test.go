@@ -105,6 +105,7 @@ func TestAPIRejectsBadSpecs(t *testing.T) {
 		{"retired no_batch field", `{"workload": "recvrecv", "procs": 4, "no_batch": true}`},
 		{"retired mem_budget -1", `{"workload": "recvrecv", "procs": 4, "mem_budget": -1}`},
 		{"retired engine field", `{"workload": "recvrecv", "procs": 4, "engine": "cmh"}`},
+		{"retired prefer_waitstate field", `{"workload": "recvrecv", "procs": 4, "prefer_waitstate": true}`},
 		{"unknown workload", `{"workload": "nope", "procs": 4}`},
 		{"zero procs", `{"workload": "recvrecv"}`},
 		{"over procs cap", `{"workload": "recvrecv", "procs": 64}`},

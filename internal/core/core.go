@@ -432,14 +432,13 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 
 	var tree *tbon.Tree
 	tree, err := tbon.NewNet(tbon.Config{
-		Leaves:          procs,
-		FanIn:           cfg.FanIn,
-		EventBuf:        cfg.EventBuf,
-		PreferWaitState: cfg.PreferWaitState,
-		LinkDelay:       cfg.LinkDelay,
-		Batch:           true,
-		MemBudget:       cfg.MemBudget,
-		Fault:           cfg.Fault,
+		Leaves:    procs,
+		FanIn:     cfg.FanIn,
+		EventBuf:  cfg.EventBuf,
+		LinkDelay: cfg.LinkDelay,
+		Batch:     true,
+		MemBudget: cfg.MemBudget,
+		Fault:     cfg.Fault,
 		OnNodeDown: func(n *tbon.Node) {
 			// Runs on the supervisor goroutine; Control is safe from any
 			// goroutine and serializes with the root's other messages.

@@ -42,10 +42,6 @@ type Options struct {
 	// Timeout is the event-quiescence period before the root triggers
 	// graph-based detection (Sec. 5; default 50ms).
 	Timeout time.Duration
-	// PreferWaitState prioritizes wait-state messages over new application
-	// events on first-layer nodes (the paper's Sec. 4.2 future-work option
-	// for bounding the trace window).
-	PreferWaitState bool
 	// EventBuf is the application→tool link depth (backpressure).
 	EventBuf int
 	// LinkDelay injects a per-message delay on tool-internal links

@@ -108,8 +108,6 @@ type Spec struct {
 	Timeout Duration `json:"timeout,omitempty"`
 	// Rendezvous forces synchronous standard sends.
 	Rendezvous bool `json:"rendezvous,omitempty"`
-	// PreferWaitState prioritizes wait-state messages on tool nodes.
-	PreferWaitState bool `json:"prefer_waitstate,omitempty"`
 	// TrackCallSites records call sites so reports point at source lines.
 	TrackCallSites bool `json:"sites,omitempty"`
 	// LinkDelay injects a per-message delay on tool-internal links.
@@ -223,7 +221,6 @@ func (s *Spec) options() (opts must.Options, err error) {
 		FanIn:            s.FanIn,
 		Timeout:          time.Duration(s.Timeout),
 		Rendezvous:       s.Rendezvous,
-		PreferWaitState:  s.PreferWaitState,
 		TrackCallSites:   s.TrackCallSites,
 		LinkDelay:        time.Duration(s.LinkDelay),
 		SnapshotDeadline: time.Duration(s.SnapshotDeadline),

@@ -26,7 +26,7 @@
 // mirrors that: it keeps one resequenced stream per origin link and ships
 // each stream's contiguous prefix independently. Frames can reach the
 // capture point out of order (senders assign sequence numbers under the
-// topology lock but transmit outside it), so each stream holds back
+// transport lock but transmit outside it), so each stream holds back
 // out-of-order entries until the gap fills, and drops duplicates
 // (retransmits) by sequence number.
 package supervise

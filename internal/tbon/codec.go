@@ -53,7 +53,6 @@ type wireWelcome struct {
 	FanIn       int
 	EventBuf    int
 	Workers     int
-	PreferWS    bool
 
 	KeepAlive time.Duration
 	Budget    time.Duration

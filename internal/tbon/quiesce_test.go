@@ -138,7 +138,7 @@ func drained(tr *Tree, c *cascade) error {
 }
 
 func queuesEmpty(tr *Tree) error {
-	for _, l := range tr.layers {
+	for _, l := range tr.shape.Load().layers {
 		for _, n := range l {
 			if len(n.events) > 0 || len(n.control) > 0 {
 				return fmt.Errorf("idle with node %d's mailbox or control channel non-empty", n.gid)

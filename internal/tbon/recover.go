@@ -17,8 +17,8 @@ import (
 //     streams, so receiver resequencer state of the dead incarnation can
 //     never conflict with the replacement's traffic;
 //   - it ADOPTS the dead node's rank mailbox (events channel): events the
-//     dead incarnation never processed stay queued in order, and Inject
-//     blocks through the handover instead of dropping events;
+//     dead incarnation never processed stay queued in order, and
+//     InjectEvent blocks through the handover instead of dropping events;
 //   - every unacknowledged frame addressed to or sent by the dead
 //     incarnation migrates onto the corresponding fresh link in sequence
 //     order (transport.migrateTo). Migrated inbound frames are exactly the
@@ -67,44 +67,17 @@ func (t *Tree) respawn(old *Node) bool {
 		return false
 	}
 
-	t.topo.Lock()
-	gid := t.nextGid
-	t.nextGid++
-	neu := &Node{
-		tree:      t,
-		layer:     0,
-		index:     old.index,
-		gid:       gid,
-		local:     true,       // recovery is chan-mode only: replacements are in-process
-		events:    old.events, // adopt the slot mailbox: per-rank FIFO survives
-		control:   make(chan envelope, 16),
-		dead:      make(chan struct{}),
-		rsq:       make(map[linkKey]*reseq),
-		loopDone:  make(chan struct{}),
-		respawned: make(chan struct{}),
-	}
-	neu.fromBelow = newQueue(t, t.faultLink(gid, fault.UpLink), govUp)
-	neu.fromAbove = newQueue(t, t.faultLink(gid, fault.DownLink), govDown)
-	neu.fromPeer = newQueue(t, t.faultLink(gid, fault.PeerLink), govPeer)
-	// Arm the liveness clock before the supervisor can see the node, or it
-	// would be declared dead while still replaying.
-	neu.lastBeat.Store(time.Now().UnixNano())
-	neu.parent = old.parent
-	if neu.parent != nil {
-		for i, c := range neu.parent.children {
-			if c == old {
-				neu.parent.children[i] = neu
-			}
-		}
-	}
-	t.layers[0][old.index] = neu
-	for r, ln := range t.leafNode {
-		if ln == old {
-			t.leafNode[r] = neu
-		}
-	}
-	t.transport.migrateTo(old, neu)
-	t.topo.Unlock()
+	var neu *Node
+	t.retopo(func(tp *topology, tr *transport) {
+		// Recovery is chan-mode only: replacements are in-process.
+		neu = t.newNode(0, old.index, tp.nextGid, true)
+		neu.events = old.events // adopt the slot mailbox: per-rank FIFO survives
+		// Arm the liveness clock before the supervisor can see the node, or
+		// it would be declared dead while still replaying.
+		neu.lastBeat.Store(time.Now().UnixNano())
+		tp.place(neu)
+		tr.migrateTo(old, neu)
+	})
 
 	// Rebuild the tool layer. The handler factory performs journal replay
 	// synchronously, before the loop starts, so no live message can

@@ -1,6 +1,7 @@
 package tbon
 
 import (
+	"slices"
 	"time"
 )
 
@@ -35,11 +36,12 @@ func (n *Node) Dead() bool {
 
 // startCrashTimers schedules the plan's node crashes.
 func (t *Tree) startCrashTimers() {
+	layers := t.shape.Load().layers
 	for _, c := range t.cfg.Fault.Crashes {
-		if c.Layer < 0 || c.Layer >= len(t.layers) || c.Index < 0 || c.Index >= len(t.layers[c.Layer]) {
+		if c.Layer < 0 || c.Layer >= len(layers) || c.Index < 0 || c.Index >= len(layers[c.Layer]) {
 			continue
 		}
-		n := t.layers[c.Layer][c.Index]
+		n := layers[c.Layer][c.Index]
 		after := c.After
 		t.wg.Add(1)
 		go func() {
@@ -68,20 +70,14 @@ func (t *Tree) supervise() {
 		case <-ticker.C:
 		}
 		now := time.Now().UnixNano()
-		// Snapshot the node set under topo: recovery swaps first-layer
-		// slots at runtime.
-		t.topo.Lock()
-		var nodes []*Node
-		for _, layer := range t.layers {
-			nodes = append(nodes, layer...)
-		}
-		t.topo.Unlock()
-		for _, n := range nodes {
-			if n.IsRoot() || n.reaped.Load() {
-				continue
-			}
-			if now-n.lastBeat.Load() > int64(deadAfter) {
-				t.reap(n)
+		for _, layer := range t.shape.Load().layers {
+			for _, n := range layer {
+				if n.IsRoot() || n.reaped.Load() {
+					continue
+				}
+				if now-n.lastBeat.Load() > int64(deadAfter) {
+					t.reap(n)
+				}
 			}
 		}
 	}
@@ -104,29 +100,20 @@ func (t *Tree) reap(n *Node) {
 	}
 	close(n.respawned)
 
-	t.topo.Lock()
-	parent := n.parent
-	orphans := n.children
-	n.children = nil
-	if parent != nil {
-		// Remove n from its parent, adopt n's children in its place.
-		kept := parent.children[:0]
-		for _, c := range parent.children {
-			if c != n {
-				kept = append(kept, c)
-			}
-		}
-		parent.children = append(kept, orphans...)
+	// Remove n from its parent, adopt n's children in its place.
+	t.retopo(func(tp *topology, tr *transport) {
+		parent := tp.up[n.layer][n.index]
+		orphans := tp.down[n.layer][n.index]
+		tp.down[n.layer][n.index] = nil
+		siblings := slices.DeleteFunc(tp.down[parent.layer][parent.index], func(c *Node) bool { return c == n })
+		tp.down[parent.layer][parent.index] = append(siblings, orphans...)
 		for _, c := range orphans {
-			c.parent = parent
-		}
-		if t.transport != nil {
-			for _, c := range orphans {
-				t.transport.redirect(c, n, parent)
+			tp.up[c.layer][c.index] = parent
+			if tr != nil {
+				tr.redirect(c, n, parent)
 			}
 		}
-	}
-	t.topo.Unlock()
+	})
 
 	if t.transport != nil {
 		t.transport.dropLinksTo(n.gid)

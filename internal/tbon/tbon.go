@@ -39,6 +39,8 @@ package tbon
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,12 +66,8 @@ type Config struct {
 	FanIn int
 	// EventBuf is the capacity of the rank → first-layer links, in events:
 	// that many injections may wait in a first-layer node's mailbox before
-	// Inject blocks. Small buffers emphasize backpressure; default 256.
+	// InjectEvent blocks. Small buffers emphasize backpressure; default 256.
 	EventBuf int
-	// PreferWaitState makes first-layer node loops drain intralayer
-	// (wait-state) messages before application events — the paper's
-	// future-work mitigation for trace-window growth (Sec. 4.2).
-	PreferWaitState bool
 	// LinkDelay, when positive, delays every tool-internal message by this
 	// duration in the queues' pump stage (simulating slow network links between
 	// tool nodes). Per-link FIFO order is preserved; messages on one link
@@ -225,7 +223,8 @@ type queue struct {
 	class int
 
 	mu      sync.Mutex
-	pending []envelope
+	pending []envelope // pending[head:] waits; empty means len 0
+	head    int
 	sunk    bool          // the receiver died: deliveries retire at once
 	ready   chan struct{} // capacity 1: the "pending is non-empty" token
 
@@ -301,20 +300,22 @@ func (q *queue) signal() {
 // receiving node after it took the token.
 func (q *queue) takeSlab(dst []envelope, max int) []envelope {
 	q.mu.Lock()
-	n := len(q.pending)
-	if n > max {
-		n = max
-	}
-	dst = append(dst[:0], q.pending[:n]...)
+	live := q.pending[q.head:]
+	n := min(len(live), max)
+	dst = append(dst[:0], live[:n]...)
+	clear(live[:n]) // release payload references
+	q.head += n
 	// Compact instead of reslicing: pending[n:] would abandon the array
 	// prefix, so every slab taken forces the next appends into a fresh
-	// allocation. Moving the (typically empty) tail down reuses one backing
-	// array for the queue's lifetime.
-	rest := copy(q.pending, q.pending[n:])
-	for i := rest; i < len(q.pending); i++ {
-		q.pending[i] = envelope{} // release payload references
+	// allocation. The rest moves down only once the taken prefix outgrows
+	// it, so a deep backlog is copied O(1) times per envelope, not once per
+	// slab, and one backing array serves the queue's lifetime.
+	rest := len(q.pending) - q.head
+	if rest <= q.head {
+		copy(q.pending, q.pending[q.head:])
+		clear(q.pending[q.head:]) // the moved copies
+		q.pending, q.head = q.pending[:rest], 0
 	}
-	q.pending = q.pending[:rest]
 	q.mu.Unlock()
 	if rest > 0 {
 		q.signal()
@@ -445,11 +446,6 @@ type Node struct {
 	// queues, no loop, no handler — frames addressed to them cross the wire.
 	local bool
 
-	// parent and children are guarded by tree.topo: reattachment after a
-	// crash rewires them at runtime.
-	parent   *Node
-	children []*Node
-
 	events    chan *rankEnvelope // app events (layer 0; EventBuf pooled slots)
 	fromBelow *queue             // tool messages from children / self
 	fromAbove *queue             // broadcasts from parent
@@ -483,7 +479,10 @@ type Node struct {
 	// lastBeat is the liveness clock (UnixNano), updated by the node loop
 	// and read by the supervisor.
 	lastBeat atomic.Int64
-	// dead is closed when the node crashes (scheduled or declared).
+	// dead is closed when the node crashes (scheduled or declared). A
+	// re-gid placeholder adopts its predecessor's, so an injector holding
+	// either learns of the slot's splice-out; degrade, which runs once per
+	// slot, is the only killer of placeholders.
 	dead     chan struct{}
 	deadOnce sync.Once
 	// reaped marks that the supervisor already handled this death.
@@ -493,34 +492,135 @@ type Node struct {
 	// waits on it so journal replay never races a limping zombie.
 	loopDone chan struct{}
 	// respawned is closed once the slot's fate after a crash is settled:
-	// either a replacement took over the topology maps (Inject retries
-	// against it) or recovery failed and the slot degraded (Inject gives
-	// up with ErrNodeDown).
+	// either a replacement took over the slot (InjectEvent retries against
+	// it) or recovery failed and the slot degraded (InjectEvent gives up
+	// with ErrNodeDown).
 	respawned chan struct{}
+}
+
+// newNode builds one node for slot (layer, index) under gid; a local one
+// gets its tool-link queues (first-layer nodes: also a peer queue, but no
+// mailbox — the caller makes or adopts that).
+func (t *Tree) newNode(layer, index, gid int, local bool) *Node {
+	n := &Node{
+		tree:      t,
+		layer:     layer,
+		index:     index,
+		gid:       gid,
+		local:     local,
+		control:   make(chan envelope, 16),
+		dead:      make(chan struct{}),
+		rsq:       make(map[linkKey]*reseq),
+		loopDone:  make(chan struct{}),
+		respawned: make(chan struct{}),
+	}
+	if local {
+		n.fromBelow = newQueue(t, t.faultLink(gid, fault.UpLink), govUp)
+		n.fromAbove = newQueue(t, t.faultLink(gid, fault.DownLink), govDown)
+		if layer == 0 {
+			n.fromPeer = newQueue(t, t.faultLink(gid, fault.PeerLink), govPeer)
+		}
+	}
+	return n
+}
+
+// topology is one published shape of the tree: the node incarnation in
+// each (layer, index) slot, each slot's up-link receiver and children, and
+// on the TCP fabric the node each gid names. A published value is never
+// written again, nor is any field of a published Node but its atomics, its
+// channels and what its own goroutine owns (the handler, set before the
+// loop starts): readers take one load (Tree.shape) and no lock, and every
+// change publishes an edited clone through Tree.retopo.
+type topology struct {
+	layers   [][]*Node   // layers[l][i]: the node in slot (l, i)
+	up       [][]*Node   // up[l][i]: slot (l, i)'s parent; the root itself at the root
+	down     [][][]*Node // down[l][i]: slot (l, i)'s children
+	gidIndex map[int]*Node
+	// nextGid is the next fresh gid a respawn hands out: below it, a gid
+	// absent from gidIndex belongs to a retired incarnation.
+	nextGid int
+}
+
+func (tp *topology) clone() *topology {
+	c := *tp
+	c.layers = make([][]*Node, len(tp.layers))
+	c.up = make([][]*Node, len(tp.up))
+	c.down = make([][][]*Node, len(tp.down))
+	for l := range tp.layers {
+		c.layers[l] = slices.Clone(tp.layers[l])
+		c.up[l] = slices.Clone(tp.up[l])
+		c.down[l] = make([][]*Node, len(tp.down[l]))
+		for i, kids := range tp.down[l] {
+			c.down[l][i] = slices.Clone(kids)
+		}
+	}
+	c.gidIndex = maps.Clone(tp.gidIndex)
+	return &c
+}
+
+// receivers returns where n's messages of class go: its up-link receiver,
+// its children, or first-layer node peer.
+func (tp *topology) receivers(n *Node, class fault.Class, peer int) []*Node {
+	switch class {
+	case fault.UpLink:
+		return tp.up[n.layer][n.index : n.index+1]
+	case fault.DownLink:
+		return tp.down[n.layer][n.index]
+	default:
+		return tp.layers[0][peer : peer+1]
+	}
+}
+
+// place installs neu in its first-layer slot, in its predecessor's stead.
+func (tp *topology) place(neu *Node) {
+	old := tp.layers[0][neu.index]
+	tp.layers[0][neu.index] = neu
+	p := tp.up[0][neu.index]
+	for i, c := range tp.down[p.layer][p.index] {
+		if c == old {
+			tp.down[p.layer][p.index][i] = neu
+		}
+	}
+	if tp.gidIndex != nil {
+		delete(tp.gidIndex, old.gid)
+		tp.gidIndex[neu.gid] = neu
+	}
+	if neu.gid >= tp.nextGid {
+		tp.nextGid = neu.gid + 1
+	}
+}
+
+// retopo publishes the topology change makes to a clone of the current
+// one. Every topology change goes through here, inside transport.mu when
+// the reliable layer is active — change migrates the affected frames with
+// tr — and that is the only lock a topology change takes: wrap resolves
+// its receivers from the published value inside the same lock, so a frame
+// is either sequenced before the change (and migrated with it) or
+// addressed by the new topology. Without a transport the supervisor
+// goroutine is the only writer.
+func (t *Tree) retopo(change func(tp *topology, tr *transport)) {
+	tr := t.transport
+	if tr != nil {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+	}
+	tp := t.shape.Load().clone()
+	change(tp, tr)
+	t.shape.Store(tp)
 }
 
 // Tree is the whole overlay.
 type Tree struct {
-	cfg      Config
-	layers   [][]*Node
-	leafNode []*Node // leafNode[rank] hosts the rank
-
-	// topo guards every node's parent/children pointers (crash
-	// reattachment mutates them) and, on the TCP fabric, gidIndex plus
-	// per-node gids (supervised respawn re-gids leaves in place). Readers
-	// that resolve gids take RLock. Lock order: topo before transport.mu.
-	topo sync.RWMutex
+	cfg   Config
+	shape atomic.Pointer[topology] // the published topology; see retopo
 
 	injector  *fault.Injector
 	transport *transport // nil unless the reliable link layer is active
 	net       *netFabric // nil unless the TCP fabric is active
 	gov       *governor
-	gidIndex  map[int]*Node
 
-	// nextGid hands out fresh global ids to respawned replacement nodes
-	// (guarded by topo); mkHandler is retained from Start so a replacement
-	// can rebuild its tool layer. recoveries counts successful respawns.
-	nextGid    int
+	// mkHandler is retained from Start so a replacement can rebuild its
+	// tool layer. recoveries counts successful respawns.
 	mkHandler  func(n *Node) Handler
 	recoveries atomic.Uint64
 
@@ -604,86 +704,56 @@ func NewNet(cfg Config) (*Tree, error) {
 	if cfg.Net != nil || (cfg.Fault != nil && !cfg.Fault.DisableRetransmit) {
 		t.transport = newTransport(t, cfg.Fault)
 	}
-	gid := 0
-	width := width0
-	prevWidth := 0
-	layer := 0
-	for {
-		nodes := make([]*Node, width)
-		for i := range nodes {
-			n := &Node{
-				tree:      t,
-				layer:     layer,
-				index:     i,
-				gid:       gid,
-				local:     isLocal(layer, i),
-				control:   make(chan envelope, 16),
-				dead:      make(chan struct{}),
-				rsq:       make(map[linkKey]*reseq),
-				loopDone:  make(chan struct{}),
-				respawned: make(chan struct{}),
-			}
-			if n.local {
-				n.fromBelow = newQueue(t, t.faultLink(gid, fault.UpLink), govUp)
-				n.fromAbove = newQueue(t, t.faultLink(gid, fault.DownLink), govDown)
-			}
-			gid++
-			if layer == 0 {
-				if n.local {
-					n.events = make(chan *rankEnvelope, cfg.EventBuf)
-					n.fromPeer = newQueue(t, t.faultLink(n.gid, fault.PeerLink), govPeer)
-				}
-			} else {
-				lo := i * cfg.FanIn
-				hi := lo + cfg.FanIn
-				if hi > prevWidth {
-					hi = prevWidth
-				}
-				for c := lo; c < hi; c++ {
-					n.children = append(n.children, t.layers[layer-1][c])
-				}
-			}
-			nodes[i] = n
-		}
-		t.layers = append(t.layers, nodes)
-		if layer > 0 {
-			for _, child := range t.layers[layer-1] {
-				child.parent = nodes[child.index/cfg.FanIn]
-			}
-		}
-		if width == 1 {
-			break
-		}
-		prevWidth = width
-		width = (width + cfg.FanIn - 1) / cfg.FanIn
-		layer++
-	}
-
-	t.nextGid = gid
-
 	// A worker joining (or rejoining) after a supervised respawn must adopt
 	// the coordinator's current first-layer gid assignment: the default
 	// identity mapping would address gids retired by earlier respawns.
+	var leafGids []int
 	if nc := cfg.Net; nc != nil && nc.Role == NetWorker && len(nc.LeafGids) == width0 {
-		for i, n := range t.layers[0] {
-			n.gid = nc.LeafGids[i]
-			if n.gid >= t.nextGid {
-				t.nextGid = n.gid + 1
-			}
-		}
+		leafGids = nc.LeafGids
 	}
-
-	t.leafNode = make([]*Node, cfg.Leaves)
-	for r := 0; r < cfg.Leaves; r++ {
-		t.leafNode[r] = t.layers[0][r/cfg.FanIn]
-	}
+	tp := &topology{}
 	if cfg.Net != nil {
-		t.gidIndex = make(map[int]*Node, gid)
-		for _, l := range t.layers {
-			for _, n := range l {
-				t.gidIndex[n.gid] = n
+		tp.gidIndex = make(map[int]*Node)
+	}
+	gid := 0
+	for width, layer := width0, 0; ; width, layer = (width+cfg.FanIn-1)/cfg.FanIn, layer+1 {
+		nodes := make([]*Node, width)
+		kids := make([][]*Node, width)
+		for i := range nodes {
+			g := gid
+			if leafGids != nil && layer == 0 {
+				g = leafGids[i]
+			}
+			nodes[i] = t.newNode(layer, i, g, isLocal(layer, i))
+			if tp.gidIndex != nil {
+				tp.gidIndex[g] = nodes[i]
+			}
+			gid++
+			tp.nextGid = max(tp.nextGid, gid, g+1)
+			if layer == 0 {
+				if nodes[i].local {
+					nodes[i].events = make(chan *rankEnvelope, cfg.EventBuf)
+				}
+				continue
+			}
+			below := tp.layers[layer-1]
+			kids[i] = below[i*cfg.FanIn : min((i+1)*cfg.FanIn, len(below))]
+		}
+		tp.layers = append(tp.layers, nodes)
+		tp.up = append(tp.up, make([]*Node, width))
+		tp.down = append(tp.down, kids)
+		if layer > 0 {
+			for c := range tp.up[layer-1] {
+				tp.up[layer-1][c] = nodes[c/cfg.FanIn]
 			}
 		}
+		if width == 1 {
+			tp.up[layer][0] = nodes[0] // the root sends up to itself
+			break
+		}
+	}
+	t.shape.Store(tp)
+	if cfg.Net != nil {
 		if err := t.startNet(); err != nil {
 			close(t.quit) // release the queue pumps already spawned
 			t.wg.Wait()
@@ -722,7 +792,8 @@ func (t *Tree) arm(n *Node) {
 func (t *Tree) Start(mkHandler func(n *Node) Handler) {
 	t.startOnce.Do(func() {
 		t.mkHandler = mkHandler
-		for _, layer := range t.layers {
+		layers := t.shape.Load().layers
+		for _, layer := range layers {
 			for _, n := range layer {
 				if !n.local {
 					continue // remote nodes run in their own process
@@ -731,7 +802,7 @@ func (t *Tree) Start(mkHandler func(n *Node) Handler) {
 				t.arm(n)
 			}
 		}
-		for _, layer := range t.layers {
+		for _, layer := range layers {
 			for _, n := range layer {
 				if !n.local {
 					continue
@@ -789,18 +860,15 @@ func (t *Tree) InjectEventQuiet(rank int, ev event.Event) error {
 	return t.inject(rank, rankEnvelope{ev: ev, quiet: true})
 }
 
-// inject implements InjectEvent(Quiet). The leafNode read is topology-
-// guarded because crash recovery swaps the hosting node at runtime. When
-// the hosting node is dead and the tree can recover it, the injector waits
-// for the slot's fate instead of dropping the event: the replacement
-// adopts the slot's mailbox, so a successful respawn preserves per-rank
-// FIFO with zero dropped events.
+// inject implements InjectEvent(Quiet). When the hosting node is dead and
+// the tree can recover it, the injector waits for the slot's fate instead
+// of dropping the event: the replacement adopts the slot's mailbox, so a
+// successful respawn preserves per-rank FIFO with zero dropped events.
 func (t *Tree) inject(rank int, env rankEnvelope) error {
 	env.from = rank
+	idx := t.NodeFor(rank)
 	for {
-		t.topo.Lock()
-		n := t.leafNode[rank]
-		t.topo.Unlock()
+		n := t.shape.Load().layers[0][idx]
 		if !n.local {
 			// Remote hosting node (coordinator of a TCP fabric): the event
 			// crosses the wire on a sequenced RankLink frame, gated by the
@@ -842,10 +910,7 @@ func (t *Tree) inject(rank int, env rankEnvelope) error {
 			case <-t.quit:
 				return ErrStopped
 			}
-			t.topo.Lock()
-			cur := t.leafNode[rank]
-			t.topo.Unlock()
-			if cur == n {
+			if t.shape.Load().layers[0][idx] == n {
 				return ErrNodeDown // recovery failed: slot degraded
 			}
 			// A replacement took over: retry against it.
@@ -993,19 +1058,22 @@ func (t *Tree) Counters() Counters {
 	return c
 }
 
-// FirstLayer returns the first tool layer.
-func (t *Tree) FirstLayer() []*Node { return t.layers[0] }
+// FirstLayer returns the first tool layer's current nodes.
+func (t *Tree) FirstLayer() []*Node { return t.shape.Load().layers[0] }
 
 // Root returns the root node.
-func (t *Tree) Root() *Node { return t.layers[len(t.layers)-1][0] }
+func (t *Tree) Root() *Node {
+	layers := t.shape.Load().layers
+	return layers[len(layers)-1][0]
+}
 
 // Layers returns the number of tool layers.
-func (t *Tree) Layers() int { return len(t.layers) }
+func (t *Tree) Layers() int { return len(t.shape.Load().layers) }
 
 // NumNodes returns the total number of tool nodes.
 func (t *Tree) NumNodes() int {
 	n := 0
-	for _, l := range t.layers {
+	for _, l := range t.shape.Load().layers {
 		n += len(l)
 	}
 	return n
@@ -1047,7 +1115,7 @@ func (n *Node) Layer() int { return n.layer }
 func (n *Node) Index() int { return n.index }
 
 // IsRoot reports whether this node is the tree root.
-func (n *Node) IsRoot() bool { return n.layer == len(n.tree.layers)-1 }
+func (n *Node) IsRoot() bool { return n.layer == n.tree.Layers()-1 }
 
 // IsFirstLayer reports whether this node is in the first tool layer.
 func (n *Node) IsFirstLayer() bool { return n.layer == 0 }
@@ -1055,17 +1123,16 @@ func (n *Node) IsFirstLayer() bool { return n.layer == 0 }
 // Children returns the current child node indices (empty on the first
 // layer). After crash reattachment the list may span layers.
 func (n *Node) Children() []int {
-	n.tree.topo.Lock()
-	defer n.tree.topo.Unlock()
-	idx := make([]int, len(n.children))
-	for i, c := range n.children {
+	kids := n.tree.shape.Load().down[n.layer][n.index]
+	idx := make([]int, len(kids))
+	for i, c := range kids {
 		idx[i] = c.index
 	}
 	return idx
 }
 
 // NumPeers returns the number of first-layer nodes.
-func (n *Node) NumPeers() int { return len(n.tree.layers[0]) }
+func (n *Node) NumPeers() int { return len(n.tree.FirstLayer()) }
 
 // Tree returns the owning tree.
 func (n *Node) Tree() *Tree { return n.tree }
@@ -1074,18 +1141,7 @@ func (n *Node) Tree() *Tree { return n.tree }
 // delivered back to the root itself via FromChild(own index) — aggregation
 // logic then works uniformly on trees of any depth.
 func (n *Node) SendUp(msg any) {
-	t := n.tree
-	t.topo.Lock()
-	target := n.parent
-	if target == nil {
-		target = n
-	}
-	env := envelope{from: n.index, msg: msg}
-	if t.transport != nil {
-		env = t.transport.wrap(n, target, fault.UpLink, env)
-	}
-	t.topo.Unlock()
-	t.transmit(target, fault.UpLink, env)
+	n.send(fault.UpLink, -1, envelope{from: n.index, msg: msg})
 }
 
 // Broadcast sends a message down to all children; first-layer nodes have no
@@ -1094,21 +1150,7 @@ func (n *Node) Broadcast(msg any) {
 	if n.layer == 0 {
 		return
 	}
-	t := n.tree
-	t.topo.Lock()
-	targets := make([]*Node, len(n.children))
-	copy(targets, n.children)
-	envs := make([]envelope, len(targets))
-	for i, c := range targets {
-		envs[i] = envelope{msg: msg}
-		if t.transport != nil {
-			envs[i] = t.transport.wrap(n, c, fault.DownLink, envs[i])
-		}
-	}
-	t.topo.Unlock()
-	for i, c := range targets {
-		t.transmit(c, fault.DownLink, envs[i])
-	}
+	n.send(fault.DownLink, -1, envelope{msg: msg})
 }
 
 // SendPeer sends an intralayer message to first-layer node peer (self-sends
@@ -1117,19 +1159,26 @@ func (n *Node) SendPeer(peer int, msg any) {
 	if n.layer != 0 {
 		panic(fmt.Sprintf("tbon: intralayer send from layer %d", n.layer))
 	}
+	n.send(fault.PeerLink, peer, envelope{from: n.index, msg: msg})
+}
+
+// send transmits env to n's receivers of class (topology.receivers). With
+// the reliable layer, wrap resolves them and sequences the frames inside
+// transport.mu (see Tree.retopo).
+func (n *Node) send(class fault.Class, peer int, env envelope) {
 	t := n.tree
-	// The target read shares the topo critical section with the transport
-	// wrap: crash recovery swaps first-layer slots at runtime, and the
-	// frame must be sequenced on the link of whichever incarnation the
-	// send resolves to (migration re-keys it atomically otherwise).
-	t.topo.Lock()
-	target := t.layers[0][peer]
-	env := envelope{from: n.index, msg: msg}
-	if t.transport != nil {
-		env = t.transport.wrap(n, target, fault.PeerLink, env)
+	tr := t.transport
+	if tr == nil {
+		for _, to := range t.shape.Load().receivers(n, class, peer) {
+			t.transmit(to, class, env)
+		}
+		return
 	}
-	t.topo.Unlock()
-	t.transmit(target, fault.PeerLink, env)
+	var one [1]envelope // a single receiver's frame stays on the stack
+	to, envs := tr.wrap(n, class, peer, env, one[:0])
+	for i, c := range to {
+		t.transmit(c, class, envs[i])
+	}
 }
 
 // transmit delivers one (possibly framed) envelope to its target: through
@@ -1162,21 +1211,6 @@ func (n *Node) loop() {
 			n.lastBeat.Store(time.Now().UnixNano())
 		}
 		if n.layer == 0 {
-			// Wait-state priority: handle intralayer and parent messages
-			// before new application events when configured.
-			if n.tree.cfg.PreferWaitState {
-				select {
-				case <-n.fromPeer.ready:
-					n.dispatchSlab(n.fromPeer, n.dispatchPeer)
-					n.endCycle()
-					continue
-				case <-n.fromAbove.ready:
-					n.dispatchSlab(n.fromAbove, n.dispatchParent)
-					n.endCycle()
-					continue
-				default:
-				}
-			}
 			select {
 			case env := <-n.control:
 				n.taken++
@@ -1243,8 +1277,8 @@ func (n *Node) bury() {
 		}
 		q.mu.Lock()
 		q.sunk = true
-		pend := len(q.pending)
-		q.pending = nil
+		pend := len(q.pending) - q.head
+		q.pending, q.head = nil, 0
 		q.mu.Unlock()
 		n.tree.retire(int64(pend))
 	}

@@ -132,7 +132,7 @@ func TestSendUpReachesRoot(t *testing.T) {
 	for _, n := range tr.FirstLayer() {
 		n.SendUp("hello")
 	}
-	second := tr.layers[1]
+	second := tr.shape.Load().layers[1]
 	waitFor(t, func() bool {
 		total := 0
 		for _, n := range second {
@@ -171,7 +171,7 @@ func TestBroadcastReachesFirstLayer(t *testing.T) {
 	tr.Root().Broadcast("ack")
 	// Forward down layer by layer.
 	for layer := tr.Layers() - 2; layer >= 1; layer-- {
-		nodes := tr.layers[layer]
+		nodes := tr.shape.Load().layers[layer]
 		waitFor(t, func() bool {
 			for _, n := range nodes {
 				recs[n].mu.Lock()

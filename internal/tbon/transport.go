@@ -103,7 +103,9 @@ func (rs *reseq) accept(seq uint64, env envelope, emit func(envelope)) (upTo uin
 type transport struct {
 	t *Tree
 
-	mu       sync.Mutex // guards links and deadGids; lock order: Tree.topo before mu
+	// mu guards links and deadGids; topology changes publish under it too
+	// (Tree.retopo).
+	mu       sync.Mutex
 	links    map[linkKey]*linkOut
 	deadGids map[int]bool // spliced-out receivers: no new pendings toward them
 
@@ -179,39 +181,47 @@ func (n *Node) inbox(class fault.Class) *queue {
 	}
 }
 
-// wrap assigns the next sequence number on the (from → to, class) link,
-// records the frame as pending, and returns the framed envelope. Callers
-// hold Tree.topo, which makes the parent resolution they just did and the
-// outbox entry atomic with respect to crash redirection.
-func (tr *transport) wrap(from, to *Node, class fault.Class, env envelope) envelope {
-	key := linkKey{from: from.gid, to: to.gid, class: class}
+// wrap resolves from's receivers of class in the published topology
+// (topology.receivers), assigns each the next sequence number on its
+// (from → to, class) link, records the frames as pending, and returns the
+// receivers with the framed envelopes (appended to dst). Resolving inside
+// mu is what keeps a frame off a link a concurrent topology change has
+// retired: the change publishes and migrates under mu (Tree.retopo).
+func (tr *transport) wrap(from *Node, class fault.Class, peer int, env envelope, dst []envelope) ([]*Node, []envelope) {
+	now := time.Now()
 	tr.mu.Lock()
-	lo := tr.link(key)
-	seq := lo.nextSeq
-	lo.nextSeq++
-	fenv := envelope{from: env.from, msg: frame{key: key, seq: seq, msg: env.msg}}
-	// Remote targets keep q nil: the scanner resends their frames through
-	// the TCP fabric instead of a local queue.
-	var q *queue
-	if to.local {
-		q = to.inbox(class)
+	defer tr.mu.Unlock()
+	to := tr.t.shape.Load().receivers(from, class, peer)
+	for _, c := range to {
+		key := linkKey{from: from.gid, to: c.gid, class: class}
+		lo := tr.link(key)
+		seq := lo.nextSeq
+		lo.nextSeq++
+		fenv := envelope{from: env.from, msg: frame{key: key, seq: seq, msg: env.msg}}
+		// Remote targets keep q nil: the scanner resends their frames
+		// through the TCP fabric instead of a local queue.
+		var q *queue
+		if c.local {
+			q = c.inbox(class)
+		}
+		if q != nil || !tr.deadGids[key.to] {
+			// Frames to a spliced-out remote receiver are not worth
+			// tracking: no ack will ever come and retransmitting them only
+			// wedges the in-flight accounting that gates detection.
+			lo.pend[seq] = &pending{env: fenv, q: q, due: now.Add(tr.retryBase)}
+			tr.frames(1)
+		}
+		dst = append(dst, fenv)
 	}
-	if q != nil || !tr.deadGids[key.to] {
-		// Frames to a spliced-out remote receiver are not worth tracking:
-		// no ack will ever come and retransmitting them only wedges the
-		// in-flight accounting that gates detection.
-		lo.pend[seq] = &pending{env: fenv, q: q, due: time.Now().Add(tr.retryBase)}
-		tr.frames(1)
-	}
-	tr.mu.Unlock()
-	return fenv
+	return to, dst
 }
 
-// wrapRemote sequences one payload on a purely remote link (no sender
-// Node — used for the coordinator's rank-event links) and records it
-// pending like wrap does.
-func (tr *transport) wrapRemote(key linkKey, from int, msg any) envelope {
+// wrapRemote sequences one payload on the rank-event link into first-layer
+// node idx's current incarnation (no sender Node: the coordinator's
+// injection) and records it pending like wrap does.
+func (tr *transport) wrapRemote(idx, from int, msg any) envelope {
 	tr.mu.Lock()
+	key := linkKey{from: -1, to: tr.t.shape.Load().layers[0][idx].gid, class: fault.RankLink}
 	lo := tr.link(key)
 	seq := lo.nextSeq
 	lo.nextSeq++
@@ -265,9 +275,9 @@ func (tr *transport) trim(key linkKey, upTo uint64) int {
 // the new link delivers them in the original order. Frames below mark are
 // dropped and counted instead. q, when non-nil, becomes the frames'
 // destination queue (the receiver is a different Node); nil keeps each
-// frame's own (same or remote receiver). The old link is deleted. The caller
-// holds tr.mu, and Tree.topo with the topology already swapped, so no new
-// frame can target the old link concurrently.
+// frame's own (same or remote receiver). The old link is deleted. Like its
+// callers, it runs inside Tree.retopo, so no new frame can target the old
+// link concurrently.
 func (tr *transport) migrate(oldKey, newKey linkKey, q *queue, mark int64) (dropped int) {
 	old := tr.links[oldKey]
 	delete(tr.links, oldKey)
@@ -308,10 +318,8 @@ func (tr *transport) migrate(oldKey, newKey linkKey, q *queue, mark int64) (drop
 
 // redirect migrates a child's unacknowledged upward frames from the dead
 // old parent's link onto the new parent's link. The caller has already
-// swapped the child's parent pointer.
+// rewired the child's up-link.
 func (tr *transport) redirect(child, oldParent, newParent *Node) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	tr.migrate(linkKey{from: child.gid, to: oldParent.gid, class: fault.UpLink},
 		linkKey{from: child.gid, to: newParent.gid, class: fault.UpLink}, newParent.fromBelow, 0)
 }
@@ -328,8 +336,6 @@ func (tr *transport) redirect(child, oldParent, newParent *Node) {
 // the new link (at-least-once); both links deliver in the original order,
 // and the protocol layers deduplicate.
 func (tr *transport) migrateTo(old, neu *Node) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	for key := range tr.links {
 		newKey, q := key, (*queue)(nil)
 		if key.from == old.gid {
@@ -360,8 +366,6 @@ func (tr *transport) migrateTo(old, neu *Node) {
 // incarnation boundary — the same contract migrateTo documents, absorbed
 // by the protocol layers' dedup.
 func (tr *transport) cutOver(old, neu int, markFor func(linkKey) int64) (droppedRank int) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	for key := range tr.links {
 		if key.to != old {
 			continue

@@ -1,6 +1,7 @@
 package tbon
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -53,7 +54,7 @@ func TestTransportHealsDrops(t *testing.T) {
 	defer tr.Stop()
 
 	src := tr.FirstLayer()[0]
-	got := sendUpStream(t, tr, recs, src, src.parent, 200)
+	got := sendUpStream(t, tr, recs, src, tr.shape.Load().up[0][0], 200)
 	assertExactStream(t, got, 200)
 	if tr.Retransmits() == 0 {
 		t.Fatal("a 20% drop rate over 200 messages must retransmit")
@@ -72,7 +73,7 @@ func TestTransportDedupsDuplicates(t *testing.T) {
 	defer tr.Stop()
 
 	src := tr.FirstLayer()[0]
-	got := sendUpStream(t, tr, recs, src, src.parent, 200)
+	got := sendUpStream(t, tr, recs, src, tr.shape.Load().up[0][0], 200)
 	assertExactStream(t, got, 200)
 }
 
@@ -85,7 +86,7 @@ func TestTransportResequencesReorders(t *testing.T) {
 	defer tr.Stop()
 
 	src := tr.FirstLayer()[0]
-	got := sendUpStream(t, tr, recs, src, src.parent, 200)
+	got := sendUpStream(t, tr, recs, src, tr.shape.Load().up[0][0], 200)
 	assertExactStream(t, got, 200)
 }
 
@@ -98,7 +99,7 @@ func TestTransportCombinedFaultsBothDirections(t *testing.T) {
 	defer tr.Stop()
 
 	src := tr.FirstLayer()[0]
-	got := sendUpStream(t, tr, recs, src, src.parent, 200)
+	got := sendUpStream(t, tr, recs, src, tr.shape.Load().up[0][0], 200)
 	assertExactStream(t, got, 200)
 
 	// Downward: the root broadcasts 100 messages; each of its direct
@@ -108,7 +109,7 @@ func TestTransportCombinedFaultsBothDirections(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tr.Root().Broadcast(i)
 	}
-	children := tr.layers[tr.Layers()-2]
+	children := tr.shape.Load().layers[tr.Layers()-2]
 	for _, n := range children {
 		n := n
 		waitFor(t, func() bool {
@@ -145,10 +146,10 @@ func TestCrashOfRootChildReattachesToRoot(t *testing.T) {
 	recs := startRecording(tr)
 	defer tr.Stop()
 
-	victim := tr.layers[1][0]
+	victim := tr.shape.Load().layers[1][0]
 	root := tr.Root()
-	if victim.parent != root {
-		t.Fatalf("topology: victim's parent is layer %d, want the root", victim.parent.Layer())
+	if p := tr.shape.Load().up[1][0]; p != root {
+		t.Fatalf("topology: victim's parent is layer %d, want the root", p.Layer())
 	}
 	src := tr.FirstLayer()[0] // child of the victim
 
@@ -169,15 +170,9 @@ func TestCrashOfRootChildReattachesToRoot(t *testing.T) {
 		t.Fatalf("supervisor reaped %d nodes, want only the victim", len(down))
 	}
 	downMu.Unlock()
-	tr.topo.Lock()
-	newParent := src.parent
-	spliced := true
-	for _, c := range root.children {
-		if c == victim {
-			spliced = false
-		}
-	}
-	tr.topo.Unlock()
+	tp := tr.shape.Load()
+	newParent := tp.up[0][0]
+	spliced := !slices.Contains(tp.down[root.layer][0], victim)
 	if newParent != root {
 		t.Fatalf("orphan reattached to layer %d index %d, want the root itself",
 			newParent.Layer(), newParent.Index())
@@ -242,8 +237,8 @@ func TestCrashReattachesChildrenToGrandparent(t *testing.T) {
 	recs := startRecording(tr)
 	defer tr.Stop()
 
-	victim := tr.layers[1][0]
-	grand := tr.layers[2][0]
+	victim := tr.shape.Load().layers[1][0]
+	grand := tr.shape.Load().layers[2][0]
 	src := tr.FirstLayer()[0] // child of the victim
 
 	// Keep a message stream flowing across the crash: every message must
@@ -266,15 +261,9 @@ func TestCrashReattachesChildrenToGrandparent(t *testing.T) {
 		t.Fatalf("supervisor reaped %d nodes, want only the victim", len(down))
 	}
 	downMu.Unlock()
-	tr.topo.Lock()
-	newParent := src.parent
-	spliced := true
-	for _, c := range grand.children {
-		if c == victim {
-			spliced = false
-		}
-	}
-	tr.topo.Unlock()
+	tp := tr.shape.Load()
+	newParent := tp.up[0][0]
+	spliced := !slices.Contains(tp.down[2][0], victim)
 	if newParent != grand {
 		t.Fatalf("orphan's parent is layer %d index %d, want the grandparent", newParent.Layer(), newParent.Index())
 	}

@@ -356,15 +356,6 @@ type netFabric struct {
 	codecErrors atomic.Uint64
 	reconnects  atomic.Uint64
 
-	// Leaf gid bookkeeping (both roles): first-layer index ↔ current gid.
-	// The two start as the identity mapping but drift once a supervised
-	// respawn re-admits a worker's leaves under fresh gids; ownership,
-	// routing and the rank-event window are all index-based underneath.
-	gmu      sync.RWMutex
-	leafGids []int       // leaf index → current gid
-	gidLeaf  map[int]int // current gid → leaf index
-	retired  map[int]bool
-
 	// Coordinator state.
 	ln        net.Listener
 	slots     []*workerSlot
@@ -397,17 +388,10 @@ func (t *Tree) startNet() error {
 		t:      t,
 		nc:     nc,
 		role:   nc.Role,
-		width0: len(t.layers[0]),
+		width0: len(t.FirstLayer()),
 		closed: make(chan struct{}),
 	}
 	t.net = fab
-	fab.leafGids = make([]int, fab.width0)
-	fab.gidLeaf = make(map[int]int, fab.width0)
-	fab.retired = make(map[int]bool)
-	for i, n := range t.layers[0] {
-		fab.leafGids[i] = n.gid
-		fab.gidLeaf[n.gid] = i
-	}
 	// Each connection's outbound queue gets a slice of the global budget.
 	wireCap := t.gov.budget / 4
 	if wireCap < 1<<20 {
@@ -483,42 +467,13 @@ func (t *Tree) startNet() error {
 
 // leafIndex maps a gid to its first-layer index, or -1 when the gid is not
 // a live leaf gid (a layer ≥ 1 node, the synthetic -1 of rank links, or a
-// gid retired by a supervised respawn).
+// gid retired by a supervised respawn). Ownership, routing and the
+// rank-event window are all index-based underneath the gids.
 func (fab *netFabric) leafIndex(gid int) int {
-	fab.gmu.RLock()
-	defer fab.gmu.RUnlock()
-	if idx, ok := fab.gidLeaf[gid]; ok {
-		return idx
+	if n := fab.t.shape.Load().gidIndex[gid]; n != nil && n.layer == 0 {
+		return n.index
 	}
 	return -1
-}
-
-// setLeafGid retires leaf idx's current gid and installs neu in its place.
-func (fab *netFabric) setLeafGid(idx, neu int) {
-	fab.gmu.Lock()
-	old := fab.leafGids[idx]
-	delete(fab.gidLeaf, old)
-	fab.retired[old] = true
-	fab.leafGids[idx] = neu
-	fab.gidLeaf[neu] = idx
-	fab.gmu.Unlock()
-}
-
-// isRetired reports whether gid belonged to a leaf incarnation a respawn
-// replaced (in-flight frames toward it are superseded, not errors).
-func (fab *netFabric) isRetired(gid int) bool {
-	fab.gmu.RLock()
-	defer fab.gmu.RUnlock()
-	return fab.retired[gid]
-}
-
-// leafGidsSnapshot copies the current index → gid view (for the welcome).
-func (fab *netFabric) leafGidsSnapshot() []int {
-	fab.gmu.RLock()
-	defer fab.gmu.RUnlock()
-	out := make([]int, len(fab.leafGids))
-	copy(out, fab.leafGids)
-	return out
 }
 
 // ownsGid reports whether a global node id lives in this process. Ids that

@@ -132,21 +132,21 @@ func (fab *netFabric) admit(sl *workerSlot, conn net.Conn, br *bufio.Reader, rec
 	if recovered != nil {
 		fab.respawns.Add(1)
 	}
-	if gids := fab.degradedLeafGids(); len(gids) > 0 {
+	degraded := func(sl *workerSlot) bool {
+		sl.mu.Lock()
+		defer sl.mu.Unlock()
+		return sl.degraded
+	}
+	if gids := fab.leafGids(degraded); len(gids) > 0 {
 		// Catch a late (re)connector up on splice-outs it missed.
 		if buf, ok := fab.encodeFrame(wire.KindDown, -1, wireDown{Gids: gids}); ok {
 			sl.sq.push(buf)
 		}
 	}
 	if cb := fab.t.cfg.OnNodeRecovered; cb != nil && recovered != nil {
-		fab.t.topo.RLock()
-		nodes := make([]*Node, 0, len(recovered))
+		leaves := fab.t.FirstLayer()
 		for _, idx := range recovered {
-			nodes = append(nodes, fab.t.layers[0][idx])
-		}
-		fab.t.topo.RUnlock()
-		for _, n := range nodes {
-			cb(n)
+			cb(leaves[idx])
 		}
 	}
 	fab.checkReady()
@@ -169,11 +169,10 @@ func (fab *netFabric) welcome(inc uint64) wireWelcome {
 		FanIn:       cfg.FanIn,
 		EventBuf:    cfg.EventBuf,
 		Workers:     fab.nc.Workers,
-		PreferWS:    cfg.PreferWaitState,
 		KeepAlive:   fab.nc.keepAlive(),
 		Budget:      fab.nc.budget(),
 		MemBudget:   cfg.MemBudget,
-		LeafGids:    fab.leafGidsSnapshot(),
+		LeafGids:    fab.leafGids(nil),
 		Extra:       fab.nc.Extra,
 	}
 }
@@ -326,11 +325,10 @@ func (fab *netFabric) deliverData(payload []byte) {
 		fab.codecErrors.Add(1)
 		return
 	}
-	fab.t.topo.RLock()
-	n := fab.t.gidIndex[wd.To]
-	fab.t.topo.RUnlock()
+	tp := fab.t.shape.Load()
+	n := tp.gidIndex[wd.To]
 	if n == nil {
-		if !fab.isRetired(wd.To) {
+		if wd.To < 0 || wd.To >= tp.nextGid {
 			fab.codecErrors.Add(1)
 		}
 		return // in-flight frame to a retired incarnation: superseded
@@ -462,20 +460,13 @@ func (fab *netFabric) degrade(sl *workerSlot) {
 	// A spliced-out worker holds no work the tool waits for.
 	fab.markIdle(sl)
 	t := fab.t
-	// Supervised respawns swap leaf gids under topo; resolve the slot's
-	// current nodes under the same lock.
-	t.topo.RLock()
-	var nodes []*Node
+	leaves := t.FirstLayer()
 	var gids []int
 	for _, idx := range fab.leavesOf(sl.w) {
-		n := t.layers[0][idx]
-		nodes = append(nodes, n)
+		n := leaves[idx]
 		gids = append(gids, n.gid)
-	}
-	t.topo.RUnlock()
-	for i, n := range nodes {
 		n.Kill()
-		t.transport.dropLinksTo(gids[i]) // the TCP fabric implies the reliable layer
+		t.transport.dropLinksTo(n.gid) // the TCP fabric implies the reliable layer
 		if t.cfg.OnNodeDown != nil {
 			t.cfg.OnNodeDown(n)
 		}
@@ -493,23 +484,15 @@ func (fab *netFabric) degrade(sl *workerSlot) {
 	}
 }
 
-// degradedLeafGids collects the first-layer gids of every slot already
-// spliced out (pushed to late (re)connectors so they too stop
-// retransmitting into the void).
-func (fab *netFabric) degradedLeafGids() []int {
+// leafGids lists the current first-layer gids of the slots keep admits
+// (every slot when keep is nil): for the welcome, and — the degraded ones —
+// for late (re)connectors, so they too stop retransmitting into the void.
+func (fab *netFabric) leafGids(keep func(*workerSlot) bool) []int {
 	var gids []int
-	for _, sl := range fab.slots {
-		sl.mu.Lock()
-		deg := sl.degraded
-		sl.mu.Unlock()
-		if !deg {
-			continue
+	for i, n := range fab.t.FirstLayer() {
+		if keep == nil || keep(fab.slots[ownerOfLeaf(i, fab.width0, len(fab.slots))]) {
+			gids = append(gids, n.gid)
 		}
-		fab.t.topo.RLock()
-		for _, idx := range fab.leavesOf(sl.w) {
-			gids = append(gids, fab.t.layers[0][idx].gid)
-		}
-		fab.t.topo.RUnlock()
 	}
 	return gids
 }

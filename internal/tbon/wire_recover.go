@@ -9,8 +9,8 @@ package tbon
 //     reconnector loses the race permanently) and mints a one-shot
 //     recovery token.
 //  2. The respawned process dials with the token (DialWorkerResume). The
-//     handshake validates and consumes the token, then — atomically under
-//     the topology lock — re-gids the worker's first-layer placeholders,
+//     handshake validates and consumes the token, then — in one topology
+//     change (Tree.retopo) — re-gids the worker's first-layer placeholders,
 //     cuts the per-leaf journals (snapshot + watermarks + seal in one
 //     critical section), and splits the coordinator's unacked outbox per
 //     link at the cut watermark: journal-covered frames are dropped (the
@@ -145,48 +145,43 @@ func (fab *netFabric) resumeHandshake(sl *workerSlot, conn net.Conn, br *bufio.R
 	fab.admit(sl, conn, br, leaves)
 }
 
-// readmitSwap is the atomic core of re-admission: under the topology lock
+// readmitSwap is the atomic core of re-admission: in one topology change
 // it re-gids every leaf the worker owns, cuts its journal, and splits the
 // coordinator's unacked outbox at the cut watermark. ok is false when any
 // journal overflowed (the swap still completes so the fabric stays
 // consistent, but nothing may be shipped).
 func (fab *netFabric) readmitSwap(sl *workerSlot) (leaves, newGids []int, shipment map[int][][]byte, droppedRank map[int]int, ok bool) {
-	t := fab.t
 	shipment = make(map[int][][]byte)
 	droppedRank = make(map[int]int)
 	ok = true
-	t.topo.Lock()
-	defer t.topo.Unlock()
 	leaves = fab.leavesOf(sl.w)
-	for _, idx := range leaves {
-		payloads, marks := fab.journals[idx].Cut(t.layers[0][idx].gid)
-		if marks == nil {
-			ok = false // overflow: marks read 0, everything migrates; admission is rejected anyway
+	fab.t.retopo(func(tp *topology, tr *transport) {
+		for _, idx := range leaves {
+			payloads, marks := fab.journals[idx].Cut(tp.layers[0][idx].gid)
+			if marks == nil {
+				ok = false // overflow: marks read 0, everything migrates; admission is rejected anyway
+			}
+			shipment[idx] = payloads
+			neu := tp.nextGid
+			droppedRank[idx] = fab.t.regid(tp, tr, idx, neu, func(key linkKey) int64 {
+				return marks[supervise.LinkID{From: key.from, Class: int(key.class), Dst: key.to}]
+			})
+			newGids = append(newGids, neu)
 		}
-		shipment[idx] = payloads
-		neu := t.nextGid
-		t.nextGid++
-		droppedRank[idx] = fab.regid(idx, neu, func(key linkKey) int64 {
-			return marks[supervise.LinkID{From: key.from, Class: int(key.class), Dst: key.to}]
-		})
-		newGids = append(newGids, neu)
-	}
+	})
 	return leaves, newGids, shipment, droppedRank, ok
 }
 
-// regid re-keys leaf idx under the fresh gid neu: the topology placeholder,
-// the gid index, the fabric's routing maps, and — through cutOver with
-// markFor — every unacked pending toward the retired gid. The caller holds
-// Tree.topo exclusively. Returns the dropped rank-link pendings.
-func (fab *netFabric) regid(idx, neu int, markFor func(linkKey) int64) int {
-	t := fab.t
-	n := t.layers[0][idx]
-	old := n.gid
-	n.gid = neu
-	delete(t.gidIndex, old)
-	t.gidIndex[neu] = n
-	fab.setLeafGid(idx, neu)
-	return t.transport.cutOver(old, neu, markFor)
+// regid publishes a fresh placeholder for remote leaf idx under gid neu
+// and, through cutOver with markFor, moves every unacked pending toward the
+// retired gid onto the fresh links. Runs inside Tree.retopo. Returns the
+// dropped rank-link pendings.
+func (t *Tree) regid(tp *topology, tr *transport, idx, neu int, markFor func(linkKey) int64) int {
+	old := tp.layers[0][idx]
+	n := t.newNode(0, idx, neu, false)
+	n.dead = old.dead
+	tp.place(n)
+	return tr.cutOver(old.gid, neu, markFor)
 }
 
 // shipJournals streams the journaled inputs in bounded chunks, ending with
@@ -263,36 +258,29 @@ func (fab *netFabric) applyRecover(rc wireRecover) {
 // are addressed by first-layer index — the gids inside the payloads are
 // from retired incarnations — and enter through enqueue unframed.
 func (fab *netFabric) replayOne(leaf int, wd wireData) {
-	t := fab.t
-	t.topo.RLock()
-	var n *Node
-	if leaf >= 0 && leaf < len(t.layers[0]) {
-		n = t.layers[0][leaf]
-	}
-	t.topo.RUnlock()
-	if n == nil || !n.local {
+	leaves := fab.t.FirstLayer()
+	if leaf < 0 || leaf >= len(leaves) || !leaves[leaf].local {
 		fab.codecErrors.Add(1)
 		return
 	}
-	fab.enqueue(n, wd, false)
+	fab.enqueue(leaves[leaf], wd, false)
 }
 
 // applyRespawn re-keys a respawned worker's leaves under their fresh gids
-// (surviving-worker side): topology placeholders, the gid index, the
-// fabric's routing maps, and every unacked pending toward the retired
-// gids, which migrates in order onto the fresh links.
+// (surviving-worker side): fresh topology placeholders, and every unacked
+// pending toward the retired gids, which migrates in order onto the fresh
+// links.
 func (fab *netFabric) applyRespawn(wr wireRespawn) {
-	t := fab.t
 	zero := func(linkKey) int64 { return 0 }
-	t.topo.Lock()
-	for i, idx := range wr.Leaves {
-		if i >= len(wr.NewGids) || idx < 0 || idx >= fab.width0 {
-			continue
+	fab.t.retopo(func(tp *topology, tr *transport) {
+		for i, idx := range wr.Leaves {
+			if i >= len(wr.NewGids) || idx < 0 || idx >= fab.width0 {
+				continue
+			}
+			if n := tp.layers[0][idx]; n.local || n.gid == wr.NewGids[i] {
+				continue // not a peer's leaf, or a duplicate broadcast
+			}
+			fab.t.regid(tp, tr, idx, wr.NewGids[i], zero)
 		}
-		if t.layers[0][idx].gid == wr.NewGids[i] {
-			continue // duplicate broadcast
-		}
-		fab.regid(idx, wr.NewGids[i], zero)
-	}
-	t.topo.Unlock()
+	})
 }

@@ -46,7 +46,9 @@ func TestReplayAndLiveShareInbox(t *testing.T) {
 			tr := New(Config{Leaves: 4, FanIn: 2})
 			defer tr.Stop()
 			n := tr.FirstLayer()[1]
-			tr.gidIndex = map[int]*Node{n.gid: n}
+			tp := tr.shape.Load().clone()
+			tp.gidIndex = map[int]*Node{n.gid: n}
+			tr.shape.Store(tp)
 			fab := &netFabric{t: tr, rankRsq: make(map[linkKey]*reseq)}
 			msg := func(i int) any {
 				if class == fault.RankLink {

@@ -37,12 +37,11 @@ type WorkerSession struct {
 func (ws *WorkerSession) TreeConfig() Config {
 	w := ws.welcome
 	return Config{
-		Leaves:          w.Leaves,
-		FanIn:           w.FanIn,
-		EventBuf:        w.EventBuf,
-		PreferWaitState: w.PreferWS,
-		Batch:           true, // the tool layer always batches
-		MemBudget:       w.MemBudget,
+		Leaves:    w.Leaves,
+		FanIn:     w.FanIn,
+		EventBuf:  w.EventBuf,
+		Batch:     true, // the tool layer always batches
+		MemBudget: w.MemBudget,
 		Net: &NetConfig{
 			Role:      NetWorker,
 			Workers:   w.Workers,
@@ -431,11 +430,8 @@ func (t *Tree) injectRemote(n *Node, env rankEnvelope) error {
 		// A heartbeat travels unsequenced — no window slot, no outbox entry,
 		// no ack — so it is never outstanding work; a lost one only skips a
 		// probe round, and overtaking events only delays a Stalled verdict.
-		t.topo.RLock()
-		gid := n.gid
-		t.topo.RUnlock()
-		if buf, ok := fab.encodeFrame(wire.KindData, int32(gid), wireData{From: env.from, To: gid, FromG: -1, Class: fault.RankLink, Msg: wr}); ok {
-			fab.route(int32(gid), buf, false)
+		if buf, ok := fab.encodeFrame(wire.KindData, int32(n.gid), wireData{From: env.from, To: n.gid, FromG: -1, Class: fault.RankLink, Msg: wr}); ok {
+			fab.route(int32(n.gid), buf, false)
 		}
 		return nil
 	}
@@ -452,15 +448,7 @@ func (t *Tree) injectRemote(n *Node, env rankEnvelope) error {
 	case <-t.quit:
 		return ErrStopped
 	}
-	// Resolve the leaf's gid and record the pending under the topology
-	// lock: a supervised respawn swapping the gid concurrently would
-	// otherwise leave this frame pinned to a retired link the swap's
-	// migration never saw.
-	t.topo.RLock()
-	key := linkKey{from: -1, to: n.gid, class: fault.RankLink}
-	fenv := t.transport.wrapRemote(key, env.from, wr)
-	t.topo.RUnlock()
-	fab.sendData(fenv)
+	fab.sendData(t.transport.wrapRemote(n.index, env.from, wr))
 	return nil
 }
 

@@ -177,13 +177,3 @@ func TestSlowLinksDoNotBreakDetection(t *testing.T) {
 		t.Fatal("deadlock not detected over slow links")
 	}
 }
-
-// TestPreferWaitStateModeCorrect runs a clean workload with the wait-state
-// priority option enabled.
-func TestPreferWaitStateModeCorrect(t *testing.T) {
-	opts := must.Options{FanIn: 2, Timeout: 30 * time.Millisecond, PreferWaitState: true}
-	rep := must.Run(6, cleanProg, opts)
-	if rep.Deadlock || rep.AppAborted {
-		t.Fatalf("deadlock=%v aborted=%v", rep.Deadlock, rep.AppAborted)
-	}
-}
