@@ -27,9 +27,11 @@ race:
 	$(GO) test -race ./...
 
 # The seeded fault-injection sweep only (190 adversarial runs), plus the
-# topology-change races.
+# topology-change races, and the request window, the shared node wake and
+# exact quiescence five times over.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestTransport|TestCrash|TestTopology' ./internal/fault/ ./internal/tbon/
+	$(GO) test -race -count=5 -run 'TestRequestWindow|TestRequestRecordsFreedByWait|TestNodeWake|TestQuiescenceIsExact' ./internal/dws/ ./internal/tbon/
 
 # Short shard: unit tests plus a small chaos slice; skips `go run` smoke tests.
 short:

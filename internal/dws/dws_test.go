@@ -516,7 +516,7 @@ func TestRequestRecordsFreedByWait(t *testing.T) {
 		h.drain()
 		n := h.nodes[0]
 		for _, rs := range n.ranks {
-			records += len(rs.reqs)
+			records += rs.reqs.records()
 		}
 		m := n.Checkpoint()
 		if m == nil {
@@ -550,7 +550,7 @@ func TestWaitanyKeepsCompletedRecords(t *testing.T) {
 	if got := h.nodes[0].CurrentTS(0); got != 4 {
 		t.Fatalf("both Waitanys must pass, l = %d", got)
 	}
-	if got := len(h.nodes[0].ranks[0].reqs); got != 2 {
+	if got := h.nodes[0].ranks[0].reqs.records(); got != 2 {
 		t.Fatalf("request records = %d, want both kept", got)
 	}
 }

@@ -2,6 +2,7 @@ package dws
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -153,7 +154,7 @@ type rankState struct {
 	rank    int
 	l       int // current timestamp l_i
 	ops     window
-	reqs    map[trace.ReqID]int // request → timestamp of the operation that created it
+	reqs    reqWindow // request → timestamp of the operation that created it
 	collSeq map[trace.CommID]int
 	// creating holds each Comm_dup/Comm_split call with the (parent
 	// communicator, wave) it ran in, until the rank's CommInfo event for that
@@ -270,6 +271,129 @@ func (w *window) take(ts int) *opState {
 // skip the nil ones.
 func (w *window) stored() []*opState { return w.slots[w.lo:] }
 
+// reqWindow maps a rank's request IDs to the timestamps of the operations
+// that created them. The runtime hands a rank's IDs out in increasing order,
+// with gaps where a blocking Recv or Probe used an internal request that
+// never reaches the tool, so record rq sits in slots[rq-base] (holding
+// ts+1; 0 is no record) and lo is the first slot that may hold one.
+// Replayed traces may use any IDs: one below the base goes to the spill
+// map, and a new ID that would stretch the window past reqSpan(live) slots
+// moves the records it leaves behind there first. Every ID sits in at most
+// one of the two; a lookup that misses the window consults spill only when
+// it is non-empty.
+type reqWindow struct {
+	base  trace.ReqID
+	lo    int
+	live  int // records in slots
+	slots []int
+	spill map[trace.ReqID]int
+}
+
+// reqSpan bounds the slots a window holding live records may span: sparse
+// records (ones Waitany or Test* keep) leave for spill instead of pinning an
+// ever longer window.
+func reqSpan(live int) int { return max(64, 4*live) }
+
+// get returns the timestamp recorded for rq.
+func (w *reqWindow) get(rq trace.ReqID) (ts int, ok bool) {
+	if i := int(rq) - int(w.base); i >= w.lo && i < len(w.slots) && w.slots[i] != 0 {
+		return w.slots[i] - 1, true
+	}
+	if len(w.spill) == 0 {
+		return 0, false
+	}
+	ts, ok = w.spill[rq]
+	return ts, ok
+}
+
+// put records that operation ts created request rq, replacing any record
+// of rq.
+func (w *reqWindow) put(rq trace.ReqID, ts int) {
+	if w.lo == len(w.slots) {
+		w.slots, w.lo, w.base = w.slots[:0], 0, rq // empty: restart at rq
+	}
+	i := int(rq) - int(w.base)
+	if i >= len(w.slots) {
+		i = w.extend(i)
+	}
+	if i < 0 {
+		if w.spill == nil {
+			w.spill = make(map[trace.ReqID]int)
+		}
+		w.spill[rq] = ts
+		return
+	}
+	if len(w.spill) > 0 {
+		delete(w.spill, rq)
+	}
+	if w.slots[i] == 0 {
+		w.live++
+		w.lo = min(w.lo, i)
+	}
+	w.slots[i] = ts + 1
+}
+
+// extend makes room for slot i at or past the end of the window and
+// returns its index afterwards. Records more than reqSpan(live) below rq
+// move to spill first; the rest slides down when at least half of the
+// slice was reclaimed, else the slice grows.
+func (w *reqWindow) extend(i int) int {
+	if cut := i + 1 - reqSpan(w.live); cut > w.lo {
+		for ; w.lo < len(w.slots) && (w.lo < cut || w.slots[w.lo] == 0); w.lo++ {
+			if v := w.slots[w.lo]; v != 0 {
+				if w.spill == nil {
+					w.spill = make(map[trace.ReqID]int)
+				}
+				w.spill[w.base+trace.ReqID(w.lo)] = v - 1
+				w.slots[w.lo] = 0
+				w.live--
+			}
+		}
+		if w.lo == len(w.slots) {
+			w.base += trace.ReqID(i)
+			w.slots, w.lo = w.slots[:0], 0
+			i = 0
+		}
+	}
+	if i >= cap(w.slots) && 2*w.lo >= len(w.slots) {
+		k := copy(w.slots, w.slots[w.lo:])
+		clear(w.slots[k:])
+		w.slots, w.base, i, w.lo = w.slots[:k], w.base+trace.ReqID(w.lo), i-w.lo, 0
+	}
+	for len(w.slots) <= i {
+		w.slots = append(w.slots, 0)
+	}
+	return i
+}
+
+// del frees request rq's record.
+func (w *reqWindow) del(rq trace.ReqID) {
+	if i := int(rq) - int(w.base); i >= w.lo && i < len(w.slots) && w.slots[i] != 0 {
+		w.slots[i] = 0
+		w.live--
+		for w.lo < len(w.slots) && w.slots[w.lo] == 0 {
+			w.lo++
+		}
+		return
+	}
+	if len(w.spill) > 0 {
+		delete(w.spill, rq)
+	}
+}
+
+// records counts the records.
+func (w *reqWindow) records() int { return w.live + len(w.spill) }
+
+// clone copies the window from its first record on.
+func (w *reqWindow) clone() reqWindow {
+	return reqWindow{
+		base:  w.base + trace.ReqID(w.lo),
+		live:  w.live,
+		slots: slices.Clone(w.slots[w.lo:]),
+		spill: maps.Clone(w.spill),
+	}
+}
+
 // NewNode creates a tracker for the given hosted world ranks.
 func NewNode(id int, hosted []int, nodeFor func(int) int, out Out) *Node {
 	n := &Node{
@@ -291,7 +415,6 @@ func NewNode(id int, hosted []int, nodeFor func(int) int, out Out) *Node {
 	for _, r := range hosted {
 		n.ranks[r] = &rankState{
 			rank:         r,
-			reqs:         make(map[trace.ReqID]int),
 			collSeq:      make(map[trace.CommID]int),
 			lastTS:       -1,
 			lastProgress: now,
@@ -530,7 +653,7 @@ func (n *Node) newOp(op *trace.Op) {
 			Kind: kind, FromNode: n.id,
 		})
 		if kind.IsNonBlockingP2P() {
-			rs.reqs[op.Req] = op.TS
+			rs.reqs.put(op.Req, op.TS)
 		}
 
 	case kind == trace.Iprobe:
@@ -542,7 +665,7 @@ func (n *Node) newOp(op *trace.Op) {
 			o.canAdv = true
 		}
 		if kind.IsNonBlockingP2P() {
-			rs.reqs[op.Req] = op.TS
+			rs.reqs.put(op.Req, op.TS)
 		}
 		n.applyMatches(n.match.AddRecv(p2pmatch.RecvInfo{
 			Proc: op.Proc, TS: op.TS, Src: op.Peer, Tag: op.Tag,
@@ -752,12 +875,15 @@ func (n *Node) reclaimIfRetired(rs *rankState, o *opState) {
 // it, which for a non-blocking operation happens only after completion (or
 // with the rank's crash).
 //
-// The records themselves: a blocking Wait/Waitall deletes the requests it
-// returned (MPI freed them); requests completed through Waitany/Waitsome/
+// The records live in the rank's request window (reqWindow): a blocking
+// Wait/Waitall frees the requests it returned (MPI freed them), which lets
+// the window's base advance; requests completed through Waitany/Waitsome/
 // Test* keep theirs, because a request that completed but was not returned
-// must still read as done to a later call.
+// must still read as done to a later call. Such a kept record pins the
+// window's oldest slot only until newer IDs stretch it past reqSpan; it
+// then moves to the spill map and keeps reading as done from there.
 func (rs *rankState) request(rq trace.ReqID) (o *opState, known bool) {
-	ts, ok := rs.reqs[rq]
+	ts, ok := rs.reqs.get(rq)
 	if !ok {
 		return nil, false
 	}
@@ -915,7 +1041,7 @@ func (n *Node) retire(rs *rankState, o *opState) {
 	case kind == trace.Wait || kind == trace.Waitall:
 		// The call returned every request it named, and MPI freed them.
 		for _, rq := range o.op.Reqs {
-			delete(rs.reqs, rq)
+			rs.reqs.del(rq)
 		}
 		n.dropOp(rs, o.op.TS)
 	default:

@@ -139,7 +139,7 @@ func cloneRankState(rs *rankState) *rankState {
 		crashed: rs.crashed, lastCall: rs.lastCall,
 		enters: rs.enters, beatCalls: rs.beatCalls, lastProgress: rs.lastProgress,
 		ops:      rs.ops.clone(),
-		reqs:     maps.Clone(rs.reqs),
+		reqs:     rs.reqs.clone(),
 		collSeq:  maps.Clone(rs.collSeq),
 		creating: slices.Clone(rs.creating),
 	}

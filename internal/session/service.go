@@ -515,12 +515,5 @@ func (s *Service) persist(h *Session) {
 		Outcome:       h.outcome,
 	}
 	s.mu.Unlock()
-	if rec.Outcome != nil && rec.Outcome.Report != nil {
-		// The report is process-local (json:"-"); the record carries the
-		// outcome's state, error and stats.
-		o := *rec.Outcome
-		o.Report = nil
-		rec.Outcome = &o
-	}
 	s.cfg.Store.Put(rec)
 }

@@ -48,9 +48,6 @@ type Outcome struct {
 	// Stats is present when the run executed (done, and canceled runs
 	// that got far enough to produce a report).
 	Stats *RunStats `json:"stats,omitempty"`
-	// Report is the full tool report for embedders (the HTTP layer ships
-	// Stats, not the report).
-	Report *must.Report `json:"-"`
 }
 
 // Run executes one session to completion under ctx: validate, resolve the
@@ -84,7 +81,7 @@ func Run(ctx context.Context, spec *Spec) (out *Outcome) {
 	}
 
 	stats := StatsFor(spec.Workload, spec.Procs, spec.modeName(), "chan", rep)
-	out = &Outcome{State: StateDone, Stats: &stats, Report: rep}
+	out = &Outcome{State: StateDone, Stats: &stats}
 
 	// Classify abnormal endings off the one abort path. A rank panic is
 	// an internal error even if ctx has since expired — the panic is the

@@ -2,9 +2,12 @@ package tbon
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"dwst/internal/fault"
 )
 
 // cycleRecorder counts the peer messages each delivery cycle handed over:
@@ -203,5 +206,120 @@ func TestPumpStageOnlyWithDelayOrFaults(t *testing.T) {
 		if n.fromPeer.stage == nil || n.fromAbove.stage == nil || n.fromBelow.stage == nil {
 			t.Fatal("LinkDelay queue lacks its pump stage")
 		}
+	}
+}
+
+// wakeRecorder logs a node's deliveries by link, and the delivery cycles
+// (Flush) they fell in. gate, while non-nil, holds the node inside its
+// first delivery so traffic can pile up on every link behind it.
+type wakeRecorder struct {
+	mu     sync.Mutex
+	gate   chan struct{}
+	log    []wakeEntry
+	cycle  int
+	cycles [][]string // the links each non-empty cycle served, in order
+}
+
+type wakeEntry struct {
+	link string
+	v    int
+}
+
+func (w *wakeRecorder) record(link string, v int) {
+	w.mu.Lock()
+	gate := w.gate
+	w.gate = nil
+	w.log = append(w.log, wakeEntry{link, v})
+	if w.cycle == len(w.cycles) {
+		w.cycles = append(w.cycles, nil)
+	}
+	if c := w.cycles[w.cycle]; len(c) == 0 || c[len(c)-1] != link {
+		w.cycles[w.cycle] = append(c, link)
+	}
+	w.mu.Unlock()
+	if gate != nil {
+		<-gate
+	}
+}
+
+func (w *wakeRecorder) FromRank(int, any)        {}
+func (w *wakeRecorder) FromPeer(_ int, msg any)  { w.record("peer", msg.(int)) }
+func (w *wakeRecorder) FromParent(msg any)       { w.record("parent", msg.(int)) }
+func (w *wakeRecorder) FromChild(_ int, msg any) { w.record("child", msg.(int)) }
+func (w *wakeRecorder) Control(msg any)          { w.record("control", msg.(int)) }
+func (w *wakeRecorder) delivered() int           { w.mu.Lock(); defer w.mu.Unlock(); return len(w.log) }
+func (w *wakeRecorder) Flush() {
+	w.mu.Lock()
+	if w.cycle < len(w.cycles) {
+		w.cycle++
+	}
+	w.mu.Unlock()
+}
+
+// TestNodeWakeServesEveryQueue: a first-layer node's peer, parent and child
+// queues share one wake token. With a backlog on all three, filled by
+// concurrent senders, and control messages pending too, the node delivers
+// everything, in per-link FIFO order; one wake serves every non-empty queue
+// in the same delivery cycle, so no queue falls more than two slabs behind
+// another while both hold envelopes.
+func TestNodeWakeServesEveryQueue(t *testing.T) {
+	const perLink, controls = 3*maxSlab + 17, 12
+	tr := New(Config{Leaves: 4, FanIn: 2, Batch: true})
+	gate := make(chan struct{})
+	rec := &wakeRecorder{gate: gate}
+	a := tr.FirstLayer()[0]
+	tr.Start(func(n *Node) Handler {
+		if n == a {
+			return rec
+		}
+		return nopHandler{}
+	})
+	defer tr.Stop()
+	tr.FirstLayer()[1].SendPeer(0, -1)
+	waitFor(t, func() bool { return rec.delivered() == 1 }) // the node now sits in that delivery
+	links := []struct {
+		name  string
+		class fault.Class
+	}{{"peer", fault.PeerLink}, {"parent", fault.DownLink}, {"child", fault.UpLink}}
+	var wg sync.WaitGroup // one sender per link, all raising the one token
+	for _, l := range links {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perLink; i++ {
+				a.inbox(l.class).send(envelope{from: 1, msg: i}, tr.quit)
+			}
+		}()
+	}
+	for i := 0; i < controls; i++ {
+		tr.Control(a, i)
+	}
+	wg.Wait()
+	close(gate)
+	waitFor(t, func() bool { return rec.delivered() == 1+3*perLink+controls })
+	waitFor(t, func() bool { _, idle := tr.Idle(); return idle })
+
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	next := map[string]int{"peer": -1}
+	for i, e := range rec.log {
+		if e.v != next[e.link] {
+			t.Fatalf("delivery %d: %s message %d when %d was due", i, e.link, e.v, next[e.link])
+		}
+		next[e.link]++
+		for _, l := range links {
+			if lag := next[e.link] - next[l.name]; e.link != "control" && next[l.name] < perLink && lag > 2*maxSlab {
+				t.Fatalf("delivery %d: %s is %d messages ahead of %s, which still holds some", i, e.link, lag, l.name)
+			}
+		}
+	}
+	all := false
+	for _, c := range rec.cycles {
+		if slices.Equal(c, []string{"peer", "parent", "child"}) {
+			all = true
+		}
+	}
+	if !all {
+		t.Fatalf("no delivery cycle served peer, parent and child in that order: %v", rec.cycles)
 	}
 }

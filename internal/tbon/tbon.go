@@ -74,7 +74,7 @@ type Config struct {
 	// are serialized delay apart.
 	LinkDelay time.Duration
 	// Batch enables hot-path batching: a node takes a slab of up to maxSlab
-	// queued messages per delivery cycle instead of one envelope per cycle,
+	// queued messages from each queue per delivery cycle instead of one,
 	// node loops drain already-queued rank events opportunistically, and the
 	// reliable transport acknowledges once per slab instead of once per
 	// frame. Handlers implementing Flusher are flushed at the end of every
@@ -202,9 +202,10 @@ func putRankEnv(p *rankEnvelope) {
 
 // queue is an unbounded FIFO link: senders enqueue without ever blocking
 // permanently, and the receiving node takes up to a slab of envelopes per
-// delivery cycle. Admitted envelopes wait in pending; ready carries one
-// token while pending is non-empty, so the node loop has a single receive
-// arm per queue however the envelopes got there.
+// delivery cycle. Admitted envelopes wait in pending. ready is the receiving
+// node's wake token, shared by all of its queues: it carries one token
+// while some pending is non-empty, so the node loop has a single receive
+// arm for all its tool links however the envelopes got there.
 //
 // Without a fault link and without a simulated link delay — every run but
 // the chaos suites and the LinkDelay experiments — send appends to pending
@@ -226,13 +227,13 @@ type queue struct {
 	pending []envelope // pending[head:] waits; empty means len 0
 	head    int
 	sunk    bool          // the receiver died: deliveries retire at once
-	ready   chan struct{} // capacity 1: the "pending is non-empty" token
+	ready   chan struct{} // the receiver's wake token (Node.ready)
 
 	stage chan envelope // pump intake; nil when there is nothing to pump
 }
 
-func newQueue(t *Tree, fl *fault.Link, class int) *queue {
-	q := &queue{t: t, class: class, ready: make(chan struct{}, 1)}
+func newQueue(t *Tree, fl *fault.Link, class int, ready chan struct{}) *queue {
+	q := &queue{t: t, class: class, ready: ready}
 	delay := t.cfg.LinkDelay
 	if fl == nil && delay == 0 {
 		return q
@@ -297,7 +298,8 @@ func (q *queue) signal() {
 
 // takeSlab moves up to max pending envelopes into dst (reusing its storage)
 // in FIFO order, re-raising the token when some remain. Called by the
-// receiving node after it took the token.
+// receiving node after it took the token; an empty queue yields an empty
+// slab.
 func (q *queue) takeSlab(dst []envelope, max int) []envelope {
 	q.mu.Lock()
 	live := q.pending[q.head:]
@@ -450,7 +452,11 @@ type Node struct {
 	fromBelow *queue             // tool messages from children / self
 	fromAbove *queue             // broadcasts from parent
 	fromPeer  *queue             // intralayer (layer 0)
-	control   chan envelope
+	// ready is the wake token the three queues share (capacity 1): raised
+	// on any queue's empty → non-empty edge, and by a slab that left
+	// envelopes behind. One wake serves every queue (dispatchQueues).
+	ready   chan struct{}
+	control chan envelope
 	// slab is the node goroutine's scratch for one delivery cycle's
 	// envelopes (see queue.takeSlab); taken counts the cycle's counted
 	// envelopes, retired together when the cycle ends.
@@ -515,10 +521,11 @@ func (t *Tree) newNode(layer, index, gid int, local bool) *Node {
 		respawned: make(chan struct{}),
 	}
 	if local {
-		n.fromBelow = newQueue(t, t.faultLink(gid, fault.UpLink), govUp)
-		n.fromAbove = newQueue(t, t.faultLink(gid, fault.DownLink), govDown)
+		n.ready = make(chan struct{}, 1)
+		n.fromBelow = newQueue(t, t.faultLink(gid, fault.UpLink), govUp, n.ready)
+		n.fromAbove = newQueue(t, t.faultLink(gid, fault.DownLink), govDown, n.ready)
 		if layer == 0 {
-			n.fromPeer = newQueue(t, t.faultLink(gid, fault.PeerLink), govPeer)
+			n.fromPeer = newQueue(t, t.faultLink(gid, fault.PeerLink), govPeer, n.ready)
 		}
 	}
 	return n
@@ -763,9 +770,8 @@ func NewNet(cfg Config) (*Tree, error) {
 	return t, nil
 }
 
-// slabCap is the per-cycle delivery batch for the tree's queues: maxSlab
-// with batching, 1 (one envelope per cycle, the historical behavior)
-// without.
+// slabCap is the per-cycle delivery batch of each of the tree's queues:
+// maxSlab with batching, 1 (one envelope per queue and cycle) without.
 func (t *Tree) slabCap() int {
 	if t.cfg.Batch {
 		return maxSlab
@@ -1206,42 +1212,21 @@ func (n *Node) loop() {
 		hbC = tick.C
 		n.lastBeat.Store(time.Now().UnixNano())
 	}
+	// One select serves both layers: an interior node has no mailbox, and
+	// a receive from its nil events channel never proceeds.
 	for {
 		if supervised {
 			n.lastBeat.Store(time.Now().UnixNano())
-		}
-		if n.layer == 0 {
-			select {
-			case env := <-n.control:
-				n.taken++
-				n.handler.Control(env.msg)
-			case <-n.fromPeer.ready:
-				n.dispatchSlab(n.fromPeer, n.dispatchPeer)
-			case <-n.fromAbove.ready:
-				n.dispatchSlab(n.fromAbove, n.dispatchParent)
-			case <-n.fromBelow.ready:
-				n.dispatchSlab(n.fromBelow, n.dispatchChild)
-			case env := <-n.events:
-				n.dispatchRank(env)
-				n.drainEvents()
-			case <-hbC:
-			case <-n.dead:
-				n.bury()
-				return
-			case <-quit:
-				return
-			}
-			n.endCycle()
-			continue
 		}
 		select {
 		case env := <-n.control:
 			n.taken++
 			n.handler.Control(env.msg)
-		case <-n.fromAbove.ready:
-			n.dispatchSlab(n.fromAbove, n.dispatchParent)
-		case <-n.fromBelow.ready:
-			n.dispatchSlab(n.fromBelow, n.dispatchChild)
+		case <-n.ready:
+			n.dispatchQueues()
+		case env := <-n.events:
+			n.dispatchRank(env)
+			n.drainEvents()
 		case <-hbC:
 		case <-n.dead:
 			n.bury()
@@ -1251,6 +1236,19 @@ func (n *Node) loop() {
 		}
 		n.endCycle()
 	}
+}
+
+// dispatchQueues serves one wake: a slab from each non-empty tool-link
+// queue, always in the order peer, parent, children, in one delivery
+// cycle. A queue that keeps envelopes back re-raises the token, so the
+// next wake serves it again, and no queue waits behind another's backlog
+// for more than one slab.
+func (n *Node) dispatchQueues() {
+	if n.fromPeer != nil {
+		n.dispatchSlab(n.fromPeer, n.dispatchPeer)
+	}
+	n.dispatchSlab(n.fromAbove, n.dispatchParent)
+	n.dispatchSlab(n.fromBelow, n.dispatchChild)
 }
 
 // endCycle closes one delivery cycle: flush the batched acknowledgements,
@@ -1298,10 +1296,9 @@ func (n *Node) bury() {
 	}
 }
 
-// dispatchSlab runs one delivery cycle on a queue whose token the loop just
-// took: up to slabCap envelopes are dispatched in order and their governor
-// charges released (they are no longer tool-plane residents once the handler
-// consumed them).
+// dispatchSlab dispatches up to slabCap envelopes of one queue in order
+// and releases their governor charges (they are no longer tool-plane
+// residents once the handler consumed them).
 func (n *Node) dispatchSlab(q *queue, fn func(envelope)) {
 	n.slab = q.takeSlab(n.slab, n.tree.slabCap())
 	n.taken += int64(len(n.slab))
