@@ -179,13 +179,12 @@ func main() {
 			killAfter:  *killAfter,
 		}
 		opts.Net = &must.NetOptions{
-			Listen:      *listenAddr,
-			Workers:     *workers,
-			DialTimeout: *dialTO,
-			Budget:      *netBudget,
-			OnListen:    orch.onListen,
-			Recover:     *recoverNodes,
-			JournalCap:  *journalCap,
+			Listen:     *listenAddr,
+			Workers:    *workers,
+			Budget:     *netBudget,
+			OnListen:   orch.onListen,
+			Recover:    *recoverNodes,
+			JournalCap: *journalCap,
 		}
 		if *recoverNodes && *respawnMax > 0 {
 			orch.respawnMax = *respawnMax

@@ -278,10 +278,15 @@ func (h *handler) Control(msg any) {
 			// state from its journal and the unacked frames migrated with the
 			// links, so nothing was lost and nobody degrades. The only stale
 			// thing is an in-flight snapshot epoch the dead incarnation never
-			// acknowledged — abort it; the driver's deadline retry (or the
-			// next quiescence) starts a fresh one against the replacement.
+			// acknowledged — abort it. The driver still waits on this
+			// detection: a replacement that already replayed gets a fresh
+			// epoch at once, anything else the deadline retry.
 			if ep := h.root.Abort(); ep != 0 {
 				h.down(dws.AbortSnapshot{Epoch: ep})
+				if m.Replayed {
+					h.root.Start()
+					h.down(dws.RequestConsistentState{Epoch: h.root.Epoch()})
+				}
 			}
 			return
 		}
@@ -408,25 +413,17 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 
 	var netCfg *tbon.NetConfig
 	if cfg.Net != nil {
-		ka := cfg.Net.KeepAlive
-		if ka == 0 {
-			// Worker stats reports, sent on every idle edge, also tick at
-			// KeepAlive/2: keep them well inside the quiescence Timeout.
-			ka = cfg.Timeout / 2
-			if ka < 5*time.Millisecond {
-				ka = 5 * time.Millisecond
-			}
-		}
 		netCfg = &tbon.NetConfig{
-			Role:         tbon.NetCoordinator,
-			Workers:      cfg.Net.Workers,
-			Listen:       cfg.Net.Listen,
-			KeepAlive:    ka,
-			Budget:       cfg.Net.Budget,
-			Extra:        workerExtra{WatchdogQuiet: cfg.WatchdogQuiet},
-			Recover:      cfg.Net.Recover,
-			JournalCap:   cfg.Net.JournalCap,
-			OnWorkerDown: cfg.Net.OnWorkerDown,
+			Role:    tbon.NetCoordinator,
+			Workers: cfg.Net.Workers,
+			Listen:  cfg.Net.Listen,
+			// Worker stats reports, sent on every idle edge, tick at
+			// KeepAlive/2: keep them well inside the quiescence Timeout.
+			KeepAlive:  max(cfg.Timeout/2, 5*time.Millisecond),
+			Budget:     cfg.Net.Budget,
+			Extra:      workerExtra{WatchdogQuiet: cfg.WatchdogQuiet},
+			Recover:    cfg.Net.Recover,
+			JournalCap: cfg.Net.JournalCap,
 		}
 	}
 
@@ -449,11 +446,12 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 			tree.Control(tree.Root(), nd)
 		},
 		OnNodeRecovered: func(n *tbon.Node) {
-			// The replacement already replayed its journal inside mkHandler;
-			// tell the root nothing was lost, but abort any snapshot epoch
-			// the dead incarnation left hanging.
+			// Tell the root nothing was lost, but abort any snapshot epoch
+			// the dead incarnation left hanging. An in-process replacement
+			// already replayed its journal inside mkHandler; a respawned TCP
+			// worker is only admitted and replays next.
 			tree.Control(tree.Root(), detect.NodeDown{
-				Node: n.Index(), Ranks: tree.RanksOf(n.Index()), Recovered: true,
+				Node: n.Index(), Ranks: tree.RanksOf(n.Index()), Recovered: true, Replayed: cfg.Net == nil,
 			})
 		},
 		Net: netCfg,
@@ -539,7 +537,7 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 		if cfg.Net.OnListen != nil {
 			cfg.Net.OnListen(tree.ListenAddr())
 		}
-		if err := tree.WaitReady(cfg.Net.ReadyTimeout); err != nil {
+		if err := tree.WaitReady(); err != nil {
 			tree.Stop()
 			return &Report{Err: err, ToolNodes: tree.NumNodes()}
 		}
@@ -676,7 +674,7 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 			timer.Reset(cfg.Timeout - time.Since(since))
 		default:
 			if onTrigger != nil {
-				onTrigger(since)
+				onTrigger(tree, since)
 			}
 			tree.Control(rootNode, detect.TriggerDetection{})
 			inFlight = true
@@ -797,8 +795,9 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 }
 
 // onTrigger, when set (by tests), is called just before the in-run driver
-// triggers a detection, with the instant it saw the idle period begin.
-var onTrigger func(idleSince time.Time)
+// triggers a detection, with the tree and the instant it saw the idle
+// period begin.
+var onTrigger func(tree *tbon.Tree, idleSince time.Time)
 
 // heartbeatPump periodically injects one Heartbeat event per live rank,
 // carrying the rank's MPI call counter, through the quiet path (not

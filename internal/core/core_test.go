@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"dwst/internal/fault"
 	"dwst/internal/mpisim"
+	"dwst/internal/tbon"
 	"dwst/internal/testseed"
 	"dwst/internal/trace"
 )
@@ -114,6 +116,49 @@ func fig2b(pr *mpisim.Proc) {
 	pr.Finalize()
 }
 
+// TestRecoveryInsideEpochNeedsNoRetry: a first-layer node killed at the
+// detection trigger is respawned while the snapshot epoch it never
+// acknowledged is still open (link delay keeps it open). The root aborts
+// that epoch and opens a fresh one at once, so the run reaches the
+// fault-free verdict without waiting out SnapshotDeadline for a retry.
+func TestRecoveryInsideEpochNeedsNoRetry(t *testing.T) {
+	const p = 8
+	prog := func(pr *mpisim.Proc) { // rank pairs that both receive first
+		peer := pr.Rank() ^ 1
+		pr.Recv(peer, 0, trace.CommWorld)
+		pr.Send(nil, peer, 0, trace.CommWorld)
+		pr.Finalize()
+	}
+	opts := Options{FanIn: 2, Timeout: 20 * time.Millisecond, LinkDelay: 2 * time.Millisecond}
+	ref := Run(p, prog, opts)
+	if !ref.Deadlock || len(ref.Deadlocked) != p {
+		t.Fatalf("reference run: deadlock=%v deadlocked=%v, want all %d ranks", ref.Deadlock, ref.Deadlocked, p)
+	}
+	var once sync.Once
+	onTrigger = func(tree *tbon.Tree, _ time.Time) {
+		once.Do(func() { tree.FirstLayer()[1].Kill() })
+	}
+	defer func() { onTrigger = nil }()
+	opts.Fault = &fault.Plan{Seed: 1, Recover: true}
+	done := make(chan *Report, 1)
+	go func() { done <- Run(p, prog, opts) }()
+	var res *Report
+	select {
+	case res = <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("run did not terminate: the killed node was never reaped")
+	}
+	if res.Recoveries != 1 {
+		t.Fatalf("recoveries=%d, want the one killed node respawned", res.Recoveries)
+	}
+	if res.Partial || !res.Deadlock || !slices.Equal(res.Deadlocked, ref.Deadlocked) {
+		t.Fatalf("partial=%v deadlock=%v deadlocked=%v, want the reference %v", res.Partial, res.Deadlock, res.Deadlocked, ref.Deadlocked)
+	}
+	if res.SnapshotRetries != 0 {
+		t.Fatalf("snapshot retries=%d: the epoch the recovery aborted waited out its deadline", res.SnapshotRetries)
+	}
+}
+
 // TestDetectionWaitsOutTheTimeout: the in-run detection that finds a
 // deadlock starts only once the tree has stayed idle for Timeout — read
 // from the driver's own idle and trigger stamps, not from a wall-clock
@@ -122,7 +167,7 @@ func TestDetectionWaitsOutTheTimeout(t *testing.T) {
 	const timeout = 50 * time.Millisecond
 	var mu sync.Mutex
 	var gaps []time.Duration // trigger stamp − idle stamp, per detection
-	onTrigger = func(idleSince time.Time) {
+	onTrigger = func(_ *tbon.Tree, idleSince time.Time) {
 		mu.Lock()
 		gaps = append(gaps, time.Since(idleSince))
 		mu.Unlock()

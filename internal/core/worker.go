@@ -22,20 +22,10 @@ type NetOptions struct {
 	// Workers is the number of worker processes sharing the first tool
 	// layer. Must be ≥ 1 and ≤ the first-layer width.
 	Workers int
-	// DialTimeout bounds each worker connection attempt (informational on
-	// the coordinator; the authoritative copy lives in WorkerOptions).
-	DialTimeout time.Duration
-	// KeepAlive is the fabric heartbeat period. Default: half the driver's
-	// quiescence timeout, floored at 5ms, so worker stats reports always
-	// arrive well inside the stability window.
-	KeepAlive time.Duration
 	// Budget is the graceful-degradation budget: how long a worker may stay
 	// disconnected before its leaves are spliced out and the run degrades
 	// to a partial report. Default 3s.
 	Budget time.Duration
-	// ReadyTimeout bounds the wait for all workers to connect before the
-	// application starts. Default 10s.
-	ReadyTimeout time.Duration
 	// OnListen, when non-nil, is called with the bound listen address
 	// before waiting for workers — the hook the orchestrator uses to spawn
 	// worker processes pointed at an ephemeral port.
@@ -49,10 +39,6 @@ type NetOptions struct {
 	// cap the journal overflows permanently and respawn admission falls
 	// back to degradation. 0 selects the default.
 	JournalCap int
-	// OnWorkerDown, when non-nil, is called (on a fresh goroutine) each
-	// time a worker connection is torn down — the supervisor's signal to
-	// begin the respawn dance. It may fire several times for one worker.
-	OnWorkerDown func(worker int)
 	// Control, when non-nil, is bound to the running coordinator before
 	// OnListen fires; the orchestrator uses it to mint recovery tokens.
 	Control *NetControl

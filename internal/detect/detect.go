@@ -140,11 +140,16 @@ type AbortDetection struct{}
 // Recovered means the node was respawned and rebuilt exactly (journal
 // replay): no state was lost and the ranks stay known — the root must NOT
 // mark the node dead, only abort a snapshot epoch the dead incarnation may
-// have left unacknowledged.
+// have left unacknowledged. Replayed means the replacement's state is
+// already rebuilt (an in-process respawn replays before it is announced),
+// so the root can open a fresh epoch against it at once; a TCP worker
+// replays its shipment only after admission, and the driver's deadline
+// retry opens the next epoch.
 type NodeDown struct {
 	Node      int
 	Ranks     []int
 	Recovered bool
+	Replayed  bool
 }
 
 // Root is the root node's tool state: collective matching completion, the

@@ -143,13 +143,8 @@ func TestChaosFirstLayerCrashDegradesHonestly(t *testing.T) {
 				FanIn:   2,
 				Timeout: 20 * time.Millisecond,
 				Fault: &must.FaultPlan{
-					Seed: 1,
-					// Generous death-declaration window: under -race the
-					// scheduler can starve a healthy node long enough to
-					// miss several default heartbeats.
-					Heartbeat: 5 * time.Millisecond,
-					DeadAfter: 400 * time.Millisecond,
-					Crashes:   []must.Crash{{Layer: 0, Index: node, After: 15 * time.Millisecond}},
+					Seed:    1,
+					Crashes: []must.Crash{{Layer: 0, Index: node, After: 15 * time.Millisecond}},
 				},
 			})
 			if !rep.Partial {
@@ -187,10 +182,8 @@ func TestChaosInteriorCrashIsHealed(t *testing.T) {
 		Timeout:          20 * time.Millisecond,
 		SnapshotDeadline: 500 * time.Millisecond,
 		Fault: &must.FaultPlan{
-			Seed:      1,
-			Heartbeat: 5 * time.Millisecond,
-			DeadAfter: 400 * time.Millisecond,
-			Crashes:   []must.Crash{{Layer: 1, Index: 0, After: 10 * time.Millisecond}},
+			Seed:    1,
+			Crashes: []must.Crash{{Layer: 1, Index: 0, After: 10 * time.Millisecond}},
 		},
 	})
 	if rep.Partial {

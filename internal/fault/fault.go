@@ -7,7 +7,8 @@
 // links and immortal tool nodes. A production tool cannot: this package
 // provides the adversary, and the TBON's reliable link layer
 // (sequence numbers, acknowledgements, retransmission, resequencing)
-// plus its heartbeat supervision provide the defense. Chaos tests pair
+// plus its supervisor, which reaps every node a crash killed, provide the
+// defense. Chaos tests pair
 // the two and assert the reported deadlock sets stay exact, or are
 // explicitly flagged partial.
 //
@@ -155,12 +156,6 @@ type Plan struct {
 	// retirement policy (0 = default, see internal/core).
 	JournalCap int
 
-	// Heartbeat is the node liveness beacon interval (default 5ms);
-	// DeadAfter is the silence after which the supervisor declares a
-	// node dead (default 10 heartbeats).
-	Heartbeat time.Duration
-	DeadAfter time.Duration
-
 	// RetryBase is the first retransmission timeout (default 2ms),
 	// doubling per attempt up to RetryCap (default 32ms), for at most
 	// MaxAttempts retransmissions (default 12) before the frame is
@@ -168,22 +163,6 @@ type Plan struct {
 	RetryBase   time.Duration
 	RetryCap    time.Duration
 	MaxAttempts int
-}
-
-// HeartbeatInterval returns the effective heartbeat period.
-func (p *Plan) HeartbeatInterval() time.Duration {
-	if p.Heartbeat > 0 {
-		return p.Heartbeat
-	}
-	return 5 * time.Millisecond
-}
-
-// DeadAfterInterval returns the effective death-declaration silence.
-func (p *Plan) DeadAfterInterval() time.Duration {
-	if p.DeadAfter > 0 {
-		return p.DeadAfter
-	}
-	return 10 * p.HeartbeatInterval()
 }
 
 // RetryBaseInterval returns the effective first retransmission timeout.
@@ -208,12 +187,6 @@ func (p *Plan) RetryAttempts() int {
 		return p.MaxAttempts
 	}
 	return 12
-}
-
-// Supervised reports whether the plan requires heartbeat supervision
-// (it schedules crashes or configures an explicit heartbeat).
-func (p *Plan) Supervised() bool {
-	return len(p.Crashes) > 0 || p.Heartbeat > 0
 }
 
 // Decision is the fault outcome for one message on one link.

@@ -128,21 +128,9 @@ func TestStallEvery(t *testing.T) {
 
 func TestPlanDefaults(t *testing.T) {
 	p := &Plan{}
-	if p.HeartbeatInterval() != 5*time.Millisecond ||
-		p.DeadAfterInterval() != 50*time.Millisecond ||
-		p.RetryBaseInterval() != 2*time.Millisecond ||
+	if p.RetryBaseInterval() != 2*time.Millisecond ||
 		p.RetryCapInterval() != 32*time.Millisecond ||
 		p.RetryAttempts() != 12 {
 		t.Fatal("effective defaults wrong")
-	}
-	if p.Supervised() {
-		t.Fatal("empty plan must not require supervision")
-	}
-	if !(&Plan{Crashes: []Crash{{}}}).Supervised() {
-		t.Fatal("crash plan must require supervision")
-	}
-	q := &Plan{Heartbeat: time.Millisecond, DeadAfter: 7 * time.Millisecond}
-	if q.DeadAfterInterval() != 7*time.Millisecond || !q.Supervised() {
-		t.Fatal("explicit overrides ignored")
 	}
 }

@@ -19,16 +19,12 @@ import (
 	"dwst/must"
 )
 
-// recoverPlan is the supervision/recovery configuration shared by the
-// suite: the generous death-declaration window mirrors the degraded-mode
-// tests (under -race the scheduler can starve healthy nodes).
+// recoverPlan is the crash/recovery configuration shared by the suite.
 func recoverPlan(seed int64, node int, after time.Duration) *must.FaultPlan {
 	return &must.FaultPlan{
-		Seed:      seed,
-		Heartbeat: 5 * time.Millisecond,
-		DeadAfter: 400 * time.Millisecond,
-		Crashes:   []must.Crash{{Layer: 0, Index: node, After: after}},
-		Recover:   true,
+		Seed:    seed,
+		Crashes: []must.Crash{{Layer: 0, Index: node, After: after}},
+		Recover: true,
 	}
 }
 
@@ -153,8 +149,6 @@ func TestRecoveryRequiresTransport(t *testing.T) {
 		Timeout: 20 * time.Millisecond,
 		Fault: &must.FaultPlan{
 			Seed:              1,
-			Heartbeat:         5 * time.Millisecond,
-			DeadAfter:         400 * time.Millisecond,
 			Crashes:           []must.Crash{{Layer: 0, Index: 1, After: 15 * time.Millisecond}},
 			Recover:           true,
 			DisableRetransmit: true,
@@ -237,10 +231,8 @@ func TestRecoveryDegradedDefaultUnchanged(t *testing.T) {
 		FanIn:   2,
 		Timeout: 20 * time.Millisecond,
 		Fault: &must.FaultPlan{
-			Seed:      1,
-			Heartbeat: 5 * time.Millisecond,
-			DeadAfter: 400 * time.Millisecond,
-			Crashes:   []must.Crash{{Layer: 0, Index: 2, After: 15 * time.Millisecond}},
+			Seed:    1,
+			Crashes: []must.Crash{{Layer: 0, Index: 2, After: 15 * time.Millisecond}},
 		},
 	})
 	if rep.Recoveries != 0 {

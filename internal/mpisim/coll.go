@@ -217,6 +217,15 @@ func (p *Proc) Barrier(comm trace.CommID) {
 // Bcast is MPI_Bcast: returns the root's buffer on every rank.
 func (p *Proc) Bcast(data []byte, root int, comm trace.CommID) []byte {
 	wv := p.collective(trace.Bcast, comm, root, data, nil)
+	return p.w.comm(comm).rootData(wv, root)
+}
+
+// rootData reads the root's contribution to wv. It takes the lock
+// joinWave writes under: with mismatched root arguments the rank this
+// caller names as root may still be joining.
+func (c *comm) rootData(wv *wave, root int) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return wv.data[root]
 }
 
@@ -282,7 +291,7 @@ func (p *Proc) Allgather(data []byte, comm trace.CommID) [][]byte {
 func (p *Proc) Scatter(data []byte, root int, comm trace.CommID) []byte {
 	wv := p.collective(trace.Scatter, comm, root, data, nil)
 	c := p.w.comm(comm)
-	whole := wv.data[root]
+	whole := c.rootData(wv, root)
 	n := len(c.group)
 	if n == 0 || len(whole) == 0 {
 		return nil

@@ -1,10 +1,6 @@
 package tbon
 
-import (
-	"time"
-
-	"dwst/internal/fault"
-)
+import "dwst/internal/fault"
 
 // This file implements exact recovery of crashed first-layer nodes: instead
 // of degrading the report (Unknown ranks), the supervisor respawns a
@@ -48,33 +44,15 @@ func (t *Tree) faultLink(gid int, class fault.Class) *fault.Link {
 	return t.injector.Link(gid, class)
 }
 
-// respawn rebuilds a crashed first-layer node in place. It returns false
-// when exact recovery is impossible — the dead node's loop never exited,
-// so its final dispatch (and therefore the journal) cannot be trusted —
-// and the caller falls back to honest degradation.
-//
-// Runs on the supervisor goroutine; reap has already Killed the node.
-func (t *Tree) respawn(old *Node) bool {
-	// Wait for the old loop to finish its final dispatch: the write-ahead
-	// journal is complete only after the loop exits. Kill() was already
-	// called, so a healthy-but-slow node exits at its next select; a loop
-	// wedged past the death-declaration window is not replayable.
-	select {
-	case <-old.loopDone:
-	case <-time.After(t.cfg.Fault.DeadAfterInterval()):
-		return false
-	case <-t.quit:
-		return false
-	}
-
+// respawn rebuilds a crashed first-layer node in place. Runs on the
+// supervisor goroutine once reap saw the old loop stop dispatching, so the
+// write-ahead journal holds its final dispatch.
+func (t *Tree) respawn(old *Node) {
 	var neu *Node
 	t.retopo(func(tp *topology, tr *transport) {
 		// Recovery is chan-mode only: replacements are in-process.
 		neu = t.newNode(0, old.index, tp.nextGid, true)
 		neu.events = old.events // adopt the slot mailbox: per-rank FIFO survives
-		// Arm the liveness clock before the supervisor can see the node, or
-		// it would be declared dead while still replaying.
-		neu.lastBeat.Store(time.Now().UnixNano())
 		tp.place(neu)
 		tr.migrateTo(old, neu)
 	})
@@ -85,7 +63,6 @@ func (t *Tree) respawn(old *Node) bool {
 	// the fresh queues.
 	neu.handler = t.mkHandler(neu)
 	t.arm(neu)
-	neu.lastBeat.Store(time.Now().UnixNano())
 	t.wg.Add(1)
 	go neu.loop()
 	t.recoveries.Add(1)
@@ -93,5 +70,4 @@ func (t *Tree) respawn(old *Node) bool {
 	if t.cfg.OnNodeRecovered != nil {
 		t.cfg.OnNodeRecovered(neu)
 	}
-	return true
 }

@@ -5,23 +5,39 @@ import (
 	"time"
 )
 
-// This file implements tool-node crash injection and heartbeat
-// supervision. A crashed node's loop exits, so it stops processing and
-// acknowledging messages; its link pumps keep draining so senders never
-// block on a dead node. The supervisor notices the silent liveness clock,
-// declares the node dead, splices it out of the topology (children
-// reattach to the grandparent, unacknowledged frames migrate to the new
-// links) and reports the death via Config.OnNodeDown. Root crashes are not
-// supported — the paper's model (and ours) keeps the root alive, and the
-// fault plane refuses to schedule its death.
+// This file implements tool-node crash injection and reaping. A node is
+// reaped because it was killed, never because it went quiet: Kill closes
+// the node's dead channel and, on a tree with a fault plan, wakes the
+// supervisor. Reaping waits until the node's loop has stopped dispatching
+// (bounded by wedgedAfter), then respawns it (first layer, with recovery)
+// or splices it out of the topology: children reattach to the grandparent,
+// unacknowledged frames migrate to the new links, and the death is
+// reported via Config.OnNodeDown. A crashed node's link pumps keep
+// draining so senders never block on it. Root crashes are not supported —
+// the paper's model (and ours) keeps the root alive, and the fault plane
+// refuses to schedule its death. TCP trees carry no fault plan, so the
+// placeholders the coordinator kills when it degrades a worker are never
+// reaped here.
 
-// Kill crashes the node immediately: its loop stops processing messages.
-// Used by crash timers and tests; recovery is the supervisor's job.
+// wedgedAfter bounds how long reaping waits for a killed node's loop to
+// stop dispatching. A loop still running past it is wedged mid-dispatch:
+// its slot degrades instead of being respawned (DESIGN §9).
+const wedgedAfter = time.Second
+
+// Kill crashes the node immediately: its loop stops processing messages
+// and, on a tree with a fault plan, the supervisor reaps it. Used by crash
+// timers, the TCP coordinator's degrade and tests.
 func (n *Node) Kill() {
 	if n.IsRoot() {
 		return // partitioning the root is out of scope
 	}
-	n.deadOnce.Do(func() { close(n.dead) })
+	n.deadOnce.Do(func() {
+		close(n.dead)
+		select {
+		case n.tree.kills <- struct{}{}: // nil without a fault plan: never ready
+		default:
+		}
+	})
 }
 
 // Dead reports whether the node has crashed.
@@ -55,27 +71,19 @@ func (t *Tree) startCrashTimers() {
 	}
 }
 
-// supervise watches every non-root node's liveness clock and reaps nodes
-// that have been silent for the plan's DeadAfter interval.
+// supervise reaps killed nodes: each wake (one per Kill, coalesced) scans
+// the published topology for local nodes that are dead and not yet reaped.
 func (t *Tree) supervise() {
 	defer t.wg.Done()
-	plan := t.cfg.Fault
-	deadAfter := plan.DeadAfterInterval()
-	ticker := time.NewTicker(plan.HeartbeatInterval())
-	defer ticker.Stop()
 	for {
 		select {
 		case <-t.quit:
 			return
-		case <-ticker.C:
+		case <-t.kills:
 		}
-		now := time.Now().UnixNano()
 		for _, layer := range t.shape.Load().layers {
 			for _, n := range layer {
-				if n.IsRoot() || n.reaped.Load() {
-					continue
-				}
-				if now-n.lastBeat.Load() > int64(deadAfter) {
+				if n.local && n.Dead() {
 					t.reap(n)
 				}
 			}
@@ -83,19 +91,30 @@ func (t *Tree) supervise() {
 	}
 }
 
-// reap handles one detected node death: it splices the node out of the
-// topology, migrates unacknowledged frames, and notifies the tool.
+// reap handles one node death, once: after the node's loop stopped
+// dispatching it respawns the node or splices it out of the topology,
+// migrates unacknowledged frames, and notifies the tool. Reaping a live
+// node (tests do) kills it first.
 func (t *Tree) reap(n *Node) {
 	if !n.reaped.CompareAndSwap(false, true) {
 		return
 	}
-	n.Kill() // ensure the loop is really stopped (heartbeat loss ⇒ crash)
+	n.Kill()
+	stopped := false
+	select {
+	case <-n.stopped:
+		stopped = true
+	case <-time.After(wedgedAfter):
+	case <-t.quit:
+	}
 
-	// First-layer nodes are respawned exactly when recovery is enabled;
-	// on success the slot keeps working and nothing below runs. A failed
-	// respawn (wedged loop) falls through to honest degradation, waking
-	// any injector blocked on the slot's fate first.
-	if n.layer == 0 && t.recoveryEnabled() && t.respawn(n) {
+	// First-layer nodes are respawned exactly when recovery is enabled and
+	// their final dispatch is complete (the write-ahead journal is whole
+	// only then); the slot keeps working and nothing below runs. A wedged
+	// loop falls through to honest degradation, waking any injector
+	// blocked on the slot's fate first.
+	if n.layer == 0 && stopped && t.recoveryEnabled() {
+		t.respawn(n)
 		return
 	}
 	close(n.respawned)

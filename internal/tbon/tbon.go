@@ -29,11 +29,11 @@
 //     directed link, restoring exactly-once FIFO delivery, while a
 //     retransmission scanner resends unacknowledged frames with exponential
 //     backoff;
-//   - heartbeat supervision (supervise.go): node loops beat a liveness
-//     clock; a supervisor declares silent nodes dead, reattaches their
-//     children to the grandparent (migrating unacknowledged frames to the
-//     new link in order), and notifies the tool via Config.OnNodeDown so
-//     the protocol layers can resynchronize or degrade explicitly.
+//   - crash supervision (supervise.go): Kill wakes a supervisor that, once
+//     the killed node's loop stopped dispatching, reattaches its children
+//     to the grandparent (migrating unacknowledged frames to the new link
+//     in order) and notifies the tool via Config.OnNodeDown so the protocol
+//     layers can resynchronize or degrade explicitly.
 package tbon
 
 import (
@@ -82,7 +82,7 @@ type Config struct {
 	// per-op behavior; the tool layer (internal/core) always turns it on.
 	Batch bool
 	// Fault, when non-nil, activates the fault plane: link faults per the
-	// plan's rules, scheduled node crashes, heartbeat supervision, and —
+	// plan's rules, scheduled node crashes and their supervision, and —
 	// unless the plan disables it — the reliable link layer.
 	Fault *fault.Plan
 	// Net, when non-nil, activates the TCP fabric: the tree spans multiple
@@ -482,21 +482,19 @@ type Node struct {
 	ackPend map[linkKey]uint64
 	ackKeys []linkKey
 
-	// lastBeat is the liveness clock (UnixNano), updated by the node loop
-	// and read by the supervisor.
-	lastBeat atomic.Int64
-	// dead is closed when the node crashes (scheduled or declared). A
-	// re-gid placeholder adopts its predecessor's, so an injector holding
-	// either learns of the slot's splice-out; degrade, which runs once per
-	// slot, is the only killer of placeholders.
+	// dead is closed when the node is killed (Kill). A re-gid placeholder
+	// adopts its predecessor's, so an injector holding either learns of the
+	// slot's splice-out; degrade, which runs once per slot, is the only
+	// killer of placeholders.
 	dead     chan struct{}
 	deadOnce sync.Once
 	// reaped marks that the supervisor already handled this death.
 	reaped atomic.Bool
 
-	// loopDone is closed when the node's loop goroutine exits; recovery
-	// waits on it so journal replay never races a limping zombie.
-	loopDone chan struct{}
+	// stopped is closed once the node's loop stopped dispatching: when it
+	// exits, or when a killed node's queues are sunk (bury). Reaping waits
+	// on it, so neither a splice nor journal replay races a limping zombie.
+	stopped chan struct{}
 	// respawned is closed once the slot's fate after a crash is settled:
 	// either a replacement took over the slot (InjectEvent retries against
 	// it) or recovery failed and the slot degraded (InjectEvent gives up
@@ -517,7 +515,7 @@ func (t *Tree) newNode(layer, index, gid int, local bool) *Node {
 		control:   make(chan envelope, 16),
 		dead:      make(chan struct{}),
 		rsq:       make(map[linkKey]*reseq),
-		loopDone:  make(chan struct{}),
+		stopped:   make(chan struct{}),
 		respawned: make(chan struct{}),
 	}
 	if local {
@@ -640,6 +638,10 @@ type Tree struct {
 	wantIdle atomic.Bool
 	idleCh   chan struct{}
 
+	// kills is the supervisor's wake token (capacity 1), raised by Kill;
+	// nil without a fault plan, where no supervisor runs.
+	kills chan struct{}
+
 	quit chan struct{}
 	wg   sync.WaitGroup
 
@@ -707,6 +709,7 @@ func NewNet(cfg Config) (*Tree, error) {
 	t.gov = newGovernor(cfg.MemBudget)
 	if cfg.Fault != nil {
 		t.injector = fault.NewInjector(cfg.Fault)
+		t.kills = make(chan struct{}, 1)
 	}
 	if cfg.Net != nil || (cfg.Fault != nil && !cfg.Fault.DisableRetransmit) {
 		t.transport = newTransport(t, cfg.Fault)
@@ -793,7 +796,8 @@ func (t *Tree) arm(n *Node) {
 }
 
 // Start launches one goroutine per node (plus, with a fault plan, the
-// retransmission scanner, crash timers and the heartbeat supervisor).
+// retransmission scanner, crash timers and the supervisor that reaps killed
+// nodes).
 // mkHandler constructs the handler for each node before any message flows.
 func (t *Tree) Start(mkHandler func(n *Node) Handler) {
 	t.startOnce.Do(func() {
@@ -823,10 +827,8 @@ func (t *Tree) Start(mkHandler func(n *Node) Handler) {
 		}
 		if t.cfg.Fault != nil {
 			t.startCrashTimers()
-			if t.cfg.Fault.Supervised() {
-				t.wg.Add(1)
-				go t.supervise()
-			}
+			t.wg.Add(1)
+			go t.supervise()
 		}
 	})
 }
@@ -1202,22 +1204,10 @@ func (t *Tree) transmit(target *Node, class fault.Class, env envelope) {
 // loop is the node's message pump.
 func (n *Node) loop() {
 	defer n.tree.wg.Done()
-	defer close(n.loopDone)
 	quit := n.tree.quit
-	var hbC <-chan time.Time
-	supervised := n.tree.cfg.Fault != nil && n.tree.cfg.Fault.Supervised()
-	if supervised {
-		tick := time.NewTicker(n.tree.cfg.Fault.HeartbeatInterval())
-		defer tick.Stop()
-		hbC = tick.C
-		n.lastBeat.Store(time.Now().UnixNano())
-	}
 	// One select serves both layers: an interior node has no mailbox, and
 	// a receive from its nil events channel never proceeds.
 	for {
-		if supervised {
-			n.lastBeat.Store(time.Now().UnixNano())
-		}
 		select {
 		case env := <-n.control:
 			n.taken++
@@ -1227,11 +1217,11 @@ func (n *Node) loop() {
 		case env := <-n.events:
 			n.dispatchRank(env)
 			n.drainEvents()
-		case <-hbC:
 		case <-n.dead:
 			n.bury()
 			return
 		case <-quit:
+			close(n.stopped)
 			return
 		}
 		n.endCycle()
@@ -1266,8 +1256,9 @@ func (n *Node) endCycle() {
 }
 
 // bury retires what a crashed node will never take: its queues become
-// drains (deliver retires what arrives) and, unless a replacement will
-// adopt them (recovery), so do its mailbox and control channel.
+// drains (deliver retires what arrives), which ends its dispatching, and,
+// unless a replacement will adopt them (recovery), so do its mailbox and
+// control channel until the tree stops.
 func (n *Node) bury() {
 	for _, q := range []*queue{n.fromBelow, n.fromAbove, n.fromPeer} {
 		if q == nil {
@@ -1280,6 +1271,7 @@ func (n *Node) bury() {
 		q.mu.Unlock()
 		n.tree.retire(int64(pend))
 	}
+	close(n.stopped)
 	if n.tree.recoveryEnabled() {
 		return
 	}

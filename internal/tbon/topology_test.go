@@ -70,14 +70,7 @@ func idle(tr *Tree) func() bool {
 // idle.
 func TestTopologyReadersDuringRespawn(t *testing.T) {
 	const leaves, kills = 16, 6
-	tr := New(Config{Leaves: leaves, FanIn: 2, Batch: true, Fault: &fault.Plan{
-		Seed:      1,
-		Recover:   true,
-		Heartbeat: 2 * time.Millisecond,
-		// Wide enough that -race scheduler starvation cannot stop a killed
-		// loop from exiting before its respawn gives up.
-		DeadAfter: 200 * time.Millisecond,
-	}})
+	tr := New(Config{Leaves: leaves, FanIn: 2, Batch: true, Fault: &fault.Plan{Seed: 1, Recover: true}})
 	log := &rankLog{last: make(map[int]int)}
 	tr.Start(func(n *Node) Handler { return &relay{n: n, log: log} })
 	defer tr.Stop()
@@ -195,9 +188,9 @@ func retiredLinks(tr *Tree, retired map[int]bool) error {
 func TestTopologyWrapVersusRekey(t *testing.T) {
 	t.Run("respawn", func(t *testing.T) {
 		const victim, perSender, rekeys = 1, 400, 20
-		// No heartbeat: this goroutine is the only reaper. DeadAfter only
-		// bounds how long a respawn waits for the killed loop to exit.
-		tr := New(Config{Leaves: 8, FanIn: 2, Batch: true, Fault: &fault.Plan{Seed: 1, Recover: true, DeadAfter: time.Second}})
+		// This goroutine is the only reaper: reap kills the victim after
+		// claiming it, so the supervisor that Kill wakes finds it handled.
+		tr := New(Config{Leaves: 8, FanIn: 2, Batch: true, Fault: &fault.Plan{Seed: 1, Recover: true}})
 		c := &counter{got: make(map[[2]int]int)}
 		tr.Start(func(n *Node) Handler { return &countNode{n: n, c: c} })
 		defer tr.Stop()

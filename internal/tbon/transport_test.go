@@ -134,10 +134,8 @@ func TestCrashOfRootChildReattachesToRoot(t *testing.T) {
 	var downMu sync.Mutex
 	var down []*Node
 	tr := New(Config{Leaves: 8, FanIn: 2, Fault: &fault.Plan{
-		Seed:      2,
-		Heartbeat: 2 * time.Millisecond,
-		DeadAfter: 300 * time.Millisecond,
-		Crashes:   []fault.Crash{{Layer: 1, Index: 0, After: 5 * time.Millisecond}},
+		Seed:    2,
+		Crashes: []fault.Crash{{Layer: 1, Index: 0, After: 5 * time.Millisecond}},
 	}, OnNodeDown: func(n *Node) {
 		downMu.Lock()
 		down = append(down, n)
@@ -223,12 +221,8 @@ func TestCrashReattachesChildrenToGrandparent(t *testing.T) {
 	var downMu sync.Mutex
 	var down []*Node
 	tr := New(Config{Leaves: 16, FanIn: 2, Fault: &fault.Plan{
-		Seed:      1,
-		Heartbeat: 2 * time.Millisecond,
-		// Wide enough that -race scheduler starvation cannot falsely reap
-		// a healthy node.
-		DeadAfter: 300 * time.Millisecond,
-		Crashes:   []fault.Crash{{Layer: 1, Index: 0, After: 5 * time.Millisecond}},
+		Seed:    1,
+		Crashes: []fault.Crash{{Layer: 1, Index: 0, After: 5 * time.Millisecond}},
 	}, OnNodeDown: func(n *Node) {
 		downMu.Lock()
 		down = append(down, n)

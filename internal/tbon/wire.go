@@ -86,10 +86,6 @@ type NetConfig struct {
 	// entries (default supervise.DefaultCap). A leaf whose history outgrows
 	// the cap is past exact recovery; the slot then degrades honestly.
 	JournalCap int
-	// OnWorkerDown, on the coordinator, is notified (asynchronously) when
-	// a worker's connection is detached — the supervisor's cue to check the
-	// worker process and respawn it.
-	OnWorkerDown func(worker int)
 	// LeafGids, on workers, overrides the first-layer gid assignment with
 	// the coordinator's current view (welcome.LeafGids): after a supervised
 	// respawn the two drift apart, and a late (re)joining worker building

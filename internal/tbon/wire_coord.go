@@ -60,7 +60,7 @@ func (fab *netFabric) handshake(conn net.Conn) {
 	}
 	sl := fab.slots[hello.Worker]
 	if hello.Resume != "" {
-		// Supervised respawn: token-gated re-admission with journal replay
+		// A supervised respawn: token-gated re-admission with journal replay
 		// instead of the fresh-claimant fence.
 		fab.resumeHandshake(sl, conn, br, hello.Resume)
 		return
@@ -202,10 +202,6 @@ func (fab *netFabric) slotConnFailed(sl *workerSlot, conn net.Conn) {
 		sl.mu.Lock()
 		sl.lastDown = time.Now()
 		sl.mu.Unlock()
-		if cb := fab.nc.OnWorkerDown; cb != nil {
-			w := sl.w
-			go cb(w)
-		}
 	}
 	conn.Close()
 }

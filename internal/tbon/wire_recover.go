@@ -1,6 +1,6 @@
 package tbon
 
-// Supervised respawn of TCP worker processes: the coordinator-side journal
+// The supervised respawn of TCP worker processes: the coordinator-side journal
 // cut + gid swap + shipment that re-admits a respawned mustnode under a new
 // incarnation, and the worker-side replay + link migration. The protocol:
 //

@@ -351,15 +351,13 @@ func (t *Tree) HaltNet() {
 	}
 }
 
-// WaitReady blocks until every worker slot has connected at least once
-// (coordinator; no-op otherwise). Timeout default 10s.
-func (t *Tree) WaitReady(timeout time.Duration) error {
+// WaitReady blocks until every worker slot has connected at least once,
+// for at most 10s (coordinator; no-op otherwise).
+func (t *Tree) WaitReady() error {
+	const timeout = 10 * time.Second
 	fab := t.net
 	if fab == nil || fab.role != NetCoordinator {
 		return nil
-	}
-	if timeout <= 0 {
-		timeout = 10 * time.Second
 	}
 	select {
 	case <-fab.ready:
