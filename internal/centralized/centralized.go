@@ -150,9 +150,9 @@ func (t *tool) process(ev event.Event) {
 	case event.Done:
 		// Rank returned; nothing to track centrally.
 		return
-	case event.Heartbeat, event.RankDown:
-		// Distributed-tool bookkeeping; replayed traces may carry them but
-		// the centralized baseline has no watchdog or failure model.
+	case event.RankDown:
+		// Distributed-tool bookkeeping; replayed traces may carry it but
+		// the centralized baseline has no failure model.
 		return
 	}
 	t.rescan()

@@ -154,10 +154,9 @@ func (h *handler) FromRank(rank int, ev any) {
 // FromRankEvent implements tbon.RankEventHandler: the typed intake the
 // batched hot path uses to deliver application events without boxing.
 func (h *handler) FromRankEvent(rank int, e event.Event) {
-	if h.jr != nil && e.Type != event.Heartbeat {
+	if h.jr != nil {
 		// Write-ahead: journal before the state transition, so a crash
 		// between the two replays the input instead of losing it.
-		// Heartbeats only feed the watchdog clock, which Restore resets.
 		h.jr.append(rank, kindRankEvent, e)
 	}
 	h.leaf.OnEvent(e)
@@ -421,7 +420,6 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 			// KeepAlive/2: keep them well inside the quiescence Timeout.
 			KeepAlive:  max(cfg.Timeout/2, 5*time.Millisecond),
 			Budget:     cfg.Net.Budget,
-			Extra:      workerExtra{WatchdogQuiet: cfg.WatchdogQuiet},
 			Recover:    cfg.Net.Recover,
 			JournalCap: cfg.Net.JournalCap,
 		}
@@ -463,6 +461,11 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 
 	root := detect.NewRoot(procs, len(tree.FirstLayer()))
 	root.SetDifferential(cfg.Differential)
+	var heard *lastHeard
+	if cfg.WatchdogQuiet > 0 {
+		heard = newLastHeard(procs)
+		root.SetWatchdog(cfg.WatchdogQuiet, heard.silentFor)
+	}
 
 	// One journal per first-layer slot, shared by every incarnation of the
 	// node hosted there; slotLeaf tracks the current incarnation's dws node
@@ -486,7 +489,6 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 			idx := n.Index()
 			h.leaf = dws.NewNode(idx, n.Tree().RanksOf(idx), n.Tree().NodeFor, tbonOut{tn: n})
 			h.leaf.SetBatch(true)
-			h.leaf.SetWatchdogQuiet(cfg.WatchdogQuiet)
 			if journaling {
 				j := journals[idx]
 				h.jr = &journalRec{j: j, inc: j.Fence(), cap: jcap, seqs: make(map[int]uint64)}
@@ -572,6 +574,9 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 			if ev.Type == event.Enter {
 				rank = ev.Op.Proc
 			}
+			if heard != nil {
+				heard.stamp(rank)
+			}
 			if err := tree.InjectEvent(rank, ev); err != nil {
 				// Crashed hosting node or stopped tree: the application keeps
 				// running unobserved (degraded mode); count the loss.
@@ -597,12 +602,6 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 	start := time.Now()
 	appDone := make(chan error, 1)
 	go func() { appDone <- world.Run(prog) }()
-
-	if cfg.WatchdogQuiet > 0 {
-		stopPump := make(chan struct{})
-		defer close(stopPump)
-		go heartbeatPump(tree, world, procs, cfg.WatchdogQuiet, stopPump)
-	}
 
 	rootNode := tree.Root()
 	// One timer drives the in-run detection. It fires Timeout after the
@@ -799,31 +798,26 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 // period begin.
 var onTrigger func(tree *tbon.Tree, idleSince time.Time)
 
-// heartbeatPump periodically injects one Heartbeat event per live rank,
-// carrying the rank's MPI call counter, through the quiet path (not
-// outstanding work — heartbeats must not defer the quiescence trigger).
-func heartbeatPump(tree *tbon.Tree, world *mpisim.World, procs int, quiet time.Duration, stop <-chan struct{}) {
-	tick := quiet / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			for r := 0; r < procs; r++ {
-				if world.RankExited(r) {
-					continue
-				}
-				// Delivery failure (stopped tree, dead hosting node) only
-				// means no probe this round; the run is ending anyway.
-				_ = tree.InjectEventQuiet(r, event.Event{Type: event.Heartbeat, Proc: r, TS: world.Calls(r)})
-			}
-		}
-	}
+// lastHeard is the progress watchdog's one clock: per rank, when the rank
+// last emitted an event, stamped by the interposition sink as the rank
+// emits it. Stamps count nanoseconds from the clock's creation, so a rank
+// not heard from yet reads as heard when the run began.
+type lastHeard struct {
+	base time.Time
+	ns   []atomic.Int64
+}
+
+func newLastHeard(procs int) *lastHeard {
+	return &lastHeard{base: time.Now(), ns: make([]atomic.Int64, procs)}
+}
+
+// stamp records that rank emitted an event now. Called on the rank's own
+// goroutine.
+func (h *lastHeard) stamp(rank int) { h.ns[rank].Store(int64(time.Since(h.base))) }
+
+// silentFor is how long rank has emitted nothing. Safe from any goroutine.
+func (h *lastHeard) silentFor(rank int) time.Duration {
+	return time.Since(h.base) - time.Duration(h.ns[rank].Load())
 }
 
 // waitQuiesce waits until the tree is idle: nothing queued, handled or

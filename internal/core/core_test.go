@@ -450,3 +450,26 @@ func randomProgram(p int, seed int64) mpisim.Program {
 		pr.Finalize()
 	}
 }
+
+// TestWatchdogSparesARankHeardRecently: the watchdog's clock is when a
+// rank last emitted an event, not when the run began. Every rank stays in
+// MPI for longer than the quiet period, then one pauses briefly while the
+// others wait for it in a barrier: a detection inside the pause must not
+// flag it.
+func TestWatchdogSparesARankHeardRecently(t *testing.T) {
+	const quiet = 150 * time.Millisecond
+	res := Run(4, func(pr *mpisim.Proc) {
+		for i := 0; i < 40; i++ { // 200 ms at least: past the quiet period
+			pr.Compute(5 * time.Millisecond)
+			pr.Barrier(trace.CommWorld)
+		}
+		if pr.Rank() == 2 {
+			pr.Compute(quiet / 4)
+		}
+		pr.Barrier(trace.CommWorld)
+		pr.Finalize()
+	}, Options{FanIn: 2, Timeout: 10 * time.Millisecond, WatchdogQuiet: quiet})
+	if len(res.StalledRanks) != 0 || res.WatchdogFires != 0 || res.AbortCause != nil {
+		t.Fatalf("stalled %v fires %d abort %v", res.StalledRanks, res.WatchdogFires, res.AbortCause)
+	}
+}

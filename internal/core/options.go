@@ -58,11 +58,11 @@ type Options struct {
 	// deadlock-free only when messages arrive, so unhealed loss must time
 	// out rather than wedge; default 2s). Distributed mode only.
 	SnapshotDeadline time.Duration
-	// WatchdogQuiet enables the progress watchdog: the driver injects
-	// per-rank heartbeats carrying each rank's call counter, and a rank that
-	// is alive, not blocked in MPI, and issues no call for longer than this
-	// period is flagged Stalled. Zero (the default) disables the watchdog
-	// and its heartbeat traffic entirely. Distributed mode only.
+	// WatchdogQuiet enables the progress watchdog: the driver stamps when
+	// each rank last emitted an event, and a detection flags a rank Stalled
+	// when it is alive, not blocked in MPI, and issued no call for longer
+	// than this period. Zero (the default) disables the watchdog and its
+	// clock entirely. Distributed mode only.
 	WatchdogQuiet time.Duration
 	// Differential also runs the oracles — the flat wfg reference, CMH and
 	// TwoCycle on each snapshot, and the static pre-run queue-matching pass
@@ -84,8 +84,8 @@ type Options struct {
 	// when buffers approach the budget, and genuine exhaustion (a stalled
 	// link pinning frames) degrades the run honestly — Report.Overloaded +
 	// Partial — instead of growing without limit. Control traffic
-	// (heartbeats, snapshot/epoch control, supervision) is never charged or
-	// gated, so supervision cannot be starved. 0 selects DefaultMemBudget;
+	// (snapshot/epoch control, supervision) is never charged or gated, so
+	// supervision cannot be starved. 0 selects DefaultMemBudget;
 	// there is no unbounded mode. Distributed mode only.
 	MemBudget int64
 
@@ -115,6 +115,17 @@ func (o *Options) Validate() error {
 	}
 	if o.MemBudget < 0 {
 		return fmt.Errorf("bad memory budget %d: want 0 (default) or a positive byte count", o.MemBudget)
+	}
+	for _, n := range []struct {
+		name string
+		v    int
+	}{
+		{"event buffer", o.EventBuf}, {"buffer slots", o.BufferSlots},
+		{"buffered-send cost", o.BufferedSendCost}, {"synchronous-send period", o.SsendEvery},
+	} {
+		if n.v < 0 {
+			return fmt.Errorf("bad %s %d: want >= 0", n.name, n.v)
+		}
 	}
 	for _, d := range []struct {
 		name string

@@ -5,7 +5,6 @@
 package core
 
 import (
-	"encoding/gob"
 	"errors"
 	"sync"
 	"time"
@@ -74,15 +73,6 @@ func (c *NetControl) bind(mint func(int) (string, error)) {
 	c.mu.Unlock()
 }
 
-// workerExtra is the tool-layer configuration blob the coordinator forwards
-// to worker processes inside the tbon welcome (everything the leaf factory
-// needs that the substrate geometry does not carry).
-type workerExtra struct {
-	WatchdogQuiet time.Duration
-}
-
-func init() { gob.Register(workerExtra{}) }
-
 // WorkerOptions parameterizes RunWorker.
 type WorkerOptions struct {
 	// DialTimeout bounds the initial connection attempt (default 5s).
@@ -106,7 +96,6 @@ func RunWorker(addr string, worker int, opts WorkerOptions) error {
 	if err != nil {
 		return err
 	}
-	wx, _ := ws.Extra.(workerExtra)
 	cfg := ws.TreeConfig()
 
 	// The final report folds every local leaf's tool-layer numbers into the
@@ -140,7 +129,6 @@ func RunWorker(addr string, worker int, opts WorkerOptions) error {
 		idx := n.Index()
 		h.leaf = dws.NewNode(idx, n.Tree().RanksOf(idx), n.Tree().NodeFor, tbonOut{tn: n})
 		h.leaf.SetBatch(true)
-		h.leaf.SetWatchdogQuiet(wx.WatchdogQuiet)
 		mu.Lock()
 		leaves = append(leaves, h.leaf)
 		mu.Unlock()

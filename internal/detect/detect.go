@@ -183,6 +183,10 @@ type Root struct {
 	// differential runs the oracle engines beside the analysis and
 	// cross-checks every verdict.
 	differential bool
+	// quiet and silentFor are the progress watchdog (SetWatchdog); quiet
+	// zero turns it off.
+	quiet     time.Duration
+	silentFor func(rank int) time.Duration
 	// extraEngines are appended to the differential engine list; the test
 	// hook that lets a deliberately broken engine prove the oracle bites.
 	extraEngines []engine.Engine
@@ -383,6 +387,14 @@ func (r *Root) OnNodeDown(node int, ranks []int) (ackDone bool) {
 // tool starts (not concurrency-safe afterwards).
 func (r *Root) SetDifferential(on bool) { r.differential = on }
 
+// SetWatchdog turns on the progress watchdog: a detection flags a rank
+// Stalled when its report entry says it is between calls and silentFor
+// says it emitted no event for longer than quiet. Call before the tool
+// starts (not concurrency-safe afterwards).
+func (r *Root) SetWatchdog(quiet time.Duration, silentFor func(rank int) time.Duration) {
+	r.quiet, r.silentFor = quiet, silentFor
+}
+
 // AddEngine registers an additional snapshot engine for differential
 // runs. This is the seeded-deviation test hook: injecting a deliberately
 // wrong engine must make the differential oracle report a deviation.
@@ -550,9 +562,15 @@ func (r *Root) analyze() *Result {
 				crashedEntries[e.Rank] = e
 				continue
 			}
-			if e.State == dws.Stalled {
-				stalledEntries[e.Rank] = e
-				continue
+			if e.BetweenCalls && r.quiet > 0 {
+				// Alive and not blocked in MPI, but silent past the quiet
+				// period: a sleep, livelock or compute spin.
+				if silent := r.silentFor(e.Rank); silent > r.quiet {
+					e.Desc = fmt.Sprintf("rank %d issued no MPI call for %v (quiet period %v)",
+						e.Rank, silent.Round(time.Millisecond), r.quiet)
+					stalledEntries[e.Rank] = e
+					continue
+				}
 			}
 			if e.State != dws.Blocked {
 				continue

@@ -1,8 +1,10 @@
 package detect
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"dwst/internal/collmatch"
 	"dwst/internal/dws"
@@ -256,5 +258,53 @@ func TestTriggerWhileRunningIsRefused(t *testing.T) {
 	}
 	if r.Start() {
 		t.Fatal("second start must fail")
+	}
+}
+
+// TestWatchdogClassification pins the progress watchdog's truth table: a
+// rank is Stalled only when its entry says it is between calls AND it has
+// been silent past the quiet period, and never with the watchdog off.
+func TestWatchdogClassification(t *testing.T) {
+	const quiet = 100 * time.Millisecond
+	between := func(rank int) dws.WaitEntry {
+		e := running(rank)
+		e.BetweenCalls = true
+		return e
+	}
+	rows := []struct {
+		name    string
+		entry   dws.WaitEntry
+		silent  time.Duration
+		stalled bool
+	}{
+		{"between calls, silent past the period", between(0), 3 * quiet, true},
+		{"running, a transition applies", running(1), 3 * quiet, false},
+		{"blocked", blockedSend(2, 1), 3 * quiet, false},
+		{"between calls, recently heard", between(3), quiet / 10, false},
+	}
+	var entries []dws.WaitEntry
+	silent := map[int]time.Duration{}
+	for _, row := range rows {
+		entries = append(entries, row.entry)
+		silent[row.entry.Rank] = row.silent
+	}
+	for _, on := range []bool{true, false} {
+		r := NewRoot(len(rows), 1)
+		if on {
+			r.SetWatchdog(quiet, func(rank int) time.Duration { return silent[rank] })
+		}
+		res := runDetection(t, r, []dws.WaitReport{{Node: 0, Entries: entries}})
+		for _, row := range rows {
+			if got := slices.Contains(res.StalledRanks, row.entry.Rank); got != (on && row.stalled) {
+				t.Errorf("watchdog on=%v, %s: stalled=%v", on, row.name, got)
+			}
+		}
+		want := VerdictNone
+		if on {
+			want = VerdictStalled
+		}
+		if res.Verdict != want || res.Deadlock {
+			t.Errorf("watchdog on=%v: verdict %v deadlock %v, want %v", on, res.Verdict, res.Deadlock, want)
+		}
 	}
 }

@@ -135,10 +135,6 @@ const (
 	// cause is *known*, unlike Unknown: the rank can never progress, so it
 	// is modeled as a permanently blocked sink in the WFG.
 	Crashed
-	// Stalled: the progress watchdog saw the rank alive but issuing no MPI
-	// calls past the configured quiet period. The rank may still resume,
-	// so it is reported but never entered into the WFG.
-	Stalled
 )
 
 // Sem mirrors waitstate semantics without importing it (AND = all targets,
@@ -182,6 +178,12 @@ type WaitEntry struct {
 	// (wildcards resolved by a status whose matching send has not reached
 	// the node yet); the root performs the group translation.
 	ResolvedSrcs []GroupRef
+
+	// BetweenCalls marks a Running rank with no current operation: it
+	// returned from its last call and has not issued the next one that the
+	// node saw. Only such a rank can be stalled (the root's progress
+	// watchdog); a Running rank whose transition applies is making progress.
+	BetweenCalls bool
 
 	// Collective wait: root expands to group minus the ranks blocked in the
 	// same wave.

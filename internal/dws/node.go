@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"time"
 
 	"dwst/internal/collmatch"
 	"dwst/internal/event"
@@ -73,11 +72,6 @@ type Node struct {
 	// engine is the one peer-protocol receiver that is not naturally
 	// idempotent.
 	passSeen map[int]int
-
-	// quiet is the progress-watchdog quiet period: a hosted rank that is
-	// alive, not blocked in a call, and issued no MPI call for longer than
-	// quiet is reported Stalled. Zero disables the watchdog.
-	quiet time.Duration
 
 	// dirty tracks peers this node sent wait-state messages to since the
 	// last snapshot. The consistent-state ping-pong must cover them all: an
@@ -168,16 +162,6 @@ type rankState struct {
 	// crashed/lastCall record the rank's death (RankDown event).
 	crashed  bool
 	lastCall int
-
-	// Progress-watchdog bookkeeping: enters counts processed Enter events,
-	// beatCalls is the rank's call counter carried by the latest heartbeat,
-	// lastProgress the arrival time of the rank's latest event (stamped only
-	// while the watchdog is on). A rank is Stalled when it is between calls,
-	// its event stream is drained (beatCalls <= enters), and lastProgress is
-	// older than the quiet period.
-	enters       int
-	beatCalls    int
-	lastProgress time.Time
 }
 
 // creation is one pending Comm_dup/Comm_split call of a rank.
@@ -411,21 +395,15 @@ func NewNode(id int, hosted []int, nodeFor func(int) int, out Out) *Node {
 		passSeen:   make(map[int]int),
 		readySent:  make(map[collKey][]collmatch.Ready),
 	}
-	now := time.Now()
 	for _, r := range hosted {
 		n.ranks[r] = &rankState{
-			rank:         r,
-			collSeq:      make(map[trace.CommID]int),
-			lastTS:       -1,
-			lastProgress: now,
+			rank:    r,
+			collSeq: make(map[trace.CommID]int),
+			lastTS:  -1,
 		}
 	}
 	return n
 }
-
-// SetWatchdogQuiet configures the progress watchdog's quiet period (zero
-// disables stall detection).
-func (n *Node) SetWatchdogQuiet(d time.Duration) { n.quiet = d }
 
 // ID returns the node's first-layer index.
 func (n *Node) ID() int { return n.id }
@@ -557,14 +535,6 @@ func (n *Node) rank(r int) *rankState {
 // could be reported mutually blocked before their handshake ran — a false
 // deadlock.
 func (n *Node) OnEvent(ev event.Event) {
-	if ev.Type == event.Heartbeat {
-		// Pure watchdog bookkeeping: no transition-system state is touched,
-		// so heartbeats are safe to absorb even while frozen (deferring them
-		// would let a snapshot hide a stall).
-		rs := n.rank(ev.Proc)
-		rs.beatCalls = ev.TS
-		return
-	}
 	if n.frozen {
 		n.deferred = append(n.deferred, ev)
 		return
@@ -582,9 +552,7 @@ func (n *Node) processEvent(ev *event.Event) {
 	case event.CommInfo:
 		n.onCommInfo(ev.Proc, ev.TS, ev.Comm)
 	case event.Done:
-		rs := n.rank(ev.Proc)
-		rs.done = true
-		n.progress(rs)
+		n.rank(ev.Proc).done = true
 	case event.RankDown:
 		if first := n.OnRankDown(ev.Proc, ev.TS); first {
 			n.out.Up(RankDown{Rank: ev.Proc, LastCall: ev.TS, Node: n.id})
@@ -616,20 +584,10 @@ func (n *Node) OnRankDown(rank, lastCall int) bool {
 	return true
 }
 
-// progress stamps a rank's watchdog clock. Only the watchdog reads it, so
-// without one the clock is not read either.
-func (n *Node) progress(rs *rankState) {
-	if n.quiet > 0 {
-		rs.lastProgress = time.Now()
-	}
-}
-
 // newOp is Figure 7's newOp handler.
 func (n *Node) newOp(op *trace.Op) {
 	rs := n.rank(op.Proc)
 	rs.lastTS = op.TS
-	rs.enters++
-	n.progress(rs)
 	o := n.newOpState(op)
 	rs.ops.put(o)
 	n.curWindow++
@@ -708,7 +666,6 @@ func (n *Node) newOp(op *trace.Op) {
 // received from group rank src.
 func (n *Node) onStatus(proc, ts, src int) {
 	rs := n.rank(proc)
-	n.progress(rs)
 	if o := rs.ops.get(ts); o != nil {
 		o.resolved = true
 		o.resolvedGr = src

@@ -3,7 +3,6 @@ package dws
 import (
 	"maps"
 	"slices"
-	"time"
 
 	"dwst/internal/collmatch"
 	"dwst/internal/p2pmatch"
@@ -79,15 +78,11 @@ func (n *Node) Checkpoint() *Memento {
 }
 
 // Restore overwrites the node's recoverable state with a deep copy of the
-// memento. The watchdog clock restarts at now — conservative: a genuinely
-// stalled rank is re-detected one quiet period later.
+// memento.
 func (n *Node) Restore(m *Memento) {
 	n.ranks = make(map[int]*rankState, len(m.ranks))
-	now := time.Now()
 	for r, rs := range m.ranks {
-		cp := cloneRankState(rs)
-		cp.lastProgress = now
-		n.ranks[r] = cp
+		n.ranks[r] = cloneRankState(rs)
 	}
 	n.match = m.match.Clone()
 	n.coll = m.coll.Clone()
@@ -137,7 +132,6 @@ func cloneRankState(rs *rankState) *rankState {
 	return &rankState{
 		rank: rs.rank, l: rs.l, done: rs.done, lastTS: rs.lastTS,
 		crashed: rs.crashed, lastCall: rs.lastCall,
-		enters: rs.enters, beatCalls: rs.beatCalls, lastProgress: rs.lastProgress,
 		ops:      rs.ops.clone(),
 		reqs:     rs.reqs.clone(),
 		collSeq:  maps.Clone(rs.collSeq),

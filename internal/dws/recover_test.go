@@ -3,7 +3,6 @@ package dws
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"dwst/internal/event"
 	"dwst/internal/trace"
@@ -19,14 +18,6 @@ func blockedPair(t *testing.T) *harness {
 	h.enter(trace.Op{Kind: trace.Send, Proc: 1, TS: 0, Peer: 3, Comm: trace.CommWorld})
 	h.drain()
 	return h
-}
-
-// normalizeMemento clears wall-clock fields so two mementos of identical
-// logical state compare equal.
-func normalizeMemento(m *Memento) {
-	for _, rs := range m.ranks {
-		rs.lastProgress = time.Time{}
-	}
 }
 
 // TestOnRankDownIdempotent is the regression test for duplicated RankDown
@@ -61,8 +52,6 @@ func TestOnRankDownIdempotent(t *testing.T) {
 		t.Fatalf("duplicate RankDown changed message stats: %+v -> %+v", statsBefore, got)
 	}
 	m2 := n.Checkpoint()
-	normalizeMemento(m1)
-	normalizeMemento(m2)
 	if !reflect.DeepEqual(m1, m2) {
 		t.Fatalf("duplicate RankDown mutated node state:\n before %+v\n after  %+v", m1, m2)
 	}
@@ -80,8 +69,6 @@ func TestOnRankDownIdempotentOnNonHost(t *testing.T) {
 	n.OnRankDown(0, 5)
 	h.drain()
 	m2 := n.Checkpoint()
-	normalizeMemento(m1)
-	normalizeMemento(m2)
 	if !reflect.DeepEqual(m1, m2) {
 		t.Fatal("duplicate remote RankDown mutated node state")
 	}
@@ -104,8 +91,6 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	repl.Restore(m)
 
 	m2 := repl.Checkpoint()
-	normalizeMemento(m)
-	normalizeMemento(m2)
 	if !reflect.DeepEqual(m, m2) {
 		t.Fatalf("restored state differs from memento:\n want %+v\n got  %+v", m, m2)
 	}
@@ -139,8 +124,6 @@ func TestMementoSurvivesRepeatedRestore(t *testing.T) {
 	b := NewNode(0, []int{0, 1}, nodeFor, Discard)
 	b.Restore(m)
 	mb := b.Checkpoint()
-	normalizeMemento(m)
-	normalizeMemento(mb)
 	if !reflect.DeepEqual(m, mb) {
 		t.Fatal("second restore saw state leaked from the first restoree")
 	}

@@ -2,7 +2,6 @@ package dws
 
 import (
 	"fmt"
-	"time"
 
 	"dwst/internal/trace"
 )
@@ -179,17 +178,10 @@ func (n *Node) entryFor(rs *rankState) WaitEntry {
 			e.State = Finished
 			return e
 		}
-		// Progress watchdog: the rank is between calls. When its event
-		// stream is drained (the latest heartbeat's call counter does not
-		// exceed the Enter events processed) and it has been quiet past the
-		// configured period, flag it Stalled — alive, not blocked in MPI,
-		// but making no progress (sleep, livelock, compute spin).
-		if n.quiet > 0 && rs.beatCalls <= rs.enters && time.Since(rs.lastProgress) > n.quiet {
-			e.State = Stalled
-			e.Desc = fmt.Sprintf("rank %d issued no MPI call for over %v (%d calls completed)",
-				rs.rank, n.quiet, rs.enters)
-		}
-		return e // between calls (or events still in flight): not blocked
+		// Between calls (or its next event still in flight): not blocked,
+		// and the root's progress watchdog may find it stalled.
+		e.BetweenCalls = true
+		return e
 	}
 	if o.op.Kind == trace.Finalize {
 		e.State = Finished

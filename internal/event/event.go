@@ -30,16 +30,11 @@ const (
 	// MPI_Comm_split created for this rank: operation (Proc, TS) produced
 	// communicator Comm. Like Status, it trails the call's Enter event.
 	CommInfo
-	// Heartbeat is a liveness probe for rank Proc, injected by the tool
-	// driver (not the rank itself): TS carries the rank's MPI call
-	// counter at probe time. The hosting leaf compares it against the
-	// Enter events it has processed to tell "rank is between calls" from
-	// "rank has gone quiet" — the progress watchdog's raw signal.
-	Heartbeat
 	// RankDown records that rank Proc crashed (its goroutine exited
 	// without MPI_Finalize). TS carries the number of MPI calls the rank
-	// completed before dying. It is the rank's last event.
-	RankDown
+	// completed before dying. It is the rank's last event. Its value skips
+	// 4, a retired event type, so recorded traces keep reading back.
+	RankDown Type = iota + 1
 )
 
 // Event is one element of a rank's event stream.

@@ -27,3 +27,14 @@ func TestDiscardAndFuncSinks(t *testing.T) {
 		t.Fatalf("comminfo event %+v", got[2])
 	}
 }
+
+// TestTypeValuesAreStable pins the event types' numeric values: Recorder
+// writes Type as a JSON number, so a renumbering would misread every trace
+// recorded before it.
+func TestTypeValuesAreStable(t *testing.T) {
+	for typ, want := range map[Type]int{Enter: 0, Status: 1, Done: 2, CommInfo: 3, RankDown: 5} {
+		if int(typ) != want {
+			t.Errorf("type %d, want %d", typ, want)
+		}
+	}
+}

@@ -132,8 +132,8 @@ type Plan struct {
 	// RankCrashes and RankStalls are the application-plane faults:
 	// scheduled deaths and progress stalls of MPI ranks. They are
 	// executed by the MPI simulator, not the link Injector — the tool
-	// observes them only through the event stream (RankDown, missing
-	// heartbeat progress), exactly as a real tool would.
+	// observes them only through the event stream (a RankDown event, or
+	// no events at all for a stalled rank), exactly as a real tool would.
 	RankCrashes []RankCrash
 	RankStalls  []RankStall
 

@@ -159,6 +159,33 @@ func TestChaosTransientStallIsInvisible(t *testing.T) {
 	}
 }
 
+// TestChaosTransientStallIsInvisibleToWatchdog is the watchdog-on case: a
+// rank that pauses for well under the quiet period and then resumes is
+// never flagged, and the run stays clean.
+func TestChaosTransientStallIsInvisibleToWatchdog(t *testing.T) {
+	rep := runBounded(t, 4, workload.Stress(5), must.Options{
+		FanIn:         2,
+		Timeout:       20 * time.Millisecond,
+		WatchdogQuiet: 100 * time.Millisecond,
+		Fault: &must.FaultPlan{
+			Seed:       1,
+			RankStalls: []must.RankStall{{Rank: 2, AtCall: 3, For: 40 * time.Millisecond}},
+		},
+	})
+	if rep.Deadlock {
+		t.Fatalf("transient stall misreported as deadlock (ranks %v)", rep.Deadlocked)
+	}
+	if rep.Verdict != must.VerdictNone {
+		t.Fatalf("verdict = %v, want none", rep.Verdict)
+	}
+	if len(rep.StalledRanks) != 0 || rep.WatchdogFires != 0 {
+		t.Fatalf("watchdog flagged a resumed rank: stalled %v fires %d", rep.StalledRanks, rep.WatchdogFires)
+	}
+	if rep.Partial || rep.AppAborted {
+		t.Fatalf("transient stall degraded the run: partial=%v aborted=%v", rep.Partial, rep.AppAborted)
+	}
+}
+
 // TestChaosMixedRankAndLinkFaults is the combined plane: a rank crash
 // while every tool link drops, duplicates and reorders messages. The
 // retransmitting transport must still deliver the exact failure verdict —

@@ -184,6 +184,31 @@ func (h *tcpHarness) run(t *testing.T, procs int, prog mpi.Program, opts must.Op
 	return rep
 }
 
+// TestWireTCPWatchdogFlagsStalledRank is the progress watchdog over TCP: a
+// rank computing past the quiet period while every other rank waits for it
+// in a barrier is stalled, not deadlocked, although its hosting leaf lives
+// in a worker process.
+func TestWireTCPWatchdogFlagsStalledRank(t *testing.T) {
+	h := &tcpHarness{workers: 2, haltWorker: -1}
+	rep := h.run(t, 8, func(p *mpi.Proc) {
+		if p.Rank() == 5 {
+			p.Compute(2 * time.Second)
+		}
+		p.Barrier(mpi.CommWorld)
+		p.Finalize()
+	}, must.Options{
+		FanIn:         2,
+		Timeout:       20 * time.Millisecond,
+		WatchdogQuiet: 100 * time.Millisecond,
+	})
+	if rep.Verdict != must.VerdictStalled || !reflect.DeepEqual(rep.StalledRanks, []int{5}) {
+		t.Fatalf("verdict %v stalled %v, want stalled [5]", rep.Verdict, rep.StalledRanks)
+	}
+	if rep.Deadlock {
+		t.Fatalf("stall misclassified as deadlock (ranks %v)", rep.Deadlocked)
+	}
+}
+
 // TestWireTCPMatchesChanVerdicts is the transport-equivalence baseline:
 // on a fault-free loopback fabric, every chaos workload must produce the
 // exact verdict of its in-process channel-transport reference run.

@@ -27,9 +27,8 @@ type Proc struct {
 	// sender; receivers decrement it when they consume one.
 	eagerCounter atomic.Int32
 
-	// calls counts issued MPI calls; the driver's progress watchdog
-	// samples it from outside the rank's goroutine.
-	calls atomic.Int64
+	// calls counts issued MPI calls.
+	calls int
 
 	// crashAt (1-based call index, 0 = none) and stall are the scheduled
 	// application-plane faults; stalled latches after the stall ran once.
@@ -97,7 +96,7 @@ func (p *Proc) enter(op trace.Op) int {
 		}
 	}
 	p.w.sink.Emit(event.Event{Type: event.Enter, Op: op})
-	p.calls.Add(1)
+	p.calls++
 	return op.TS
 }
 
@@ -105,7 +104,7 @@ func (p *Proc) enter(op trace.Op) int {
 // boundary: faults fire immediately before the rank's AtCall-th MPI call,
 // never inside a blocking call.
 func (p *Proc) maybeFault() {
-	call := int(p.calls.Load()) + 1 // the call about to be issued, 1-based
+	call := p.calls + 1 // the call about to be issued, 1-based
 	if p.crashAt > 0 && call >= p.crashAt {
 		p.crash()
 	}
@@ -123,8 +122,7 @@ func (p *Proc) crash() {
 	p.mbox.mu.Lock()
 	p.mbox.posted = nil
 	p.mbox.mu.Unlock()
-	p.w.crashed[p.rank].Store(true)
-	p.w.sink.Emit(event.Event{Type: event.RankDown, Proc: p.rank, TS: int(p.calls.Load())})
+	p.w.sink.Emit(event.Event{Type: event.RankDown, Proc: p.rank, TS: p.calls})
 	panic(rankCrashError{rank: p.rank})
 }
 

@@ -146,9 +146,6 @@ type World struct {
 	progress atomic.Uint64
 
 	finished atomic.Int32 // ranks that returned from the program
-
-	// crashed[rank] is set when an injected RankCrash killed the rank.
-	crashed []atomic.Bool
 }
 
 // NewWorld creates a world with cfg.Procs ranks.
@@ -179,7 +176,6 @@ func NewWorld(cfg Config) *World {
 	for i := range w.procs {
 		w.procs[i] = newProc(w, i)
 	}
-	w.crashed = make([]atomic.Bool, cfg.Procs)
 	for _, rc := range cfg.RankCrashes {
 		if rc.Rank < 0 || rc.Rank >= cfg.Procs {
 			continue
@@ -201,17 +197,6 @@ func NewWorld(cfg Config) *World {
 		w.procs[rs.Rank].stall = &s
 	}
 	return w
-}
-
-// Calls returns the number of MPI calls the rank has issued so far. Safe
-// to call from any goroutine; the driver's progress watchdog samples it.
-func (w *World) Calls(rank int) int {
-	return int(w.procs[rank].calls.Load())
-}
-
-// RankExited reports whether an injected RankCrash has killed the rank.
-func (w *World) RankExited(rank int) bool {
-	return w.crashed[rank].Load()
 }
 
 // NumProcs returns the number of ranks.

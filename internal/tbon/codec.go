@@ -66,10 +66,6 @@ type wireWelcome struct {
 	// fresh gids; a (re)joining worker must build its topology against the
 	// coordinator's current view or its frames would address retired ids.
 	LeafGids []int
-
-	// Extra is an opaque tool-layer configuration blob (internal/core uses
-	// it for handler options the substrate does not interpret).
-	Extra any
 }
 
 // wireData is one reliable-layer frame crossing a process boundary: the
@@ -87,9 +83,8 @@ type wireData struct {
 // wireRank is an application event injected into a remote first-layer
 // node, riding a sequenced RankLink frame.
 type wireRank struct {
-	Rank  int
-	Quiet bool
-	Ev    event.Event
+	Rank int
+	Ev   event.Event
 }
 
 // wireAck is a cumulative acknowledgement for one directed link, routed to

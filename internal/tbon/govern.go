@@ -23,7 +23,7 @@ package tbon
 // as overflow instead of refused — "never OOM, never a silent drop" becomes
 // "bounded by backpressure, and honestly flagged overloaded when a pinned
 // link defeats it". The only party the governor ever blocks is the
-// application-side intake (Tree.inject / injectRemote), which is exactly
+// application-side intake (Tree.InjectEvent / injectRemote), which is exactly
 // the party EventBuf already throttles locally: when resident data-lane
 // bytes cross the gate-engage threshold, ranks stop injecting until the
 // tree drains back below the reopen threshold. The TCP fabric's per-leaf

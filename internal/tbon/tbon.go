@@ -104,9 +104,9 @@ type Config struct {
 	// MemBudget bounds the resident bytes of the tool-plane buffers (queue
 	// pumps and TCP send buffers) in this process: data-lane traffic is
 	// byte-accounted against the budget and backpressure is applied at the
-	// rank → leaf intake, while control-lane traffic (heartbeats,
-	// snapshot/epoch control, supervision) is always admitted free — see
-	// govern.go. 0 selects DefaultMemBudget; negative is rejected.
+	// rank → leaf intake, while control-lane traffic (snapshot/epoch
+	// control, supervision) is always admitted free — see govern.go.
+	// 0 selects DefaultMemBudget; negative is rejected.
 	MemBudget int64
 }
 
@@ -154,20 +154,10 @@ type envelope struct {
 }
 
 // rankEnvelope is one application-event delivery on the rank → first-layer
-// link; the event travels unboxed. A quiet one (a watchdog heartbeat) is
-// not outstanding work: it never defers quiescence.
+// link; the event travels unboxed.
 type rankEnvelope struct {
-	from  int
-	ev    event.Event
-	quiet bool
-}
-
-// units is the envelope's share of the tree's outstanding work.
-func (e *rankEnvelope) units() int64 {
-	if e.quiet {
-		return 0
-	}
-	return 1
+	from int
+	ev   event.Event
 }
 
 // timed is a queued message with its earliest delivery time.
@@ -185,8 +175,8 @@ const maxSlab = 128
 // rankEnvPool recycles the mailbox slots' payloads: the events channel
 // carries pointers, so a slot costs 8 bytes instead of a whole rankEnvelope
 // and building a tree allocates no event storage up front. An envelope is
-// taken at the intake (Tree.inject, the wire intake sites) and returned once
-// dispatchRank consumed it.
+// taken at the intake (Tree.InjectEvent, the wire intake sites) and
+// returned once dispatchRank consumed it.
 var rankEnvPool = sync.Pool{New: func() any { return new(rankEnvelope) }}
 
 func newRankEnv(env rankEnvelope) *rankEnvelope {
@@ -855,25 +845,13 @@ func (t *Tree) Stop() {
 // event reaches a RankEventHandler without ever being boxed into an
 // interface, making the batched intake allocation-free per event. With
 // batching off (or a plain Handler) it is delivered boxed through FromRank.
+//
+// When the hosting node is dead and the tree can recover it, the injector
+// waits for the slot's fate instead of dropping the event: the replacement
+// adopts the slot's mailbox, so a successful respawn preserves per-rank FIFO
+// with zero dropped events.
 func (t *Tree) InjectEvent(rank int, ev event.Event) error {
-	return t.inject(rank, rankEnvelope{ev: ev})
-}
-
-// InjectEventQuiet delivers an application event like InjectEvent but
-// without counting it as outstanding work, so periodic probes (watchdog
-// heartbeats, which the handler turns into no messages) never defer
-// quiescence. FIFO order with regular events is preserved — both travel the
-// same per-rank link.
-func (t *Tree) InjectEventQuiet(rank int, ev event.Event) error {
-	return t.inject(rank, rankEnvelope{ev: ev, quiet: true})
-}
-
-// inject implements InjectEvent(Quiet). When the hosting node is dead and
-// the tree can recover it, the injector waits for the slot's fate instead
-// of dropping the event: the replacement adopts the slot's mailbox, so a
-// successful respawn preserves per-rank FIFO with zero dropped events.
-func (t *Tree) inject(rank int, env rankEnvelope) error {
-	env.from = rank
+	env := rankEnvelope{from: rank, ev: ev}
 	idx := t.NodeFor(rank)
 	for {
 		n := t.shape.Load().layers[0][idx]
@@ -886,15 +864,13 @@ func (t *Tree) inject(rank int, env rankEnvelope) error {
 		// Resource-governor backpressure: when tool-plane buffers approach
 		// the budget, the data-lane intake gate closes and ranks wait here —
 		// the global, byte-denominated analogue of the bounded events
-		// channel below. Quiet (watchdog) injections bypass the gate so
-		// liveness probes keep flowing through an overloaded tree.
-		if !env.quiet && !t.gov.admitIntake(n.dead, t.quit) {
+		// channel below.
+		if !t.gov.admitIntake(n.dead, t.quit) {
 			return ErrStopped
 		}
 		slot := newRankEnv(env)
 		// Counted before it can be dispatched; taken back if it never lands.
-		u := env.units()
-		t.admit(u)
+		t.admit(1)
 		// Common case first — a live node with room in its mailbox — as two
 		// non-blocking channel operations instead of a three-way select.
 		if !n.Dead() {
@@ -909,7 +885,7 @@ func (t *Tree) inject(rank int, env rankEnvelope) error {
 			return nil
 		case <-n.dead:
 			putRankEnv(slot)
-			t.retire(u)
+			t.retire(1)
 			if !t.recoveryEnabled() {
 				return ErrNodeDown
 			}
@@ -1278,7 +1254,7 @@ func (n *Node) bury() {
 	for {
 		select {
 		case env := <-n.events:
-			n.tree.retire(env.units())
+			n.tree.retire(1)
 			putRankEnv(env)
 		case <-n.control:
 			n.tree.retire(1)
@@ -1309,7 +1285,7 @@ func (n *Node) dispatchSlab(q *queue, fn func(envelope)) {
 // slot to the pool.
 func (n *Node) dispatchRank(env *rankEnvelope) {
 	defer putRankEnv(env)
-	n.taken += env.units()
+	n.taken++
 	if n.rankHandler != nil {
 		n.rankHandler.FromRankEvent(env.from, env.ev)
 		return

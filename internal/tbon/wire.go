@@ -91,9 +91,6 @@ type NetConfig struct {
 	// respawn the two drift apart, and a late (re)joining worker building
 	// the default identity assignment would address retired gids.
 	LeafGids []int
-	// Extra is an opaque tool-layer configuration blob forwarded to workers
-	// in the welcome (the tool layer registers its own gob type).
-	Extra any
 	// FinalStats, on workers, supplies the tool-layer numbers for the final
 	// report sent to the coordinator at shutdown. Called after all node
 	// loops have stopped.
@@ -523,15 +520,15 @@ func (fab *netFabric) encodeFrame(kind wire.Kind, dst int32, body any) ([]byte, 
 // route queues an encoded frame toward the process owning dst. Frames to
 // retired gids are dropped: their live successors travel on the fresh link
 // the respawn migration re-keyed them onto. On the coordinator, a frame
-// that may give a worker work (work) marks its slot busy.
-func (fab *netFabric) route(dst int32, buf []byte, work bool) {
+// marks its worker's slot busy: it may give the worker work.
+func (fab *netFabric) route(dst int32, buf []byte) {
 	if fab.role == NetWorker {
 		fab.wsq.push(buf)
 		return
 	}
 	if idx := fab.leafIndex(int(dst)); idx >= 0 {
 		sl := fab.slots[ownerOfLeaf(idx, fab.width0, len(fab.slots))]
-		if sl.sq.push(buf) && work {
+		if sl.sq.push(buf) {
 			fab.markBusy(sl)
 		}
 	}
@@ -539,7 +536,7 @@ func (fab *netFabric) route(dst int32, buf []byte, work bool) {
 
 func (fab *netFabric) send(kind wire.Kind, dst int32, body any) {
 	if buf, ok := fab.encodeFrame(kind, dst, body); ok {
-		fab.route(dst, buf, true)
+		fab.route(dst, buf)
 	}
 }
 
@@ -571,7 +568,7 @@ func (fab *netFabric) sendData(env envelope) {
 		fab.codecErrors.Add(1)
 		return
 	}
-	fab.route(int32(f.key.to), buf, true)
+	fab.route(int32(f.key.to), buf)
 }
 
 // sendAck ships one cumulative acknowledgement to the process owning the

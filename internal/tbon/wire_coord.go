@@ -173,7 +173,6 @@ func (fab *netFabric) welcome(inc uint64) wireWelcome {
 		Budget:      fab.nc.budget(),
 		MemBudget:   cfg.MemBudget,
 		LeafGids:    fab.leafGids(nil),
-		Extra:       fab.nc.Extra,
 	}
 }
 
@@ -290,7 +289,7 @@ func (fab *netFabric) forward(f wire.Frame) {
 		fab.codecErrors.Add(1)
 		return
 	}
-	fab.route(f.Dst, buf, true)
+	fab.route(f.Dst, buf)
 }
 
 // captureRelay journals one relayed data frame destined to a first-layer
@@ -333,8 +332,7 @@ func (fab *netFabric) deliverData(payload []byte) {
 		fab.codecErrors.Add(1)
 		return
 	}
-	wr, rank := wd.Msg.(wireRank)
-	fab.enqueue(n, wd, !rank || !wr.Quiet) // heartbeats travel unsequenced
+	fab.enqueue(n, wd, true)
 }
 
 // enqueue hands one wire frame to local node n: a rank event to its
@@ -368,13 +366,12 @@ func (fab *netFabric) enqueue(n *Node, wd wireData, live bool) {
 			fab.codecErrors.Add(1)
 			return
 		}
-		slot := newRankEnv(rankEnvelope{from: wr.Rank, ev: wr.Ev, quiet: wr.Quiet})
-		u := slot.units()
-		fab.t.admit(u)
+		slot := newRankEnv(rankEnvelope{from: wr.Rank, ev: wr.Ev})
+		fab.t.admit(1)
 		select {
 		case n.events <- slot:
 		case <-n.dead:
-			fab.t.retire(u)
+			fab.t.retire(1)
 		case <-fab.t.quit:
 		}
 	}

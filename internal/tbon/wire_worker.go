@@ -13,7 +13,6 @@ import (
 	"net"
 	"time"
 
-	"dwst/internal/fault"
 	"dwst/internal/wire"
 )
 
@@ -23,8 +22,6 @@ type WorkerSession struct {
 	Addr        string
 	Worker      int
 	Incarnation uint64
-	// Extra is the coordinator's opaque tool-layer configuration blob.
-	Extra any
 
 	welcome wireWelcome
 	conn    net.Conn
@@ -81,7 +78,6 @@ func DialWorkerResume(addr string, worker int, timeout time.Duration, token stri
 		Addr:        addr,
 		Worker:      worker,
 		Incarnation: w.Incarnation,
-		Extra:       w.Extra,
 		welcome:     w,
 		conn:        conn,
 		br:          br,
@@ -423,16 +419,7 @@ func (t *Tree) injectRemote(n *Node, env rankEnvelope) error {
 	if n.Dead() {
 		return ErrNodeDown
 	}
-	wr := wireRank{Rank: env.from, Quiet: env.quiet, Ev: env.ev}
-	if env.quiet {
-		// A heartbeat travels unsequenced — no window slot, no outbox entry,
-		// no ack — so it is never outstanding work; a lost one only skips a
-		// probe round, and overtaking events only delays a Stalled verdict.
-		if buf, ok := fab.encodeFrame(wire.KindData, int32(n.gid), wireData{From: env.from, To: n.gid, FromG: -1, Class: fault.RankLink, Msg: wr}); ok {
-			fab.route(int32(n.gid), buf, false)
-		}
-		return nil
-	}
+	wr := wireRank{Rank: env.from, Ev: env.ev}
 	// Global governor backpressure first (byte-denominated, whole-tree),
 	// then the per-leaf frame window — two instances of the same credit
 	// mechanism at different granularities (see govern.go).

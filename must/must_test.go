@@ -138,6 +138,10 @@ func TestRunRefusesIncompatibleOptions(t *testing.T) {
 		{"Net with LinkDelay", must.Options{Net: &must.NetOptions{Workers: 1}, LinkDelay: time.Millisecond}},
 		{"negative MemBudget", must.Options{MemBudget: -1}},
 		{"negative Timeout", must.Options{Timeout: -time.Second}},
+		{"negative EventBuf", must.Options{EventBuf: -1}},
+		{"negative BufferSlots", must.Options{BufferSlots: -1}},
+		{"negative SsendEvery", must.Options{SsendEvery: -1}},
+		{"negative BufferedSendCost", must.Options{BufferedSendCost: -1}},
 		{"FanIn 1", must.Options{FanIn: 1}},
 	}
 	for _, c := range cases {
