@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race chaos short fuzz ci bench-test service-soak overload soak-clean figures lines
+.PHONY: all build fmt vet test race allocs chaos short fuzz ci bench-test service-soak overload soak-clean figures lines
 
 all: build vet test
 
@@ -25,6 +25,12 @@ test:
 # Full suite under the race detector (what CI runs).
 race:
 	$(GO) test -race ./...
+
+# The allocation guards and the pinned outputs they protect, without the
+# race detector: it changes allocation counts, so the guards are built
+# only without it (a `go test -race` run, CI's main step, skips them).
+allocs:
+	$(GO) test -count=1 -run 'Allocs|Pinned|Descriptions' ./internal/detect/ ./internal/dws/ ./internal/trace/ ./internal/wfg/
 
 # The seeded fault-injection sweep only (190 adversarial runs), plus the
 # topology-change races, the request window, the shared node wake and
@@ -90,4 +96,4 @@ figures:
 	{ echo "# scales run on this box: 64"; $(FIGURES) -fig 12 -procs 64; } > results_fig12.txt
 	{ echo "# scales run on this box: 256"; $(FIGURES) -fig 12 -procs 256 -iters 30; } > results_fig12_256.txt
 
-ci: fmt vet build race bench-test soak-clean
+ci: fmt vet build race allocs bench-test soak-clean

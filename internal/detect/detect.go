@@ -160,12 +160,17 @@ type Root struct {
 	firstLayer int
 	coll       *collmatch.Root
 
-	phase       phase
-	epoch       int // snapshot attempt counter (first attempt = 1)
-	began       time.Time
-	acked       map[int]bool
+	phase phase
+	epoch int // snapshot attempt counter (first attempt = 1)
+	began time.Time
+	// acked[i] and reported[i] record first-layer node i's ack and report
+	// of the current epoch, reports[i] the report itself; owed counts the
+	// live nodes the current phase still waits for.
+	acked       []bool
 	acksDone    time.Time
-	reports     map[int]dws.WaitReport
+	reported    []bool
+	reports     []dws.WaitReport
+	owed        int
 	gatherStart time.Time
 
 	// deadNodes maps crashed first-layer nodes to their hosted ranks;
@@ -214,6 +219,9 @@ func NewRoot(p, firstLayer int) *Root {
 		p:          p,
 		firstLayer: firstLayer,
 		coll:       collmatch.NewRoot(p, firstLayer),
+		acked:      make([]bool, firstLayer),
+		reported:   make([]bool, firstLayer),
+		reports:    make([]dws.WaitReport, firstLayer),
 		deadNodes:  make(map[int][]int),
 		deadRanks:  make(map[int]int),
 		Results:    make(chan *Result, 4),
@@ -282,9 +290,32 @@ func (r *Root) Start() bool {
 	r.phase = awaitingAcks
 	r.epoch++
 	r.began = time.Now()
-	r.acked = make(map[int]bool, r.firstLayer)
-	r.reports = make(map[int]dws.WaitReport, r.firstLayer)
+	clear(r.acked)
+	clear(r.reported)
+	clear(r.reports)
+	r.owed = r.liveNodes()
 	return true
+}
+
+// liveNodes counts the first-layer nodes not declared dead.
+func (r *Root) liveNodes() int {
+	live := r.firstLayer
+	for node := range r.deadNodes {
+		if node >= 0 && node < r.firstLayer {
+			live--
+		}
+	}
+	return live
+}
+
+// owes reports whether the current phase still waits for first-layer node
+// node, whose record of the phase is done.
+func (r *Root) owes(node int, done []bool) bool {
+	if node < 0 || node >= r.firstLayer || done[node] {
+		return false
+	}
+	_, dead := r.deadNodes[node]
+	return !dead
 }
 
 // Epoch returns the current snapshot epoch (the one Start just opened).
@@ -305,40 +336,23 @@ func (r *Root) Abort() int {
 // first-layer node acknowledged the current epoch (the driver then
 // broadcasts RequestWaits). Acks of stale epochs are discarded.
 func (r *Root) OnAck(a dws.AckConsistentState) bool {
-	if r.phase != awaitingAcks || a.Epoch != r.epoch {
+	if r.phase != awaitingAcks || a.Epoch != r.epoch || !r.owes(a.Node, r.acked) {
 		return false
 	}
 	r.acked[a.Node] = true
-	if !r.acksComplete() {
+	r.owed--
+	return r.acksComplete()
+}
+
+// acksComplete moves to gathering once no live node owes an ack.
+func (r *Root) acksComplete() bool {
+	if r.owed > 0 {
 		return false
 	}
 	r.phase = awaitingReports
+	r.owed = r.liveNodes()
 	r.acksDone = time.Now()
 	r.gatherStart = r.acksDone
-	return true
-}
-
-func (r *Root) acksComplete() bool {
-	for i := 0; i < r.firstLayer; i++ {
-		if _, dead := r.deadNodes[i]; dead {
-			continue
-		}
-		if !r.acked[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (r *Root) reportsComplete() bool {
-	for i := 0; i < r.firstLayer; i++ {
-		if _, dead := r.deadNodes[i]; dead {
-			continue
-		}
-		if _, ok := r.reports[i]; !ok {
-			return false
-		}
-	}
 	return true
 }
 
@@ -346,11 +360,12 @@ func (r *Root) reportsComplete() bool {
 // reported it runs graph detection and returns the Result (nil otherwise).
 // Reports of stale epochs are discarded.
 func (r *Root) OnWaitReport(rep dws.WaitReport) *Result {
-	if r.phase != awaitingReports || rep.Epoch != r.epoch {
+	if r.phase != awaitingReports || rep.Epoch != r.epoch || !r.owes(rep.Node, r.reported) {
 		return nil
 	}
 	r.reports[rep.Node] = rep
-	if !r.reportsComplete() {
+	r.reported[rep.Node] = true
+	if r.owed--; r.owed > 0 {
 		return nil
 	}
 	return r.finish()
@@ -365,19 +380,17 @@ func (r *Root) OnNodeDown(node int, ranks []int) (ackDone bool) {
 	if _, seen := r.deadNodes[node]; seen {
 		return false
 	}
+	owed := r.phase == awaitingAcks && r.owes(node, r.acked) ||
+		r.phase == awaitingReports && r.owes(node, r.reported)
 	r.deadNodes[node] = append([]int(nil), ranks...)
-	switch r.phase {
-	case awaitingAcks:
-		if r.acksComplete() {
-			r.phase = awaitingReports
-			r.acksDone = time.Now()
-			r.gatherStart = r.acksDone
-			return true
-		}
-	case awaitingReports:
-		if r.reportsComplete() {
-			r.finish()
-		}
+	if !owed {
+		return false
+	}
+	if r.owed--; r.phase == awaitingAcks {
+		return r.acksComplete()
+	}
+	if r.owed == 0 {
+		r.finish()
 	}
 	return false
 }
@@ -481,7 +494,7 @@ func (s *sets) missing(k wave) *engine.RankSet {
 // nil without any, the shared set itself for one (every case the paper
 // has), their interned union for several (a Waitany over wildcard receives
 // on different communicators).
-func (s *sets) of(e dws.WaitEntry) *engine.RankSet {
+func (s *sets) of(e *dws.WaitEntry) *engine.RankSet {
 	switch {
 	case e.IsColl && len(e.WildComms) == 0:
 		return s.missing(wave{e.CollComm, e.CollWave})
@@ -523,7 +536,7 @@ func (s *sets) of(e dws.WaitEntry) *engine.RankSet {
 // differential run, as the oracles' input and the reference they are
 // compared with.
 func (r *Root) analyze() *Result {
-	res := &Result{Entries: make(map[int]dws.WaitEntry), Epoch: r.epoch}
+	res := &Result{Epoch: r.epoch}
 	res.Timings.Synchronization = r.acksDone.Sub(r.began)
 	res.Timings.WFGGather = time.Since(r.gatherStart)
 
@@ -544,31 +557,43 @@ func (r *Root) analyze() *Result {
 		waves:  map[wave]*engine.RankSet{},
 		unions: map[string]*engine.RankSet{},
 	}
-	var all []dws.WaitEntry
+	// The entries stay in their reports: the analysis points at them, and
+	// every container below is sized from this count.
+	entries := 0
+	for node, rep := range r.reports {
+		if r.reported[node] {
+			entries += len(rep.Entries)
+		}
+	}
+	all := make([]*dws.WaitEntry, 0, entries)
 	var finished []int
 	crashedEntries := map[int]dws.WaitEntry{}
 	stalledEntries := map[int]dws.WaitEntry{}
-	for node, rep := range r.reports {
-		if _, dead := r.deadNodes[node]; dead {
+	wildMatched := false // a blocked wildcard receive has a recorded match
+	for node := range r.reports {
+		if _, dead := r.deadNodes[node]; dead || !r.reported[node] {
 			continue
 		}
+		rep := &r.reports[node]
 		res.LostMessages += rep.UnmatchedSends
-		for _, e := range rep.Entries {
+		for i := range rep.Entries {
+			e := &rep.Entries[i]
 			if e.State == dws.Finished {
 				finished = append(finished, e.Rank)
 				continue
 			}
 			if e.State == dws.Crashed {
-				crashedEntries[e.Rank] = e
+				crashedEntries[e.Rank] = *e
 				continue
 			}
 			if e.BetweenCalls && r.quiet > 0 {
 				// Alive and not blocked in MPI, but silent past the quiet
 				// period: a sleep, livelock or compute spin.
 				if silent := r.silentFor(e.Rank); silent > r.quiet {
-					e.Desc = fmt.Sprintf("rank %d issued no MPI call for %v (quiet period %v)",
+					stalled := *e
+					stalled.Desc = fmt.Sprintf("rank %d issued no MPI call for %v (quiet period %v)",
 						e.Rank, silent.Round(time.Millisecond), r.quiet)
-					stalledEntries[e.Rank] = e
+					stalledEntries[e.Rank] = stalled
 					continue
 				}
 			}
@@ -576,6 +601,7 @@ func (r *Root) analyze() *Result {
 				continue
 			}
 			all = append(all, e)
+			wildMatched = wildMatched || (e.IsWildcardRecv && e.MatchedSendProc >= 0)
 			if e.IsColl {
 				k := wave{e.CollComm, e.CollWave}
 				if shared.inWave[k] == nil {
@@ -585,17 +611,23 @@ func (r *Root) analyze() *Result {
 			}
 		}
 	}
+	// Upper bounds of what the result lists: the blocked entries, the
+	// crashed ranks (recorded at the root or reported), the stalled and the
+	// unknown ones.
+	listed := len(all) + len(r.deadRanks) + len(crashedEntries) + len(stalledEntries) + len(res.UnknownRanks)
+	res.Entries = make(map[int]dws.WaitEntry, listed)
+	res.Blocked = make([]int, 0, listed)
 
 	// The snapshot is the engine-neutral wait-state view every detection
 	// engine analyzes — not a graph, so independent engines cannot inherit a
 	// graph-build bug from the reference.
 	snap := &engine.Snapshot{
 		Procs:    r.p,
-		Blocked:  make(map[int]engine.Wait, len(all)),
+		Blocked:  make(map[int]engine.Wait, listed),
 		Finished: finished,
 	}
 	for _, e := range all {
-		res.Entries[e.Rank] = e
+		res.Entries[e.Rank] = *e
 		res.Blocked = append(res.Blocked, e.Rank)
 		targets := e.Targets
 		for _, rs := range e.ResolvedSrcs {
@@ -721,7 +753,9 @@ func (r *Root) analyze() *Result {
 
 	if res.Deadlock {
 		outStart := time.Now()
-		res.UnexpectedMatches = findUnexpectedMatches(all)
+		if wildMatched {
+			res.UnexpectedMatches = findUnexpectedMatches(all)
+		}
 		cg := an.Simplify()
 		res.Summary = cg.Summary()
 		var sb strings.Builder
@@ -781,14 +815,13 @@ func (r *Root) groupOrWorld(c trace.CommID) []int {
 // Blocked sends are indexed by (destination, communicator) up front, so
 // each wildcard receive only scans its own candidates — the p²-arc
 // wildcard stress case (Fig. 10) used to pay a full O(n²) entry scan here.
-func findUnexpectedMatches(entries []dws.WaitEntry) []report.UnexpectedMatch {
+func findUnexpectedMatches(entries []*dws.WaitEntry) []report.UnexpectedMatch {
 	type destComm struct {
 		dest int
 		comm trace.CommID
 	}
 	sendsTo := map[destComm][]*dws.WaitEntry{}
-	for i := range entries {
-		s := &entries[i]
+	for _, s := range entries {
 		if !s.Kind.IsSend() || len(s.Targets) == 0 {
 			continue
 		}

@@ -222,7 +222,7 @@ func TestUnexpectedMatchAnalysis(t *testing.T) {
 			IsColl: true, CollComm: trace.CommWorld, CollWave: 0, MatchedSendProc: -1,
 		},
 	}
-	ums := findUnexpectedMatches(entries)
+	ums := findUnexpectedMatches([]*dws.WaitEntry{&entries[0], &entries[1], &entries[2]})
 	if len(ums) != 1 {
 		t.Fatalf("unexpected matches = %v", ums)
 	}

@@ -32,13 +32,17 @@ type Node struct {
 	nodeFor func(worldRank int) int
 	out     Out
 
-	ranks map[int]*rankState
+	// ranks holds the hosted ranks' states, consecutive world ranks in
+	// ascending order (rank r at ranks[r-ranks[0].rank]).
+	ranks []rankState
 	match *p2pmatch.Engine
 	coll  *collmatch.Leaf
 
 	// collOps indexes hosted collective operations by (comm, wave) for
 	// collectiveAck application; ackedEarly records acks that arrived before
-	// the local operation.
+	// the local operation. Like every map of the node and of its ranks,
+	// both are made on first write (setKey): most nodes of a run never
+	// write most of them.
 	collOps    map[collKey][]opRef
 	ackedEarly map[collKey]bool
 
@@ -378,31 +382,39 @@ func (w *reqWindow) clone() reqWindow {
 	}
 }
 
-// NewNode creates a tracker for the given hosted world ranks.
+// NewNode creates a tracker for the given hosted world ranks, which must be
+// consecutive and ascending (the first layer hosts a block of ranks).
 func NewNode(id int, hosted []int, nodeFor func(int) int, out Out) *Node {
 	n := &Node{
-		id:         id,
-		nodeFor:    nodeFor,
-		out:        out,
-		ranks:      make(map[int]*rankState, len(hosted)),
-		match:      p2pmatch.NewEngine(),
-		coll:       collmatch.NewLeaf(id, len(hosted)),
-		collOps:    make(map[collKey][]opRef),
-		ackedEarly: make(map[collKey]bool),
-		dirty:      make(map[int]bool),
-		deadPeers:  make(map[int]bool),
-		deadRanks:  make(map[int]bool),
-		passSeen:   make(map[int]int),
-		readySent:  make(map[collKey][]collmatch.Ready),
+		id:      id,
+		nodeFor: nodeFor,
+		out:     out,
+		ranks:   make([]rankState, len(hosted)),
+		match:   p2pmatch.NewEngine(),
+		coll:    collmatch.NewLeaf(id, len(hosted)),
 	}
-	for _, r := range hosted {
-		n.ranks[r] = &rankState{
-			rank:    r,
-			collSeq: make(map[trace.CommID]int),
-			lastTS:  -1,
+	// The ranks' first window slots come from one slab; a window that
+	// outgrows them moves to its own array.
+	slots := make([]*opState, windowSlots*len(hosted))
+	for i, r := range hosted {
+		if r != hosted[0]+i {
+			panic(fmt.Sprintf("dws: node %d hosts ranks %v, not a consecutive block", id, hosted))
 		}
+		n.ranks[i] = rankState{rank: r, lastTS: -1,
+			ops: window{slots: slots[i*windowSlots : i*windowSlots : (i+1)*windowSlots]}}
 	}
 	return n
+}
+
+// windowSlots is the window capacity NewNode gives every rank.
+const windowSlots = 4
+
+// setKey sets m[k] = v, making the map on first write.
+func setKey[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
 }
 
 // ID returns the node's first-layer index.
@@ -422,7 +434,7 @@ func (n *Node) Frozen() bool { return n.frozen }
 // the snapshot ping set (unless it is this node) and the message statistics.
 func (n *Node) peer(node int, msg any) {
 	if node != n.id {
-		n.dirty[node] = true
+		setKey(&n.dirty, node, true)
 	}
 	switch msg.(type) {
 	case PassSend:
@@ -459,17 +471,12 @@ func (n *Node) sendPeer(node int, msg any) {
 	if len(msgs) == 0 {
 		n.pendDest = append(n.pendDest, node)
 	}
-	n.pendPeer[node] = append(msgs, msg)
+	setKey(&n.pendPeer, node, append(msgs, msg))
 }
 
 // SetBatch switches per-destination coalescing on or off. Call before any
 // traffic flows (or right after construction on a recovery respawn).
-func (n *Node) SetBatch(on bool) {
-	n.batch = on
-	if on && n.pendPeer == nil {
-		n.pendPeer = make(map[int][]any)
-	}
-}
+func (n *Node) SetBatch(on bool) { n.batch = on }
 
 // FlushPeers ships everything coalesced in the current delivery cycle: the
 // bare message when a destination accumulated exactly one (so the unbatched
@@ -514,18 +521,29 @@ func (n *Node) Stats() Stats { return n.stats }
 // never matched a receive — "lost messages" when read after the run.
 func (n *Node) UnmatchedSends() int {
 	total := 0
-	for r := range n.ranks {
-		total += n.match.PendingSends(r)
+	for i := range n.ranks {
+		total += n.match.PendingSends(n.ranks[i].rank)
 	}
 	return total
 }
 
 func (n *Node) rank(r int) *rankState {
-	rs := n.ranks[r]
+	rs := n.hosted(r)
 	if rs == nil {
 		panic(fmt.Sprintf("dws: node %d does not host rank %d", n.id, r))
 	}
 	return rs
+}
+
+// hosted returns rank r's state, or nil when this node does not host r.
+func (n *Node) hosted(r int) *rankState {
+	if len(n.ranks) == 0 {
+		return nil
+	}
+	if i := r - n.ranks[0].rank; i >= 0 && i < len(n.ranks) {
+		return &n.ranks[i]
+	}
+	return nil
 }
 
 // OnEvent processes one application event of a hosted rank. While the node
@@ -570,9 +588,9 @@ func (n *Node) OnRankDown(rank, lastCall int) bool {
 	if n.deadRanks[rank] {
 		return false
 	}
-	n.deadRanks[rank] = true
+	setKey(&n.deadRanks, rank, true)
 	n.match.DropRank(rank)
-	if rs := n.ranks[rank]; rs != nil {
+	if rs := n.hosted(rank); rs != nil {
 		rs.crashed = true
 		rs.lastCall = lastCall
 		for _, o := range rs.ops.stored() {
@@ -632,13 +650,13 @@ func (n *Node) newOp(op *trace.Op) {
 
 	case kind.IsCollective():
 		wave := rs.collSeq[op.Comm]
-		rs.collSeq[op.Comm] = wave + 1
+		setKey(&rs.collSeq, op.Comm, wave+1)
 		o.wave = wave
 		k := collKey{op.Comm, wave}
 		if kind == trace.CommDup || kind == trace.CommSplit {
 			rs.creating = append(rs.creating, creation{op.TS, k})
 		}
-		n.collOps[k] = append(n.collOps[k], opRef{op.Proc, op.TS})
+		setKey(&n.collOps, k, append(n.collOps[k], opRef{op.Proc, op.TS}))
 		if n.ackedEarly[k] {
 			o.collAcked = true
 			o.canAdv = true
@@ -725,7 +743,7 @@ func (n *Node) handlePassSend(m PassSend) {
 	if last, ok := n.passSeen[m.SendProc]; ok && m.SendTS <= last {
 		return // duplicate across a crash-recovery incarnation boundary
 	}
-	n.passSeen[m.SendProc] = m.SendTS
+	setKey(&n.passSeen, m.SendProc, m.SendTS)
 	n.applyMatches(n.match.AddSend(p2pmatch.SendInfo{
 		Proc: m.SendProc, TS: m.SendTS, Src: m.SrcGroup,
 		Dest: m.Dest, Tag: m.Tag, Comm: m.Comm, Kind: m.Kind,
@@ -861,7 +879,7 @@ func (n *Node) OnCollAck(a collmatch.Ack) {
 		// sub-communicators conservatively keep the marker.
 		delete(n.ackedEarly, k)
 	} else {
-		n.ackedEarly[k] = true
+		setKey(&n.ackedEarly, k, true)
 	}
 	for _, ref := range n.collOps[k] {
 		rs := n.rank(ref.rank)
@@ -908,7 +926,7 @@ func (n *Node) activate(rs *rankState, o *opState) {
 			n.stats.CollReadys++
 			k := collKey{o.op.Comm, o.wave}
 			if !o.collAcked && !n.ackedEarly[k] {
-				n.readySent[k] = append(n.readySent[k], r)
+				setKey(&n.readySent, k, append(n.readySent[k], r))
 			}
 			n.out.Up(r)
 		}
@@ -1053,7 +1071,8 @@ func (n *Node) Finished(rank int) bool {
 // AllIdle reports whether every hosted rank is finished (used by drivers to
 // detect clean termination).
 func (n *Node) AllIdle() bool {
-	for _, rs := range n.ranks {
+	for i := range n.ranks {
+		rs := &n.ranks[i]
 		if rs.done {
 			continue
 		}

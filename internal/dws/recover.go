@@ -27,7 +27,7 @@ import (
 // again, so one memento survives multiple restores (repeated crashes of
 // the same slot between checkpoints).
 type Memento struct {
-	ranks       map[int]*rankState
+	ranks       []rankState
 	match       *p2pmatch.Engine
 	coll        *collmatch.Leaf
 	collOps     map[collKey][]opRef
@@ -54,7 +54,7 @@ func (n *Node) Checkpoint() *Memento {
 		return nil
 	}
 	m := &Memento{
-		ranks:       make(map[int]*rankState, len(n.ranks)),
+		ranks:       cloneRanks(n.ranks),
 		match:       n.match.Clone(),
 		coll:        n.coll.Clone(),
 		collOps:     cloneOpRefs(n.collOps),
@@ -71,19 +71,13 @@ func (n *Node) Checkpoint() *Memento {
 		retiredOps:  n.retiredOps,
 		stats:       n.stats,
 	}
-	for r, rs := range n.ranks {
-		m.ranks[r] = cloneRankState(rs)
-	}
 	return m
 }
 
 // Restore overwrites the node's recoverable state with a deep copy of the
 // memento.
 func (n *Node) Restore(m *Memento) {
-	n.ranks = make(map[int]*rankState, len(m.ranks))
-	for r, rs := range m.ranks {
-		n.ranks[r] = cloneRankState(rs)
-	}
+	n.ranks = cloneRanks(m.ranks)
 	n.match = m.match.Clone()
 	n.coll = m.coll.Clone()
 	n.collOps = cloneOpRefs(m.collOps)
@@ -128,15 +122,20 @@ type discardOut struct{}
 func (discardOut) Peer(int, any) {}
 func (discardOut) Up(any)        {}
 
-func cloneRankState(rs *rankState) *rankState {
-	return &rankState{
-		rank: rs.rank, l: rs.l, done: rs.done, lastTS: rs.lastTS,
-		crashed: rs.crashed, lastCall: rs.lastCall,
-		ops:      rs.ops.clone(),
-		reqs:     rs.reqs.clone(),
-		collSeq:  maps.Clone(rs.collSeq),
-		creating: slices.Clone(rs.creating),
+func cloneRanks(ranks []rankState) []rankState {
+	cp := make([]rankState, len(ranks))
+	for i := range ranks {
+		rs := &ranks[i]
+		cp[i] = rankState{
+			rank: rs.rank, l: rs.l, done: rs.done, lastTS: rs.lastTS,
+			crashed: rs.crashed, lastCall: rs.lastCall,
+			ops:      rs.ops.clone(),
+			reqs:     rs.reqs.clone(),
+			collSeq:  maps.Clone(rs.collSeq),
+			creating: slices.Clone(rs.creating),
+		}
 	}
+	return cp
 }
 
 // clone copies the window from its first stored operation on, so a clone

@@ -1,7 +1,7 @@
 package dws
 
 import (
-	"fmt"
+	"strconv"
 
 	"dwst/internal/trace"
 )
@@ -58,8 +58,8 @@ func (n *Node) BeginSnapshot(epoch int) {
 	for peer := range n.dirty {
 		ping(peer)
 	}
-	for _, rs := range n.ranks {
-		for _, o := range rs.ops.stored() {
+	for i := range n.ranks {
+		for _, o := range n.ranks[i].ops.stored() {
 			if o == nil || !o.op.Kind.IsSend() || !o.active || o.commComplete {
 				continue
 			}
@@ -112,7 +112,7 @@ func (n *Node) Abort(epoch int) {
 // synchronization skips it (a dead peer never pongs, which would otherwise
 // wedge every snapshot attempt forever).
 func (n *Node) OnPeerDown(node int) {
-	n.deadPeers[node] = true
+	setKey(&n.deadPeers, node, true)
 	delete(n.dirty, node)
 	if n.snap != nil {
 		if _, ok := n.snap.outstanding[node]; ok {
@@ -131,13 +131,45 @@ func (n *Node) BuildReports(epoch int) (WaitReport, bool) {
 	if n.snap == nil || n.snap.epoch != epoch {
 		return WaitReport{}, false
 	}
-	rep := WaitReport{Node: n.id, Epoch: epoch, UnmatchedSends: n.UnmatchedSends()}
-	for _, rs := range n.ranks {
-		rep.Entries = append(rep.Entries, n.entryFor(rs))
+	rep := WaitReport{Node: n.id, Epoch: epoch, UnmatchedSends: n.UnmatchedSends(),
+		Entries: make([]WaitEntry, len(n.ranks))}
+	buf := reportBuf{
+		desc: make([]byte, 0, descBytes*len(n.ranks)),
+		ints: make([]int, 0, len(n.ranks)),
+	}
+	ends := make([]int, len(n.ranks))
+	for i := range n.ranks {
+		rep.Entries[i] = n.entryFor(&n.ranks[i], &buf)
+		ends[i] = len(buf.desc)
+	}
+	// One string backs every description of the report.
+	descs, start := string(buf.desc), 0
+	for i, end := range ends {
+		rep.Entries[i].Desc = descs[start:end]
+		start = end
 	}
 	n.resume(true)
 	n.drainSelf()
 	return rep, true
+}
+
+// descBytes is the room BuildReports makes per rank for its description:
+// enough for a blocked send or receive without a call site; longer ones
+// grow the buffer.
+const descBytes = 96
+
+// reportBuf is the backing store the entries of one wait report share:
+// entryFor appends each description to desc (BuildReports slices them out
+// of one string) and takes single-target lists from ints.
+type reportBuf struct {
+	desc []byte
+	ints []int
+}
+
+// target returns the one-element target list [t].
+func (b *reportBuf) target(t int) []int {
+	b.ints = append(b.ints, t)
+	return b.ints[len(b.ints)-1 : len(b.ints) : len(b.ints)]
 }
 
 // resume thaws the transition system after a completed or aborted
@@ -148,10 +180,10 @@ func (n *Node) resume(clearDirty bool) {
 	n.frozen = false
 	n.snap = nil
 	if clearDirty {
-		n.dirty = make(map[int]bool)
+		clear(n.dirty)
 	}
-	for _, rs := range n.ranks {
-		n.tryAdvance(rs)
+	for i := range n.ranks {
+		n.tryAdvance(&n.ranks[i])
 	}
 	deferred := n.deferred
 	n.deferred = nil
@@ -163,13 +195,14 @@ func (n *Node) resume(clearDirty bool) {
 // entryFor classifies one rank in the frozen state and, when blocked,
 // derives its wait-for condition from the distributed knowledge this node
 // holds (matching state, handshake flags); conditions needing group
-// knowledge carry markers the root expands.
-func (n *Node) entryFor(rs *rankState) WaitEntry {
+// knowledge carry markers the root expands. The entry's description is
+// appended to buf.desc; the entry's Desc stays for the caller to set.
+func (n *Node) entryFor(rs *rankState, buf *reportBuf) WaitEntry {
 	e := WaitEntry{Rank: rs.rank, State: Running, MatchedSendProc: -1}
 	if rs.crashed {
 		e.State = Crashed
 		e.LastCall = rs.lastCall
-		e.Desc = fmt.Sprintf("rank %d crashed after %d MPI calls", rs.rank, rs.lastCall)
+		buf.desc = appendCrashed(buf.desc, rs.rank, rs.lastCall)
 		return e
 	}
 	o := rs.ops.get(rs.l)
@@ -197,12 +230,14 @@ func (n *Node) entryFor(rs *rankState) WaitEntry {
 	e.Comm = o.op.Comm
 	e.Tag = o.op.Tag
 	kind := o.op.Kind
+	d := o.op.AppendDescribe(buf.desc)
 
 	switch {
 	case kind.IsSend():
 		e.Sem = SemAnd
-		e.Targets = []int{o.op.PeerWorld}
-		e.Desc = fmt.Sprintf("%v waits for a matching receive on rank %d", o.op.Describe(), o.op.PeerWorld)
+		e.Targets = buf.target(o.op.PeerWorld)
+		d = append(d, " waits for a matching receive on rank "...)
+		d = strconv.AppendInt(d, int64(o.op.PeerWorld), 10)
 
 	case kind.IsRecv():
 		n.p2pWaitTargets(o, &e)
@@ -215,11 +250,13 @@ func (n *Node) entryFor(rs *rankState) WaitEntry {
 		}
 		switch {
 		case o.matched:
-			e.Desc = fmt.Sprintf("%v waits for its matching send on rank %d to be active", o.op.Describe(), o.peerProc)
+			d = append(d, " waits for its matching send on rank "...)
+			d = strconv.AppendInt(d, int64(o.peerProc), 10)
+			d = append(d, " to be active"...)
 		case o.op.Peer == trace.AnySource && !o.resolved:
-			e.Desc = fmt.Sprintf("%v waits for a send from ANY process (OR)", o.op.Describe())
+			d = append(d, " waits for a send from ANY process (OR)"...)
 		default:
-			e.Desc = fmt.Sprintf("%v waits for a matching send", o.op.Describe())
+			d = append(d, " waits for a matching send"...)
 		}
 
 	case kind.IsCollective():
@@ -227,8 +264,10 @@ func (n *Node) entryFor(rs *rankState) WaitEntry {
 		e.IsColl = true
 		e.CollComm = o.op.Comm
 		e.CollWave = o.wave
-		e.Desc = fmt.Sprintf("%v waits for all processes of communicator %d to join wave %d",
-			o.op.Describe(), o.op.Comm, o.wave)
+		d = append(d, " waits for all processes of communicator "...)
+		d = strconv.AppendInt(d, int64(o.op.Comm), 10)
+		d = append(d, " to join wave "...)
+		d = strconv.AppendInt(d, int64(o.wave), 10)
 
 	case kind.IsCompletion():
 		if kind.IsWaitAnySemantics() {
@@ -243,7 +282,7 @@ func (n *Node) entryFor(rs *rankState) WaitEntry {
 			}
 			if co == nil {
 				if kind.IsWaitAnySemantics() {
-					// Should have advanced; defensive.
+					// Should have advanced; defensive (and undescribed).
 					e.State = Running
 					return e
 				}
@@ -262,13 +301,23 @@ func (n *Node) entryFor(rs *rankState) WaitEntry {
 				e.ResolvedSrcs = append(e.ResolvedSrcs, sub.ResolvedSrcs...)
 			}
 		}
-		e.Desc = fmt.Sprintf("%v waits for associated communications", o.op.Describe())
+		d = append(d, " waits for associated communications"...)
 
 	default:
 		e.Sem = SemAnd
-		e.Desc = fmt.Sprintf("%v blocked", o.op.Describe())
+		d = append(d, " blocked"...)
 	}
+	buf.desc = d
 	return e
+}
+
+// appendCrashed appends the description of a crashed rank.
+func appendCrashed(b []byte, rank, lastCall int) []byte {
+	b = append(b, "rank "...)
+	b = strconv.AppendInt(b, int64(rank), 10)
+	b = append(b, " crashed after "...)
+	b = strconv.AppendInt(b, int64(lastCall), 10)
+	return append(b, " MPI calls"...)
 }
 
 // p2pWaitTargets fills the wait-for condition of a (possibly wildcard)

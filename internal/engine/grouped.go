@@ -108,10 +108,10 @@ type Analysis struct {
 	omit  []bool
 	extra [][]int
 	sets  []rankSet
-	// rev[t] lists the blocked ranks with an explicit arc to t (one entry
-	// per arc); memberOf[t] the sets containing t.
-	rev      [][]int
-	memberOf [][]int
+	// rev.of(t) lists the blocked ranks with an explicit arc to t (one
+	// entry per arc, ascending); memberOf.of(t) the sets containing t.
+	rev      csr
+	memberOf csr
 
 	// Arcs is the size of the expanded wait-for graph.
 	Arcs int
@@ -119,6 +119,33 @@ type Analysis struct {
 	solved bool
 	dead   []int
 	inDead []bool
+}
+
+// csr is a list per rank, all of them in one backing array: the list of
+// rank t is to[off[t]:off[t+1]].
+type csr struct {
+	off []int
+	to  []int
+}
+
+// of returns rank t's list.
+func (c *csr) of(t int) []int { return c.to[c.off[t]:c.off[t+1]] }
+
+// newCSR builds the lists of n ranks from the pairs each(add) adds, in the
+// order it adds them; it calls each twice, to count and to fill.
+func newCSR(n int, each func(add func(t, v int))) csr {
+	c := csr{off: make([]int, n+1)}
+	each(func(t, _ int) { c.off[t+1]++ })
+	for t := 0; t < n; t++ {
+		c.off[t+1] += c.off[t]
+	}
+	c.to = make([]int, c.off[n])
+	next := append([]int(nil), c.off[:n]...)
+	each(func(t, v int) {
+		c.to[next[t]] = v
+		next[t]++
+	})
+	return c
 }
 
 type rankSet struct {
@@ -147,8 +174,6 @@ func NewAnalysis(s *Snapshot) *Analysis {
 		inSet:    make([]bool, n),
 		omit:     make([]bool, n),
 		extra:    make([][]int, n),
-		rev:      make([][]int, n),
-		memberOf: make([][]int, n),
 	}
 	for _, f := range s.Finished {
 		a.finished[f] = true
@@ -170,20 +195,30 @@ func NewAnalysis(s *Snapshot) *Analysis {
 			rs := rankSet{members: w.Others.Members, sorted: append([]int(nil), w.Others.Members...)}
 			sort.Ints(rs.sorted)
 			a.sets = append(a.sets, rs)
-			for _, m := range rs.members {
-				a.memberOf[m] = append(a.memberOf[m], k)
-			}
 		}
 		a.set[rk] = k
 	}
+	a.memberOf = newCSR(n, func(add func(t, v int)) {
+		for k, rs := range a.sets {
+			for _, m := range rs.members {
+				add(m, k)
+			}
+		}
+	})
+	a.rev = newCSR(n, func(add func(t, v int)) {
+		for i := 0; i < n; i++ {
+			if a.blocked[i] {
+				for _, t := range a.wait[i].Targets {
+					add(t, i)
+				}
+			}
+		}
+	})
 	for i := 0; i < n; i++ {
 		if !a.blocked[i] {
 			continue
 		}
 		w := a.wait[i]
-		for _, t := range w.Targets {
-			a.rev[t] = append(a.rev[t], i)
-		}
 		k := a.set[i]
 		if k < 0 {
 			a.Arcs += len(w.Targets)
@@ -284,7 +319,7 @@ func (a *Analysis) Deadlocked() []int {
 	for len(queue) > 0 {
 		t := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, w := range a.rev[t] {
+		for _, w := range a.rev.of(t) {
 			if released[w] || never[w] {
 				continue
 			}
@@ -294,7 +329,7 @@ func (a *Analysis) Deadlocked() []int {
 				release(w)
 			}
 		}
-		for _, k := range a.memberOf[t] {
+		for _, k := range a.memberOf.of(t) {
 			rs := &a.sets[k]
 			rs.released++
 			if rs.released == 1 {
@@ -389,7 +424,9 @@ func (a *Analysis) Groups() [][]int {
 	low := make([]int, total)
 	onStack := make([]bool, total)
 	var stack []int
-	var groups [][]int
+	// The components' members follow each other in one array.
+	members := make([]int, 0, len(dead))
+	var ends []int
 	next := 1
 	var connect func(v int)
 	visit := func(v, t int) {
@@ -427,21 +464,21 @@ func (a *Analysis) Groups() [][]int {
 		if low[v] != index[v] {
 			return
 		}
-		var comp []int
+		start := len(members)
 		for {
 			w := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			onStack[w] = false
 			if w < a.n {
-				comp = append(comp, w)
+				members = append(members, w)
 			}
 			if w == v {
 				break
 			}
 		}
-		if len(comp) > 0 {
-			sort.Ints(comp)
-			groups = append(groups, comp)
+		if len(members) > start {
+			sort.Ints(members[start:])
+			ends = append(ends, len(members))
 		}
 	}
 	for _, d := range dead {
@@ -449,6 +486,7 @@ func (a *Analysis) Groups() [][]int {
 			connect(d)
 		}
 	}
+	groups := split(members, ends)
 	sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] })
 	return groups
 }
@@ -474,10 +512,10 @@ func (a *Analysis) BlockedOn(seeds []int) []int {
 	for len(queue) > 0 {
 		t := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, w := range a.rev[t] {
+		for _, w := range a.rev.of(t) {
 			reach(w)
 		}
-		for _, k := range a.memberOf[t] {
+		for _, k := range a.memberOf.of(t) {
 			// Every waiter on the set but t itself has an arc to t; t is
 			// reached already, so the exception needs no test. A second
 			// reached member then covers t's own wait on the set.
@@ -510,7 +548,9 @@ func (a *Analysis) BlockedOn(seeds []int) []int {
 // of the expanded graph: ranks with the same semantics and the same target
 // multiset share a class, "every other deadlocked rank" is the ALL-OTHERS
 // class. Classes whose targets come from a shared set carry no Targets list
-// (copying the set per class is the p² this analysis exists to avoid).
+// (copying the set per class is the p² this analysis exists to avoid). The
+// classes' members, targets and arcs each share one backing array, so the
+// allocations do not grow with the number of classes.
 func (a *Analysis) Simplify() *wfg.ClassGraph {
 	dead := a.Deadlocked()
 	cg := &wfg.ClassGraph{Procs: len(dead)}
@@ -534,6 +574,22 @@ func (a *Analysis) Simplify() *wfg.ClassGraph {
 		}
 		return true
 	}
+	// The explicit targets of the ranks without a set, sorted, side by side.
+	explicit := 0
+	for _, p := range dead {
+		if a.set[p] < 0 {
+			explicit += len(a.wait[p].Targets)
+		}
+	}
+	targets := make([]int, 0, explicit)
+	for _, p := range dead {
+		if a.set[p] < 0 {
+			start := len(targets)
+			targets = append(targets, a.wait[p].Targets...)
+			a.extra[p] = targets[start:len(targets):len(targets)]
+			sort.Ints(a.extra[p])
+		}
+	}
 
 	type sigKey struct {
 		sem       waitstate.Semantics
@@ -543,10 +599,6 @@ func (a *Analysis) Simplify() *wfg.ClassGraph {
 	}
 	sig := func(p int) sigKey {
 		k := a.set[p]
-		if k < 0 {
-			a.extra[p] = append([]int(nil), a.wait[p].Targets...)
-			sort.Ints(a.extra[p])
-		}
 		key := sigKey{sem: a.wait[p].Sem, n: a.degree(p)}
 		if key.n == len(dead)-1 && allDead(a.extra[p], p) &&
 			(k < 0 || (setDead[k] == len(a.sets[k].members) && a.inSet[p] == a.omit[p])) {
@@ -588,48 +640,80 @@ func (a *Analysis) Simplify() *wfg.ClassGraph {
 		return equalInts(sorted(p), sorted(q))
 	}
 
-	bySig := map[sigKey][]int{} // signature → classes carrying it
+	// Classes in first-member order. bySig holds the newest class of each
+	// signature and every class the one before it: signatures are hashes,
+	// so classes of different targets can share one.
+	type class struct{ first, size, prev int }
+	var classes []class
+	bySig := make(map[sigKey]int, len(dead))
 	classOf := make([]int, a.n)
 	for _, p := range dead {
 		key := sig(p)
+		head, ok := bySig[key]
+		if !ok {
+			head = -1
+		}
 		idx := -1
-		for _, c := range bySig[key] {
-			if key.allOthers || same(p, cg.Classes[c].Members[0]) {
+		for c := head; c >= 0; c = classes[c].prev {
+			if key.allOthers || same(p, classes[c].first) {
 				idx = c
 				break
 			}
 		}
 		if idx < 0 {
-			idx = len(cg.Classes)
-			bySig[key] = append(bySig[key], idx)
+			idx = len(classes)
+			classes = append(classes, class{first: p, prev: head})
+			bySig[key] = idx
 			c := wfg.Class{Sem: key.sem, AllOthers: key.allOthers}
 			if !c.AllOthers && a.set[p] < 0 {
 				c.Targets = a.extra[p]
 			}
 			cg.Classes = append(cg.Classes, c)
 		}
-		cg.Classes[idx].Members = append(cg.Classes[idx].Members, p)
+		classes[idx].size++
 		classOf[p] = idx
+	}
+	// Members, ascending, class after class in one array.
+	members := make([]int, len(dead))
+	fill := make([]int, len(classes)) // next free slot of each class
+	for i, at := 0, 0; i < len(classes); i++ {
+		fill[i] = at
+		at += classes[i].size
+		cg.Classes[i].Members = members[fill[i]:at:at]
+	}
+	for _, p := range dead {
+		members[fill[classOf[p]]] = p
+		fill[classOf[p]]++
 	}
 
 	// Class-level arcs: the distinct classes of each class's deadlocked
-	// targets, read off its first member.
-	cg.Arcs = make([][]int, len(cg.Classes))
+	// targets, read off its first member. seen[c] == i+1 marks class c as
+	// a target of class i already.
+	var arcs []int
+	ends := make([]int, len(classes))
+	seen := make([]int, len(classes))
 	setClasses := make([]map[int]int, len(a.sets)) // set → class → deadlocked members in it
 	for i, c := range cg.Classes {
+		start := len(arcs)
+		add := func(cl int) {
+			if seen[cl] != i+1 {
+				seen[cl] = i + 1
+				arcs = append(arcs, cl)
+			}
+		}
 		if c.AllOthers {
 			for j := range cg.Classes {
 				if j != i || len(c.Members) > 1 {
-					cg.Arcs[i] = append(cg.Arcs[i], j)
+					arcs = append(arcs, j)
 				}
 			}
+			ends[i] = len(arcs)
 			continue
 		}
 		p := c.Members[0]
-		seen := map[int]bool{}
 		for _, t := range a.extra[p] {
 			if a.inDead[t] {
-				seen[classOf[t]] = true
+				add(classOf[t])
 			}
 		}
 		if k := a.set[p]; k >= 0 {
@@ -641,18 +725,31 @@ func (a *Analysis) Simplify() *wfg.ClassGraph {
 					}
 				}
 			}
-			for cl, members := range setClasses[k] {
+			for cl, n := range setClasses[k] {
 				if a.omit[p] && cl == i {
-					members-- // p itself
+					n-- // p itself
 				}
-				if members > 0 {
-					seen[cl] = true
+				if n > 0 {
+					add(cl)
 				}
 			}
 		}
-		cg.Arcs[i] = sortedKeys(seen)
+		sort.Ints(arcs[start:])
+		ends[i] = len(arcs)
 	}
+	cg.Arcs = split(arcs, ends)
 	return cg
+}
+
+// split cuts flat into consecutive lists, list i ending at ends[i].
+func split(flat, ends []int) [][]int {
+	out := make([][]int, len(ends))
+	start := 0
+	for i, end := range ends {
+		out[i] = flat[start:end:end]
+		start = end
+	}
+	return out
 }
 
 // mix spreads a rank over 64 bits (splitmix64), so that sums of mixed ranks

@@ -222,8 +222,10 @@ type queue struct {
 	stage chan envelope // pump intake; nil when there is nothing to pump
 }
 
-func newQueue(t *Tree, fl *fault.Link, class int, ready chan struct{}) *queue {
-	q := &queue{t: t, class: class, ready: ready}
+// initQueue readies q, a zero queue, as a link into the node that ready
+// wakes.
+func initQueue(q *queue, t *Tree, fl *fault.Link, class int, ready chan struct{}) *queue {
+	q.t, q.class, q.ready = t, class, ready
 	delay := t.cfg.LinkDelay
 	if fl == nil && delay == 0 {
 		return q
@@ -460,8 +462,8 @@ type Node struct {
 	flusher     Flusher
 	rankHandler RankEventHandler
 
-	// rsq resequences reliable frames per incoming directed link; it is
-	// touched only by the node goroutine.
+	// rsq resequences reliable frames per incoming directed link, made by
+	// the first one (rseq); it is touched only by the node goroutine.
 	rsq map[linkKey]*reseq
 
 	// ackPend accumulates the per-link cumulative acknowledgements of one
@@ -496,27 +498,39 @@ type Node struct {
 // gets its tool-link queues (first-layer nodes: also a peer queue, but no
 // mailbox — the caller makes or adopts that).
 func (t *Tree) newNode(layer, index, gid int, local bool) *Node {
-	n := &Node{
-		tree:      t,
-		layer:     layer,
-		index:     index,
-		gid:       gid,
-		local:     local,
-		control:   make(chan envelope, 16),
-		dead:      make(chan struct{}),
-		rsq:       make(map[linkKey]*reseq),
-		stopped:   make(chan struct{}),
-		respawned: make(chan struct{}),
+	n := new(Node)
+	var qs []queue
+	if local {
+		qs = make([]queue, queuesPerNode(layer))
 	}
+	t.initNode(n, layer, index, gid, local, qs)
+	return n
+}
+
+// queuesPerNode is how many tool-link queues a local node of layer has.
+func queuesPerNode(layer int) int {
+	if layer == 0 {
+		return 3
+	}
+	return 2
+}
+
+// initNode is newNode on a zero Node and, for a local node, its zero queues
+// (queuesPerNode of them): a tree build takes both from one slab per layer.
+func (t *Tree) initNode(n *Node, layer, index, gid int, local bool, qs []queue) {
+	n.tree, n.layer, n.index, n.gid, n.local = t, layer, index, gid, local
+	n.control = make(chan envelope, 16)
+	n.dead = make(chan struct{})
+	n.stopped = make(chan struct{})
+	n.respawned = make(chan struct{})
 	if local {
 		n.ready = make(chan struct{}, 1)
-		n.fromBelow = newQueue(t, t.faultLink(gid, fault.UpLink), govUp, n.ready)
-		n.fromAbove = newQueue(t, t.faultLink(gid, fault.DownLink), govDown, n.ready)
+		n.fromBelow = initQueue(&qs[0], t, t.faultLink(gid, fault.UpLink), govUp, n.ready)
+		n.fromAbove = initQueue(&qs[1], t, t.faultLink(gid, fault.DownLink), govDown, n.ready)
 		if layer == 0 {
-			n.fromPeer = newQueue(t, t.faultLink(gid, fault.PeerLink), govPeer, n.ready)
+			n.fromPeer = initQueue(&qs[2], t, t.faultLink(gid, fault.PeerLink), govPeer, n.ready)
 		}
 	}
-	return n
 }
 
 // topology is one published shape of the tree: the node incarnation in
@@ -717,14 +731,31 @@ func NewNet(cfg Config) (*Tree, error) {
 	}
 	gid := 0
 	for width, layer := width0, 0; ; width, layer = (width+cfg.FanIn-1)/cfg.FanIn, layer+1 {
+		// One slab of nodes and one of queues per layer (queues only for
+		// the local nodes, which take theirs in order).
 		nodes := make([]*Node, width)
+		slab := make([]Node, width)
+		local := 0
+		for i := range nodes {
+			if isLocal(layer, i) {
+				local++
+			}
+		}
+		per := queuesPerNode(layer)
+		qs := make([]queue, local*per)
 		kids := make([][]*Node, width)
 		for i := range nodes {
 			g := gid
 			if leafGids != nil && layer == 0 {
 				g = leafGids[i]
 			}
-			nodes[i] = t.newNode(layer, i, g, isLocal(layer, i))
+			nodes[i] = &slab[i]
+			if isLocal(layer, i) {
+				t.initNode(nodes[i], layer, i, g, true, qs[:per:per])
+				qs = qs[per:]
+			} else {
+				t.initNode(nodes[i], layer, i, g, false, nil)
+			}
 			if tp.gidIndex != nil {
 				tp.gidIndex[g] = nodes[i]
 			}

@@ -62,13 +62,16 @@ type reseq struct {
 	buf      map[uint64]envelope
 }
 
-// rseq returns the resequencer of one incoming link, creating it on first
-// use.
-func rseq(m map[linkKey]*reseq, key linkKey) *reseq {
-	rs := m[key]
+// rseq returns the resequencer of one incoming link, creating it (and the
+// map) on first use.
+func rseq(m *map[linkKey]*reseq, key linkKey) *reseq {
+	rs := (*m)[key]
 	if rs == nil {
+		if *m == nil {
+			*m = make(map[linkKey]*reseq)
+		}
 		rs = &reseq{buf: make(map[uint64]envelope)}
-		m[key] = rs
+		(*m)[key] = rs
 	}
 	return rs
 }
@@ -505,7 +508,7 @@ func (n *Node) deliver(env envelope, dispatch func(envelope)) {
 		return
 	}
 	// Frames exist only with a transport: wrap or the TCP fabric made them.
-	if upTo, ok := rseq(n.rsq, f.key).accept(f.seq, envelope{from: env.from, msg: f.msg}, dispatch); ok {
+	if upTo, ok := rseq(&n.rsq, f.key).accept(f.seq, envelope{from: env.from, msg: f.msg}, dispatch); ok {
 		n.ackTo(n.tree.transport, f.key, upTo)
 	}
 }

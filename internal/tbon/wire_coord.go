@@ -379,7 +379,7 @@ func (fab *netFabric) enqueue(n *Node, wd wireData, live bool) {
 		push(env)
 		return
 	}
-	if upTo, ok := rseq(fab.rankRsq, key).accept(wd.Seq, env, push); ok {
+	if upTo, ok := rseq(&fab.rankRsq, key).accept(wd.Seq, env, push); ok {
 		fab.sendAck(key, upTo)
 	}
 }

@@ -7,7 +7,10 @@
 // the local logical timestamp j — exactly as in the paper's set Op.
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Kind enumerates the MPI operations the model distinguishes. The set covers
 // everything the paper's blocking predicate b mentions plus the collectives
@@ -233,21 +236,21 @@ type Op struct {
 	Line int
 }
 
-// Site renders the recorded call site, or "" when tracking was off.
-func (o *Op) Site() string {
-	if o.File == "" {
-		return ""
-	}
-	return fmt.Sprintf("%s:%d", o.File, o.Line)
-}
-
 // Describe renders the operation with its call site when available — the
 // form used in wait-for conditions and deadlock reports.
-func (o *Op) Describe() string {
-	if s := o.Site(); s != "" {
-		return o.String() + " at " + s
+func (o *Op) Describe() string { return string(o.AppendDescribe(nil)) }
+
+// AppendDescribe appends Describe's rendering to b: the form a report
+// builder uses to describe many operations into one buffer.
+func (o *Op) AppendDescribe(b []byte) []byte {
+	b = o.appendString(b)
+	if o.File != "" {
+		b = append(b, " at "...)
+		b = append(b, o.File...)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(o.Line), 10)
 	}
-	return o.String()
+	return b
 }
 
 // Ref returns the operation's (i, j) identifier.
@@ -256,19 +259,45 @@ func (o *Op) Ref() Ref { return Ref{Proc: o.Proc, TS: o.TS} }
 // Blocking applies the predicate b to the operation.
 func (o *Op) Blocking() bool { return o.Kind.Blocking() }
 
-func (o *Op) String() string {
+func (o *Op) String() string { return string(o.appendString(nil)) }
+
+// appendString appends String's rendering to b:
+// Send(to:3,tag:4)@(1,2), Recv(from:ANY,tag:-1)@(1,2),
+// Waitall(reqs:[1 2])@(1,2), Barrier@(1,2).
+func (o *Op) appendString(b []byte) []byte {
+	b = append(b, o.Kind.String()...)
 	switch {
 	case o.Kind.IsSend():
-		return fmt.Sprintf("%s(to:%d,tag:%d)@(%d,%d)", o.Kind, o.Peer, o.Tag, o.Proc, o.TS)
+		b = append(b, "(to:"...)
+		b = strconv.AppendInt(b, int64(o.Peer), 10)
+		b = appendTag(b, o.Tag)
 	case o.Kind.IsRecv():
-		src := "ANY"
-		if o.Peer != AnySource {
-			src = fmt.Sprintf("%d", o.Peer)
+		b = append(b, "(from:"...)
+		if o.Peer == AnySource {
+			b = append(b, "ANY"...)
+		} else {
+			b = strconv.AppendInt(b, int64(o.Peer), 10)
 		}
-		return fmt.Sprintf("%s(from:%s,tag:%d)@(%d,%d)", o.Kind, src, o.Tag, o.Proc, o.TS)
+		b = appendTag(b, o.Tag)
 	case o.Kind.IsCompletion():
-		return fmt.Sprintf("%s(reqs:%v)@(%d,%d)", o.Kind, o.Reqs, o.Proc, o.TS)
-	default:
-		return fmt.Sprintf("%s@(%d,%d)", o.Kind, o.Proc, o.TS)
+		b = append(b, "(reqs:["...)
+		for i, rq := range o.Reqs {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendInt(b, int64(rq), 10)
+		}
+		b = append(b, "])"...)
 	}
+	b = append(b, "@("...)
+	b = strconv.AppendInt(b, int64(o.Proc), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(o.TS), 10)
+	return append(b, ')')
+}
+
+func appendTag(b []byte, tag int) []byte {
+	b = append(b, ",tag:"...)
+	b = strconv.AppendInt(b, int64(tag), 10)
+	return append(b, ')')
 }

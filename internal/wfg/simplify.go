@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"dwst/internal/waitstate"
@@ -145,60 +146,65 @@ func (g *Graph) Simplify(procs []int) *ClassGraph {
 	return cg
 }
 
-// rangesOf compresses a sorted member list into "a-b,c" notation.
-func rangesOf(xs []int) string {
-	if len(xs) == 0 {
-		return ""
-	}
-	var sb strings.Builder
-	start, prev := xs[0], xs[0]
-	flush := func() {
-		if sb.Len() > 0 {
-			sb.WriteByte(',')
+// appendRanges appends a sorted member list in "a-b,c" notation.
+func appendRanges(b []byte, xs []int) []byte {
+	for i := 0; i < len(xs); {
+		j := i
+		for j+1 < len(xs) && xs[j+1] == xs[j]+1 {
+			j++
 		}
-		if start == prev {
-			fmt.Fprintf(&sb, "%d", start)
-		} else {
-			fmt.Fprintf(&sb, "%d-%d", start, prev)
+		if i > 0 {
+			b = append(b, ',')
 		}
-	}
-	for _, x := range xs[1:] {
-		if x == prev+1 {
-			prev = x
-			continue
+		b = strconv.AppendInt(b, int64(xs[i]), 10)
+		if j > i {
+			b = append(b, '-')
+			b = strconv.AppendInt(b, int64(xs[j]), 10)
 		}
-		flush()
-		start, prev = x, x
+		i = j + 1
 	}
-	flush()
-	return sb.String()
+	return b
 }
 
 // DOT renders the simplified graph; output size is proportional to the
-// number of classes, not processes.
+// number of classes, not processes. Every line is appended to one reused
+// buffer, so rendering allocates nothing per class.
 func (cg *ClassGraph) DOT(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<14)
-	fmt.Fprintln(bw, "digraph SimplifiedWaitForGraph {")
-	fmt.Fprintln(bw, "  rankdir=LR;")
+	bw.WriteString("digraph SimplifiedWaitForGraph {\n  rankdir=LR;\n")
+	line := make([]byte, 0, 128)
 	for i, c := range cg.Classes {
-		shape := "box"
-		sem := "AND"
+		shape, sem := "box", "AND"
 		if c.Sem == waitstate.OrWait {
-			shape = "diamond"
-			sem = "OR"
+			shape, sem = "diamond", "OR"
 		}
-		label := fmt.Sprintf("ranks %s\\n%d procs, %s", rangesOf(c.Members), len(c.Members), sem)
+		line = append(line[:0], "  c"...)
+		line = strconv.AppendInt(line, int64(i), 10)
+		line = append(line, " [shape="...)
+		line = append(line, shape...)
+		line = append(line, ",label=\"ranks "...)
+		line = appendRanges(line, c.Members)
+		line = append(line, "\\n"...)
+		line = strconv.AppendInt(line, int64(len(c.Members)), 10)
+		line = append(line, " procs, "...)
+		line = append(line, sem...)
 		if c.AllOthers {
-			label += "\\nwait for ALL OTHER ranks"
+			line = append(line, "\\nwait for ALL OTHER ranks"...)
 		}
-		fmt.Fprintf(bw, "  c%d [shape=%s,label=\"%s\"];\n", i, shape, label)
+		line = append(line, "\"];\n"...)
+		bw.Write(line)
 	}
 	for i, arcs := range cg.Arcs {
 		for _, j := range arcs {
-			fmt.Fprintf(bw, "  c%d -> c%d;\n", i, j)
+			line = append(line[:0], "  c"...)
+			line = strconv.AppendInt(line, int64(i), 10)
+			line = append(line, " -> c"...)
+			line = strconv.AppendInt(line, int64(j), 10)
+			line = append(line, ";\n"...)
+			bw.Write(line)
 		}
 	}
-	fmt.Fprintln(bw, "}")
+	bw.WriteString("}\n")
 	return bw.Flush()
 }
 

@@ -94,8 +94,8 @@ func TestRangesOf(t *testing.T) {
 		{nil, ""},
 	}
 	for _, c := range cases {
-		if got := rangesOf(c.in); got != c.want {
-			t.Errorf("rangesOf(%v) = %q, want %q", c.in, got, c.want)
+		if got := string(appendRanges(nil, c.in)); got != c.want {
+			t.Errorf("appendRanges(%v) = %q, want %q", c.in, got, c.want)
 		}
 	}
 }
