@@ -165,6 +165,11 @@ type Aggregator struct {
 	passThrough bool
 	partial     map[waveKey]*agg
 	order       []waveKey // pending waves in first-report order
+	// forwarded holds, per communicator, one past the highest world wave
+	// this node forwarded. A child reports wave w+1 only after its ranks
+	// got wave w's Ack, so a report below the mark re-emits a wave already
+	// forwarded.
+	forwarded map[trace.CommID]int
 }
 
 type agg struct {
@@ -188,8 +193,19 @@ func NewAggregator(children int) *Aggregator {
 // forwarded as one merged report; otherwise (possible only after crash
 // reattachment rewired the subtree) the parts are forwarded individually
 // so the root's coverage tracking stays exact.
+//
+// Children report disjoint leaf ranges, so completion counts distinct
+// coverage, not messages: a respawned worker's leaf re-emits the Readys
+// its predecessor already sent, and a re-emitted report must neither
+// stand in for a sibling that has not reported nor be held after its
+// wave was forwarded. A report overlapping one already held is dropped; a
+// report of a wave already forwarded passes through (the root re-sends
+// that wave's Ack).
 func (a *Aggregator) OnReady(r Ready) ([]Ready, *Mismatch) {
 	if !r.World || a.passThrough {
+		return []Ready{r}, nil
+	}
+	if r.Wave < a.forwarded[r.Comm] {
 		return []Ready{r}, nil
 	}
 	k := waveKey{r.Comm, r.Wave}
@@ -198,6 +214,11 @@ func (a *Aggregator) OnReady(r Ready) ([]Ready, *Mismatch) {
 		p = &agg{kind: r.Kind, root: r.Root}
 		a.partial[k] = p
 		a.order = append(a.order, k)
+	}
+	for _, q := range p.parts {
+		if r.Lo < q.Hi && q.Lo < r.Hi {
+			return nil, nil
+		}
 	}
 	var mism *Mismatch
 	if p.kind != r.Kind || p.root != r.Root {
@@ -211,6 +232,10 @@ func (a *Aggregator) OnReady(r Ready) ([]Ready, *Mismatch) {
 		return nil, mism
 	}
 	a.remove(k)
+	if a.forwarded == nil {
+		a.forwarded = make(map[trace.CommID]int)
+	}
+	a.forwarded[r.Comm] = r.Wave + 1
 	if merged, ok := mergeContiguous(p.parts); ok {
 		merged.Kind = p.kind
 		merged.Root = p.root

@@ -103,6 +103,36 @@ func TestAggregatorForwardsNonContiguousPartsIndividually(t *testing.T) {
 	}
 }
 
+func TestAggregatorCountsCoverageNotReports(t *testing.T) {
+	// A respawned worker's leaf re-emits the Readys its predecessor sent.
+	// The copy must not complete the wave in place of the sibling that has
+	// not reported, and once the wave is forwarded a late copy goes on to
+	// the root (which re-sends the Ack) instead of opening a wave that
+	// never completes.
+	a := NewAggregator(2)
+	first := worldReady(0, 1, 2, 1)
+	if outs, _ := a.OnReady(first); len(outs) != 0 {
+		t.Fatal("premature forward")
+	}
+	if outs, mism := a.OnReady(first); len(outs) != 0 || mism != nil {
+		t.Fatalf("re-emitted report completed the wave: %+v mism=%v", outs, mism)
+	}
+	outs, mism := a.OnReady(worldReady(0, 0, 1, 2))
+	if mism != nil || len(outs) != 1 || outs[0].Lo != 0 || outs[0].Hi != 2 || outs[0].Count != 3 {
+		t.Fatalf("merged = %+v mism=%v", outs, mism)
+	}
+	if outs, _ := a.OnReady(first); len(outs) != 1 || outs[0] != first {
+		t.Fatalf("late copy of a forwarded wave = %+v, want it passed through", outs)
+	}
+	// The next wave still waits for both children.
+	if outs, _ := a.OnReady(worldReady(1, 1, 2, 1)); len(outs) != 0 {
+		t.Fatal("premature forward of the next wave")
+	}
+	if outs, _ := a.OnReady(worldReady(1, 0, 1, 2)); len(outs) != 1 || outs[0].Count != 3 {
+		t.Fatalf("next wave = %+v", outs)
+	}
+}
+
 func TestAggregatorFlushAndPassThrough(t *testing.T) {
 	a := NewAggregator(2)
 	held := Ready{Comm: trace.CommWorld, Wave: 0, Count: 1, World: true,

@@ -50,7 +50,11 @@ func (n *Node) Dead() bool {
 	}
 }
 
-// startCrashTimers schedules the plan's node crashes.
+// startCrashTimers schedules the plan's node crashes: a timer kills the
+// node at its deadline, and the node's loop kills itself at the end of its
+// first delivery cycle past it (crashAt) when the timer runs late. A crash
+// due before the application ends thus lands before the node serves more
+// of the final detection than one delivery cycle.
 func (t *Tree) startCrashTimers() {
 	layers := t.shape.Load().layers
 	for _, c := range t.cfg.Fault.Crashes {
@@ -59,6 +63,9 @@ func (t *Tree) startCrashTimers() {
 		}
 		n := layers[c.Layer][c.Index]
 		after := c.After
+		if at := time.Now().Add(after); !n.IsRoot() && (n.crashAt.IsZero() || at.Before(n.crashAt)) {
+			n.crashAt = at
+		}
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()

@@ -480,6 +480,11 @@ type Node struct {
 	// killer of placeholders.
 	dead     chan struct{}
 	deadOnce sync.Once
+	// crashAt is the earliest planned crash of this incarnation (zero:
+	// none), set before its loop starts. The loop also checks it at the
+	// end of each delivery cycle, so a crash timer that fires late under
+	// load cannot move the crash past the node's next dispatch.
+	crashAt time.Time
 	// reaped marks that the supervisor already handled this death.
 	reaped atomic.Bool
 
@@ -833,6 +838,9 @@ func (t *Tree) Start(mkHandler func(n *Node) Handler) {
 				t.arm(n)
 			}
 		}
+		if t.cfg.Fault != nil {
+			t.startCrashTimers() // before the loops: they read crashAt
+		}
 		for _, layer := range layers {
 			for _, n := range layer {
 				if !n.local {
@@ -847,7 +855,6 @@ func (t *Tree) Start(mkHandler func(n *Node) Handler) {
 			go t.transport.run()
 		}
 		if t.cfg.Fault != nil {
-			t.startCrashTimers()
 			t.wg.Add(1)
 			go t.supervise()
 		}
@@ -1232,6 +1239,11 @@ func (n *Node) loop() {
 			return
 		}
 		n.endCycle()
+		if !n.crashAt.IsZero() && !time.Now().Before(n.crashAt) {
+			n.Kill()
+			n.bury()
+			return
+		}
 	}
 }
 
