@@ -242,8 +242,9 @@ func ablation(w io.Writer, c config) error {
 		fmt.Fprintf(w, "%-22d %12.1f\n", n, ms(ref))
 	}
 
-	// Sec. 4.2 trace window on the GAPgeofem proxy: small application→tool
-	// buffers bound the window at the cost of application slowdown.
+	// Sec. 4.2 trace window on the GAPgeofem proxy: the intake's hold bounds
+	// the window at EventBuf operations per hosted rank (buf=0: the
+	// default), at the cost of application slowdown.
 	fmt.Fprintf(w, "# Ablation: trace window (128.GAPgeofem, procs=16, reps=%d)\n%-22s %12s %10s %12s\n", c.reps, "mitigation", "tool(ms)", "slowdown", "window(ops)")
 	geofem := workload.SpecApps("128.GAPgeofem").Build(60, 0)
 	ref, err := reference(16, geofem, must.Options{})

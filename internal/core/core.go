@@ -198,6 +198,10 @@ func filterWaitState(b dws.Batch) []any {
 	return kept
 }
 
+// Held implements tbon.Holder: the first-layer tracker's held operations,
+// which the intake bounds by EventBuf per hosted rank.
+func (h *handler) Held() int { return h.leaf.Held() }
+
 // Flush implements tbon.Flusher: at the end of every delivery cycle the
 // substrate flushes the leaf's coalesced intralayer traffic. Interior and
 // root nodes have nothing pending.

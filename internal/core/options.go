@@ -42,7 +42,14 @@ type Options struct {
 	// Timeout is the event-quiescence period before the root triggers
 	// graph-based detection (Sec. 5; default 50ms).
 	Timeout time.Duration
-	// EventBuf is the application→tool link depth (backpressure).
+	// EventBuf bounds the application→tool intake. Distributed mode: how
+	// many operations a first-layer node may hold per hosted rank — events
+	// not yet dispatched plus its trace window. A rank's next call waits
+	// while its node holds EventBuf × hosted ranks of them and the tool is
+	// still working on them (default tbon.DefaultEventBuf, 512); over TCP
+	// it is the per-leaf window of event frames in flight instead.
+	// Centralized mode: the depth of the one tool process's event queue
+	// (default 1024).
 	EventBuf int
 	// LinkDelay injects a per-message delay on tool-internal links
 	// (fault injection for robustness testing).

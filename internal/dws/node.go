@@ -427,6 +427,11 @@ func (n *Node) WindowHighWater() int { return n.maxWindow }
 // WindowSize returns the operations currently stored.
 func (n *Node) WindowSize() int { return n.curWindow }
 
+// Held returns the operations the node holds: its stored window plus the
+// events deferred while it is frozen. The intake bounds this count
+// (tbon.Holder).
+func (n *Node) Held() int { return n.curWindow + len(n.deferred) }
+
 // Frozen reports whether the transition system is frozen for a snapshot.
 func (n *Node) Frozen() bool { return n.frozen }
 

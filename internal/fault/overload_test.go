@@ -10,9 +10,11 @@ package fault_test
 import (
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dwst/internal/dws"
 	"dwst/internal/testseed"
 	"dwst/internal/workload"
 	"dwst/mpi"
@@ -75,9 +77,49 @@ func TestOverloadBudgetEquivalence(t *testing.T) {
 	}
 }
 
+// burstGate returns a fault plan that holds every tool link's consumer
+// behind a gate until the data-lane messages the tree admitted fill three
+// quarters of budget — the level at which the governor engages its intake
+// gate. Until then each data-lane message stalls its link for gateFor, so
+// nothing is delivered (or released) while the first burst of wait-state
+// traffic piles up, and the pressure is there however fast or slow the
+// scheduler runs the ranks; past that the rule matches nothing. The bytes
+// are counted low (dataCost), so the governor's own count is past the mark
+// when the gate opens. Retransmission is off: the gate drops nothing, and a
+// held frame must not be resent.
+func burstGate(budget int64) *must.FaultPlan {
+	const gateFor = 300 * time.Millisecond
+	var admitted atomic.Int64
+	return &must.FaultPlan{
+		DisableRetransmit: true,
+		Rules: []must.FaultRule{{
+			StallEvery: 1,
+			StallFor:   gateFor,
+			Match: func(msg any) bool {
+				c := dataCost(msg)
+				return c > 0 && admitted.Add(c)-c < budget*3/4
+			},
+		}},
+	}
+}
+
+// dataCost is a lower bound of what the governor charges for a data-lane
+// message (tbon's msgCost plus its per-envelope overhead), 0 for the
+// control lane.
+func dataCost(msg any) int64 {
+	const overhead, cheapest = 96, 48 // an envelope; a RecvActiveAck
+	switch m := msg.(type) {
+	case dws.PassSend, dws.RecvActive, dws.RecvActiveAck:
+		return overhead + cheapest
+	case dws.Batch:
+		return overhead + 64 + int64(len(m.Msgs))*(32+16) // control riding a batch costs 32
+	}
+	return 0
+}
+
 // TestOverloadTinyBudgetDegradesHonestly starves the governor: a budget of
 // a few KB forces the intake gate shut and drives tool-internal traffic
-// over the limit. The run must still terminate with the full deadlock
+// over the limit. A burst gate (burstGate) makes the pressure. The run must still terminate with the full deadlock
 // verdict — overflow is accounting, not dropping — and any overflow must
 // surface as the overloaded PARTIAL flag pair, never silently.
 func TestOverloadTinyBudgetDegradesHonestly(t *testing.T) {
@@ -99,6 +141,7 @@ func TestOverloadTinyBudgetDegradesHonestly(t *testing.T) {
 			Timeout:   30 * time.Millisecond,
 			LinkDelay: 2 * time.Millisecond,
 			MemBudget: budget,
+			Fault:     burstGate(budget),
 		})
 		if !rep.Deadlock || len(rep.Deadlocked) != 8 {
 			t.Fatalf("budget=%d: deadlock=%v deadlocked=%v (starvation must throttle, not lose events)",
@@ -123,7 +166,8 @@ func TestOverloadTinyBudgetDegradesHonestly(t *testing.T) {
 // governance the queues soak up the whole event stream; with it, resident
 // tool-plane bytes must stay inside the budget unless honestly flagged
 // overloaded, the intake gate must have engaged, and the process heap must
-// stay inside a modest envelope.
+// stay inside a modest envelope. A burst gate (burstGate) holds the
+// consumers until the first burst alone fills the budget.
 func TestOverloadStalledConsumerBoundsMemory(t *testing.T) {
 	const budget = int64(64 << 10)
 
@@ -153,9 +197,9 @@ func TestOverloadStalledConsumerBoundsMemory(t *testing.T) {
 	rep := runBounded(t, 16, workload.Stress(200), must.Options{
 		FanIn:     2,
 		Timeout:   30 * time.Millisecond,
-		EventBuf:  8,
 		LinkDelay: 2 * time.Millisecond,
 		MemBudget: budget,
+		Fault:     burstGate(budget),
 	})
 	close(stop)
 	heapPeak := <-peak

@@ -24,7 +24,7 @@ package tbon
 // "bounded by backpressure, and honestly flagged overloaded when a pinned
 // link defeats it". The only party the governor ever blocks is the
 // application-side intake (Tree.InjectEvent / injectRemote), which is exactly
-// the party EventBuf already throttles locally: when resident data-lane
+// the party the intake's hold already throttles per slot: when resident data-lane
 // bytes cross the gate-engage threshold, ranks stop injecting until the
 // tree drains back below the reopen threshold. The TCP fabric's per-leaf
 // rank-event window (fab.win) is the per-link instance of the same credit
@@ -82,8 +82,11 @@ type governor struct {
 	classDepth   [govClasses]atomic.Int64
 	classDepthHW [govClasses]atomic.Int64
 
+	// gate is nil while the intake is open; engaged, it points at a
+	// channel closed on reopen. Engaging and reopening serialize on mu;
+	// the per-event intake check is one load.
 	mu   sync.Mutex
-	gate chan struct{} // nil = open; non-nil = engaged, closed on reopen
+	gate atomic.Pointer[chan struct{}]
 }
 
 func newGovernor(budget int64) *governor {
@@ -127,17 +130,21 @@ func (g *governor) release(class int, n int64) {
 
 func (g *governor) engage() {
 	g.mu.Lock()
-	if g.gate == nil {
-		g.gate = make(chan struct{})
+	if g.gate.Load() == nil {
+		ch := make(chan struct{})
+		g.gate.Store(&ch)
 	}
 	g.mu.Unlock()
 }
 
 func (g *governor) reopen() {
+	if g.gate.Load() == nil {
+		return
+	}
 	g.mu.Lock()
-	if g.gate != nil {
-		close(g.gate)
-		g.gate = nil
+	if ch := g.gate.Load(); ch != nil {
+		close(*ch)
+		g.gate.Store(nil)
 	}
 	g.mu.Unlock()
 }
@@ -149,15 +156,13 @@ func (g *governor) reopen() {
 // this — tool-internal traffic is never gated.
 func (g *governor) admitIntake(dead, quit <-chan struct{}) bool {
 	for {
-		g.mu.Lock()
-		ch := g.gate
-		g.mu.Unlock()
+		ch := g.gate.Load()
 		if ch == nil {
 			return true
 		}
 		g.gated.Add(1)
 		select {
-		case <-ch:
+		case <-*ch:
 		case <-dead:
 			return true
 		case <-quit:
@@ -167,11 +172,7 @@ func (g *governor) admitIntake(dead, quit <-chan struct{}) bool {
 }
 
 // gateEngaged reports whether the intake gate is currently closed (tests).
-func (g *governor) gateEngaged() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.gate != nil
-}
+func (g *governor) gateEngaged() bool { return g.gate.Load() != nil }
 
 // governorStats is a point-in-time snapshot of one process's tool-plane
 // resource accounting.

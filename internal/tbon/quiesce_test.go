@@ -137,11 +137,17 @@ func drained(tr *Tree, c *cascade) error {
 	return nil
 }
 
+func inboxLen(in *rankInbox) int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.n
+}
+
 func queuesEmpty(tr *Tree) error {
 	for _, l := range tr.shape.Load().layers {
 		for _, n := range l {
-			if len(n.events) > 0 || len(n.control) > 0 {
-				return fmt.Errorf("idle with node %d's mailbox or control channel non-empty", n.gid)
+			if (n.rank != nil && inboxLen(n.rank) > 0) || len(n.control) > 0 {
+				return fmt.Errorf("idle with node %d's rank inbox or control channel non-empty", n.gid)
 			}
 			for _, q := range []*queue{n.fromBelow, n.fromAbove, n.fromPeer} {
 				if q == nil {

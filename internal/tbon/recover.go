@@ -12,9 +12,9 @@ import "dwst/internal/fault"
 //     from it is a new link with fresh sequence numbers and fresh fault
 //     streams, so receiver resequencer state of the dead incarnation can
 //     never conflict with the replacement's traffic;
-//   - it ADOPTS the dead node's rank mailbox (events channel): events the
-//     dead incarnation never processed stay queued in order, and
-//     InjectEvent blocks through the handover instead of dropping events;
+//   - it ADOPTS the dead node's rank inbox: events the dead incarnation
+//     never processed stay queued in order, and InjectEvent waits through
+//     the handover instead of dropping events;
 //   - every unacknowledged frame addressed to or sent by the dead
 //     incarnation migrates onto the corresponding fresh link in sequence
 //     order (transport.migrateTo). Migrated inbound frames are exactly the
@@ -52,7 +52,7 @@ func (t *Tree) respawn(old *Node) {
 	t.retopo(func(tp *topology, tr *transport) {
 		// Recovery is chan-mode only: replacements are in-process.
 		neu = t.newNode(0, old.index, tp.nextGid, true)
-		neu.events = old.events // adopt the slot mailbox: per-rank FIFO survives
+		neu.rank = old.rank // adopt the slot's inbox: per-rank FIFO survives
 		tp.place(neu)
 		tr.migrateTo(old, neu)
 	})
@@ -63,6 +63,7 @@ func (t *Tree) respawn(old *Node) {
 	// the fresh queues.
 	neu.handler = t.mkHandler(neu)
 	t.arm(neu)
+	neu.rank.rebind(neu.ready)
 	t.wg.Add(1)
 	go neu.loop()
 	t.recoveries.Add(1)

@@ -32,7 +32,11 @@ func (n *Node) Kill() {
 		return // partitioning the root is out of scope
 	}
 	n.deadOnce.Do(func() {
+		n.killed.Store(true)
 		close(n.dead)
+		if n.rank != nil {
+			n.rank.release(false) // held ranks learn of the death
+		}
 		select {
 		case n.tree.kills <- struct{}{}: // nil without a fault plan: never ready
 		default:
@@ -41,14 +45,7 @@ func (n *Node) Kill() {
 }
 
 // Dead reports whether the node has crashed.
-func (n *Node) Dead() bool {
-	select {
-	case <-n.dead:
-		return true
-	default:
-		return false
-	}
-}
+func (n *Node) Dead() bool { return n.killed.Load() }
 
 // startCrashTimers schedules the plan's node crashes: a timer kills the
 // node at its deadline, and the node's loop kills itself at the end of its

@@ -13,9 +13,10 @@
 //     unboundedly, so cyclic intralayer flows (A→B while B→A) cannot wedge
 //     the tool.
 //
-// Application ranks feed the first tool layer through InjectEvent over bounded
-// links, which apply backpressure when the tool lags — the mechanism behind
-// measured tool slowdown.
+// Application ranks feed the first tool layer through InjectEvent. The
+// intake holds a rank's next call while its first-layer node is behind
+// (intake.go) — the backpressure behind measured tool slowdown, and what
+// bounds the trace window.
 //
 // # Faults and self-healing
 //
@@ -64,9 +65,12 @@ type Config struct {
 	// FanIn is the maximum number of children per node (≥ 2; the paper
 	// evaluates 2, 4 and 8).
 	FanIn int
-	// EventBuf is the capacity of the rank → first-layer links, in events:
-	// that many injections may wait in a first-layer node's mailbox before
-	// InjectEvent blocks. Small buffers emphasize backpressure; default 256.
+	// EventBuf is how many operations a first-layer node may hold per
+	// hosted rank: a rank's next call (Enter event) waits in InjectEvent
+	// while its node holds EventBuf × hosted ranks operations — events not
+	// yet dispatched plus the trace-window records its Holder reports — and
+	// the tool is still working on them (see intake.go). On a TCP fabric it
+	// is the coordinator's per-leaf frame window instead. Default 512.
 	EventBuf int
 	// LinkDelay, when positive, delays every tool-internal message by this
 	// duration in the queues' pump stage (simulating slow network links between
@@ -137,6 +141,14 @@ type RankEventHandler interface {
 	FromRankEvent(rank int, ev event.Event)
 }
 
+// Holder is an optional first-layer Handler extension: Held reports how
+// many operations the handler holds (its trace window). The intake counts
+// them with the events not yet dispatched against the EventBuf bound, and
+// reads Held at the end of every delivery cycle.
+type Holder interface {
+	Held() int
+}
+
 // Flusher is an optional Handler extension. When the handler implements it,
 // Flush runs on the node goroutine at the end of every delivery cycle —
 // after a whole slab, event batch, or single message was dispatched, and
@@ -154,7 +166,7 @@ type envelope struct {
 }
 
 // rankEnvelope is one application-event delivery on the rank → first-layer
-// link; the event travels unboxed.
+// link; the event travels unboxed and is stored by value (intake.go).
 type rankEnvelope struct {
 	from int
 	ev   event.Event
@@ -166,29 +178,10 @@ type timed struct {
 	due time.Time
 }
 
-// maxSlab bounds how many envelopes one delivery cycle takes from a queue
-// (and how many rank events one opportunistic drain absorbs at most): large
-// enough to amortize the wakeup, small enough to keep a node responsive to
-// its other inputs.
+// maxSlab bounds how many envelopes one delivery cycle takes from a queue:
+// large enough to amortize the wakeup, small enough to keep a node
+// responsive to its other inputs.
 const maxSlab = 128
-
-// rankEnvPool recycles the mailbox slots' payloads: the events channel
-// carries pointers, so a slot costs 8 bytes instead of a whole rankEnvelope
-// and building a tree allocates no event storage up front. An envelope is
-// taken at the intake (Tree.InjectEvent, the wire intake sites) and
-// returned once dispatchRank consumed it.
-var rankEnvPool = sync.Pool{New: func() any { return new(rankEnvelope) }}
-
-func newRankEnv(env rankEnvelope) *rankEnvelope {
-	p := rankEnvPool.Get().(*rankEnvelope)
-	*p = env
-	return p
-}
-
-func putRankEnv(p *rankEnvelope) {
-	*p = rankEnvelope{} // release payload references before pooling
-	rankEnvPool.Put(p)
-}
 
 // queue is an unbounded FIFO link: senders enqueue without ever blocking
 // permanently, and the receiving node takes up to a slab of envelopes per
@@ -277,13 +270,14 @@ func (q *queue) deliver(envs ...envelope) {
 	q.pending = append(q.pending, envs...)
 	q.mu.Unlock()
 	if wasEmpty {
-		q.signal()
+		signal(q.ready)
 	}
 }
 
-func (q *queue) signal() {
+// signal raises a node's wake token; never blocks.
+func signal(ready chan struct{}) {
 	select {
-	case q.ready <- struct{}{}:
+	case ready <- struct{}{}:
 	default:
 	}
 }
@@ -312,7 +306,7 @@ func (q *queue) takeSlab(dst []envelope, max int) []envelope {
 	}
 	q.mu.Unlock()
 	if rest > 0 {
-		q.signal()
+		signal(q.ready)
 	}
 	return dst
 }
@@ -440,20 +434,23 @@ type Node struct {
 	// queues, no loop, no handler — frames addressed to them cross the wire.
 	local bool
 
-	events    chan *rankEnvelope // app events (layer 0; EventBuf pooled slots)
-	fromBelow *queue             // tool messages from children / self
-	fromAbove *queue             // broadcasts from parent
-	fromPeer  *queue             // intralayer (layer 0)
-	// ready is the wake token the three queues share (capacity 1): raised
-	// on any queue's empty → non-empty edge, and by a slab that left
-	// envelopes behind. One wake serves every queue (dispatchQueues).
+	rank      *rankInbox // app events (layer 0; the slot's, see intake.go)
+	fromBelow *queue     // tool messages from children / self
+	fromAbove *queue     // broadcasts from parent
+	fromPeer  *queue     // intralayer (layer 0)
+	// ready is the wake token the queues and the rank inbox share
+	// (capacity 1): raised on any one's empty → non-empty edge, and by a
+	// slab that left envelopes behind. One wake serves them all
+	// (dispatchQueues).
 	ready   chan struct{}
 	control chan envelope
 	// slab is the node goroutine's scratch for one delivery cycle's
 	// envelopes (see queue.takeSlab); taken counts the cycle's counted
-	// envelopes, retired together when the cycle ends.
-	slab  []envelope
-	taken int64
+	// envelopes, retired together when the cycle ends, and enters the
+	// cycle's Enter events (the intake's settle).
+	slab   []envelope
+	taken  int64
+	enters int
 
 	handler Handler
 	// flusher and rankHandler cache the handler's optional extensions (set
@@ -461,6 +458,7 @@ type Node struct {
 	// only with batching on: off reproduces the boxed legacy delivery.
 	flusher     Flusher
 	rankHandler RankEventHandler
+	holder      Holder
 
 	// rsq resequences reliable frames per incoming directed link, made by
 	// the first one (rseq); it is touched only by the node goroutine.
@@ -474,11 +472,12 @@ type Node struct {
 	ackPend map[linkKey]uint64
 	ackKeys []linkKey
 
-	// dead is closed when the node is killed (Kill). A re-gid placeholder
-	// adopts its predecessor's, so an injector holding either learns of the
-	// slot's splice-out; degrade, which runs once per slot, is the only
-	// killer of placeholders.
+	// dead is closed when the node is killed (Kill), after killed is set.
+	// A re-gid placeholder adopts its predecessor's, so an injector holding
+	// either learns of the slot's splice-out; degrade, which runs once per
+	// slot, is the only killer of placeholders.
 	dead     chan struct{}
+	killed   atomic.Bool
 	deadOnce sync.Once
 	// crashAt is the earliest planned crash of this incarnation (zero:
 	// none), set before its loop starts. The loop also checks it at the
@@ -501,7 +500,7 @@ type Node struct {
 
 // newNode builds one node for slot (layer, index) under gid; a local one
 // gets its tool-link queues (first-layer nodes: also a peer queue, but no
-// mailbox — the caller makes or adopts that).
+// rank inbox — the caller makes or adopts that).
 func (t *Tree) newNode(layer, index, gid int, local bool) *Node {
 	n := new(Node)
 	var qs []queue
@@ -647,6 +646,12 @@ type Tree struct {
 	wantIdle atomic.Bool
 	idleCh   chan struct{}
 
+	// holding counts ranks held at the intake, which the idle edge
+	// releases (releaseHolds); cycles counts the first-layer delivery
+	// cycles the intake settled, the clock of its staleness rule.
+	holding atomic.Int64
+	cycles  atomic.Uint64
+
 	// kills is the supervisor's wake token (capacity 1), raised by Kill;
 	// nil without a fault plan, where no supervisor runs.
 	kills chan struct{}
@@ -681,7 +686,7 @@ func NewNet(cfg Config) (*Tree, error) {
 		panic("tbon: FanIn must be at least 2")
 	}
 	if cfg.EventBuf == 0 {
-		cfg.EventBuf = 256
+		cfg.EventBuf = DefaultEventBuf
 	}
 	if cfg.MemBudget == 0 {
 		cfg.MemBudget = DefaultMemBudget
@@ -748,6 +753,10 @@ func NewNet(cfg Config) (*Tree, error) {
 		}
 		per := queuesPerNode(layer)
 		qs := make([]queue, local*per)
+		var inboxes []rankInbox
+		if layer == 0 {
+			inboxes = make([]rankInbox, local)
+		}
 		kids := make([][]*Node, width)
 		for i := range nodes {
 			g := gid
@@ -768,7 +777,10 @@ func NewNet(cfg Config) (*Tree, error) {
 			tp.nextGid = max(tp.nextGid, gid, g+1)
 			if layer == 0 {
 				if nodes[i].local {
-					nodes[i].events = make(chan *rankEnvelope, cfg.EventBuf)
+					hosted := min(cfg.FanIn, cfg.Leaves-i*cfg.FanIn)
+					nodes[i].rank = &inboxes[0]
+					nodes[i].rank.init(cfg.EventBuf*hosted, nodes[i].ready)
+					inboxes = inboxes[1:]
 				}
 				continue
 			}
@@ -813,6 +825,9 @@ func (t *Tree) slabCap() int {
 // acknowledgement accumulator.
 func (t *Tree) arm(n *Node) {
 	n.flusher, _ = n.handler.(Flusher)
+	if n.rank != nil {
+		n.holder, _ = n.handler.(Holder)
+	}
 	if t.cfg.Batch {
 		n.rankHandler, _ = n.handler.(RankEventHandler)
 	}
@@ -869,7 +884,10 @@ func (t *Tree) Stop() {
 	if t.net != nil && t.net.role == NetCoordinator {
 		t.net.shutdownOnce.Do(t.net.shutdownWorkers)
 	}
-	t.stopOnce.Do(func() { close(t.quit) })
+	t.stopOnce.Do(func() {
+		close(t.quit)
+		t.releaseHolds(false)
+	})
 	t.wg.Wait()
 	if t.net != nil {
 		t.net.close()
@@ -877,16 +895,17 @@ func (t *Tree) Stop() {
 }
 
 // InjectEvent delivers an application event to the first-layer node hosting
-// the rank. It blocks when the node's event queue is full (backpressure). It
-// returns ErrStopped after the tree stopped and ErrNodeDown when the
-// hosting node crashed; in both cases the event was not delivered. The
-// event reaches a RankEventHandler without ever being boxed into an
-// interface, making the batched intake allocation-free per event. With
-// batching off (or a plain Handler) it is delivered boxed through FromRank.
+// the rank. An Enter event waits while that node holds its EventBuf bound
+// and is still working (the hold, see intake.go). It returns ErrStopped
+// after the tree stopped and ErrNodeDown when the hosting node crashed; in
+// both cases the event was not delivered. The event reaches a
+// RankEventHandler without ever being boxed into an interface, making the
+// batched intake allocation-free per event. With batching off (or a plain
+// Handler) it is delivered boxed through FromRank.
 //
 // When the hosting node is dead and the tree can recover it, the injector
 // waits for the slot's fate instead of dropping the event: the replacement
-// adopts the slot's mailbox, so a successful respawn preserves per-rank FIFO
+// adopts the slot's inbox, so a successful respawn preserves per-rank FIFO
 // with zero dropped events.
 func (t *Tree) InjectEvent(rank int, ev event.Event) error {
 	env := rankEnvelope{from: rank, ev: ev}
@@ -901,50 +920,30 @@ func (t *Tree) InjectEvent(rank int, ev event.Event) error {
 		}
 		// Resource-governor backpressure: when tool-plane buffers approach
 		// the budget, the data-lane intake gate closes and ranks wait here —
-		// the global, byte-denominated analogue of the bounded events
-		// channel below.
+		// the global, byte-denominated analogue of the per-slot hold.
 		if !t.gov.admitIntake(n.dead, t.quit) {
 			return ErrStopped
 		}
-		slot := newRankEnv(env)
-		// Counted before it can be dispatched; taken back if it never lands.
-		t.admit(1)
-		// Common case first — a live node with room in its mailbox — as two
-		// non-blocking channel operations instead of a three-way select.
-		if !n.Dead() {
-			select {
-			case n.events <- slot:
-				return nil
-			default:
-			}
+		if n.rank.put(t, n, &env, ev.Type == event.Enter) {
+			return nil
+		}
+		if !t.recoveryEnabled() {
+			return ErrNodeDown
 		}
 		select {
-		case n.events <- slot:
-			return nil
-		case <-n.dead:
-			putRankEnv(slot)
-			t.retire(1)
-			if !t.recoveryEnabled() {
-				return ErrNodeDown
-			}
-			select {
-			case <-n.respawned:
-			case <-t.quit:
-				return ErrStopped
-			}
-			if t.shape.Load().layers[0][idx] == n {
-				return ErrNodeDown // recovery failed: slot degraded
-			}
-			// A replacement took over: retry against it.
+		case <-n.respawned:
 		case <-t.quit:
-			putRankEnv(slot)
 			return ErrStopped
 		}
+		if t.shape.Load().layers[0][idx] == n {
+			return ErrNodeDown // recovery failed: slot degraded
+		}
+		// A replacement took over: retry against it.
 	}
 }
 
 // The outstanding-work word makes quiescence a counted fact. Bits 0–27
-// count envelopes admitted to a local queue, mailbox or control channel and
+// count envelopes admitted to a local queue, rank inbox or control channel and
 // not yet retired (plus, on a TCP coordinator, each worker slot not known
 // idle: markBusy); bits 28–47 count reliable frames not yet acknowledged;
 // bits 48–63 are the idle epoch, bumped by the retire that empties both
@@ -975,6 +974,9 @@ func (t *Tree) retire(n int64) {
 		if t.work.CompareAndSwap(old, v) {
 			if v&countsMask == 0 {
 				t.stampIdle(v)
+				if t.holding.Load() > 0 {
+					t.releaseHolds(true)
+				}
 				t.wake()
 				if fab := t.net; fab != nil && fab.role == NetWorker {
 					fab.kickStats()
@@ -1219,8 +1221,6 @@ func (t *Tree) transmit(target *Node, class fault.Class, env envelope) {
 func (n *Node) loop() {
 	defer n.tree.wg.Done()
 	quit := n.tree.quit
-	// One select serves both layers: an interior node has no mailbox, and
-	// a receive from its nil events channel never proceeds.
 	for {
 		select {
 		case env := <-n.control:
@@ -1228,9 +1228,6 @@ func (n *Node) loop() {
 			n.handler.Control(env.msg)
 		case <-n.ready:
 			n.dispatchQueues()
-		case env := <-n.events:
-			n.dispatchRank(env)
-			n.drainEvents()
 		case <-n.dead:
 			n.bury()
 			return
@@ -1248,27 +1245,40 @@ func (n *Node) loop() {
 }
 
 // dispatchQueues serves one wake: a slab from each non-empty tool-link
-// queue, always in the order peer, parent, children, in one delivery
-// cycle. A queue that keeps envelopes back re-raises the token, so the
-// next wake serves it again, and no queue waits behind another's backlog
-// for more than one slab.
+// queue, always in the order peer, parent, children, then (first layer)
+// one of rank events, in one delivery cycle. A source that keeps envelopes
+// back re-raises the token, so the next wake serves it again, and no
+// source waits behind another's backlog for more than one slab.
 func (n *Node) dispatchQueues() {
 	if n.fromPeer != nil {
 		n.dispatchSlab(n.fromPeer, n.dispatchPeer)
 	}
 	n.dispatchSlab(n.fromAbove, n.dispatchParent)
 	n.dispatchSlab(n.fromBelow, n.dispatchChild)
+	if n.rank != nil {
+		n.dispatchRanks()
+	}
 }
 
 // endCycle closes one delivery cycle: flush the batched acknowledgements,
-// then the handler's coalesced output, then retire the cycle's envelopes —
-// last, so everything they caused is counted before they stop counting.
-// Runs before the loop can observe quit or a crash, so a dead node has
-// always emitted the output of every input it dispatched.
+// then the handler's coalesced output, settle the rank inbox (drop the
+// dispatched events, publish the handler's held records, wake held ranks),
+// then retire the cycle's envelopes — last, so everything they caused is
+// counted before they stop counting. Runs before the loop can observe
+// quit or a crash, so a dead node has always emitted the output of every
+// input it dispatched.
 func (n *Node) endCycle() {
 	n.flushAcks()
 	if n.flusher != nil {
 		n.flusher.Flush()
+	}
+	if n.rank != nil && n.taken > 0 {
+		w := 0
+		if n.holder != nil {
+			w = n.holder.Held()
+		}
+		n.tree.settle(n.rank, w, n.enters)
+		n.enters = 0
 	}
 	n.tree.retire(n.taken)
 	n.taken = 0
@@ -1276,8 +1286,8 @@ func (n *Node) endCycle() {
 
 // bury retires what a crashed node will never take: its queues become
 // drains (deliver retires what arrives), which ends its dispatching, and,
-// unless a replacement will adopt them (recovery), so do its mailbox and
-// control channel until the tree stops.
+// unless a replacement will adopt them (recovery), its rank inbox is sunk
+// and its control channel drained until the tree stops.
 func (n *Node) bury() {
 	for _, q := range []*queue{n.fromBelow, n.fromAbove, n.fromPeer} {
 		if q == nil {
@@ -1294,11 +1304,11 @@ func (n *Node) bury() {
 	if n.tree.recoveryEnabled() {
 		return
 	}
+	if n.rank != nil {
+		n.tree.retire(int64(n.rank.sink()))
+	}
 	for {
 		select {
-		case env := <-n.events:
-			n.tree.retire(1)
-			putRankEnv(env)
 		case <-n.control:
 			n.tree.retire(1)
 		case <-n.tree.quit:
@@ -1324,43 +1334,12 @@ func (n *Node) dispatchSlab(q *queue, fn func(envelope)) {
 	}
 }
 
-// dispatchRank delivers one mailbox slot to the handler and returns the
-// slot to the pool.
-func (n *Node) dispatchRank(env *rankEnvelope) {
-	defer putRankEnv(env)
-	n.taken++
-	if n.rankHandler != nil {
-		n.rankHandler.FromRankEvent(env.from, env.ev)
-		return
-	}
-	// Config.Batch off, or a handler without the typed extension: box at
-	// delivery, the historical per-event shape.
-	n.handler.FromRank(env.from, env.ev)
-}
-
 // maxEventDrain bounds how many rank events one delivery cycle absorbs.
 // Deliberately much smaller than maxSlab: every drained event opens
 // wait-state work whose handshake messages only flush at cycle end, so a
 // large gulp inflates the live trace window (and the matching engines'
 // memory) for little extra amortization.
 const maxEventDrain = 16
-
-// drainEvents opportunistically consumes rank events already sitting in
-// the mailbox so one cycle (and one coalescing flush) covers them all.
-// Bounded so the node stays responsive to its other inputs; batching only.
-func (n *Node) drainEvents() {
-	if !n.tree.cfg.Batch {
-		return
-	}
-	for i := 1; i < maxEventDrain; i++ {
-		select {
-		case env := <-n.events:
-			n.dispatchRank(env)
-		default:
-			return
-		}
-	}
-}
 
 func (n *Node) dispatchPeer(env envelope) {
 	n.deliver(env, func(e envelope) {

@@ -335,9 +335,9 @@ func (fab *netFabric) deliverData(payload []byte) {
 	fab.enqueue(n, wd, true)
 }
 
-// enqueue hands one wire frame to local node n: a rank event to its
-// bounded mailbox (the worker-side half of the intake window's
-// backpressure), a tool message to the inbox of its link class. Live frames
+// enqueue hands one wire frame to local node n: a rank event to its rank
+// inbox, never held (the coordinator's per-leaf frame window bounds it),
+// a tool message to the inbox of its link class. Live frames
 // (deliverData) and replayed journal entries (replayOne) share this path
 // and differ only in the resequencer: a live rank frame passes the worker's
 // rank-link one here, on the serial reader (so rankRsq needs no lock), and
@@ -356,7 +356,7 @@ func (fab *netFabric) enqueue(n *Node, wd wireData, live bool) {
 		}
 		return
 	}
-	if n.events == nil {
+	if n.rank == nil {
 		fab.codecErrors.Add(1)
 		return
 	}
@@ -366,14 +366,7 @@ func (fab *netFabric) enqueue(n *Node, wd wireData, live bool) {
 			fab.codecErrors.Add(1)
 			return
 		}
-		slot := newRankEnv(rankEnvelope{from: wr.Rank, ev: wr.Ev})
-		fab.t.admit(1)
-		select {
-		case n.events <- slot:
-		case <-n.dead:
-			fab.t.retire(1)
-		case <-fab.t.quit:
-		}
+		n.rank.put(fab.t, n, &rankEnvelope{from: wr.Rank, ev: wr.Ev}, false)
 	}
 	if !live {
 		push(env)

@@ -37,7 +37,7 @@ func TestNewNetRefusesBadGeometry(t *testing.T) {
 
 // TestReplayAndLiveShareInbox: a replayed journal entry (replayOne) and a
 // live wire frame (deliverData) of the same link class reach the same queue
-// — for rank events, the same mailbox — in order. Replay differs from live
+// — for rank events, the same rank inbox — in order. Replay differs from live
 // delivery only in skipping the resequencer: the replayed envelope is
 // unframed, the live tool frame still framed for the node's own.
 func TestReplayAndLiveShareInbox(t *testing.T) {
@@ -70,8 +70,8 @@ func TestReplayAndLiveShareInbox(t *testing.T) {
 
 			var got []int
 			if class == fault.RankLink {
-				for len(n.events) > 0 {
-					got = append(got, (<-n.events).ev.TS)
+				for _, e := range n.rank.take(maxEventDrain) {
+					got = append(got, e.ev.TS)
 				}
 			} else {
 				slab := n.inbox(class).takeSlab(nil, maxSlab)

@@ -410,10 +410,10 @@ func (t *Tree) WireReplayTime() time.Duration {
 }
 
 // injectRemote ships one application event to a remote first-layer node
-// over a sequenced RankLink frame. The per-leaf window semaphore mirrors
-// the bounded in-process event queue: at most EventBuf events are in
-// flight (unacknowledged) per leaf, so backpressure propagates to the
-// injecting rank exactly as in channel mode.
+// over a sequenced RankLink frame. The per-leaf window semaphore bounds the
+// frames, not the trace window: at most EventBuf events are in flight
+// (unacknowledged) per leaf, so backpressure reaches the injecting rank,
+// but the in-process hold (intake.go) never applies over TCP.
 func (t *Tree) injectRemote(n *Node, env rankEnvelope) error {
 	fab := t.net
 	if n.Dead() {
