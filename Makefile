@@ -30,16 +30,18 @@ race:
 # race detector: it changes allocation counts, so the guards are built
 # only without it (a `go test -race` run, CI's main step, skips them).
 allocs:
-	$(GO) test -count=1 -run 'Allocs|Pinned|Descriptions' ./internal/detect/ ./internal/dws/ ./internal/trace/ ./internal/wfg/
+	$(GO) test -count=1 -run 'Allocs|Pinned|Descriptions' ./internal/detect/ ./internal/dws/ ./internal/p2pmatch/ ./internal/trace/ ./internal/wfg/
 
 # The seeded fault-injection sweep only (190 adversarial runs), plus the
-# topology-change races, the request window, the shared node wake, exact
-# quiescence and the intake hold's liveness and window bound five times
-# over, the progress watchdog's stall classification 20 times, and the
-# simulator's mismatched-root broadcast 300 times.
+# topology-change races, the request window, the shared node wake, the
+# wake protocol (each raiser of a parked loop's token, and a killed node
+# dispatching nothing), exact quiescence and the intake hold's liveness
+# and window bound five times over, the progress watchdog's stall
+# classification 20 times, and the simulator's mismatched-root broadcast
+# 300 times.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestTransport|TestCrash|TestTopology' ./internal/fault/ ./internal/tbon/
-	$(GO) test -race -count=5 -run 'TestRequestWindow|TestRequestRecordsFreedByWait|TestNodeWake|TestQuiescenceIsExact' ./internal/dws/ ./internal/tbon/
+	$(GO) test -race -count=5 -run 'TestRequestWindow|TestRequestRecordsFreedByWait|TestNodeWake|TestWakeFor|TestKilledNodeDispatchesNothing|TestQuiescenceIsExact' ./internal/dws/ ./internal/tbon/
 	$(GO) test -race -count=5 -run 'TestHold' ./internal/tbon/ ./must/
 	$(GO) test -race -count=20 -run 'TestChaos.*Stall|Watchdog' ./internal/fault/ ./internal/detect/
 	$(GO) test -race -count=300 -run TestCollectiveRootMismatchReported ./must/

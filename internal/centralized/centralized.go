@@ -205,6 +205,8 @@ func (t *tool) completeColl(a collmatch.Ack) {
 	}
 }
 
+// applyMatches records engine matches in the matched trace. ms is the
+// engine's own buffer, consumed before the next engine call.
 func (t *tool) applyMatches(ms []p2pmatch.Match) {
 	for _, m := range ms {
 		sref := trace.Ref{Proc: m.Send.Proc, TS: m.Send.TS}

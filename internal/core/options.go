@@ -47,7 +47,12 @@ type Options struct {
 	// not yet dispatched plus its trace window. A rank's next call waits
 	// while its node holds EventBuf × hosted ranks of them and the tool is
 	// still working on them (default tbon.DefaultEventBuf, 512); over TCP
-	// it is the per-leaf window of event frames in flight instead.
+	// it is the per-leaf window of event frames in flight instead. A bound
+	// below the program's live working set (operations kept until a later
+	// call, such as Isends before their Waitall) cannot be met: holds then
+	// end only when the tool goes idle or the slot goes stale, and the
+	// window reaches the working set anyway — 128.GAPgeofem keeps about 550
+	// operations per node, so EventBuf 16 holds its ranks for nothing.
 	// Centralized mode: the depth of the one tool process's event queue
 	// (default 1024).
 	EventBuf int

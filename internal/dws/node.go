@@ -103,12 +103,12 @@ type Node struct {
 	pendDest []int
 
 	// self holds the peer messages this node addressed to itself, in send
-	// order. Every exported entry point consumes them (drainSelf) before it
-	// returns, so a self-addressed handshake costs no flush, queue hop or
-	// delivery cycle, and the self link is empty at every entry-point
-	// boundary: checkpoints need not capture it and snapshots need not ping
-	// it.
-	self []any
+	// order and by value (selfMsg). Every exported entry point consumes them
+	// (drainSelf) before it returns, so a self-addressed handshake costs no
+	// flush, queue hop, delivery cycle or boxing, and the self link is empty
+	// at every entry-point boundary: checkpoints need not capture it and
+	// snapshots need not ping it.
+	self []selfMsg
 
 	// free holds reclaimed operation records for reuse by newOp. A record
 	// is reused only by newOp, which no handler holding a record can reach.
@@ -137,6 +137,25 @@ func (s *Stats) Add(o Stats) {
 func (s Stats) Total() int {
 	return s.PassSends + s.RecvActives + s.RecvActiveAcks + s.CollReadys
 }
+
+// selfMsg is one message a node addressed to itself: a wait-state
+// handshake held by value in the field its kind names, anything else boxed.
+type selfMsg struct {
+	kind  selfKind
+	pass  PassSend
+	act   RecvActive
+	ack   RecvActiveAck
+	boxed any
+}
+
+type selfKind uint8
+
+const (
+	selfBoxed selfKind = iota
+	selfPassSend
+	selfRecvActive
+	selfRecvActiveAck
+)
 
 type collKey struct {
 	comm trace.CommID
@@ -435,26 +454,46 @@ func (n *Node) Held() int { return n.curWindow + len(n.deferred) }
 // Frozen reports whether the transition system is frozen for a snapshot.
 func (n *Node) Frozen() bool { return n.frozen }
 
-// peer sends a wait-state message to a first-layer node, recording it for
-// the snapshot ping set (unless it is this node) and the message statistics.
-func (n *Node) peer(node int, msg any) {
-	if node != n.id {
-		setKey(&n.dirty, node, true)
+// passSend, recvActive and recvActiveAck send one wait-state message to a
+// first-layer node, counting it in the message statistics. One to this node
+// itself joins the self queue by value; only one to a peer is boxed.
+func (n *Node) passSend(node int, m PassSend) {
+	n.stats.PassSends++
+	if node == n.id {
+		n.self = append(n.self, selfMsg{kind: selfPassSend, pass: m})
+		return
 	}
-	switch msg.(type) {
-	case PassSend:
-		n.stats.PassSends++
-	case RecvActive:
-		n.stats.RecvActives++
-	case RecvActiveAck:
-		n.stats.RecvActiveAcks++
+	n.toPeer(node, m)
+}
+
+func (n *Node) recvActive(node int, m RecvActive) {
+	n.stats.RecvActives++
+	if node == n.id {
+		n.self = append(n.self, selfMsg{kind: selfRecvActive, act: m})
+		return
 	}
+	n.toPeer(node, m)
+}
+
+func (n *Node) recvActiveAck(node int, m RecvActiveAck) {
+	n.stats.RecvActiveAcks++
+	if node == n.id {
+		n.self = append(n.self, selfMsg{kind: selfRecvActiveAck, ack: m})
+		return
+	}
+	n.toPeer(node, m)
+}
+
+// toPeer sends a wait-state message to another node, recording it for the
+// snapshot ping set.
+func (n *Node) toPeer(node int, msg any) {
+	setKey(&n.dirty, node, true)
 	n.sendPeer(node, msg)
 }
 
 // sendPeer routes one intralayer message through the per-destination
 // coalescing buffer, or straight out when batching is off; a message to this
-// node itself joins the self queue instead. ALL peer traffic — wait-state
+// node itself joins the self queue boxed instead. ALL peer traffic — wait-state
 // messages and the snapshot Ping/Pong alike — must take this path: the
 // consistent-state protocol's drain argument rests on per-link FIFO between
 // them, which a Ping bypassing a buffered PassSend would break (the
@@ -462,7 +501,7 @@ func (n *Node) peer(node int, msg any) {
 // node's buffer — a false-deadlock hazard).
 func (n *Node) sendPeer(node int, msg any) {
 	if node == n.id {
-		n.self = append(n.self, msg)
+		n.self = append(n.self, selfMsg{boxed: msg})
 		return
 	}
 	if !n.batch {
@@ -511,7 +550,18 @@ func (n *Node) FlushPeers() {
 // wait-state messages call it last.
 func (n *Node) drainSelf() {
 	for i := 0; i < len(n.self); i++ {
-		n.onPeer(n.self[i])
+		// The handlers may append to n.self: take each message out of the
+		// slice by value before handling it.
+		switch m := &n.self[i]; m.kind {
+		case selfPassSend:
+			n.handlePassSend(m.pass)
+		case selfRecvActive:
+			n.handleRecvActive(m.act)
+		case selfRecvActiveAck:
+			n.handleRecvActiveAck(m.ack)
+		default:
+			n.onPeer(m.boxed)
+		}
 	}
 	clear(n.self)
 	n.self = n.self[:0]
@@ -557,12 +607,17 @@ func (n *Node) hosted(r int) *rankState {
 // covers, otherwise two operations arriving mid-snapshot on different nodes
 // could be reported mutually blocked before their handshake ran — a false
 // deadlock.
-func (n *Node) OnEvent(ev event.Event) {
+func (n *Node) OnEvent(ev event.Event) { n.OnEventRef(&ev) }
+
+// OnEventRef is OnEvent on an event the caller owns: the node reads it
+// during the call and keeps a copy of what it needs (a deferred event, an
+// operation record), never the pointer.
+func (n *Node) OnEventRef(ev *event.Event) {
 	if n.frozen {
-		n.deferred = append(n.deferred, ev)
+		n.deferred = append(n.deferred, *ev)
 		return
 	}
-	n.processEvent(&ev)
+	n.processEvent(ev)
 	n.drainSelf()
 }
 
@@ -627,7 +682,7 @@ func (n *Node) newOp(op *trace.Op) {
 		if !kind.Blocking() {
 			o.canAdv = true
 		}
-		n.peer(n.nodeFor(op.PeerWorld), PassSend{
+		n.passSend(n.nodeFor(op.PeerWorld), PassSend{
 			SendProc: op.Proc, SendTS: op.TS,
 			SrcGroup: op.SelfGroup,
 			Dest:     op.PeerWorld, Tag: op.Tag, Comm: op.Comm,
@@ -756,7 +811,9 @@ func (n *Node) handlePassSend(m PassSend) {
 }
 
 // applyMatches installs engine matches into the receive-side operation
-// states (the receives are hosted on this node).
+// states (the receives are hosted on this node). ms is the engine's own
+// buffer: nothing below calls the engine, and handshakes addressed to this
+// node wait in the self queue until the entry point drains it.
 func (n *Node) applyMatches(ms []p2pmatch.Match) {
 	for _, m := range ms {
 		rs := n.rank(m.Recv.Proc)
@@ -778,7 +835,7 @@ func (n *Node) applyMatches(ms []p2pmatch.Match) {
 // sendRecvActive notifies the send-hosting node that this (matched, active)
 // receive/probe is active.
 func (n *Node) sendRecvActive(o *opState) {
-	n.peer(o.peerNode, RecvActive{
+	n.recvActive(o.peerNode, RecvActive{
 		SendProc: o.peerProc, SendTS: o.peerTS,
 		RecvProc: o.op.Proc, RecvTS: o.op.TS,
 		FromNode: n.id, Probe: o.op.Kind.IsProbe(),
@@ -793,12 +850,12 @@ func (n *Node) handleRecvActive(m RecvActive) {
 		// The send already completed its handshake and was cleaned up; a
 		// probe request can still arrive afterwards. Ack directly: the send
 		// was certainly active.
-		n.peer(m.FromNode, RecvActiveAck{RecvProc: m.RecvProc, RecvTS: m.RecvTS})
+		n.recvActiveAck(m.FromNode, RecvActiveAck{RecvProc: m.RecvProc, RecvTS: m.RecvTS})
 		return
 	}
 	if m.Probe {
 		if o.active {
-			n.peer(m.FromNode, RecvActiveAck{RecvProc: m.RecvProc, RecvTS: m.RecvTS})
+			n.recvActiveAck(m.FromNode, RecvActiveAck{RecvProc: m.RecvProc, RecvTS: m.RecvTS})
 		} else {
 			o.probeAcks = append(o.probeAcks, m)
 		}
@@ -816,7 +873,7 @@ func (n *Node) handleRecvActive(m RecvActive) {
 // completeSendHandshake acknowledges the receive and marks the send's
 // premise satisfied.
 func (n *Node) completeSendHandshake(rs *rankState, o *opState) {
-	n.peer(o.recvNode, RecvActiveAck{RecvProc: o.recvProc, RecvTS: o.recvTS})
+	n.recvActiveAck(o.recvNode, RecvActiveAck{RecvProc: o.recvProc, RecvTS: o.recvTS})
 	o.commComplete = true
 	if o.op.Kind.Blocking() {
 		o.canAdv = true
@@ -941,7 +998,7 @@ func (n *Node) activate(rs *rankState, o *opState) {
 		}
 	case kind.IsSend():
 		for _, pa := range o.probeAcks {
-			n.peer(pa.FromNode, RecvActiveAck{RecvProc: pa.RecvProc, RecvTS: pa.RecvTS})
+			n.recvActiveAck(pa.FromNode, RecvActiveAck{RecvProc: pa.RecvProc, RecvTS: pa.RecvTS})
 		}
 		o.probeAcks = nil
 		if o.gotRecvActive {

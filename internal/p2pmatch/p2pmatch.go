@@ -19,6 +19,7 @@ package p2pmatch
 
 import (
 	"fmt"
+	"slices"
 
 	"dwst/internal/trace"
 )
@@ -53,23 +54,29 @@ type Match struct {
 
 // Engine matches sends and receives for a set of receiving ranks. It is not
 // safe for concurrent use; each tool node owns one.
+//
+// AddSend, AddRecv and Resolve return their matches in a buffer the engine
+// owns: it is valid until the next call of any of the three. Callers consume
+// the matches before they call the engine again.
 type Engine struct {
 	// state per receiving world rank
 	ranks map[int]*rankState
 	// matches emitted (for inspection and tests)
 	emitted int
+	// out is drain's result buffer, reused by every call.
+	out []Match
 }
 
 type rankState struct {
-	// recvs in post order that are not yet matched. Resolved wildcards keep
-	// their resolved source in src.
-	recvs []*RecvInfo
-	// unresolved wildcard receives in post order (subset of recvs).
-	wild []*RecvInfo
+	// recvs in post order that are not yet matched. A wildcard keeps Src
+	// AnySource until Resolve writes the observed source there.
+	recvs []RecvInfo
+	// wild counts the unresolved wildcards in recvs.
+	wild int
 	// sends that arrived but are not yet matched, in arrival order per
 	// (sender, comm) — a flat list scanned in order preserves per-sender
 	// order because each sender's sends arrive in send order.
-	sends []*SendInfo
+	sends []SendInfo
 }
 
 // NewEngine returns an empty matching engine.
@@ -89,33 +96,11 @@ func (e *Engine) rank(r int) *rankState {
 // Emitted returns the number of matches produced so far.
 func (e *Engine) Emitted() int { return e.emitted }
 
-// Clone returns a deep copy of the engine for checkpointing. The wild list
-// holds the same *RecvInfo pointers as recvs (Resolve mutates w.Src through
-// the shared pointer), so the copy maps old pointers to new ones to keep
-// that aliasing intact.
+// Clone returns a deep copy of the engine for checkpointing.
 func (e *Engine) Clone() *Engine {
 	cl := &Engine{ranks: make(map[int]*rankState, len(e.ranks)), emitted: e.emitted}
 	for r, st := range e.ranks {
-		nst := &rankState{}
-		recvMap := make(map[*RecvInfo]*RecvInfo, len(st.recvs))
-		for _, rc := range st.recvs {
-			cp := *rc
-			recvMap[rc] = &cp
-			nst.recvs = append(nst.recvs, &cp)
-		}
-		for _, w := range st.wild {
-			nw := recvMap[w]
-			if nw == nil { // defensive: wild should always alias recvs
-				cp := *w
-				nw = &cp
-			}
-			nst.wild = append(nst.wild, nw)
-		}
-		for _, s := range st.sends {
-			cp := *s
-			nst.sends = append(nst.sends, &cp)
-		}
-		cl.ranks[r] = nst
+		cl.ranks[r] = &rankState{recvs: slices.Clone(st.recvs), wild: st.wild, sends: slices.Clone(st.sends)}
 	}
 	return cl
 }
@@ -124,20 +109,18 @@ func (e *Engine) Clone() *Engine {
 // (possibly several: probes plus the consuming receive).
 func (e *Engine) AddSend(s SendInfo) []Match {
 	st := e.rank(s.Dest)
-	cp := s
-	st.sends = append(st.sends, &cp)
-	return e.drain(s.Dest)
+	st.sends = append(st.sends, s)
+	return e.drain(st)
 }
 
 // AddRecv registers an observed receive or probe.
 func (e *Engine) AddRecv(r RecvInfo) []Match {
 	st := e.rank(r.Proc)
-	cp := r
-	st.recvs = append(st.recvs, &cp)
+	st.recvs = append(st.recvs, r)
 	if r.Src == trace.AnySource {
-		st.wild = append(st.wild, &cp)
+		st.wild++
 	}
-	return e.drain(r.Proc)
+	return e.drain(st)
 }
 
 // Resolve records the observed matching decision of a wildcard receive:
@@ -145,11 +128,11 @@ func (e *Engine) AddRecv(r RecvInfo) []Match {
 // sends and produce matches.
 func (e *Engine) Resolve(proc, ts, src int) []Match {
 	st := e.rank(proc)
-	for i, w := range st.wild {
-		if w.Proc == proc && w.TS == ts {
-			w.Src = src
-			st.wild = append(st.wild[:i], st.wild[i+1:]...)
-			return e.drain(proc)
+	for i := range st.recvs {
+		if r := &st.recvs[i]; r.TS == ts && r.Src == trace.AnySource {
+			r.Src = src
+			st.wild--
+			return e.drain(st)
 		}
 	}
 	// Unknown wildcard: tolerated (e.g. resolution raced with a probe that
@@ -167,8 +150,8 @@ func (e *Engine) Resolve(proc, ts, src int) []Match {
 // needed here.
 func (e *Engine) DropRank(rank int) {
 	st := e.rank(rank)
-	st.recvs = nil
-	st.wild = nil
+	st.recvs = st.recvs[:0]
+	st.wild = 0
 }
 
 // PendingRecvs returns the number of unmatched receives of a rank.
@@ -180,12 +163,7 @@ func (e *Engine) PendingSends(rank int) int { return len(e.rank(rank).sends) }
 // UnmatchedSendsTo returns copies of the held/unmatched sends destined to a
 // rank (for unexpected-match analysis in deadlock reports).
 func (e *Engine) UnmatchedSendsTo(rank int) []SendInfo {
-	st := e.rank(rank)
-	out := make([]SendInfo, 0, len(st.sends))
-	for _, s := range st.sends {
-		out = append(out, *s)
-	}
-	return out
+	return slices.Clone(e.rank(rank).sends)
 }
 
 // drain performs all now-determined matches for a receiving rank.
@@ -196,14 +174,13 @@ func (e *Engine) UnmatchedSendsTo(rank int) []SendInfo {
 // compatible tag — unless an unresolved wildcard receive posted EARLIER
 // could also accept that send, in which case the send is held and matching
 // for this receive stops (the wildcard's resolution decides ownership).
-func (e *Engine) drain(rank int) []Match {
-	st := e.rank(rank)
-	var out []Match
+func (e *Engine) drain(st *rankState) []Match {
+	out := e.out[:0]
 	progress := true
 	for progress {
 		progress = false
 		for ri := 0; ri < len(st.recvs); ri++ {
-			r := st.recvs[ri]
+			r := &st.recvs[ri]
 			if r.Src == trace.AnySource {
 				continue // unresolved wildcard: matched only via Resolve
 			}
@@ -211,28 +188,29 @@ func (e *Engine) drain(rank int) []Match {
 			if si < 0 {
 				continue
 			}
-			s := st.sends[si]
-			if st.heldByEarlierWildcard(r, s) {
+			if st.heldByEarlierWildcard(ri, &st.sends[si]) {
 				continue
 			}
 			// Commit the match.
-			out = append(out, Match{Send: *s, Recv: *r, Probe: r.Probe})
+			out = append(out, Match{Send: st.sends[si], Recv: *r, Probe: r.Probe})
 			e.emitted++
-			st.recvs = append(st.recvs[:ri], st.recvs[ri+1:]...)
 			if !r.Probe {
-				st.sends = append(st.sends[:si], st.sends[si+1:]...)
+				st.sends = slices.Delete(st.sends, si, si+1)
 			}
+			st.recvs = slices.Delete(st.recvs, ri, ri+1)
 			progress = true
 			break // restart scan: indices shifted
 		}
 	}
+	e.out = out
 	return out
 }
 
 // findSend returns the index of the first unmatched send from r.Src with a
 // compatible tag, or -1. Probes observe the same send a receive would.
 func (st *rankState) findSend(r *RecvInfo) int {
-	for i, s := range st.sends {
+	for i := range st.sends {
+		s := &st.sends[i]
 		if s.Comm != r.Comm || s.Src != r.Src {
 			continue
 		}
@@ -245,14 +223,15 @@ func (st *rankState) findSend(r *RecvInfo) int {
 }
 
 // heldByEarlierWildcard reports whether an unresolved wildcard receive
-// posted before r could accept send s; if so, s must not be matched to r
-// yet.
-func (st *rankState) heldByEarlierWildcard(r *RecvInfo, s *SendInfo) bool {
-	for _, w := range st.wild {
-		if w.TS >= r.TS {
-			return false // wildcards are in post order; later ones don't hold
-		}
-		if w.Comm != s.Comm {
+// posted before recvs[ri] could accept send s; if so, s must not be matched
+// to that receive yet.
+func (st *rankState) heldByEarlierWildcard(ri int, s *SendInfo) bool {
+	if st.wild == 0 {
+		return false
+	}
+	for i := range st.recvs[:ri] {
+		w := &st.recvs[i]
+		if w.Src != trace.AnySource || w.Comm != s.Comm {
 			continue
 		}
 		if w.Tag != trace.AnyTag && w.Tag != s.Tag {

@@ -2,6 +2,7 @@ package p2pmatch
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dwst/internal/testseed"
@@ -163,55 +164,94 @@ func TestUnmatchedQueries(t *testing.T) {
 	}
 }
 
+// action is one input of the engine, in a rank's program order: a send, a
+// receive or probe, or a wildcard's resolution (proc, ts, src).
+type action struct {
+	isSend  bool
+	send    SendInfo
+	recv    RecvInfo
+	resolve *[3]int
+}
+
+// generatedActions generates a point-to-point trace from rng and returns
+// it with each rank's engine inputs in program order.
+func generatedActions(rng *rand.Rand) (*trace.MatchedTrace, [][]action) {
+	cfg := tracegen.Default(2 + rng.Intn(6))
+	cfg.PCollective = 0 // p2p only
+	cfg.Events = 40 + rng.Intn(80)
+	mt := tracegen.Generate(cfg, rng)
+	queues := make([][]action, mt.NumProcs())
+	for i := 0; i < mt.NumProcs(); i++ {
+		for j := 0; j < mt.Len(i); j++ {
+			op := mt.Op(trace.Ref{Proc: i, TS: j})
+			switch {
+			case op.Kind.IsSend():
+				queues[i] = append(queues[i], action{isSend: true, send: SendInfo{
+					Proc: i, TS: j, Src: i, Dest: op.Peer, Tag: op.Tag, Comm: op.Comm, Kind: op.Kind}})
+			case op.Kind.IsRecv():
+				queues[i] = append(queues[i], action{recv: RecvInfo{
+					Proc: i, TS: j, Src: op.Peer, Tag: op.Tag, Comm: op.Comm, Probe: op.Kind.IsProbe()}})
+				if op.Peer == trace.AnySource && op.Kind != trace.Irecv {
+					// Blocking wildcard recv/probe: status right after.
+					queues[i] = append(queues[i], action{resolve: &[3]int{i, j, op.ActualSrc}})
+				}
+			case op.Kind.IsCompletion():
+				// Statuses of wildcard Irecvs resolved by this completion.
+				for _, cr := range mt.CommOps(op) {
+					co := mt.Op(cr)
+					if co.Kind == trace.Irecv && co.Peer == trace.AnySource {
+						queues[i] = append(queues[i], action{resolve: &[3]int{i, cr.TS, co.ActualSrc}})
+					}
+				}
+			}
+		}
+	}
+	return mt, queues
+}
+
+// interleave picks the ranks' actions in a random order that keeps each
+// rank's program order.
+func interleave(queues [][]action, rng *rand.Rand) []action {
+	var out []action
+	for {
+		var live []int
+		for i, q := range queues {
+			if len(q) > 0 {
+				live = append(live, i)
+			}
+		}
+		if len(live) == 0 {
+			return out
+		}
+		i := live[rng.Intn(len(live))]
+		out = append(out, queues[i][0])
+		queues[i] = queues[i][1:]
+	}
+}
+
+// apply hands one action to the engine and returns its matches.
+func (a action) apply(e *Engine) []Match {
+	switch {
+	case a.resolve != nil:
+		return e.Resolve(a.resolve[0], a.resolve[1], a.resolve[2])
+	case a.isSend:
+		return e.AddSend(a.send)
+	default:
+		return e.AddRecv(a.recv)
+	}
+}
+
 // TestAgainstGeneratedGroundTruth replays randomly generated traces into the
 // engine in random (per-rank-order-preserving) interleavings and checks the
 // produced matching equals the generator's ground truth.
 func TestAgainstGeneratedGroundTruth(t *testing.T) {
 	testseed.Run(t, 0, 30, func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := tracegen.Default(2 + rng.Intn(6))
-		cfg.PCollective = 0 // p2p only
-		cfg.Events = 40 + rng.Intn(80)
-		mt := tracegen.Generate(cfg, rng)
-
-		type action struct {
-			isSend  bool
-			send    SendInfo
-			recv    RecvInfo
-			resolve *[3]int // proc, ts, src
-		}
-		// Build per-rank action queues in program order.
-		queues := make([][]action, mt.NumProcs())
-		for i := 0; i < mt.NumProcs(); i++ {
-			for j := 0; j < mt.Len(i); j++ {
-				op := mt.Op(trace.Ref{Proc: i, TS: j})
-				switch {
-				case op.Kind.IsSend():
-					queues[i] = append(queues[i], action{isSend: true, send: SendInfo{
-						Proc: i, TS: j, Src: i, Dest: op.Peer, Tag: op.Tag, Comm: op.Comm, Kind: op.Kind}})
-				case op.Kind.IsRecv():
-					queues[i] = append(queues[i], action{recv: RecvInfo{
-						Proc: i, TS: j, Src: op.Peer, Tag: op.Tag, Comm: op.Comm, Probe: op.Kind.IsProbe()}})
-					if op.Peer == trace.AnySource && op.Kind != trace.Irecv {
-						// Blocking wildcard recv/probe: status right after.
-						queues[i] = append(queues[i], action{resolve: &[3]int{i, j, op.ActualSrc}})
-					}
-				case op.Kind.IsCompletion():
-					// Statuses of wildcard Irecvs resolved by this completion.
-					for _, cr := range mt.CommOps(op) {
-						co := mt.Op(cr)
-						if co.Kind == trace.Irecv && co.Peer == trace.AnySource {
-							queues[i] = append(queues[i], action{resolve: &[3]int{i, cr.TS, co.ActualSrc}})
-						}
-					}
-				}
-			}
-		}
-
+		mt, queues := generatedActions(rng)
 		e := NewEngine()
 		got := map[trace.Ref]trace.Ref{}
-		record := func(ms []Match) {
-			for _, m := range ms {
+		for _, a := range interleave(queues, rng) {
+			for _, m := range a.apply(e) {
 				sref := trace.Ref{Proc: m.Send.Proc, TS: m.Send.TS}
 				rref := trace.Ref{Proc: m.Recv.Proc, TS: m.Recv.TS}
 				if m.Probe {
@@ -222,28 +262,6 @@ func TestAgainstGeneratedGroundTruth(t *testing.T) {
 				}
 			}
 		}
-		for {
-			var live []int
-			for i, q := range queues {
-				if len(q) > 0 {
-					live = append(live, i)
-				}
-			}
-			if len(live) == 0 {
-				break
-			}
-			i := live[rng.Intn(len(live))]
-			a := queues[i][0]
-			queues[i] = queues[i][1:]
-			switch {
-			case a.resolve != nil:
-				record(e.Resolve(a.resolve[0], a.resolve[1], a.resolve[2]))
-			case a.isSend:
-				record(e.AddSend(a.send))
-			default:
-				record(e.AddRecv(a.recv))
-			}
-		}
 
 		if len(got) != len(mt.P2P) {
 			t.Fatalf("seed %d: %d matches, ground truth %d", seed, len(got), len(mt.P2P))
@@ -252,6 +270,38 @@ func TestAgainstGeneratedGroundTruth(t *testing.T) {
 			if got[k] != v {
 				t.Fatalf("seed %d: %v matched %v, want %v", seed, k, got[k], v)
 			}
+		}
+	})
+}
+
+// TestCloneResolvesLikeOriginal: a checkpoint's engine (Clone) must behave
+// exactly like the engine it was cut from, and share nothing with it. Each
+// seed cuts a clone at a random point of a generated trace, feeds the rest
+// to the original first and then to the clone — so a clone still sharing
+// storage would see the original's changes — and requires the same matches,
+// in the same order, from both.
+func TestCloneResolvesLikeOriginal(t *testing.T) {
+	testseed.Run(t, 0, 2000, func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		_, queues := generatedActions(rng)
+		acts := interleave(queues, rng)
+		cut := rng.Intn(len(acts) + 1)
+		e := NewEngine()
+		for _, a := range acts[:cut] {
+			a.apply(e)
+		}
+		cl := e.Clone()
+		var want [][]Match
+		for _, a := range acts[cut:] {
+			want = append(want, slices.Clone(a.apply(e)))
+		}
+		for i, a := range acts[cut:] {
+			if got := a.apply(cl); !slices.Equal(got, want[i]) {
+				t.Fatalf("seed %d, action %d after a clone at %d: clone matched %v, original %v", seed, cut+i, cut, got, want[i])
+			}
+		}
+		if cl.Emitted() != e.Emitted() {
+			t.Fatalf("seed %d: clone emitted %d matches, original %d", seed, cl.Emitted(), e.Emitted())
 		}
 	})
 }

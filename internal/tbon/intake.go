@@ -113,9 +113,10 @@ func (in *rankInbox) put(t *Tree, n *Node, env *rankEnvelope, hold bool) bool {
 	in.w++
 	in.n++
 	first := in.n-in.took == 1
+	ready := in.ready // a respawn rebinds it under in.mu
 	in.mu.Unlock()
 	if first {
-		signal(in.ready)
+		signal(ready)
 	}
 	return true
 }
@@ -301,7 +302,7 @@ func (n *Node) dispatchRanks() {
 			n.enters++
 		}
 		if n.rankHandler != nil {
-			n.rankHandler.FromRankEvent(env.from, env.ev)
+			n.rankHandler.FromRankEvent(env.from, &env.ev)
 			continue
 		}
 		// Config.Batch off, or a handler without the typed extension: box at

@@ -34,6 +34,7 @@ func (n *Node) Kill() {
 	n.deadOnce.Do(func() {
 		n.killed.Store(true)
 		close(n.dead)
+		signal(n.ready) // nil on a placeholder: no loop to wake
 		if n.rank != nil {
 			n.rank.release(false) // held ranks learn of the death
 		}

@@ -135,11 +135,24 @@ type Handler interface {
 // handlers: when it is implemented and batching is on, typed injections
 // (InjectEvent) are delivered through FromRankEvent without boxing the
 // event into an interface — the dominant per-event allocation on the hot
-// path. Without it, or with batching off, typed injections fall back to
+// path — and without copying it: ev points into the intake's storage and
+// is valid until the delivery cycle ends, so a handler copies what it
+// keeps. Without it, or with batching off, typed injections fall back to
 // FromRank with the historical boxed payload.
 type RankEventHandler interface {
+	FromRankEvent(rank int, ev *event.Event)
+}
+
+// rankValueHandler is the by-value form of RankEventHandler that handlers
+// written against its earlier signature still implement (the benchmark's
+// no-op tree handlers); arm adapts it, so they keep the unboxed intake.
+type rankValueHandler interface {
 	FromRankEvent(rank int, ev event.Event)
 }
+
+type byValue struct{ h rankValueHandler }
+
+func (b byValue) FromRankEvent(rank int, ev *event.Event) { b.h.FromRankEvent(rank, *ev) }
 
 // Holder is an optional first-layer Handler extension: Held reports how
 // many operations the handler holds (its trace window). The intake counts
@@ -803,7 +816,7 @@ func NewNet(cfg Config) (*Tree, error) {
 	t.shape.Store(tp)
 	if cfg.Net != nil {
 		if err := t.startNet(); err != nil {
-			close(t.quit) // release the queue pumps already spawned
+			t.halt() // release the queue pumps already spawned
 			t.wg.Wait()
 			return nil, err
 		}
@@ -829,7 +842,12 @@ func (t *Tree) arm(n *Node) {
 		n.holder, _ = n.handler.(Holder)
 	}
 	if t.cfg.Batch {
-		n.rankHandler, _ = n.handler.(RankEventHandler)
+		switch h := n.handler.(type) {
+		case RankEventHandler:
+			n.rankHandler = h
+		case rankValueHandler:
+			n.rankHandler = byValue{h}
+		}
 	}
 	if t.cfg.Batch && t.transport != nil {
 		n.ackPend = make(map[linkKey]uint64)
@@ -884,14 +902,28 @@ func (t *Tree) Stop() {
 	if t.net != nil && t.net.role == NetCoordinator {
 		t.net.shutdownOnce.Do(t.net.shutdownWorkers)
 	}
-	t.stopOnce.Do(func() {
-		close(t.quit)
-		t.releaseHolds(false)
-	})
+	t.stopOnce.Do(t.halt)
 	t.wg.Wait()
 	if t.net != nil {
 		t.net.close()
 	}
+}
+
+// halt closes quit and wakes every local node of the published shape, held
+// ranks included, to see it. Every close of quit goes through here: a node
+// loop parks on its wake token alone, so a close nothing signals would
+// leave it parked. Callers run it once (stopOnce, or a tree never
+// returned).
+func (t *Tree) halt() {
+	close(t.quit)
+	for _, layer := range t.shape.Load().layers {
+		for _, n := range layer {
+			if n.local {
+				signal(n.ready)
+			}
+		}
+	}
+	t.releaseHolds(false)
 }
 
 // InjectEvent delivers an application event to the first-layer node hosting
@@ -1126,6 +1158,7 @@ func (t *Tree) Control(n *Node, msg any) {
 	t.admit(1)
 	select {
 	case n.control <- envelope{msg: msg}:
+		signal(n.ready)
 	case <-t.quit:
 	}
 }
@@ -1217,23 +1250,39 @@ func (t *Tree) transmit(target *Node, class fault.Class, env envelope) {
 	t.net.sendData(env)
 }
 
-// loop is the node's message pump.
+// loop is the node's message pump. It parks on its one wake token, which
+// every input raises: the queues and the rank inbox on their empty →
+// non-empty edge, Control, Kill and the close of quit (Tree.halt). A wake
+// checks, in order, the node's death, quit, one control message (served as
+// its own delivery cycle, after which the token goes up again for whatever
+// else is pending), and otherwise serves the queues. A wake without work
+// ends an empty cycle.
 func (n *Node) loop() {
 	defer n.tree.wg.Done()
 	quit := n.tree.quit
+	// A replacement started after quit closed finds the token raised.
+	signal(n.ready)
 	for {
+		<-n.ready
+		if n.killed.Load() {
+			n.bury()
+			return
+		}
+		// Two one-case selects, each a non-blocking receive that reads an
+		// empty channel without locking it.
+		select {
+		case <-quit:
+			close(n.stopped)
+			return
+		default:
+		}
 		select {
 		case env := <-n.control:
 			n.taken++
 			n.handler.Control(env.msg)
-		case <-n.ready:
+			signal(n.ready)
+		default:
 			n.dispatchQueues()
-		case <-n.dead:
-			n.bury()
-			return
-		case <-quit:
-			close(n.stopped)
-			return
 		}
 		n.endCycle()
 		if !n.crashAt.IsZero() && !time.Now().Before(n.crashAt) {

@@ -451,6 +451,10 @@ func (tr *transport) run() {
 				resend = append(resend, p)
 			}
 		}
+		// Count the copies as outstanding work before the lock drops: an
+		// ack that retires their frames meanwhile must not open an idle
+		// edge while a copy is still on its way into a queue.
+		tr.t.admit(int64(len(resend)))
 		tr.mu.Unlock()
 		for _, p := range resend {
 			tr.retransmits.Add(1)
@@ -460,6 +464,7 @@ func (tr *transport) run() {
 				p.q.send(p.env, tr.t.quit)
 			}
 		}
+		tr.t.retire(int64(len(resend)))
 	}
 }
 

@@ -316,7 +316,7 @@ func (t *Tree) ServeWorker() error {
 	case reason = <-fab.done:
 	case <-t.quit:
 	}
-	t.stopOnce.Do(func() { close(t.quit) })
+	t.stopOnce.Do(t.halt)
 	t.wg.Wait() // node loops and scanner quiesce before final stats
 	if reason == nil && fab.shuttingDown.Load() {
 		fin := WorkerFinal{Worker: fab.nc.Worker, Counters: t.Counters()}
