@@ -148,21 +148,18 @@ func (o tbonOut) Peer(node int, msg any) { o.tn.SendPeer(node, msg) }
 func (o tbonOut) Up(msg any)             { o.tn.SendUp(msg) }
 
 func (h *handler) FromRank(rank int, ev any) {
-	e := ev.(event.Event)
-	h.FromRankEvent(rank, &e)
+	h.FromRankEvent(rank, ev.(event.Event))
 }
 
 // FromRankEvent implements tbon.RankEventHandler: the typed intake the
-// batched hot path uses to deliver application events without boxing or
-// copying them (e points into the intake until the cycle ends).
-func (h *handler) FromRankEvent(rank int, e *event.Event) {
+// batched hot path uses to deliver application events without boxing.
+func (h *handler) FromRankEvent(rank int, e event.Event) {
 	if h.jr != nil {
 		// Write-ahead: journal before the state transition, so a crash
-		// between the two replays the input instead of losing it. The
-		// journal keeps a copy.
-		h.jr.append(rank, kindRankEvent, *e)
+		// between the two replays the input instead of losing it.
+		h.jr.append(rank, kindRankEvent, e)
 	}
-	h.leaf.OnEventRef(e)
+	h.leaf.OnEventRef(&e)
 	h.maybeCheckpoint()
 }
 

@@ -138,21 +138,19 @@ func (s Stats) Total() int {
 	return s.PassSends + s.RecvActives + s.RecvActiveAcks + s.CollReadys
 }
 
-// selfMsg is one message a node addressed to itself: a wait-state
-// handshake held by value in the field its kind names, anything else boxed.
+// selfMsg is one wait-state handshake a node addressed to itself, held by
+// value in the field its kind names.
 type selfMsg struct {
-	kind  selfKind
-	pass  PassSend
-	act   RecvActive
-	ack   RecvActiveAck
-	boxed any
+	kind selfKind
+	pass PassSend
+	act  RecvActive
+	ack  RecvActiveAck
 }
 
 type selfKind uint8
 
 const (
-	selfBoxed selfKind = iota
-	selfPassSend
+	selfPassSend selfKind = iota
 	selfRecvActive
 	selfRecvActiveAck
 )
@@ -491,18 +489,19 @@ func (n *Node) toPeer(node int, msg any) {
 	n.sendPeer(node, msg)
 }
 
-// sendPeer routes one intralayer message through the per-destination
-// coalescing buffer, or straight out when batching is off; a message to this
-// node itself joins the self queue boxed instead. ALL peer traffic — wait-state
-// messages and the snapshot Ping/Pong alike — must take this path: the
+// sendPeer routes one intralayer message to another node through the
+// per-destination coalescing buffer, or straight out when batching is off.
+// Only the handshakes reach this node itself, through the self queue; a
+// node never pings itself, so a message to itself here is a broken
+// invariant. ALL peer traffic — wait-state messages and the snapshot
+// Ping/Pong alike — must take this path: the
 // consistent-state protocol's drain argument rests on per-link FIFO between
 // them, which a Ping bypassing a buffered PassSend would break (the
 // ping-pong would "prove" a message consumed that is still sitting in this
 // node's buffer — a false-deadlock hazard).
 func (n *Node) sendPeer(node int, msg any) {
 	if node == n.id {
-		n.self = append(n.self, selfMsg{boxed: msg})
-		return
+		panic(fmt.Sprintf("dws: node %d sent %T to itself", n.id, msg))
 	}
 	if !n.batch {
 		n.out.Peer(node, msg)
@@ -559,8 +558,6 @@ func (n *Node) drainSelf() {
 			n.handleRecvActive(m.act)
 		case selfRecvActiveAck:
 			n.handleRecvActiveAck(m.ack)
-		default:
-			n.onPeer(m.boxed)
 		}
 	}
 	clear(n.self)
@@ -611,7 +608,8 @@ func (n *Node) OnEvent(ev event.Event) { n.OnEventRef(&ev) }
 
 // OnEventRef is OnEvent on an event the caller owns: the node reads it
 // during the call and keeps a copy of what it needs (a deferred event, an
-// operation record), never the pointer.
+// operation record), never the pointer. It spares the caller a second
+// copy of an event it already holds by value.
 func (n *Node) OnEventRef(ev *event.Event) {
 	if n.frozen {
 		n.deferred = append(n.deferred, *ev)

@@ -302,7 +302,7 @@ func (n *Node) dispatchRanks() {
 			n.enters++
 		}
 		if n.rankHandler != nil {
-			n.rankHandler.FromRankEvent(env.from, &env.ev)
+			n.rankHandler.FromRankEvent(env.from, env.ev)
 			continue
 		}
 		// Config.Batch off, or a handler without the typed extension: box at

@@ -142,35 +142,3 @@ func TestHoldReleasesStaleSlot(t *testing.T) {
 		t.Fatal("the spinning node let the tree go idle: the release proves nothing")
 	}
 }
-
-// valueHandler implements FromRankEvent in its by-value form.
-type valueHandler struct {
-	nopHandler
-	typed, boxed atomic.Int64
-}
-
-func (h *valueHandler) FromRank(int, any)                   { h.boxed.Add(1) }
-func (h *valueHandler) FromRankEvent(_ int, ev event.Event) { h.typed.Add(int64(ev.TS)) }
-
-// TestRankEventByValueHandler: a handler with the by-value FromRankEvent
-// still takes the typed intake, each event copied out of the inbox.
-func TestRankEventByValueHandler(t *testing.T) {
-	tr := New(Config{Leaves: 2, FanIn: 2, Batch: true})
-	h := &valueHandler{}
-	tr.Start(func(n *Node) Handler {
-		if n.IsFirstLayer() {
-			return h
-		}
-		return nopHandler{}
-	})
-	defer tr.Stop()
-	for ts := 1; ts <= 3; ts++ {
-		if err := tr.InjectEvent(0, event.Event{Type: event.Status, TS: ts}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, func() bool { return h.typed.Load() == 1+2+3 })
-	if b := h.boxed.Load(); b != 0 {
-		t.Fatalf("%d events took the boxed FromRank", b)
-	}
-}

@@ -82,12 +82,12 @@ func (s *spawner) Flush() {
 	s.held = s.held[:0]
 }
 
-func (s *spawner) FromRank(int, any)               { s.handle(0) }
-func (s *spawner) FromChild(_ int, msg any)        { s.handle(msg.(spawnMsg).depth) }
-func (s *spawner) FromParent(msg any)              { s.handle(msg.(spawnMsg).depth) }
-func (s *spawner) FromPeer(_ int, msg any)         { s.handle(msg.(spawnMsg).depth) }
-func (s *spawner) Control(any)                     {}
-func (s *spawner) FromRankEvent(int, *event.Event) { s.handle(0) }
+func (s *spawner) FromRank(int, any)              { s.handle(0) }
+func (s *spawner) FromChild(_ int, msg any)       { s.handle(msg.(spawnMsg).depth) }
+func (s *spawner) FromParent(msg any)             { s.handle(msg.(spawnMsg).depth) }
+func (s *spawner) FromPeer(_ int, msg any)        { s.handle(msg.(spawnMsg).depth) }
+func (s *spawner) Control(any)                    {}
+func (s *spawner) FromRankEvent(int, event.Event) { s.handle(0) }
 
 // epochIdle reads the tree's idle epoch and idleness in one load: two idle
 // readings with the same epoch bracket a period with no work at all.

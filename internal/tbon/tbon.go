@@ -135,24 +135,11 @@ type Handler interface {
 // handlers: when it is implemented and batching is on, typed injections
 // (InjectEvent) are delivered through FromRankEvent without boxing the
 // event into an interface — the dominant per-event allocation on the hot
-// path — and without copying it: ev points into the intake's storage and
-// is valid until the delivery cycle ends, so a handler copies what it
-// keeps. Without it, or with batching off, typed injections fall back to
+// path. Without it, or with batching off, typed injections fall back to
 // FromRank with the historical boxed payload.
 type RankEventHandler interface {
-	FromRankEvent(rank int, ev *event.Event)
-}
-
-// rankValueHandler is the by-value form of RankEventHandler that handlers
-// written against its earlier signature still implement (the benchmark's
-// no-op tree handlers); arm adapts it, so they keep the unboxed intake.
-type rankValueHandler interface {
 	FromRankEvent(rank int, ev event.Event)
 }
-
-type byValue struct{ h rankValueHandler }
-
-func (b byValue) FromRankEvent(rank int, ev *event.Event) { b.h.FromRankEvent(rank, *ev) }
 
 // Holder is an optional first-layer Handler extension: Held reports how
 // many operations the handler holds (its trace window). The intake counts
@@ -842,12 +829,7 @@ func (t *Tree) arm(n *Node) {
 		n.holder, _ = n.handler.(Holder)
 	}
 	if t.cfg.Batch {
-		switch h := n.handler.(type) {
-		case RankEventHandler:
-			n.rankHandler = h
-		case rankValueHandler:
-			n.rankHandler = byValue{h}
-		}
+		n.rankHandler, _ = n.handler.(RankEventHandler)
 	}
 	if t.cfg.Batch && t.transport != nil {
 		n.ackPend = make(map[linkKey]uint64)
