@@ -251,7 +251,7 @@ func ablation(w io.Writer, c config) error {
 	if err != nil {
 		return err
 	}
-	for _, buf := range []int{0, 16} {
+	for _, buf := range []int{0, 16, 64, 256, 512} {
 		label := fmt.Sprintf("buf=%d", buf)
 		o := must.Options{FanIn: paperFanIn, Timeout: c.timeout, EventBuf: buf}
 		tool, rep, err := underTool(16, geofem, o, c.reps, noDeadlock)

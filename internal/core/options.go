@@ -46,7 +46,7 @@ type Options struct {
 	// many operations a first-layer node may hold per hosted rank — events
 	// not yet dispatched plus its trace window. A rank's next call waits
 	// while its node holds EventBuf × hosted ranks of them and the tool is
-	// still working on them (default tbon.DefaultEventBuf, 512); over TCP
+	// still working on them (default tbon.DefaultEventBuf, 128); over TCP
 	// it is the per-leaf window of event frames in flight instead. A bound
 	// below the program's live working set (operations kept until a later
 	// call, such as Isends before their Waitall) cannot be met: holds then

@@ -39,8 +39,10 @@ import (
 // (fab.win) is the bound.
 
 // DefaultEventBuf is the operations a first-layer node may hold per hosted
-// rank when Config.EventBuf is 0.
-const DefaultEventBuf = 512
+// rank when Config.EventBuf is 0: 512 per leaf at fan-in 4. Of 64, 128
+// and 256 it is the smallest that kept spec_mix as fast as 512 did in
+// paired benchmark runs (EXPERIMENTS.md, "Quarter window").
+const DefaultEventBuf = 128
 
 // rankChunkLen is the envelopes one intake chunk stores. A node takes at
 // most one chunk's worth per wake.

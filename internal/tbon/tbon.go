@@ -70,7 +70,8 @@ type Config struct {
 	// while its node holds EventBuf × hosted ranks operations — events not
 	// yet dispatched plus the trace-window records its Holder reports — and
 	// the tool is still working on them (see intake.go). On a TCP fabric it
-	// is the coordinator's per-leaf frame window instead. Default 512.
+	// is the coordinator's per-leaf frame window instead. Default
+	// DefaultEventBuf (128).
 	EventBuf int
 	// LinkDelay, when positive, delays every tool-internal message by this
 	// duration in the queues' pump stage (simulating slow network links between

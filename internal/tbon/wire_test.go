@@ -35,6 +35,28 @@ func TestNewNetRefusesBadGeometry(t *testing.T) {
 	tr.Stop()
 }
 
+// TestCoordinatorFrameWindow: over TCP, EventBuf is the coordinator's
+// per-leaf window of rank-event frames in flight (fab.win) — DefaultEventBuf
+// frames when EventBuf is 0, the configured value otherwise.
+func TestCoordinatorFrameWindow(t *testing.T) {
+	for _, c := range []struct{ eventBuf, want int }{{0, DefaultEventBuf}, {40, 40}} {
+		tr, err := NewNet(Config{Leaves: 8, FanIn: 2, EventBuf: c.eventBuf, Net: &NetConfig{Role: NetCoordinator, Workers: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		win := tr.net.win
+		tr.Stop()
+		if len(win) != 4 {
+			t.Fatalf("EventBuf %d: %d frame windows, want one per first-layer node (4)", c.eventBuf, len(win))
+		}
+		for i, w := range win {
+			if cap(w) != c.want {
+				t.Fatalf("EventBuf %d: leaf %d holds %d frames in flight, want %d", c.eventBuf, i, cap(w), c.want)
+			}
+		}
+	}
+}
+
 // TestReplayAndLiveShareInbox: a replayed journal entry (replayOne) and a
 // live wire frame (deliverData) of the same link class reach the same queue
 // — for rank events, the same rank inbox — in order. Replay differs from live
