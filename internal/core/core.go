@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -173,9 +174,11 @@ func (h *handler) FromPeer(peer int, msg any) {
 		case dws.Batch:
 			// Journal the wait-state subset of a coalesced batch as ONE
 			// entry, preserving intra-batch order; interleaved ping-pong is
-			// filtered out for the same reason as above. An all-ping-pong
-			// batch journals nothing.
-			if kept := filterWaitState(m); len(kept) > 0 {
+			// filtered out for the same reason as above. A batch without
+			// ping-pong journals as it is, an all-ping-pong batch nothing.
+			if kept := filterWaitState(m.Msgs); len(kept) == len(m.Msgs) {
+				h.jr.append(originPeer0-peer, kindPeer, peerMsg{From: peer, Msg: msg})
+			} else if len(kept) > 0 {
 				h.jr.append(originPeer0-peer, kindPeer,
 					peerMsg{From: peer, Msg: dws.Batch{FromNode: m.FromNode, Msgs: kept}})
 			}
@@ -185,18 +188,17 @@ func (h *handler) FromPeer(peer int, msg any) {
 	h.maybeCheckpoint()
 }
 
-// filterWaitState extracts the recoverable (wait-state) messages of one
-// coalesced peer batch for journaling.
-func filterWaitState(b dws.Batch) []any {
-	kept := make([]any, 0, len(b.Msgs))
-	for _, m := range b.Msgs {
-		switch m.(type) {
-		case dws.PassSend, dws.RecvActive, dws.RecvActiveAck:
-			kept = append(kept, m)
-		}
+// filterWaitState returns the recoverable (wait-state) messages of one
+// coalesced peer batch, by type: msgs itself when it holds no ping-pong
+// (nothing modifies a sent batch), else a copy without it.
+func filterWaitState(msgs []dws.PeerMsg) []dws.PeerMsg {
+	if !slices.ContainsFunc(msgs, isControl) {
+		return msgs
 	}
-	return kept
+	return slices.DeleteFunc(slices.Clone(msgs), isControl)
 }
+
+func isControl(m dws.PeerMsg) bool { return !m.Type.WaitState() }
 
 // Held implements tbon.Holder: the first-layer tracker's held operations,
 // which the intake bounds by EventBuf per hosted rank.

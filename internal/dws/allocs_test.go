@@ -96,3 +96,103 @@ func TestIntraNodeRoundAllocs(t *testing.T) {
 		t.Errorf("%.2f allocations per intra-node round, want 0", allocs)
 	}
 }
+
+// TestCrossNodeRoundAllocs: k rounds of Isend/Irecv between a rank of one
+// leaf and a rank of another, closed by one Waitall on each side, cross
+// the leaves as three flushes (the PassSends, the RecvActives, the
+// RecvActiveAcks), each a Batch of k messages. Once the leaves are warm a
+// cycle allocates per flushed destination (the batch's slice and its box)
+// and nothing per message: the count per flush is the same for every
+// k > 1. At k = 1 every flush is a bare message, boxed once.
+func TestCrossNodeRoundAllocs(t *testing.T) {
+	const cycles, warm = 150, 50
+	perFlush := map[int]float64{}
+	for _, k := range []int{1, 2, 8, 32} {
+		a, b := &link{}, &link{}
+		nodeFor := func(r int) int { return r / 4 }
+		na, nb := NewNode(0, []int{0, 1, 2, 3}, nodeFor, a), NewNode(1, []int{4, 5, 6, 7}, nodeFor, b)
+		na.SetBatch(true)
+		nb.SetBatch(true)
+		// Per cycle, rank 0 issues k Isends to rank 4 and a Waitall on
+		// them, rank 4 k Irecvs from rank 0 and a Waitall; built
+		// beforehand, so the measured loop only hands them to the leaves.
+		var evA, evB [][]event.Event
+		for c := 0; c < cycles; c++ {
+			ts, reqs := c*(k+1), make([]trace.ReqID, k)
+			var ea, eb []event.Event
+			for i := range reqs {
+				reqs[i] = trace.ReqID(c*k + i)
+				ea = append(ea, event.Event{Type: event.Enter, Op: trace.Op{Proc: 0, TS: ts + i, Kind: trace.Isend, Peer: 4, PeerWorld: 4, Req: reqs[i]}})
+				eb = append(eb, event.Event{Type: event.Enter, Op: trace.Op{Proc: 4, TS: ts + i, Kind: trace.Irecv, Peer: 0, PeerWorld: 0, SelfGroup: 4, Req: reqs[i]}})
+			}
+			ea = append(ea, event.Event{Type: event.Enter, Op: trace.Op{Proc: 0, TS: ts + k, Kind: trace.Waitall, Reqs: reqs}})
+			eb = append(eb, event.Event{Type: event.Enter, Op: trace.Op{Proc: 4, TS: ts + k, Kind: trace.Waitall, Reqs: reqs}})
+			evA, evB = append(evA, ea), append(evB, eb)
+		}
+		next := 0
+		cycle := func() {
+			for i := range evA[next] {
+				na.OnEventRef(&evA[next][i])
+				nb.OnEventRef(&evB[next][i])
+			}
+			next++
+			for {
+				na.FlushPeers()
+				nb.FlushPeers()
+				if len(a.q) == 0 && len(b.q) == 0 {
+					return
+				}
+				a.deliver(nb, 0)
+				b.deliver(na, 1)
+			}
+		}
+		for next < warm {
+			cycle()
+		}
+		ran, sent := next, a.flushes+b.flushes
+		allocs := testing.AllocsPerRun(cycles-warm-1, cycle)
+		flushes := float64(a.flushes+b.flushes-sent) / float64(next-ran)
+		if na.CurrentTS(0) != next*(k+1) || nb.CurrentTS(4) != next*(k+1) || na.WindowSize()+nb.WindowSize() != 0 {
+			t.Fatalf("k=%d after %d cycles: ranks at %d and %d, %d operations stored; want both at %d, none stored",
+				k, next, na.CurrentTS(0), nb.CurrentTS(4), na.WindowSize()+nb.WindowSize(), next*(k+1))
+		}
+		if s := na.Stats(); s.PassSends != k*next || s.RecvActiveAcks != k*next || nb.Stats().RecvActives != k*next {
+			t.Fatalf("k=%d: stats %+v and %+v after %d cycles, want %d of each handshake", k, s, nb.Stats(), next, k*next)
+		}
+		perFlush[k] = allocs / flushes
+		t.Logf("k=%d: %.0f allocations per cycle, %.2f per flushed destination", k, allocs, perFlush[k])
+	}
+	if perFlush[1] > 1 {
+		t.Errorf("k=1: %.2f allocations per flushed message, want at most 1", perFlush[1])
+	}
+	for k, v := range perFlush {
+		if k > 1 && (v != perFlush[2] || v > 2) {
+			t.Errorf("k=%d: %.2f allocations per flushed batch, want at most 2 and the same for every k (k=2: %.2f)",
+				k, v, perFlush[2])
+		}
+	}
+}
+
+// link is the Out of one leaf in TestCrossNodeRoundAllocs: it queues what
+// the leaf flushes for deliver to hand to the other leaf, reusing its
+// queue, so it allocates nothing once warm.
+type link struct {
+	q       []any
+	flushes int
+}
+
+func (l *link) Peer(_ int, msg any) {
+	l.q = append(l.q, msg)
+	l.flushes++
+}
+
+func (l *link) Up(any) {}
+
+// deliver hands every queued message to n, as sent by node from.
+func (l *link) deliver(n *Node, from int) {
+	for i, m := range l.q {
+		n.OnPeer(from, m)
+		l.q[i] = nil
+	}
+	l.q = l.q[:0]
+}

@@ -878,3 +878,35 @@ func TestEquivalenceWithReferenceOnRandomTraces(t *testing.T) {
 		}
 	})
 }
+
+// TestDirtyMarksPerCycle: with batching on, a destination enters the dirty
+// set with its first wait-state message of a delivery cycle; Ping and Pong
+// never put it there; and a snapshot that completes mid-cycle, clearing
+// the set, does not stop the cycle's next wait-state message to the same
+// destination from putting it back.
+func TestDirtyMarksPerCycle(t *testing.T) {
+	n := NewNode(0, []int{0, 1, 2, 3}, func(r int) int { return r / 4 }, Discard)
+	n.SetBatch(true)
+	n.sendPeer(2, PeerMsg{Type: PeerPing, Round: 1, FromNode: 0})
+	n.sendPeer(2, PeerMsg{Type: PeerPong, Round: 1, FromNode: 0})
+	if n.dirty[2] {
+		t.Fatal("ping-pong marked its destination dirty")
+	}
+	n.handshake(1, PeerMsg{Type: PeerRecvActiveAck, RecvProc: 4})
+	if !n.dirty[1] {
+		t.Fatal("a wait-state message did not mark its destination dirty")
+	}
+	n.BeginSnapshot(1)
+	if _, ok := n.BuildReports(1); !ok || n.dirty[1] {
+		t.Fatalf("completed snapshot: reported %v, dirty %v; want a report and an empty dirty set", ok, n.dirty)
+	}
+	n.handshake(1, PeerMsg{Type: PeerPassSend, SendProc: 0, Dest: 4})
+	if !n.dirty[1] {
+		t.Fatal("a wait-state message after the snapshot, in the same cycle, did not mark its destination dirty")
+	}
+	n.FlushPeers()
+	n.handshake(1, PeerMsg{Type: PeerRecvActiveAck, RecvProc: 4})
+	if !n.dirty[1] {
+		t.Fatal("dirty set lost its destination across a flush")
+	}
+}

@@ -8,6 +8,8 @@
 package dws
 
 import (
+	"fmt"
+
 	"dwst/internal/collmatch"
 	"dwst/internal/trace"
 )
@@ -53,10 +55,72 @@ type RecvActiveAck struct {
 // order between wait-state and Ping/Pong traffic is load-bearing for the
 // consistent-state protocol, so every peer message rides the same buffer).
 // Receivers unpack in order in OnPeer; senders emit it from FlushPeers when
-// batching is on.
+// batching is on. A sent batch is never modified or reused.
 type Batch struct {
 	FromNode int
-	Msgs     []any
+	Msgs     []PeerMsg
+}
+
+// PeerType says which intralayer message a PeerMsg holds.
+type PeerType uint8
+
+const (
+	PeerPassSend PeerType = iota
+	PeerRecvActive
+	PeerRecvActiveAck
+	PeerPing
+	PeerPong
+)
+
+// WaitState reports whether t is one of Figure 7's handshakes rather than
+// snapshot control (Ping, Pong).
+func (t PeerType) WaitState() bool { return t <= PeerRecvActiveAck }
+
+// PeerMsg is one intralayer message by value: Type names the message, and
+// the fields it sets carry that message's field names. Self queues,
+// per-destination buffers and Batches hold PeerMsgs; a destination's lone
+// message of a cycle travels as its bare type instead (bare).
+type PeerMsg struct {
+	Type                                     PeerType
+	Probe                                    bool
+	Comm                                     trace.CommID
+	Kind                                     trace.Kind
+	SendProc, SendTS, SrcGroup, Dest, Tag    int
+	RecvProc, RecvTS, Round, Epoch, FromNode int
+}
+
+// bare returns m as the message type it holds.
+func (m *PeerMsg) bare() any {
+	switch m.Type {
+	case PeerPassSend:
+		return PassSend{SendProc: m.SendProc, SendTS: m.SendTS, SrcGroup: m.SrcGroup, Dest: m.Dest, Tag: m.Tag, Comm: m.Comm, Kind: m.Kind, FromNode: m.FromNode}
+	case PeerRecvActive:
+		return RecvActive{SendProc: m.SendProc, SendTS: m.SendTS, RecvProc: m.RecvProc, RecvTS: m.RecvTS, FromNode: m.FromNode, Probe: m.Probe}
+	case PeerRecvActiveAck:
+		return RecvActiveAck{RecvProc: m.RecvProc, RecvTS: m.RecvTS}
+	case PeerPing:
+		return Ping{Round: m.Round, Epoch: m.Epoch, FromNode: m.FromNode}
+	default:
+		return Pong{Round: m.Round, Epoch: m.Epoch, FromNode: m.FromNode}
+	}
+}
+
+// peerMsgOf is bare's inverse: a bare intralayer message as a PeerMsg.
+func peerMsgOf(msg any) PeerMsg {
+	switch m := msg.(type) {
+	case PassSend:
+		return PeerMsg{Type: PeerPassSend, SendProc: m.SendProc, SendTS: m.SendTS, SrcGroup: m.SrcGroup, Dest: m.Dest, Tag: m.Tag, Comm: m.Comm, Kind: m.Kind, FromNode: m.FromNode}
+	case RecvActive:
+		return PeerMsg{Type: PeerRecvActive, SendProc: m.SendProc, SendTS: m.SendTS, RecvProc: m.RecvProc, RecvTS: m.RecvTS, FromNode: m.FromNode, Probe: m.Probe}
+	case RecvActiveAck:
+		return PeerMsg{Type: PeerRecvActiveAck, RecvProc: m.RecvProc, RecvTS: m.RecvTS}
+	case Ping:
+		return PeerMsg{Type: PeerPing, Round: m.Round, Epoch: m.Epoch, FromNode: m.FromNode}
+	case Pong:
+		return PeerMsg{Type: PeerPong, Round: m.Round, Epoch: m.Epoch, FromNode: m.FromNode}
+	default:
+		panic(fmt.Sprintf("dws: unexpected intralayer message %T", msg))
+	}
 }
 
 // Ping and Pong implement the double ping-pong synchronization of the

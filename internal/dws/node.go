@@ -82,7 +82,8 @@ type Node struct {
 	// acknowledgement can be in transit even when the local send operation
 	// already completed its handshake (and its rank finished), so pinging
 	// only the hosts of currently-active sends would leave a stale-report
-	// race.
+	// race. A destination is written once per delivery cycle, by its first
+	// wait-state message (peerBuf.marked).
 	dirty map[int]bool
 
 	// window statistics (Sec. 4.2 memory discussion).
@@ -96,19 +97,19 @@ type Node struct {
 	// batch, when set, coalesces intralayer traffic per destination: sendPeer
 	// buffers into pendPeer and FlushPeers (driven by the substrate at the
 	// end of each delivery cycle) ships one Batch per destination. pendDest
-	// keeps the destinations in first-touch order so the flush is
-	// deterministic and allocation-free.
+	// keeps the destinations of the cycle in first-touch order so the flush
+	// is deterministic.
 	batch    bool
-	pendPeer map[int][]any
-	pendDest []int
+	pendPeer map[int]*peerBuf
+	pendDest []*peerBuf
 
 	// self holds the peer messages this node addressed to itself, in send
-	// order and by value (selfMsg). Every exported entry point consumes them
-	// (drainSelf) before it returns, so a self-addressed handshake costs no
-	// flush, queue hop, delivery cycle or boxing, and the self link is empty
-	// at every entry-point boundary: checkpoints need not capture it and
-	// snapshots need not ping it.
-	self []selfMsg
+	// order. Every exported entry point consumes them (drainSelf) before it
+	// returns, so a self-addressed handshake costs no flush, queue hop or
+	// delivery cycle, and the self link is empty at every entry-point
+	// boundary: checkpoints need not capture it and snapshots need not ping
+	// it.
+	self []PeerMsg
 
 	// free holds reclaimed operation records for reuse by newOp. A record
 	// is reused only by newOp, which no handler holding a record can reach.
@@ -138,22 +139,14 @@ func (s Stats) Total() int {
 	return s.PassSends + s.RecvActives + s.RecvActiveAcks + s.CollReadys
 }
 
-// selfMsg is one wait-state handshake a node addressed to itself, held by
-// value in the field its kind names.
-type selfMsg struct {
-	kind selfKind
-	pass PassSend
-	act  RecvActive
-	ack  RecvActiveAck
+// peerBuf is one destination's coalesced traffic of the current delivery
+// cycle. marked records that a wait-state message of the cycle already put
+// the destination in the dirty set.
+type peerBuf struct {
+	dest   int
+	msgs   []PeerMsg
+	marked bool
 }
-
-type selfKind uint8
-
-const (
-	selfPassSend selfKind = iota
-	selfRecvActive
-	selfRecvActiveAck
-)
 
 type collKey struct {
 	comm trace.CommID
@@ -207,7 +200,7 @@ type opState struct {
 	recvProc      int
 	recvTS        int
 	recvNode      int
-	probeAcks     []RecvActive // probe requests awaiting our activation
+	probeAcks     []PeerMsg // probe RecvActives awaiting our activation
 	// comm completion (nonblocking p2p): the Rule 2/4 premise holds
 	commComplete bool
 	// collective
@@ -452,45 +445,28 @@ func (n *Node) Held() int { return n.curWindow + len(n.deferred) }
 // Frozen reports whether the transition system is frozen for a snapshot.
 func (n *Node) Frozen() bool { return n.frozen }
 
-// passSend, recvActive and recvActiveAck send one wait-state message to a
-// first-layer node, counting it in the message statistics. One to this node
-// itself joins the self queue by value; only one to a peer is boxed.
-func (n *Node) passSend(node int, m PassSend) {
-	n.stats.PassSends++
+// handshake sends one wait-state message to a first-layer node, counting
+// it in the message statistics. One to this node itself joins the self
+// queue, one to a peer that peer's buffer (sendPeer): both by value.
+func (n *Node) handshake(node int, m PeerMsg) {
+	switch m.Type {
+	case PeerPassSend:
+		n.stats.PassSends++
+	case PeerRecvActive:
+		n.stats.RecvActives++
+	default:
+		n.stats.RecvActiveAcks++
+	}
 	if node == n.id {
-		n.self = append(n.self, selfMsg{kind: selfPassSend, pass: m})
+		n.self = append(n.self, m)
 		return
 	}
-	n.toPeer(node, m)
-}
-
-func (n *Node) recvActive(node int, m RecvActive) {
-	n.stats.RecvActives++
-	if node == n.id {
-		n.self = append(n.self, selfMsg{kind: selfRecvActive, act: m})
-		return
-	}
-	n.toPeer(node, m)
-}
-
-func (n *Node) recvActiveAck(node int, m RecvActiveAck) {
-	n.stats.RecvActiveAcks++
-	if node == n.id {
-		n.self = append(n.self, selfMsg{kind: selfRecvActiveAck, ack: m})
-		return
-	}
-	n.toPeer(node, m)
-}
-
-// toPeer sends a wait-state message to another node, recording it for the
-// snapshot ping set.
-func (n *Node) toPeer(node int, msg any) {
-	setKey(&n.dirty, node, true)
-	n.sendPeer(node, msg)
+	n.sendPeer(node, m)
 }
 
 // sendPeer routes one intralayer message to another node through the
-// per-destination coalescing buffer, or straight out when batching is off.
+// per-destination coalescing buffer, flushed at once when batching is off,
+// recording a wait-state message's destination for the snapshot ping set.
 // Only the handshakes reach this node itself, through the self queue; a
 // node never pings itself, so a message to itself here is a broken
 // invariant. ALL peer traffic — wait-state messages and the snapshot
@@ -499,22 +475,28 @@ func (n *Node) toPeer(node int, msg any) {
 // them, which a Ping bypassing a buffered PassSend would break (the
 // ping-pong would "prove" a message consumed that is still sitting in this
 // node's buffer — a false-deadlock hazard).
-func (n *Node) sendPeer(node int, msg any) {
+func (n *Node) sendPeer(node int, m PeerMsg) {
 	if node == n.id {
-		panic(fmt.Sprintf("dws: node %d sent %T to itself", n.id, msg))
+		panic(fmt.Sprintf("dws: node %d sent %T to itself", n.id, m.bare()))
 	}
+	// A destination's buffer outlives the cycle: FlushPeers empties it for
+	// reuse, so the map is read, not written, once the destination is known.
+	p := n.pendPeer[node]
+	if p == nil {
+		p = &peerBuf{dest: node}
+		setKey(&n.pendPeer, node, p)
+	}
+	if len(p.msgs) == 0 {
+		n.pendDest = append(n.pendDest, p)
+	}
+	if m.Type.WaitState() && !p.marked {
+		p.marked = true
+		setKey(&n.dirty, node, true)
+	}
+	p.msgs = append(p.msgs, m)
 	if !n.batch {
-		n.out.Peer(node, msg)
-		return
+		n.FlushPeers()
 	}
-	// Dedup by buffered length, not map presence: FlushPeers retains each
-	// destination's (emptied) slice for reuse, so the key stays in the map
-	// across cycles.
-	msgs := n.pendPeer[node]
-	if len(msgs) == 0 {
-		n.pendDest = append(n.pendDest, node)
-	}
-	setKey(&n.pendPeer, node, append(msgs, msg))
 }
 
 // SetBatch switches per-destination coalescing on or off. Call before any
@@ -527,19 +509,13 @@ func (n *Node) SetBatch(on bool) { n.batch = on }
 // otherwise. The substrate calls it at the end of every cycle; recovery
 // calls it before swapping output surfaces. No-op when nothing is pending.
 func (n *Node) FlushPeers() {
-	if len(n.pendDest) == 0 {
-		return
-	}
-	for _, dest := range n.pendDest {
-		msgs := n.pendPeer[dest]
-		if len(msgs) == 1 {
-			n.out.Peer(dest, msgs[0])
+	for _, p := range n.pendDest {
+		if len(p.msgs) == 1 {
+			n.out.Peer(p.dest, p.msgs[0].bare())
 		} else {
-			n.out.Peer(dest, Batch{FromNode: n.id, Msgs: append([]any(nil), msgs...)})
+			n.out.Peer(p.dest, Batch{FromNode: n.id, Msgs: slices.Clone(p.msgs)})
 		}
-		// Keep the per-destination slice for reuse; the stale references are
-		// overwritten by the next cycle's appends.
-		n.pendPeer[dest] = msgs[:0]
+		p.msgs, p.marked = p.msgs[:0], false
 	}
 	n.pendDest = n.pendDest[:0]
 }
@@ -551,16 +527,9 @@ func (n *Node) drainSelf() {
 	for i := 0; i < len(n.self); i++ {
 		// The handlers may append to n.self: take each message out of the
 		// slice by value before handling it.
-		switch m := &n.self[i]; m.kind {
-		case selfPassSend:
-			n.handlePassSend(m.pass)
-		case selfRecvActive:
-			n.handleRecvActive(m.act)
-		case selfRecvActiveAck:
-			n.handleRecvActiveAck(m.ack)
-		}
+		m := n.self[i]
+		n.dispatch(&m)
 	}
-	clear(n.self)
 	n.self = n.self[:0]
 }
 
@@ -680,7 +649,8 @@ func (n *Node) newOp(op *trace.Op) {
 		if !kind.Blocking() {
 			o.canAdv = true
 		}
-		n.passSend(n.nodeFor(op.PeerWorld), PassSend{
+		n.handshake(n.nodeFor(op.PeerWorld), PeerMsg{
+			Type:     PeerPassSend,
 			SendProc: op.Proc, SendTS: op.TS,
 			SrcGroup: op.SelfGroup,
 			Dest:     op.PeerWorld, Tag: op.Tag, Comm: op.Comm,
@@ -766,38 +736,42 @@ func (n *Node) onCommInfo(proc, ts int, newComm trace.CommID) {
 	n.out.Up(m)
 }
 
-// OnPeer dispatches an intralayer message. Batches unpack in send order —
-// receivers understand them regardless of their own batch setting.
+// OnPeer dispatches an intralayer message: a Batch or one bare message.
+// Batches unpack in send order — receivers understand them regardless of
+// their own batch setting.
 func (n *Node) OnPeer(from int, msg any) {
-	n.onPeer(msg)
+	if b, ok := msg.(Batch); ok {
+		for i := range b.Msgs {
+			n.dispatch(&b.Msgs[i])
+		}
+	} else {
+		m := peerMsgOf(msg)
+		n.dispatch(&m)
+	}
 	n.drainSelf()
 }
 
-func (n *Node) onPeer(msg any) {
-	switch m := msg.(type) {
-	case PassSend:
+// dispatch hands one intralayer message to its handler, for OnPeer and the
+// self queue alike. It only reads m.
+func (n *Node) dispatch(m *PeerMsg) {
+	switch m.Type {
+	case PeerPassSend:
 		n.handlePassSend(m)
-	case RecvActive:
+	case PeerRecvActive:
 		n.handleRecvActive(m)
-	case RecvActiveAck:
+	case PeerRecvActiveAck:
 		n.handleRecvActiveAck(m)
-	case Ping:
-		n.sendPeer(m.FromNode, Pong{Round: m.Round, Epoch: m.Epoch, FromNode: n.id})
-	case Pong:
+	case PeerPing:
+		n.sendPeer(m.FromNode, PeerMsg{Type: PeerPong, Round: m.Round, Epoch: m.Epoch, FromNode: n.id})
+	case PeerPong:
 		n.handlePong(m)
-	case Batch:
-		for _, sub := range m.Msgs {
-			n.onPeer(sub)
-		}
-	default:
-		panic(fmt.Sprintf("dws: unexpected intralayer message %T", msg))
 	}
 }
 
 // handlePassSend is Figure 7's handler: register the send with point-to-
 // point matching; any produced match updates the receive and may trigger
 // recvActive.
-func (n *Node) handlePassSend(m PassSend) {
+func (n *Node) handlePassSend(m *PeerMsg) {
 	if last, ok := n.passSeen[m.SendProc]; ok && m.SendTS <= last {
 		return // duplicate across a crash-recovery incarnation boundary
 	}
@@ -833,7 +807,8 @@ func (n *Node) applyMatches(ms []p2pmatch.Match) {
 // sendRecvActive notifies the send-hosting node that this (matched, active)
 // receive/probe is active.
 func (n *Node) sendRecvActive(o *opState) {
-	n.recvActive(o.peerNode, RecvActive{
+	n.handshake(o.peerNode, PeerMsg{
+		Type:     PeerRecvActive,
 		SendProc: o.peerProc, SendTS: o.peerTS,
 		RecvProc: o.op.Proc, RecvTS: o.op.TS,
 		FromNode: n.id, Probe: o.op.Kind.IsProbe(),
@@ -841,21 +816,21 @@ func (n *Node) sendRecvActive(o *opState) {
 }
 
 // handleRecvActive is Figure 7's handler on the send side.
-func (n *Node) handleRecvActive(m RecvActive) {
+func (n *Node) handleRecvActive(m *PeerMsg) {
 	rs := n.rank(m.SendProc)
 	o := rs.ops.get(m.SendTS)
 	if o == nil {
 		// The send already completed its handshake and was cleaned up; a
 		// probe request can still arrive afterwards. Ack directly: the send
 		// was certainly active.
-		n.recvActiveAck(m.FromNode, RecvActiveAck{RecvProc: m.RecvProc, RecvTS: m.RecvTS})
+		n.handshake(m.FromNode, PeerMsg{Type: PeerRecvActiveAck, RecvProc: m.RecvProc, RecvTS: m.RecvTS})
 		return
 	}
 	if m.Probe {
 		if o.active {
-			n.recvActiveAck(m.FromNode, RecvActiveAck{RecvProc: m.RecvProc, RecvTS: m.RecvTS})
+			n.handshake(m.FromNode, PeerMsg{Type: PeerRecvActiveAck, RecvProc: m.RecvProc, RecvTS: m.RecvTS})
 		} else {
-			o.probeAcks = append(o.probeAcks, m)
+			o.probeAcks = append(o.probeAcks, *m)
 		}
 		return
 	}
@@ -871,7 +846,7 @@ func (n *Node) handleRecvActive(m RecvActive) {
 // completeSendHandshake acknowledges the receive and marks the send's
 // premise satisfied.
 func (n *Node) completeSendHandshake(rs *rankState, o *opState) {
-	n.recvActiveAck(o.recvNode, RecvActiveAck{RecvProc: o.recvProc, RecvTS: o.recvTS})
+	n.handshake(o.recvNode, PeerMsg{Type: PeerRecvActiveAck, RecvProc: o.recvProc, RecvTS: o.recvTS})
 	o.commComplete = true
 	if o.op.Kind.Blocking() {
 		o.canAdv = true
@@ -881,7 +856,7 @@ func (n *Node) completeSendHandshake(rs *rankState, o *opState) {
 }
 
 // handleRecvActiveAck is Figure 7's handler on the receive side.
-func (n *Node) handleRecvActiveAck(m RecvActiveAck) {
+func (n *Node) handleRecvActiveAck(m *PeerMsg) {
 	rs := n.rank(m.RecvProc)
 	o := rs.ops.get(m.RecvTS)
 	if o == nil {
@@ -996,7 +971,7 @@ func (n *Node) activate(rs *rankState, o *opState) {
 		}
 	case kind.IsSend():
 		for _, pa := range o.probeAcks {
-			n.recvActiveAck(pa.FromNode, RecvActiveAck{RecvProc: pa.RecvProc, RecvTS: pa.RecvTS})
+			n.handshake(pa.FromNode, PeerMsg{Type: PeerRecvActiveAck, RecvProc: pa.RecvProc, RecvTS: pa.RecvTS})
 		}
 		o.probeAcks = nil
 		if o.gotRecvActive {

@@ -58,14 +58,14 @@ func (n *Node) Checkpoint() *Memento {
 		match:       n.match.Clone(),
 		coll:        n.coll.Clone(),
 		collOps:     cloneOpRefs(n.collOps),
-		ackedEarly:  cloneBoolMap(n.ackedEarly),
+		ackedEarly:  maps.Clone(n.ackedEarly),
 		lastEpoch:   n.lastEpoch,
-		deadPeers:   cloneBoolMap(n.deadPeers),
+		deadPeers:   maps.Clone(n.deadPeers),
 		readySent:   cloneReadys(n.readySent),
 		membersSent: append([]collmatch.Member(nil), n.membersSent...),
-		deadRanks:   cloneBoolMap(n.deadRanks),
-		passSeen:    cloneIntMap(n.passSeen),
-		dirty:       cloneBoolMap(n.dirty),
+		deadRanks:   maps.Clone(n.deadRanks),
+		passSeen:    maps.Clone(n.passSeen),
+		dirty:       maps.Clone(n.dirty),
 		curWindow:   n.curWindow,
 		maxWindow:   n.maxWindow,
 		retiredOps:  n.retiredOps,
@@ -81,14 +81,14 @@ func (n *Node) Restore(m *Memento) {
 	n.match = m.match.Clone()
 	n.coll = m.coll.Clone()
 	n.collOps = cloneOpRefs(m.collOps)
-	n.ackedEarly = cloneBoolMap(m.ackedEarly)
+	n.ackedEarly = maps.Clone(m.ackedEarly)
 	n.lastEpoch = m.lastEpoch
-	n.deadPeers = cloneBoolMap(m.deadPeers)
+	n.deadPeers = maps.Clone(m.deadPeers)
 	n.readySent = cloneReadys(m.readySent)
 	n.membersSent = append([]collmatch.Member(nil), m.membersSent...)
-	n.deadRanks = cloneBoolMap(m.deadRanks)
-	n.passSeen = cloneIntMap(m.passSeen)
-	n.dirty = cloneBoolMap(m.dirty)
+	n.deadRanks = maps.Clone(m.deadRanks)
+	n.passSeen = maps.Clone(m.passSeen)
+	n.dirty = maps.Clone(m.dirty)
 	n.curWindow = m.curWindow
 	n.maxWindow = m.maxWindow
 	n.retiredOps = m.retiredOps
@@ -150,22 +150,6 @@ func (w *window) clone() window {
 			c.probeAcks = slices.Clone(o.probeAcks)
 			cp.slots[i] = &c
 		}
-	}
-	return cp
-}
-
-func cloneIntMap(m map[int]int) map[int]int {
-	cp := make(map[int]int, len(m))
-	for k, v := range m {
-		cp[k] = v
-	}
-	return cp
-}
-
-func cloneBoolMap[K comparable](m map[K]bool) map[K]bool {
-	cp := make(map[K]bool, len(m))
-	for k, v := range m {
-		cp[k] = v
 	}
 	return cp
 }

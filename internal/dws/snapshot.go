@@ -52,7 +52,7 @@ func (n *Node) BeginSnapshot(epoch int) {
 		}
 		if _, ok := n.snap.outstanding[peer]; !ok {
 			n.snap.outstanding[peer] = 1
-			n.sendPeer(peer, Ping{Round: 1, Epoch: epoch, FromNode: n.id})
+			n.sendPeer(peer, PeerMsg{Type: PeerPing, Round: 1, Epoch: epoch, FromNode: n.id})
 		}
 	}
 	for peer := range n.dirty {
@@ -70,7 +70,7 @@ func (n *Node) BeginSnapshot(epoch int) {
 }
 
 // handlePong advances the double ping-pong with one peer.
-func (n *Node) handlePong(m Pong) {
+func (n *Node) handlePong(m *PeerMsg) {
 	if n.snap == nil || m.Epoch != n.snap.epoch {
 		return // stale pong from an aborted attempt
 	}
@@ -80,7 +80,7 @@ func (n *Node) handlePong(m Pong) {
 	}
 	if m.Round == 1 {
 		n.snap.outstanding[m.FromNode] = 2
-		n.sendPeer(m.FromNode, Ping{Round: 2, Epoch: m.Epoch, FromNode: n.id})
+		n.sendPeer(m.FromNode, PeerMsg{Type: PeerPing, Round: 2, Epoch: m.Epoch, FromNode: n.id})
 		return
 	}
 	delete(n.snap.outstanding, m.FromNode)
@@ -181,6 +181,9 @@ func (n *Node) resume(clearDirty bool) {
 	n.snap = nil
 	if clearDirty {
 		clear(n.dirty)
+		for _, p := range n.pendDest {
+			p.marked = false // the cycle's next wait-state message marks again
+		}
 	}
 	for i := range n.ranks {
 		n.tryAdvance(&n.ranks[i])

@@ -159,6 +159,10 @@ type RunStats struct {
 	// honest overload flag (overflow despite backpressure; implies partial).
 	MemBudget  int64 `json:"mem_budget,omitempty"`
 	Overloaded bool  `json:"overloaded,omitempty"`
+	// FinalUnverified marks a partial run whose after-the-application
+	// detection gave up (Report.FinalUnverified): beside Overloaded and
+	// UnknownRanks, the third reason Partial can be set.
+	FinalUnverified bool `json:"final_unverified,omitempty"`
 	// Interrupted marks a run torn down before its natural end (signal,
 	// cancel, deadline): the verdict reflects what was known at teardown,
 	// not a completed analysis.
@@ -200,6 +204,7 @@ func StatsFor(wl string, procs int, mode, transport string, rep *must.Report) Ru
 		DroppedResults:   rep.DroppedResults,
 		MemBudget:        rep.MemBudget,
 		Overloaded:       rep.Overloaded,
+		FinalUnverified:  rep.FinalUnverified,
 	}
 }
 

@@ -229,11 +229,11 @@ func populate(v reflect.Value) {
 // cmd_smoke_test.go and bench/serve.go decode: a fully populated report
 // flattens to exactly these keys (the schema before Report and RunStats
 // shared their counters struct, minus the retired "batch", plus
-// "window_high_water").
+// "window_high_water" and "final_unverified").
 func TestStatsSchemaKeySet(t *testing.T) {
 	const want = "abandoned_frames bytes_on_wire codec_errors dead_last_calls dead_ranks deadlock " +
 		"deadlocked detections dropped_events dropped_results elapsed_ms engine_deviations " +
-		"engine_verdicts failure_blocked gated_waits interrupted journal_high_water lost_messages " +
+		"engine_verdicts failure_blocked final_unverified gated_waits interrupted journal_high_water lost_messages " +
 		"mem_budget mem_high_water mode overflow_events overloaded partial potential_only procs " +
 		"queue_bytes_hw queue_depth_hw reconnects recoveries replay_ms replayed_msgs " +
 		"respawn_backoff_ms retransmits shipped_journal_entries snapshot_retries stalled_ranks " +
@@ -257,5 +257,34 @@ func TestStatsSchemaKeySet(t *testing.T) {
 	sort.Strings(keys)
 	if g := strings.Join(keys, " "); g != want {
 		t.Fatalf("stats JSON keys changed:\n got %s\nwant %s", g, want)
+	}
+}
+
+// TestStatsSplitPartialCauses: a partial report says why it is partial.
+// A final detection that gave up and an overloaded tool plane each set
+// their own key beside "partial", and neither sets the other's.
+func TestStatsSplitPartialCauses(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		rep  must.Report
+		key  string
+	}{
+		{"final unverified", must.Report{Partial: true, FinalUnverified: true}, "final_unverified"},
+		{"overloaded", must.Report{Partial: true, Overloaded: true}, "overloaded"},
+	} {
+		b, err := json.Marshal(StatsFor("clean", 4, "distributed", "chan", &c.rep))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got map[string]any
+		if err := json.Unmarshal(b, &got); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{"partial", "final_unverified", "overloaded"} {
+			want := k == "partial" || k == c.key
+			if v, _ := got[k].(bool); v != want {
+				t.Errorf("%s: %q = %v, want %v", c.name, k, got[k], want)
+			}
+		}
 	}
 }

@@ -237,6 +237,11 @@ func envCost(msg any) int64 {
 	return envCostOverhead + c
 }
 
+// batchSlot prices one message of a dws.Batch by its type, as msgCost
+// prices the bare message; control riding a batch still occupies its slot.
+// It spans every byte value, so a malformed type off the wire costs 0.
+var batchSlot = [256]int64{dws.PeerPassSend: 96, dws.PeerRecvActive: 80, dws.PeerRecvActiveAck: 48, dws.PeerPing: 32, dws.PeerPong: 32}
+
 func msgCost(msg any) int64 {
 	switch m := msg.(type) {
 	// Control lane: snapshot/epoch control, supervision, collective
@@ -255,12 +260,8 @@ func msgCost(msg any) int64 {
 		return 48
 	case dws.Batch:
 		c := int64(64)
-		for _, inner := range m.Msgs {
-			mc := msgCost(inner)
-			if mc == 0 {
-				mc = 32 // control riding a batch still occupies the slice slot
-			}
-			c += mc + 16
+		for i := range m.Msgs {
+			c += batchSlot[m.Msgs[i].Type] + 16
 		}
 		return c
 	case dws.WaitReport:

@@ -39,10 +39,15 @@ func TestMsgCostLanes(t *testing.T) {
 }
 
 func TestMsgCostBatchAndFrames(t *testing.T) {
-	b := dws.Batch{Msgs: []any{dws.PassSend{}, dws.Ping{}}}
+	b := dws.Batch{Msgs: []dws.PeerMsg{{Type: dws.PeerPassSend}, {Type: dws.PeerPing}}}
 	want := int64(64) + (96 + 16) + (32 + 16) // base + PassSend slot + control slot
 	if c := msgCost(b); c != want {
 		t.Errorf("batch cost %d, want %d", c, want)
+	}
+	// A type no sender writes (a corrupt payload off the wire) prices its
+	// slot alone instead of panicking.
+	if c := msgCost(dws.Batch{Msgs: []dws.PeerMsg{{Type: 255}}}); c != 64+16 {
+		t.Errorf("batch of an unknown type costs %d, want %d", c, 64+16)
 	}
 	// A transport frame must price like its payload: the reliable layer
 	// wrapping a message does not change what it costs to buffer.

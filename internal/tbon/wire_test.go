@@ -4,9 +4,40 @@ import (
 	"reflect"
 	"testing"
 
+	"dwst/internal/dws"
 	"dwst/internal/event"
 	"dwst/internal/fault"
+	"dwst/internal/trace"
 )
+
+// TestCodecBatchRoundTrip: a typed peer batch holding every intralayer
+// message type, each with every field it uses set, crosses the TCP
+// payload codec inside a data frame unchanged, and so does a bare
+// singleton.
+func TestCodecBatchRoundTrip(t *testing.T) {
+	b := dws.Batch{FromNode: 3, Msgs: []dws.PeerMsg{
+		{Type: dws.PeerPassSend, SendProc: 12, SendTS: 7, SrcGroup: 2, Dest: 5, Tag: 9,
+			Comm: trace.CommID(4), Kind: trace.Isend, FromNode: 3},
+		{Type: dws.PeerRecvActive, SendProc: 5, SendTS: 1, RecvProc: 13, RecvTS: 8, FromNode: 3, Probe: true},
+		{Type: dws.PeerRecvActiveAck, RecvProc: 6, RecvTS: 11},
+		{Type: dws.PeerPing, Round: 2, Epoch: 4, FromNode: 3},
+		{Type: dws.PeerPong, Round: 1, Epoch: 4, FromNode: 3},
+	}}
+	for _, msg := range []any{b, dws.PassSend{SendProc: 12, SendTS: 7, Dest: 5, Kind: trace.Send, FromNode: 3}} {
+		in := wireData{From: 3, To: 9, FromG: 7, Class: fault.PeerLink, Seq: 42, Msg: msg}
+		blob, err := encodePayload(in)
+		if err != nil {
+			t.Fatalf("encode %T: %v", msg, err)
+		}
+		out, err := decodePayload(blob)
+		if err != nil {
+			t.Fatalf("decode %T: %v", msg, err)
+		}
+		if !reflect.DeepEqual(out, in) {
+			t.Fatalf("round trip of %T:\n got %+v\nwant %+v", msg, out, in)
+		}
+	}
+}
 
 // TestNewNetRefusesBadGeometry: the TCP fabric needs a coordinator-local
 // root (two or more first-layer nodes) and between one worker and one per
