@@ -34,14 +34,15 @@ allocs:
 
 # The seeded fault-injection sweep only (190 adversarial runs), plus the
 # topology-change races, the request window, the shared node wake, the
-# wake protocol (each raiser of a parked loop's token, and a killed node
-# dispatching nothing), exact quiescence and the intake hold's liveness
+# wake protocol (each raiser of an idle node, and a killed node
+# dispatching nothing), the run queue (no node stepped twice at once, no
+# replacement stepped before it is armed), exact quiescence and the intake hold's liveness
 # and window bound five times over, the progress watchdog's stall
 # classification 20 times, and the simulator's mismatched-root broadcast
 # 300 times.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestTransport|TestCrash|TestTopology' ./internal/fault/ ./internal/tbon/
-	$(GO) test -race -count=5 -run 'TestRequestWindow|TestRequestRecordsFreedByWait|TestNodeWake|TestWakeFor|TestKilledNodeDispatchesNothing|TestQuiescenceIsExact' ./internal/dws/ ./internal/tbon/
+	$(GO) test -race -count=5 -run 'TestRequestWindow|TestRequestRecordsFreedByWait|TestNodeWake|TestWakeFor|TestKilledNodeDispatchesNothing|TestQuiescenceIsExact|TestNodeStepsNeverOverlap|TestReplacementNotSteppedBeforeArm' ./internal/dws/ ./internal/tbon/
 	$(GO) test -race -count=5 -run 'TestHold' ./internal/tbon/ ./must/
 	$(GO) test -race -count=20 -run 'TestChaos.*Stall|Watchdog' ./internal/fault/ ./internal/detect/
 	$(GO) test -race -count=300 -run TestCollectiveRootMismatchReported ./must/
@@ -65,9 +66,11 @@ service-soak:
 
 # Resource-governance shard: governor unit tests, the budget-equivalence
 # chaos sweep, tiny-budget degradation drills, the stalled-consumer memory
-# bound, and the overload-abort leak churn.
+# bound, and the overload-abort leak churn; then the two burst-gate drills
+# five times over.
 overload:
 	$(GO) test -race -count=1 -run 'TestOverload|TestWireTCPBackpressure|TestMsgCost|TestGovernor|TestAdmitIntake|TestSendqByteCap' ./internal/fault/ ./internal/tbon/
+	$(GO) test -race -count=5 -run 'TestOverloadTinyBudgetDegradesHonestly|TestOverloadStalledConsumerBoundsMemory' ./internal/fault/
 
 # The benchmark harness is a nested module (bench/go.mod) that tier-1 does
 # not compile: vet it and run its unit tests against this tree. The

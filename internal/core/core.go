@@ -715,7 +715,7 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 			res.AbortCause = appErr
 			res.PotentialOnly = res.Deadlock && appErr == nil
 			res.DroppedResults = root.DroppedResults()
-			tree.Stop() // idempotent; quiesces node loops and the supervisor
+			tree.Stop() // idempotent; quiesces the workers and the supervisor
 			leafMu.Lock()
 			leaves := make([]*dws.Node, 0, len(slotLeaf))
 			for _, l := range slotLeaf {
@@ -734,7 +734,7 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 			}
 			res.ReplayedMsgs = int(replayedMsgs.Load())
 			res.ReplayTime = time.Duration(replayNanos.Load())
-			// Safe after the tree stopped: node goroutines are quiescent.
+			// Safe after the tree stopped: its workers are quiescent.
 			for _, l := range leaves {
 				res.ToolMessages.Add(l.Stats())
 			}
@@ -878,7 +878,7 @@ func finalDetect(root *detect.Root, tree *tbon.Tree, rootNode *tbon.Node, deadli
 }
 
 // windowHighWater reads the per-node window statistics after the tree
-// stopped; the caller guarantees node loops are quiescent.
+// stopped; the caller guarantees the tree's workers are quiescent.
 func windowHighWater(tree *tbon.Tree, leaves []*dws.Node) int {
 	tree.Stop()
 	max := 0

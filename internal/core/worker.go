@@ -100,7 +100,7 @@ func RunWorker(addr string, worker int, opts WorkerOptions) error {
 
 	// The final report folds every local leaf's tool-layer numbers into the
 	// coordinator's result; the factory below registers leaves as it builds
-	// them. ServeWorker calls this only after all node loops quiesced.
+	// them. ServeWorker calls this only after the tree's workers quiesced.
 	var mu sync.Mutex
 	var leaves []*dws.Node
 	cfg.Net.FinalStats = func() (dws.Stats, int) {

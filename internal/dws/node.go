@@ -167,7 +167,7 @@ type rankState struct {
 	// creating holds each Comm_dup/Comm_split call with the (parent
 	// communicator, wave) it ran in, until the rank's CommInfo event for that
 	// call was consumed. The window entry cannot serve: the collective's Ack
-	// can overtake the trailing CommInfo (different links into the node loop)
+	// can overtake the trailing CommInfo (different links into the node)
 	// and retires the operation first.
 	creating []creation
 	done     bool // returned from the program (Done event)

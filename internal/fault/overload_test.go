@@ -167,7 +167,12 @@ func TestOverloadTinyBudgetDegradesHonestly(t *testing.T) {
 // tool-plane bytes must stay inside the budget unless honestly flagged
 // overloaded, the intake gate must have engaged, and the process heap must
 // stay inside a modest envelope. A burst gate (burstGate) holds the
-// consumers until the first burst alone fills the budget.
+// consumers until the first burst alone fills the budget. The intake's
+// per-slot hold is set above the program's whole run (a slot's two ranks
+// make about 440 calls), so the ranks meet the governor's gate and
+// not the hold: at the default bound the hold had parked 14–16 of the 16
+// ranks by the time the gate engaged, and whether any rank was left to
+// wait at the gate depended on scheduling.
 func TestOverloadStalledConsumerBoundsMemory(t *testing.T) {
 	const budget = int64(64 << 10)
 
@@ -198,6 +203,7 @@ func TestOverloadStalledConsumerBoundsMemory(t *testing.T) {
 		FanIn:     2,
 		Timeout:   30 * time.Millisecond,
 		LinkDelay: 2 * time.Millisecond,
+		EventBuf:  1 << 10,
 		MemBudget: budget,
 		Fault:     burstGate(budget),
 	})

@@ -8,10 +8,10 @@ import (
 
 // This file is the rank → first-layer intake: each first-layer slot has one
 // rankInbox, a FIFO of application events held by value. Ranks append
-// under the inbox's mutex and raise the hosting node's wake token on the
-// empty → non-empty edge; the node takes up to maxEventDrain envelopes per
-// wake in place, without copying them out, and drops them at the end of
-// the delivery cycle that dispatched them (settle).
+// under the inbox's mutex and raise the hosting node (Node.raise) on the
+// empty → non-empty edge; the node's step takes up to maxEventDrain
+// envelopes in place, without copying them out, and drops them at the end
+// of the delivery cycle that dispatched them (settle).
 //
 // What the intake bounds is the trace window, not a number of slots. A
 // rank's next call (its Enter event) waits — the hold — while the slot
@@ -45,7 +45,7 @@ import (
 const DefaultEventBuf = 128
 
 // rankChunkLen is the envelopes one intake chunk stores. A node takes at
-// most one chunk's worth per wake.
+// most one chunk's worth per step.
 const rankChunkLen = maxEventDrain
 
 // rankChunk is a fixed block of the inbox's FIFO. Chunks come from
@@ -67,7 +67,7 @@ type rankInbox struct {
 	n          int        // envelopes appended and not yet settled
 	took       int        // envelopes the current cycle took from head
 	sunk       bool       // the slot's node died for good: puts fail
-	ready      chan struct{}
+	node       *Node      // the slot's current node, raised on the edge
 
 	// The hold. bound is EventBuf × hosted ranks, lo its low water mark;
 	// window is the tracker's record count at the last cycle end; waiting
@@ -82,8 +82,8 @@ type rankInbox struct {
 	wake      sync.Cond
 }
 
-func (in *rankInbox) init(bound int, ready chan struct{}) {
-	in.bound, in.lo, in.ready = bound, bound-bound/4, ready
+func (in *rankInbox) init(bound int, node *Node) {
+	in.bound, in.lo, in.node = bound, bound-bound/4, node
 	in.wake.L = &in.mu
 }
 
@@ -115,10 +115,10 @@ func (in *rankInbox) put(t *Tree, n *Node, env *rankEnvelope, hold bool) bool {
 	in.w++
 	in.n++
 	first := in.n-in.took == 1
-	ready := in.ready // a respawn rebinds it under in.mu
+	node := in.node // a respawn rebinds it under in.mu
 	in.mu.Unlock()
 	if first {
-		signal(ready)
+		node.raise()
 	}
 	return true
 }
@@ -154,8 +154,8 @@ func (in *rankInbox) await(t *Tree, n *Node) bool {
 }
 
 // take returns up to max queued envelopes, in place in the head chunk, for
-// the node goroutine to dispatch; the cycle's settle drops them. It
-// re-raises the wake token when more remain.
+// the node's step to dispatch; the cycle's settle drops them. It re-raises
+// the node when more remain.
 func (in *rankInbox) take(max int) []rankEnvelope {
 	in.mu.Lock()
 	if in.head == nil {
@@ -172,7 +172,7 @@ func (in *rankInbox) take(max int) []rankEnvelope {
 	more := in.n > k
 	in.mu.Unlock()
 	if more {
-		signal(in.ready)
+		in.node.raise()
 	}
 	return s
 }
@@ -265,16 +265,12 @@ func (t *Tree) releaseHolds(overrun bool) {
 	}
 }
 
-// rebind hands the slot's intake to a replacement node, waking it when
-// envelopes wait.
-func (in *rankInbox) rebind(ready chan struct{}) {
+// rebind hands the slot's intake to a replacement node before its first
+// step, which serves what waits.
+func (in *rankInbox) rebind(node *Node) {
 	in.mu.Lock()
-	in.ready = ready
-	pending := in.n > 0
+	in.node = node
 	in.mu.Unlock()
-	if pending {
-		signal(ready)
-	}
 }
 
 // sink empties the inbox of a node that died for good and fails every

@@ -154,8 +154,8 @@ func (nopHandler) FromPeer(int, any)  {}
 func (nopHandler) Control(any)        {}
 
 // TestTreeBuildIsCheapWithoutFaultPlan pins what decides the tool tail at
-// scale: without a fault plan or link delay a tree costs one goroutine per
-// node and no pump, and building the 1024-leaf tree allocates under 2 MB
+// scale: without a fault plan or link delay a started tree costs at most
+// GOMAXPROCS worker goroutines, none per node, and no pump, and building the 1024-leaf tree allocates under 2 MB
 // (17 MB when every mailbox slot was a whole envelope and every link a
 // pumped channel pair). Stop returns every goroutine.
 func TestTreeBuildIsCheapWithoutFaultPlan(t *testing.T) {
@@ -172,9 +172,9 @@ func TestTreeBuildIsCheapWithoutFaultPlan(t *testing.T) {
 		tr.Start(func(n *Node) Handler { return nopHandler{} })
 		runtime.ReadMemStats(&m1)
 		started := runtime.NumGoroutine() - before
-		if started > tr.NumNodes()+slack {
-			t.Errorf("%d leaves: %d goroutines for %d nodes — pumps running without a fault plan?",
-				tc.leaves, started, tr.NumNodes())
+		if procs := runtime.GOMAXPROCS(0); started > procs+slack {
+			t.Errorf("%d leaves: %d goroutines for %d nodes at GOMAXPROCS %d — a goroutine per node, or pumps without a fault plan?",
+				tc.leaves, started, tr.NumNodes(), procs)
 		}
 		if got := m1.TotalAlloc - m0.TotalAlloc; got > tc.maxBytes {
 			t.Errorf("%d leaves: New+Start allocated %d bytes, want under %d", tc.leaves, got, tc.maxBytes)

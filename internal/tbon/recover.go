@@ -45,7 +45,7 @@ func (t *Tree) faultLink(gid int, class fault.Class) *fault.Link {
 }
 
 // respawn rebuilds a crashed first-layer node in place. Runs on the
-// supervisor goroutine once reap saw the old loop stop dispatching, so the
+// supervisor goroutine once reap saw the old node stop dispatching, so the
 // write-ahead journal holds its final dispatch.
 func (t *Tree) respawn(old *Node) {
 	var neu *Node
@@ -58,14 +58,13 @@ func (t *Tree) respawn(old *Node) {
 	})
 
 	// Rebuild the tool layer. The handler factory performs journal replay
-	// synchronously, before the loop starts, so no live message can
+	// synchronously, before the first step, so no live message can
 	// interleave with replayed ones. Messages arriving meanwhile buffer in
-	// the fresh queues.
+	// the fresh queues, and their raises find the node not yet armed.
 	neu.handler = t.mkHandler(neu)
 	t.arm(neu)
-	neu.rank.rebind(neu.ready)
-	t.wg.Add(1)
-	go neu.loop()
+	neu.rank.rebind(neu)
+	t.rq.push(neu)
 	t.recoveries.Add(1)
 	close(old.respawned)
 	if t.cfg.OnNodeRecovered != nil {

@@ -8,7 +8,7 @@ import (
 // This file implements tool-node crash injection and reaping. A node is
 // reaped because it was killed, never because it went quiet: Kill closes
 // the node's dead channel and, on a tree with a fault plan, wakes the
-// supervisor. Reaping waits until the node's loop has stopped dispatching
+// supervisor. Reaping waits until the node has stopped dispatching
 // (bounded by wedgedAfter), then respawns it (first layer, with recovery)
 // or splices it out of the topology: children reattach to the grandparent,
 // unacknowledged frames migrate to the new links, and the death is
@@ -19,12 +19,13 @@ import (
 // placeholders the coordinator kills when it degrades a worker are never
 // reaped here.
 
-// wedgedAfter bounds how long reaping waits for a killed node's loop to
-// stop dispatching. A loop still running past it is wedged mid-dispatch:
-// its slot degrades instead of being respawned (DESIGN §9).
+// wedgedAfter bounds how long reaping waits for a killed node to stop
+// dispatching. A step still running past it is wedged mid-dispatch, and
+// holds its worker: its slot degrades instead of being respawned (DESIGN
+// §9).
 const wedgedAfter = time.Second
 
-// Kill crashes the node immediately: its loop stops processing messages
+// Kill crashes the node immediately: it stops processing messages
 // and, on a tree with a fault plan, the supervisor reaps it. Used by crash
 // timers, the TCP coordinator's degrade and tests.
 func (n *Node) Kill() {
@@ -34,7 +35,7 @@ func (n *Node) Kill() {
 	n.deadOnce.Do(func() {
 		n.killed.Store(true)
 		close(n.dead)
-		signal(n.ready) // nil on a placeholder: no loop to wake
+		n.raise() // a placeholder or an unarmed node stays queued: no-op
 		if n.rank != nil {
 			n.rank.release(false) // held ranks learn of the death
 		}
@@ -49,8 +50,8 @@ func (n *Node) Kill() {
 func (n *Node) Dead() bool { return n.killed.Load() }
 
 // startCrashTimers schedules the plan's node crashes: a timer kills the
-// node at its deadline, and the node's loop kills itself at the end of its
-// first delivery cycle past it (crashAt) when the timer runs late. A crash
+// node at its deadline, and the node kills itself at the end of its first
+// delivery cycle past it (crashAt) when the timer runs late. A crash
 // due before the application ends thus lands before the node serves more
 // of the final detection than one delivery cycle.
 func (t *Tree) startCrashTimers() {
@@ -96,7 +97,7 @@ func (t *Tree) supervise() {
 	}
 }
 
-// reap handles one node death, once: after the node's loop stopped
+// reap handles one node death, once: after the node stopped
 // dispatching it respawns the node or splices it out of the topology,
 // migrates unacknowledged frames, and notifies the tool. Reaping a live
 // node (tests do) kills it first.
@@ -116,7 +117,7 @@ func (t *Tree) reap(n *Node) {
 	// First-layer nodes are respawned exactly when recovery is enabled and
 	// their final dispatch is complete (the write-ahead journal is whole
 	// only then); the slot keeps working and nothing below runs. A wedged
-	// loop falls through to honest degradation, waking any injector
+	// step falls through to honest degradation, waking any injector
 	// blocked on the slot's fate first.
 	if n.layer == 0 && stopped && t.recoveryEnabled() {
 		t.respawn(n)

@@ -7,8 +7,10 @@
 //
 //   - per-link FIFO: messages between any (sender, receiver) pair arrive in
 //     send order — upward, downward, and on intralayer links;
-//   - every node processes its messages in a single goroutine, so handler
-//     state needs no locking;
+//   - every node processes its messages one step at a time: the tree's
+//     GOMAXPROCS workers drain one run queue of nodes with work, and a node
+//     is stepped by at most one of them at a time, so handler state needs
+//     no locking;
 //   - tool-internal links never deadlock: they are queues that accept
 //     unboundedly, so cyclic intralayer flows (A→B while B→A) cannot wedge
 //     the tool.
@@ -41,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -80,7 +83,7 @@ type Config struct {
 	LinkDelay time.Duration
 	// Batch enables hot-path batching: a node takes a slab of up to maxSlab
 	// queued messages from each queue per delivery cycle instead of one,
-	// node loops drain already-queued rank events opportunistically, and the
+	// node steps drain already-queued rank events opportunistically, and the
 	// reliable transport acknowledges once per slab instead of once per
 	// frame. Handlers implementing Flusher are flushed at the end of every
 	// delivery cycle. Off by default: direct tbon users get the one-message-
@@ -115,8 +118,8 @@ type Config struct {
 	MemBudget int64
 }
 
-// Handler is the per-node tool logic. All methods run on the node's
-// goroutine.
+// Handler is the per-node tool logic. A node's methods run one at a time,
+// inside its steps (see Node.step).
 type Handler interface {
 	// FromRank delivers an application event from a hosted rank
 	// (first-layer nodes only).
@@ -151,12 +154,12 @@ type Holder interface {
 }
 
 // Flusher is an optional Handler extension. When the handler implements it,
-// Flush runs on the node goroutine at the end of every delivery cycle —
-// after a whole slab, event batch, or single message was dispatched, and
-// before the loop can observe quit or a crash. Handlers that coalesce
-// outgoing traffic (see internal/dws) emit it here; the ordering guarantee
-// means a crashed node has always emitted the output of every input it
-// processed, which the journal-replay recovery contract relies on.
+// Flush runs at the end of every delivery cycle — after a whole slab, event
+// batch, or single message was dispatched, and before the step can observe
+// a crash. Handlers that coalesce outgoing traffic (see internal/dws) emit
+// it here; the ordering guarantee means a crashed node has always emitted
+// the output of every input it processed, which the journal-replay
+// recovery contract relies on.
 type Flusher interface {
 	Flush()
 }
@@ -186,10 +189,9 @@ const maxSlab = 128
 
 // queue is an unbounded FIFO link: senders enqueue without ever blocking
 // permanently, and the receiving node takes up to a slab of envelopes per
-// delivery cycle. Admitted envelopes wait in pending. ready is the receiving
-// node's wake token, shared by all of its queues: it carries one token
-// while some pending is non-empty, so the node loop has a single receive
-// arm for all its tool links however the envelopes got there.
+// delivery cycle. Admitted envelopes wait in pending; the empty → non-empty
+// edge raises the receiving node (Node.raise), which queues it for a step
+// that serves all its tool links however the envelopes got there.
 //
 // Without a fault link and without a simulated link delay — every run but
 // the chaos suites and the LinkDelay experiments — send appends to pending
@@ -210,16 +212,15 @@ type queue struct {
 	mu      sync.Mutex
 	pending []envelope // pending[head:] waits; empty means len 0
 	head    int
-	sunk    bool          // the receiver died: deliveries retire at once
-	ready   chan struct{} // the receiver's wake token (Node.ready)
+	sunk    bool  // the receiver died: deliveries retire at once
+	to      *Node // the receiver, raised on the edge
 
 	stage chan envelope // pump intake; nil when there is nothing to pump
 }
 
-// initQueue readies q, a zero queue, as a link into the node that ready
-// wakes.
-func initQueue(q *queue, t *Tree, fl *fault.Link, class int, ready chan struct{}) *queue {
-	q.t, q.class, q.ready = t, class, ready
+// initQueue readies q, a zero queue, as a link into node to.
+func initQueue(q *queue, t *Tree, fl *fault.Link, class int, to *Node) *queue {
+	q.t, q.class, q.to = t, class, to
 	delay := t.cfg.LinkDelay
 	if fl == nil && delay == 0 {
 		return q
@@ -259,7 +260,7 @@ func (q *queue) charge(e envelope, copies int) {
 }
 
 // deliver appends (already charged) envelopes to pending and raises the
-// token on the empty → non-empty edge.
+// receiver on the empty → non-empty edge.
 func (q *queue) deliver(envs ...envelope) {
 	q.mu.Lock()
 	if q.sunk {
@@ -271,22 +272,13 @@ func (q *queue) deliver(envs ...envelope) {
 	q.pending = append(q.pending, envs...)
 	q.mu.Unlock()
 	if wasEmpty {
-		signal(q.ready)
-	}
-}
-
-// signal raises a node's wake token; never blocks.
-func signal(ready chan struct{}) {
-	select {
-	case ready <- struct{}{}:
-	default:
+		q.to.raise()
 	}
 }
 
 // takeSlab moves up to max pending envelopes into dst (reusing its storage)
-// in FIFO order, re-raising the token when some remain. Called by the
-// receiving node after it took the token; an empty queue yields an empty
-// slab.
+// in FIFO order, re-raising the receiver when some remain. Called by the
+// receiving node's step; an empty queue yields an empty slab.
 func (q *queue) takeSlab(dst []envelope, max int) []envelope {
 	q.mu.Lock()
 	live := q.pending[q.head:]
@@ -307,7 +299,7 @@ func (q *queue) takeSlab(dst []envelope, max int) []envelope {
 	}
 	q.mu.Unlock()
 	if rest > 0 {
-		signal(q.ready)
+		q.to.raise()
 	}
 	return dst
 }
@@ -432,20 +424,19 @@ type Node struct {
 	gid   int // global node id, unique across layers
 	// local reports whether this node runs in this process (always true
 	// without a TCP fabric). Remote nodes are topology placeholders: no
-	// queues, no loop, no handler — frames addressed to them cross the wire.
+	// queues, no steps, no handler — frames addressed to them cross the wire.
 	local bool
+	// run is the node's run state (runIdle…runRaised); next links it on the
+	// tree's run queue.
+	run  atomic.Int32
+	next *Node
 
 	rank      *rankInbox // app events (layer 0; the slot's, see intake.go)
 	fromBelow *queue     // tool messages from children / self
 	fromAbove *queue     // broadcasts from parent
 	fromPeer  *queue     // intralayer (layer 0)
-	// ready is the wake token the queues and the rank inbox share
-	// (capacity 1): raised on any one's empty → non-empty edge, and by a
-	// slab that left envelopes behind. One wake serves them all
-	// (dispatchQueues).
-	ready   chan struct{}
-	control chan envelope
-	// slab is the node goroutine's scratch for one delivery cycle's
+	control   chan envelope
+	// slab is the step's scratch for one delivery cycle's
 	// envelopes (see queue.takeSlab); taken counts the cycle's counted
 	// envelopes, retired together when the cycle ends, and enters the
 	// cycle's Enter events (the intake's settle).
@@ -455,21 +446,21 @@ type Node struct {
 
 	handler Handler
 	// flusher and rankHandler cache the handler's optional extensions (set
-	// alongside handler, before the loop starts). rankHandler is non-nil
+	// alongside handler, before the node's first step). rankHandler is non-nil
 	// only with batching on: off reproduces the boxed legacy delivery.
 	flusher     Flusher
 	rankHandler RankEventHandler
 	holder      Holder
 
 	// rsq resequences reliable frames per incoming directed link, made by
-	// the first one (rseq); it is touched only by the node goroutine.
+	// the first one (rseq); it is touched only by the node's steps.
 	rsq map[linkKey]*reseq
 
 	// ackPend accumulates the per-link cumulative acknowledgements of one
 	// delivery cycle, flushed in one transport pass at cycle end (batching
 	// with reliable transport only; nil means every frame acks immediately).
 	// ackKeys mirrors the map keys so the flush allocates nothing. Both are
-	// touched only by the node goroutine.
+	// touched only by the node's steps.
 	ackPend map[linkKey]uint64
 	ackKeys []linkKey
 
@@ -481,16 +472,16 @@ type Node struct {
 	killed   atomic.Bool
 	deadOnce sync.Once
 	// crashAt is the earliest planned crash of this incarnation (zero:
-	// none), set before its loop starts. The loop also checks it at the
-	// end of each delivery cycle, so a crash timer that fires late under
+	// none), set before its first step. Each step also checks it at the
+	// end of its delivery cycle, so a crash timer that fires late under
 	// load cannot move the crash past the node's next dispatch.
 	crashAt time.Time
 	// reaped marks that the supervisor already handled this death.
 	reaped atomic.Bool
 
-	// stopped is closed once the node's loop stopped dispatching: when it
-	// exits, or when a killed node's queues are sunk (bury). Reaping waits
-	// on it, so neither a splice nor journal replay races a limping zombie.
+	// stopped is closed once a killed node stopped dispatching: when its
+	// queues are sunk (bury). Reaping waits on it, so neither a splice nor
+	// journal replay races a limping zombie.
 	stopped chan struct{}
 	// respawned is closed once the slot's fate after a crash is settled:
 	// either a replacement took over the slot (InjectEvent retries against
@@ -528,12 +519,14 @@ func (t *Tree) initNode(n *Node, layer, index, gid int, local bool, qs []queue) 
 	n.dead = make(chan struct{})
 	n.stopped = make(chan struct{})
 	n.respawned = make(chan struct{})
+	// Not runnable until armed: raises find it queued, and Start or
+	// respawn queues it once its handler is set.
+	n.run.Store(runQueued)
 	if local {
-		n.ready = make(chan struct{}, 1)
-		n.fromBelow = initQueue(&qs[0], t, t.faultLink(gid, fault.UpLink), govUp, n.ready)
-		n.fromAbove = initQueue(&qs[1], t, t.faultLink(gid, fault.DownLink), govDown, n.ready)
+		n.fromBelow = initQueue(&qs[0], t, t.faultLink(gid, fault.UpLink), govUp, n)
+		n.fromAbove = initQueue(&qs[1], t, t.faultLink(gid, fault.DownLink), govDown, n)
 		if layer == 0 {
-			n.fromPeer = initQueue(&qs[2], t, t.faultLink(gid, fault.PeerLink), govPeer, n.ready)
+			n.fromPeer = initQueue(&qs[2], t, t.faultLink(gid, fault.PeerLink), govPeer, n)
 		}
 	}
 }
@@ -542,8 +535,8 @@ func (t *Tree) initNode(n *Node, layer, index, gid int, local bool, qs []queue) 
 // each (layer, index) slot, each slot's up-link receiver and children, and
 // on the TCP fabric the node each gid names. A published value is never
 // written again, nor is any field of a published Node but its atomics, its
-// channels and what its own goroutine owns (the handler, set before the
-// loop starts): readers take one load (Tree.shape) and no lock, and every
+// channels and what its steps own (the handler, set before the first
+// step): readers take one load (Tree.shape) and no lock, and every
 // change publishes an edited clone through Tree.retopo.
 type topology struct {
 	layers   [][]*Node   // layers[l][i]: the node in slot (l, i)
@@ -657,6 +650,7 @@ type Tree struct {
 	// nil without a fault plan, where no supervisor runs.
 	kills chan struct{}
 
+	rq   runQueue
 	quit chan struct{}
 	wg   sync.WaitGroup
 
@@ -664,7 +658,7 @@ type Tree struct {
 	stopOnce  sync.Once
 }
 
-// New builds the tree topology (without starting node loops). It panics on
+// New builds the tree topology (without starting its workers). It panics on
 // invalid configuration; trees with a TCP fabric should prefer NewNet,
 // which surfaces network setup as an error.
 func New(cfg Config) *Tree {
@@ -678,7 +672,7 @@ func New(cfg Config) *Tree {
 // NewNet builds the tree topology like New, returning configuration and
 // network setup problems (a busy listen address, a bad role) as errors.
 // With Config.Net set, only this process's local nodes get queues and
-// loops; the rest of the topology is placeholders the fabric routes past.
+// steps; the rest of the topology is placeholders the fabric routes past.
 func NewNet(cfg Config) (*Tree, error) {
 	if cfg.Leaves <= 0 {
 		panic("tbon: Leaves must be positive")
@@ -721,6 +715,7 @@ func NewNet(cfg Config) (*Tree, error) {
 		return layer == 0 && ownerOfLeaf(idx, width0, nc.Workers) == nc.Worker
 	}
 	t := &Tree{cfg: cfg, quit: make(chan struct{}), idleCh: make(chan struct{}, 1), born: time.Now()}
+	t.rq.cond.L = &t.rq.mu
 	t.gov = newGovernor(cfg.MemBudget)
 	if cfg.Fault != nil {
 		t.injector = fault.NewInjector(cfg.Fault)
@@ -780,7 +775,7 @@ func NewNet(cfg Config) (*Tree, error) {
 				if nodes[i].local {
 					hosted := min(cfg.FanIn, cfg.Leaves-i*cfg.FanIn)
 					nodes[i].rank = &inboxes[0]
-					nodes[i].rank.init(cfg.EventBuf*hosted, nodes[i].ready)
+					nodes[i].rank.init(cfg.EventBuf*hosted, nodes[i])
 					inboxes = inboxes[1:]
 				}
 				continue
@@ -821,7 +816,7 @@ func (t *Tree) slabCap() int {
 	return 1
 }
 
-// arm finishes a node's handler wiring before its loop starts: the cached
+// arm finishes a node's handler wiring before its first step: the cached
 // Flusher and, when batching rides the reliable transport, the per-cycle
 // acknowledgement accumulator.
 func (t *Tree) arm(n *Node) {
@@ -837,14 +832,15 @@ func (t *Tree) arm(n *Node) {
 	}
 }
 
-// Start launches one goroutine per node (plus, with a fault plan, the
-// retransmission scanner, crash timers and the supervisor that reaps killed
-// nodes).
+// Start launches the tree's workers, GOMAXPROCS of them at most (plus, with
+// a fault plan, the retransmission scanner, crash timers and the supervisor
+// that reaps killed nodes), and queues every local node for its first step.
 // mkHandler constructs the handler for each node before any message flows.
 func (t *Tree) Start(mkHandler func(n *Node) Handler) {
 	t.startOnce.Do(func() {
 		t.mkHandler = mkHandler
 		layers := t.shape.Load().layers
+		local := 0
 		for _, layer := range layers {
 			for _, n := range layer {
 				if !n.local {
@@ -852,18 +848,21 @@ func (t *Tree) Start(mkHandler func(n *Node) Handler) {
 				}
 				n.handler = mkHandler(n)
 				t.arm(n)
+				local++
 			}
 		}
 		if t.cfg.Fault != nil {
-			t.startCrashTimers() // before the loops: they read crashAt
+			t.startCrashTimers() // before the first steps: they read crashAt
+		}
+		for range min(runtime.GOMAXPROCS(0), local) {
+			t.wg.Add(1)
+			go t.worker()
 		}
 		for _, layer := range layers {
 			for _, n := range layer {
-				if !n.local {
-					continue
+				if n.local {
+					t.rq.push(n)
 				}
-				t.wg.Add(1)
-				go n.loop()
 			}
 		}
 		if t.transport != nil {
@@ -877,7 +876,7 @@ func (t *Tree) Start(mkHandler func(n *Node) Handler) {
 	})
 }
 
-// Stop terminates all node loops and pumps and waits for them. With a
+// Stop terminates the workers and pumps and waits for them. With a
 // coordinator fabric it first asks every reachable worker to stop and
 // collects their final reports (see WorkerFinals), then tears the fabric
 // down.
@@ -892,20 +891,13 @@ func (t *Tree) Stop() {
 	}
 }
 
-// halt closes quit and wakes every local node of the published shape, held
-// ranks included, to see it. Every close of quit goes through here: a node
-// loop parks on its wake token alone, so a close nothing signals would
-// leave it parked. Callers run it once (stopOnce, or a tree never
-// returned).
+// halt closes quit and the run queue, whose workers leave after the step
+// they are in, and wakes held ranks to see it; it wakes no node. Every
+// close of quit goes through here. Callers run it once (stopOnce, or a
+// tree never returned).
 func (t *Tree) halt() {
 	close(t.quit)
-	for _, layer := range t.shape.Load().layers {
-		for _, n := range layer {
-			if n.local {
-				signal(n.ready)
-			}
-		}
-	}
+	t.rq.close()
 	t.releaseHolds(false)
 }
 
@@ -1141,7 +1133,7 @@ func (t *Tree) Control(n *Node, msg any) {
 	t.admit(1)
 	select {
 	case n.control <- envelope{msg: msg}:
-		signal(n.ready)
+		n.raise()
 	case <-t.quit:
 	}
 }
@@ -1233,53 +1225,134 @@ func (t *Tree) transmit(target *Node, class fault.Class, env envelope) {
 	t.net.sendData(env)
 }
 
-// loop is the node's message pump. It parks on its one wake token, which
-// every input raises: the queues and the rank inbox on their empty →
-// non-empty edge, Control, Kill and the close of quit (Tree.halt). A wake
-// checks, in order, the node's death, quit, one control message (served as
-// its own delivery cycle, after which the token goes up again for whatever
-// else is pending), and otherwise serves the queues. A wake without work
-// ends an empty cycle.
-func (n *Node) loop() {
-	defer n.tree.wg.Done()
-	quit := n.tree.quit
-	// A replacement started after quit closed finds the token raised.
-	signal(n.ready)
+// Run states of a local node (Node.run). A node is on the run queue at most
+// once and stepped by at most one worker at a time.
+const (
+	runIdle    int32 = iota // no work known: a raise queues it
+	runQueued               // on the run queue, or not yet armed
+	runRunning              // a worker is stepping it
+	runRaised               // raised during its step: requeued after it
+)
+
+// runQueue is the tree's FIFO of local nodes with work, linked through
+// Node.next and drained by the workers (Tree.worker).
+type runQueue struct {
+	mu         sync.Mutex
+	cond       sync.Cond // a worker waits here while the queue is empty
+	head, tail *Node
+	idle       int  // workers waiting on cond
+	closed     bool // halt: workers leave, pushes are dropped
+}
+
+func (q *runQueue) push(n *Node) {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return
+	}
+	n.next = nil
+	if q.tail == nil {
+		q.head = n
+	} else {
+		q.tail.next = n
+	}
+	q.tail = n
+	wake := q.idle > 0
+	q.mu.Unlock()
+	if wake {
+		q.cond.Signal()
+	}
+}
+
+// pop waits for the next node to step; nil once the queue closed.
+func (q *runQueue) pop() *Node {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.head == nil && !q.closed {
+		q.idle++
+		q.cond.Wait()
+		q.idle--
+	}
+	if q.closed {
+		return nil
+	}
+	n := q.head
+	q.head = n.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	return n
+}
+
+func (q *runQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.cond.Broadcast()
+}
+
+// raise tells the node it has work: the queues and the rank inbox on their
+// empty → non-empty edge and on a slab that left a rest, Control and Kill.
+// An idle node is queued; one being stepped is requeued after its step, so
+// no raise is lost and a backlogged node goes to the tail. Never blocks.
+func (n *Node) raise() {
 	for {
-		<-n.ready
-		if n.killed.Load() {
-			n.bury()
+		switch s := n.run.Load(); {
+		case s == runQueued || s == runRaised:
 			return
-		}
-		// Two one-case selects, each a non-blocking receive that reads an
-		// empty channel without locking it.
-		select {
-		case <-quit:
-			close(n.stopped)
+		case s == runIdle && n.run.CompareAndSwap(runIdle, runQueued):
+			n.tree.rq.push(n)
 			return
-		default:
-		}
-		select {
-		case env := <-n.control:
-			n.taken++
-			n.handler.Control(env.msg)
-			signal(n.ready)
-		default:
-			n.dispatchQueues()
-		}
-		n.endCycle()
-		if !n.crashAt.IsZero() && !time.Now().Before(n.crashAt) {
-			n.Kill()
-			n.bury()
+		case s == runRunning && n.run.CompareAndSwap(runRunning, runRaised):
 			return
 		}
 	}
 }
 
-// dispatchQueues serves one wake: a slab from each non-empty tool-link
+// worker is one of the tree's workers: it steps the nodes the run queue
+// hands it until halt closes the queue.
+func (t *Tree) worker() {
+	defer t.wg.Done()
+	for n := t.rq.pop(); n != nil; n = t.rq.pop() {
+		n.run.Store(runRunning)
+		n.step()
+		if !n.run.CompareAndSwap(runRunning, runIdle) {
+			n.run.Store(runQueued)
+			t.rq.push(n)
+		}
+	}
+}
+
+// step is one delivery cycle of the node. It checks, in order, the node's
+// death, one control message (served as its own cycle, after which the
+// node raises itself for whatever else is pending), and otherwise serves
+// the queues. A step without work ends an empty cycle.
+func (n *Node) step() {
+	if n.killed.Load() {
+		n.bury()
+		return
+	}
+	// A non-blocking receive, which reads an empty channel without locking
+	// it.
+	select {
+	case env := <-n.control:
+		n.taken++
+		n.handler.Control(env.msg)
+		n.raise()
+	default:
+		n.dispatchQueues()
+	}
+	n.endCycle()
+	if !n.crashAt.IsZero() && !time.Now().Before(n.crashAt) {
+		n.Kill()
+		n.bury()
+	}
+}
+
+// dispatchQueues serves one step: a slab from each non-empty tool-link
 // queue, always in the order peer, parent, children, then (first layer)
 // one of rank events, in one delivery cycle. A source that keeps envelopes
-// back re-raises the token, so the next wake serves it again, and no
+// back re-raises the node, so its next step serves it again, and no
 // source waits behind another's backlog for more than one slab.
 func (n *Node) dispatchQueues() {
 	if n.fromPeer != nil {
@@ -1296,9 +1369,9 @@ func (n *Node) dispatchQueues() {
 // then the handler's coalesced output, settle the rank inbox (drop the
 // dispatched events, publish the handler's held records, wake held ranks),
 // then retire the cycle's envelopes — last, so everything they caused is
-// counted before they stop counting. Runs before the loop can observe
-// quit or a crash, so a dead node has always emitted the output of every
-// input it dispatched.
+// counted before they stop counting. Runs before the step can observe a
+// crash, so a dead node has always emitted the output of every input it
+// dispatched.
 func (n *Node) endCycle() {
 	n.flushAcks()
 	if n.flusher != nil {
@@ -1316,34 +1389,39 @@ func (n *Node) endCycle() {
 	n.taken = 0
 }
 
-// bury retires what a crashed node will never take: its queues become
-// drains (deliver retires what arrives), which ends its dispatching, and,
-// unless a replacement will adopt them (recovery), its rank inbox is sunk
-// and its control channel drained until the tree stops.
+// bury retires what a crashed node will never take: on its first call its
+// queues become drains (deliver retires what arrives), which ends its
+// dispatching. Unless a replacement will adopt them (recovery), its rank
+// inbox is sunk, and this call and every later one (each raise steps the
+// dead node again) drain its control channel without blocking.
 func (n *Node) bury() {
-	for _, q := range []*queue{n.fromBelow, n.fromAbove, n.fromPeer} {
-		if q == nil {
-			continue // interior nodes have no peer queue
+	select {
+	case <-n.stopped:
+	default:
+		for _, q := range []*queue{n.fromBelow, n.fromAbove, n.fromPeer} {
+			if q == nil {
+				continue // interior nodes have no peer queue
+			}
+			q.mu.Lock()
+			q.sunk = true
+			pend := len(q.pending) - q.head
+			q.pending, q.head = nil, 0
+			q.mu.Unlock()
+			n.tree.retire(int64(pend))
 		}
-		q.mu.Lock()
-		q.sunk = true
-		pend := len(q.pending) - q.head
-		q.pending, q.head = nil, 0
-		q.mu.Unlock()
-		n.tree.retire(int64(pend))
+		close(n.stopped)
+		if n.rank != nil && !n.tree.recoveryEnabled() {
+			n.tree.retire(int64(n.rank.sink()))
+		}
 	}
-	close(n.stopped)
 	if n.tree.recoveryEnabled() {
 		return
-	}
-	if n.rank != nil {
-		n.tree.retire(int64(n.rank.sink()))
 	}
 	for {
 		select {
 		case <-n.control:
 			n.tree.retire(1)
-		case <-n.tree.quit:
+		default:
 			return
 		}
 	}

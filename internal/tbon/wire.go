@@ -92,8 +92,8 @@ type NetConfig struct {
 	// the default identity assignment would address retired gids.
 	LeafGids []int
 	// FinalStats, on workers, supplies the tool-layer numbers for the final
-	// report sent to the coordinator at shutdown. Called after all node
-	// loops have stopped.
+	// report sent to the coordinator at shutdown. Called after the tree's
+	// workers have stopped.
 	FinalStats func() (stats dws.Stats, windowHighWater int)
 
 	// session carries the established handshake from DialWorkerResume into the

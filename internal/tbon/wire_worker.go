@@ -317,7 +317,7 @@ func (t *Tree) ServeWorker() error {
 	case <-t.quit:
 	}
 	t.stopOnce.Do(t.halt)
-	t.wg.Wait() // node loops and scanner quiesce before final stats
+	t.wg.Wait() // workers and scanner quiesce before final stats
 	if reason == nil && fab.shuttingDown.Load() {
 		fin := WorkerFinal{Worker: fab.nc.Worker, Counters: t.Counters()}
 		if fab.nc.FinalStats != nil {
