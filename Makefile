@@ -67,10 +67,11 @@ service-soak:
 # Resource-governance shard: governor unit tests, the budget-equivalence
 # chaos sweep, tiny-budget degradation drills, the stalled-consumer memory
 # bound, and the overload-abort leak churn; then the two burst-gate drills
-# five times over.
+# five and twenty times over.
 overload:
-	$(GO) test -race -count=1 -run 'TestOverload|TestWireTCPBackpressure|TestMsgCost|TestGovernor|TestAdmitIntake|TestSendqByteCap' ./internal/fault/ ./internal/tbon/
+	$(GO) test -race -count=1 -run 'TestOverload|TestWireTCPBackpressure|TestMsgCost|TestGovernor|TestSendqByteCap' ./internal/fault/ ./internal/tbon/
 	$(GO) test -race -count=5 -run 'TestOverloadTinyBudgetDegradesHonestly|TestOverloadStalledConsumerBoundsMemory' ./internal/fault/
+	$(GO) test -race -count=20 -run 'TestOverloadTinyBudgetDegradesHonestly|TestOverloadStalledConsumerBoundsMemory' ./internal/fault/
 
 # The benchmark harness is a nested module (bench/go.mod) that tier-1 does
 # not compile: vet it and run its unit tests against this tree. The

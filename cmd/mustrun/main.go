@@ -278,8 +278,8 @@ func main() {
 		}
 	}
 	if rep.MemBudget > 0 {
-		fmt.Printf("governance: budget=%d high-water=%d overflow=%d gated-waits=%d\n",
-			rep.MemBudget, rep.MemHighWater, rep.OverflowEvents, rep.GatedWaits)
+		fmt.Printf("governance: budget=%d high-water=%d overflow=%d held-waits=%d\n",
+			rep.MemBudget, rep.MemHighWater, rep.OverflowEvents, rep.HeldWaits)
 		if rep.Overloaded {
 			fmt.Printf("OVERLOADED: the tool plane exhausted its memory budget; %d event(s) were counted as overflow and the report is PARTIAL\n",
 				rep.OverflowEvents)

@@ -753,10 +753,9 @@ func Run(procs int, prog mpisim.Program, cfg Options) *Report {
 			}
 			res.ReplayedMsgs += int(res.ShippedJournalEntries)
 			res.ReplayTime += tree.WireReplayTime()
-			// Budget exhaustion despite backpressure is honest degradation:
-			// the run is marked Overloaded, and the report Partial — results
-			// may be incomplete because the tool shed load rather than grow
-			// without bound.
+			// Budget exhaustion is honest degradation: the run is marked
+			// Overloaded, and the report Partial — results may be incomplete
+			// because the tool shed load rather than grow without bound.
 			if res.OverflowEvents > 0 {
 				res.Overloaded = true
 				res.Partial = true

@@ -90,15 +90,16 @@ type Options struct {
 	// Distributed mode only; mutually exclusive with Fault — over real
 	// sockets the adversary is the wire.
 	Net *NetOptions
-	// MemBudget bounds resident tool-plane buffer bytes per process: dws
-	// data traffic is byte-accounted across the tool's internal queues (and
-	// TCP send buffers), backpressure propagates to the rank → tool intake
-	// when buffers approach the budget, and genuine exhaustion (a stalled
-	// link pinning frames) degrades the run honestly — Report.Overloaded +
-	// Partial — instead of growing without limit. Control traffic
-	// (snapshot/epoch control, supervision) is never charged or gated, so
-	// supervision cannot be starved. 0 selects DefaultMemBudget;
-	// there is no unbounded mode. Distributed mode only.
+	// MemBudget is the tool-plane buffer bytes per process the run may hold
+	// before it calls itself overloaded: dws data traffic is byte-accounted
+	// across the tool's internal queues (and TCP send buffers), and
+	// exhaustion (a stalled link pinning frames) degrades the run honestly
+	// — Report.Overloaded + Partial — instead of going unreported. The
+	// budget makes no rank wait (EventBuf's hold does); it caps only each
+	// TCP send buffer, at a quarter of the budget (1 MiB at least). Control
+	// traffic (snapshot/epoch control, supervision) is never charged. 0
+	// selects DefaultMemBudget; there is no unbounded mode. Distributed
+	// mode only.
 	MemBudget int64
 
 	// TrackCallSites records the application source line of every MPI call

@@ -4,8 +4,8 @@ package fault_test
 // generous default budget, every verdict under link-fault chaos must be
 // exactly the fault-free reference — governance is pure accounting;
 // with a tiny budget or a stalled consumer, the tool must degrade honestly
-// — bounded resident bytes, gated intake, counted overflow, an overloaded
-// PARTIAL report — and never OOM, never hang, never drop silently.
+// — held intake, counted overflow, an overloaded PARTIAL report — and
+// never OOM, never hang, never drop silently.
 
 import (
 	"reflect"
@@ -78,15 +78,16 @@ func TestOverloadBudgetEquivalence(t *testing.T) {
 }
 
 // burstGate returns a fault plan that holds every tool link's consumer
-// behind a gate until the data-lane messages the tree admitted fill three
-// quarters of budget — the level at which the governor engages its intake
-// gate. Until then each data-lane message stalls its link for gateFor, so
-// nothing is delivered (or released) while the first burst of wait-state
-// traffic piles up, and the pressure is there however fast or slow the
-// scheduler runs the ranks; past that the rule matches nothing. The bytes
-// are counted low (dataCost), so the governor's own count is past the mark
-// when the gate opens. Retransmission is off: the gate drops nothing, and a
-// held frame must not be resent.
+// behind a gate while the first burst of wait-state traffic piles up: each
+// data-lane message stalls its link for gateFor until the messages the tree
+// admitted fill a quarter of budget (counted low, dataCost); past that the
+// rule matches nothing. A stalled link delivers (and releases) nothing, and
+// what the ranks send meanwhile queues behind it, so the pressure is there
+// however fast or slow the scheduler runs the ranks. The mark only decides
+// how long the gate stays shut: every matched message re-extends its
+// link's stall, so a later mark means more stalls, not more pressure (at
+// the whole budget both drills took four times as long). Retransmission
+// is off: the gate drops nothing, and a held frame must not be resent.
 func burstGate(budget int64) *must.FaultPlan {
 	const gateFor = 300 * time.Millisecond
 	var admitted atomic.Int64
@@ -97,7 +98,7 @@ func burstGate(budget int64) *must.FaultPlan {
 			StallFor:   gateFor,
 			Match: func(msg any) bool {
 				c := dataCost(msg)
-				return c > 0 && admitted.Add(c)-c < budget*3/4
+				return c > 0 && admitted.Add(c)-c < budget/4
 			},
 		}},
 	}
@@ -118,10 +119,11 @@ func dataCost(msg any) int64 {
 }
 
 // TestOverloadTinyBudgetDegradesHonestly starves the governor: a budget of
-// a few KB forces the intake gate shut and drives tool-internal traffic
-// over the limit. A burst gate (burstGate) makes the pressure. The run must still terminate with the full deadlock
-// verdict — overflow is accounting, not dropping — and any overflow must
-// surface as the overloaded PARTIAL flag pair, never silently.
+// a few KB drives tool-internal traffic over the limit. A burst gate
+// (burstGate) makes the pressure. The run must still terminate with the
+// full deadlock verdict — overflow is accounting, not dropping — and any
+// overflow must surface as the overloaded PARTIAL flag pair, never
+// silently.
 func TestOverloadTinyBudgetDegradesHonestly(t *testing.T) {
 	// A ring that churns before deadlocking, over links that crawl: the
 	// churn must transit a tool plane allowed only a few KB of residency.
@@ -147,8 +149,8 @@ func TestOverloadTinyBudgetDegradesHonestly(t *testing.T) {
 			t.Fatalf("budget=%d: deadlock=%v deadlocked=%v (starvation must throttle, not lose events)",
 				budget, rep.Deadlock, rep.Deadlocked)
 		}
-		if rep.GatedWaits == 0 && rep.OverflowEvents == 0 {
-			t.Fatalf("budget=%d: no gated waits and no overflow — the tiny budget never bound", budget)
+		if rep.OverflowEvents == 0 {
+			t.Fatalf("budget=%d: no overflow — the tiny budget never bound", budget)
 		}
 		if rep.OverflowEvents > 0 && (!rep.Overloaded || !rep.Partial) {
 			t.Fatalf("budget=%d: %d overflow events but overloaded=%v partial=%v",
@@ -165,14 +167,10 @@ func TestOverloadTinyBudgetDegradesHonestly(t *testing.T) {
 // on every tool-internal pump — the slow-consumer stall). Without
 // governance the queues soak up the whole event stream; with it, resident
 // tool-plane bytes must stay inside the budget unless honestly flagged
-// overloaded, the intake gate must have engaged, and the process heap must
-// stay inside a modest envelope. A burst gate (burstGate) holds the
-// consumers until the first burst alone fills the budget. The intake's
-// per-slot hold is set above the program's whole run (a slot's two ranks
-// make about 440 calls), so the ranks meet the governor's gate and
-// not the hold: at the default bound the hold had parked 14–16 of the 16
-// ranks by the time the gate engaged, and whether any rank was left to
-// wait at the gate depended on scheduling.
+// overloaded, the intake's hold must have parked a rank, and the process
+// heap must stay inside a modest envelope. A burst gate (burstGate) holds
+// the consumers while the first burst piles up, so the slots' trackers
+// fall behind and the hold, at its default bound, parks the ranks.
 func TestOverloadStalledConsumerBoundsMemory(t *testing.T) {
 	const budget = int64(64 << 10)
 
@@ -203,7 +201,6 @@ func TestOverloadStalledConsumerBoundsMemory(t *testing.T) {
 		FanIn:     2,
 		Timeout:   30 * time.Millisecond,
 		LinkDelay: 2 * time.Millisecond,
-		EventBuf:  1 << 10,
 		MemBudget: budget,
 		Fault:     burstGate(budget),
 	})
@@ -216,8 +213,8 @@ func TestOverloadStalledConsumerBoundsMemory(t *testing.T) {
 	if rep.Deadlock {
 		t.Fatalf("governance invented a deadlock on a clean workload: %v", rep.Deadlocked)
 	}
-	if rep.GatedWaits == 0 {
-		t.Fatal("the stall never engaged the intake gate — the drill exerted no pressure")
+	if rep.HeldWaits == 0 {
+		t.Fatal("the stall never held a rank at the intake — the drill exerted no pressure")
 	}
 	if rep.MemHighWater <= 0 {
 		t.Fatal("no memory high water recorded under stall")

@@ -129,8 +129,9 @@ type RunStats struct {
 	// Counters are the report's tool-plane counters as they are: transport
 	// and TCP-fabric activity, recoveries and worker respawns, and the
 	// resource-governance accounting (peak resident tool-plane bytes of any
-	// process, budget-exhausted admissions, gated intake waits, per-link-class
-	// up/down/peer/wire depth and byte high-water marks).
+	// process, budget-exhausted admissions, per-link-class up/down/peer/wire
+	// depth and byte high-water marks), and the ranks' waits in the intake
+	// hold.
 	must.Counters
 	DroppedEvents    int   `json:"dropped_events"`
 	SnapshotRetries  int   `json:"snapshot_retries"`

@@ -229,11 +229,12 @@ func populate(v reflect.Value) {
 // cmd_smoke_test.go and bench/serve.go decode: a fully populated report
 // flattens to exactly these keys (the schema before Report and RunStats
 // shared their counters struct, minus the retired "batch", plus
-// "window_high_water" and "final_unverified").
+// "window_high_water" and "final_unverified", and "held_waits" in place
+// of the retired intake gate's wait count).
 func TestStatsSchemaKeySet(t *testing.T) {
 	const want = "abandoned_frames bytes_on_wire codec_errors dead_last_calls dead_ranks deadlock " +
 		"deadlocked detections dropped_events dropped_results elapsed_ms engine_deviations " +
-		"engine_verdicts failure_blocked final_unverified gated_waits interrupted journal_high_water lost_messages " +
+		"engine_verdicts failure_blocked final_unverified held_waits interrupted journal_high_water lost_messages " +
 		"mem_budget mem_high_water mode overflow_events overloaded partial potential_only procs " +
 		"queue_bytes_hw queue_depth_hw reconnects recoveries replay_ms replayed_msgs " +
 		"respawn_backoff_ms retransmits shipped_journal_entries snapshot_retries stalled_ranks " +

@@ -163,13 +163,14 @@ type Counters struct {
 	WorkerRespawns        uint64 `json:"worker_respawns"`
 	ShippedJournalEntries uint64 `json:"shipped_journal_entries"`
 	// Resource-governor accounting: MemHighWater is the peak resident
-	// tool-plane buffer bytes of any single process, OverflowEvents counts
-	// budget-exhausted admissions and GatedWaits the intake admissions that
-	// had to wait for backpressure. QueueDepthHW / QueueBytesHW are
-	// per-link-class (up/down/peer/wire) high-water marks.
+	// tool-plane buffer bytes of any single process and OverflowEvents
+	// counts budget-exhausted admissions. QueueDepthHW / QueueBytesHW are
+	// per-link-class (up/down/peer/wire) high-water marks. HeldWaits counts
+	// the times a rank's Enter event parked in the in-process intake hold
+	// (intake.go); TCP-hosted ranks are never held.
 	MemHighWater   int64            `json:"mem_high_water,omitempty"`
 	OverflowEvents uint64           `json:"overflow_events,omitempty"`
-	GatedWaits     uint64           `json:"gated_waits,omitempty"`
+	HeldWaits      uint64           `json:"held_waits,omitempty"`
 	QueueDepthHW   map[string]int64 `json:"queue_depth_hw,omitempty"`
 	QueueBytesHW   map[string]int64 `json:"queue_bytes_hw,omitempty"`
 }
@@ -186,7 +187,7 @@ func (c *Counters) Fold(o Counters) {
 	c.WorkerRespawns += o.WorkerRespawns
 	c.ShippedJournalEntries += o.ShippedJournalEntries
 	c.OverflowEvents += o.OverflowEvents
-	c.GatedWaits += o.GatedWaits
+	c.HeldWaits += o.HeldWaits
 	if o.MemHighWater > c.MemHighWater {
 		c.MemHighWater = o.MemHighWater
 	}

@@ -2,39 +2,33 @@ package tbon
 
 // This file is the tool plane's resource governor: byte accounting for
 // every unbounded tool-internal buffer, rolled into one global budget, with
-// credit-style backpressure toward the rank → leaf intake and honest
-// overflow accounting when backpressure cannot help.
+// honest overflow accounting when a buffer outgrows it.
 //
 // The design splits tool traffic into two lanes:
 //
 //   - the control lane — snapshot/epoch control (Ping/Pong, Request*,
 //     AbortSnapshot), supervision traffic (PeerDown, RankDown) and
 //     collective resynchronization — is small, protocol-bounded, and always
-//     admitted free of charge. Supervision and epoch recovery can therefore
-//     never be starved by the governor, which is what makes the scheme
-//     deadlock-free by construction;
+//     admitted free of charge, so the governor never starves supervision or
+//     epoch recovery;
 //   - the data lane — dws wait-state traffic (PassSend, RecvActive,
 //     RecvActiveAck, their Batch coalescing), collective aggregation
 //     (Member/Ready/Ack) and wait reports — is charged byte-estimates while
 //     resident in a queue or wire buffer.
 //
-// Tool-internal sends are never blocked either: a cyclic intralayer flow
-// (A→B while B→A) must keep draining, so over-budget admissions are counted
-// as overflow instead of refused — "never OOM, never a silent drop" becomes
-// "bounded by backpressure, and honestly flagged overloaded when a pinned
-// link defeats it". The only party the governor ever blocks is the
-// application-side intake (Tree.InjectEvent / injectRemote), which is exactly
-// the party the intake's hold already throttles per slot: when resident data-lane
-// bytes cross the gate-engage threshold, ranks stop injecting until the
-// tree drains back below the reopen threshold. The TCP fabric's per-leaf
-// rank-event window (fab.win) is the per-link instance of the same credit
-// mechanism; the governor adds the global byte-denominated one.
+// The governor blocks nobody. Tool-internal sends must not block (a cyclic
+// intralayer flow, A→B while B→A, must keep draining), so over-budget
+// admissions are counted as overflow instead of refused: "never OOM, never
+// a silent drop" becomes "honestly flagged overloaded when a pinned link
+// holds more than the budget". What makes a rank wait is the intake's hold
+// in process (intake.go) and the coordinator's per-leaf frame window
+// (fab.win) over TCP; the one buffer the budget caps is a TCP sendq
+// (wire.go), whose overflow cuts the connection.
 //
 // Every tree is governed: Config.MemBudget 0 selects DefaultMemBudget; there
 // is no unbounded mode.
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"dwst/internal/collmatch"
@@ -63,34 +57,24 @@ const (
 var govClassNames = [govClasses]string{"up", "down", "peer", "wire"}
 
 // governor tracks resident data-lane bytes across every tool-plane buffer
-// of one process against a global budget, engages the intake gate with
-// hysteresis (engage at 3/4 budget, reopen at 1/2), and counts overflow —
-// admissions that found the budget already exhausted — for the honest
-// overload verdict.
+// of one process against a global budget and counts overflow — admissions
+// that found the budget already exhausted — for the honest overload
+// verdict.
 type governor struct {
 	budget int64 // bytes; always > 0
-	hi     int64 // gate engages at used >= hi
-	lo     int64 // gate reopens at used <= lo
 
 	used      atomic.Int64
 	highWater atomic.Int64
 	overflow  atomic.Uint64
-	gated     atomic.Uint64 // intake admissions that had to wait
 
 	classBytes   [govClasses]atomic.Int64
 	classBytesHW [govClasses]atomic.Int64
 	classDepth   [govClasses]atomic.Int64
 	classDepthHW [govClasses]atomic.Int64
-
-	// gate is nil while the intake is open; engaged, it points at a
-	// channel closed on reopen. Engaging and reopening serialize on mu;
-	// the per-event intake check is one load.
-	mu   sync.Mutex
-	gate atomic.Pointer[chan struct{}]
 }
 
 func newGovernor(budget int64) *governor {
-	return &governor{budget: budget, hi: budget / 4 * 3, lo: budget / 2}
+	return &governor{budget: budget}
 }
 
 func maxStore(hw *atomic.Int64, v int64) {
@@ -113,66 +97,14 @@ func (g *governor) charge(class int, n int64) {
 	if u > g.budget {
 		g.overflow.Add(1)
 	}
-	if u >= g.hi {
-		g.engage()
-	}
 }
 
-// release returns n bytes of class to the budget, reopening the intake
-// gate once usage drains below the hysteresis floor.
+// release returns n bytes of class to the budget.
 func (g *governor) release(class int, n int64) {
 	g.classDepth[class].Add(-1)
 	g.classBytes[class].Add(-n)
-	if g.used.Add(-n) <= g.lo {
-		g.reopen()
-	}
+	g.used.Add(-n)
 }
-
-func (g *governor) engage() {
-	g.mu.Lock()
-	if g.gate.Load() == nil {
-		ch := make(chan struct{})
-		g.gate.Store(&ch)
-	}
-	g.mu.Unlock()
-}
-
-func (g *governor) reopen() {
-	if g.gate.Load() == nil {
-		return
-	}
-	g.mu.Lock()
-	if ch := g.gate.Load(); ch != nil {
-		close(*ch)
-		g.gate.Store(nil)
-	}
-	g.mu.Unlock()
-}
-
-// admitIntake blocks the caller while the intake gate is engaged. It
-// returns false when quit closed (the tree is stopping); a closed dead
-// channel releases the waiter too, so the caller's own dead-node handling
-// runs instead of a stuck gate wait. Only the rank → leaf intake calls
-// this — tool-internal traffic is never gated.
-func (g *governor) admitIntake(dead, quit <-chan struct{}) bool {
-	for {
-		ch := g.gate.Load()
-		if ch == nil {
-			return true
-		}
-		g.gated.Add(1)
-		select {
-		case <-*ch:
-		case <-dead:
-			return true
-		case <-quit:
-			return false
-		}
-	}
-}
-
-// gateEngaged reports whether the intake gate is currently closed (tests).
-func (g *governor) gateEngaged() bool { return g.gate.Load() != nil }
 
 // governorStats is a point-in-time snapshot of one process's tool-plane
 // resource accounting.
@@ -182,12 +114,9 @@ type governorStats struct {
 	// Used and HighWater are resident data-lane bytes: current, and the
 	// run's maximum.
 	Used, HighWater int64
-	// Overflow counts admissions that found the budget exhausted despite
-	// backpressure (a pinned link holding buffered frames); any overflow
-	// marks the run overloaded.
+	// Overflow counts admissions that found the budget exhausted (a pinned
+	// link holding buffered frames); any overflow marks the run overloaded.
 	Overflow uint64
-	// Gated counts rank-intake admissions that had to wait for the gate.
-	Gated uint64
 	// QueueDepthHW and QueueBytesHW are per-class high-water marks of the
 	// governed buffers (messages and bytes), keyed up/down/peer/wire.
 	QueueDepthHW map[string]int64
@@ -200,7 +129,6 @@ func (g *governor) stats() governorStats {
 		Used:         g.used.Load(),
 		HighWater:    g.highWater.Load(),
 		Overflow:     g.overflow.Load(),
-		Gated:        g.gated.Load(),
 		QueueDepthHW: make(map[string]int64, govClasses),
 		QueueBytesHW: make(map[string]int64, govClasses),
 	}

@@ -4,10 +4,10 @@ import (
 	"net"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dwst/internal/collmatch"
 	"dwst/internal/dws"
+	"dwst/internal/event"
 )
 
 func TestMsgCostLanes(t *testing.T) {
@@ -63,16 +63,10 @@ func TestMsgCostBatchAndFrames(t *testing.T) {
 	}
 }
 
-func TestGovernorHysteresisAndOverflow(t *testing.T) {
-	g := newGovernor(1000) // hi=750, lo=500
+func TestGovernorOverflow(t *testing.T) {
+	g := newGovernor(1000)
 	g.charge(govUp, 700)
-	if g.gateEngaged() {
-		t.Fatal("gate engaged below hi threshold")
-	}
-	g.charge(govUp, 100) // used=800 >= hi
-	if !g.gateEngaged() {
-		t.Fatal("gate not engaged at 800/1000")
-	}
+	g.charge(govUp, 100) // used=800
 	if got := g.overflow.Load(); got != 0 {
 		t.Fatalf("overflow %d under budget, want 0", got)
 	}
@@ -81,14 +75,8 @@ func TestGovernorHysteresisAndOverflow(t *testing.T) {
 		t.Fatalf("overflow %d over budget, want 1", got)
 	}
 	g.release(govDown, 300)
-	g.release(govUp, 200) // used=600 > lo: still engaged
-	if !g.gateEngaged() {
-		t.Fatal("gate reopened above lo threshold")
-	}
-	g.release(govUp, 200) // used=400 <= lo
-	if g.gateEngaged() {
-		t.Fatal("gate still engaged after draining below lo")
-	}
+	g.release(govUp, 200)
+	g.release(govUp, 200) // used=400
 
 	st := g.stats()
 	if st.Budget != 1000 || st.HighWater != 1100 || st.Used != 400 {
@@ -103,51 +91,25 @@ func TestGovernorHysteresisAndOverflow(t *testing.T) {
 	}
 }
 
-func TestAdmitIntakeGate(t *testing.T) {
-	g := newGovernor(1000)
-	dead := make(chan struct{})
-	quit := make(chan struct{})
-
-	// Open gate: admit immediately, no gated-wait counted.
-	if !g.admitIntake(dead, quit) {
-		t.Fatal("open gate refused intake")
+// TestGovernorOverBudgetHoldsNoRank: the budget only counts. With the
+// governor charged past a 1 KiB budget, Enter events below the hold bound
+// are taken at once, the charge is counted as overflow, and no rank was
+// held.
+func TestGovernorOverBudgetHoldsNoRank(t *testing.T) {
+	tr := New(Config{Leaves: 4, FanIn: 2, Batch: true, MemBudget: 1 << 10})
+	tr.Start(func(n *Node) Handler { return &holdHandler{n: n} })
+	defer tr.Stop()
+	tr.gov.charge(govUp, 2<<10)
+	defer tr.gov.release(govUp, 2<<10)
+	for rank := 0; rank < 4; rank++ {
+		expectDone(t, injectAsync(tr, rank, event.Event{Type: event.Enter, Proc: rank}), "an Enter event over budget")
 	}
-	if g.gated.Load() != 0 {
-		t.Fatal("open-gate admission counted as a gated wait")
+	c := tr.Counters()
+	if c.OverflowEvents == 0 {
+		t.Fatal("a charge past the budget was not counted as overflow")
 	}
-
-	g.charge(govUp, 900) // engage
-	var admitted atomic.Bool
-	done := make(chan bool, 1)
-	go func() {
-		ok := g.admitIntake(dead, quit)
-		admitted.Store(true)
-		done <- ok
-	}()
-	time.Sleep(20 * time.Millisecond)
-	if admitted.Load() {
-		t.Fatal("intake admitted with the gate engaged")
-	}
-	g.release(govUp, 900) // drain to 0: reopen wakes the waiter
-	if ok := <-done; !ok {
-		t.Fatal("reopened gate reported stop")
-	}
-	if g.gated.Load() == 0 {
-		t.Fatal("gated wait not counted")
-	}
-
-	// A dead node releases its waiter (admit; the caller's own dead-node
-	// path runs), and quit refuses (the tree is stopping).
-	g.charge(govUp, 900)
-	deadCh := make(chan struct{})
-	close(deadCh)
-	if !g.admitIntake(deadCh, quit) {
-		t.Fatal("dead channel should release the waiter as admitted")
-	}
-	quitCh := make(chan struct{})
-	close(quitCh)
-	if g.admitIntake(dead, quitCh) {
-		t.Fatal("closed quit should refuse intake")
+	if c.HeldWaits != 0 {
+		t.Fatalf("%d held waits below the hold bound", c.HeldWaits)
 	}
 }
 

@@ -146,6 +146,7 @@ func (in *rankInbox) await(t *Tree, n *Node) bool {
 	if t.work.Load()&countsMask == 0 {
 		in.overrun = true // idle already: no cycle end will come to wake us
 	} else {
+		t.heldWaits.Add(1)
 		in.wake.Wait()
 	}
 	t.holding.Add(-1)

@@ -104,6 +104,9 @@ func TestHoldReleasedOnIdleEdge(t *testing.T) {
 	}
 	close(gate)
 	expectDone(t, done, "the held Enter event")
+	if n := tr.Counters().HeldWaits; n < 1 {
+		t.Fatalf("held waits %d after a rank was held, want >= 1", n)
+	}
 }
 
 // TestHoldNeverHoldsOtherEvents: while an Enter event waits at the bound,

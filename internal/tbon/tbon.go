@@ -109,12 +109,12 @@ type Config struct {
 	// journal replay (fault plan with Recover). The argument is the
 	// replacement node; OnNodeDown is NOT called for recovered nodes.
 	OnNodeRecovered func(n *Node)
-	// MemBudget bounds the resident bytes of the tool-plane buffers (queue
-	// pumps and TCP send buffers) in this process: data-lane traffic is
-	// byte-accounted against the budget and backpressure is applied at the
-	// rank → leaf intake, while control-lane traffic (snapshot/epoch
-	// control, supervision) is always admitted free — see govern.go.
-	// 0 selects DefaultMemBudget; negative is rejected.
+	// MemBudget is the byte budget of the tool-plane buffers (queue pumps
+	// and TCP send buffers) in this process: data-lane traffic is
+	// byte-accounted against it and an admission past it counts as
+	// overflow, while control-lane traffic (snapshot/epoch control,
+	// supervision) is always admitted free — see govern.go. It makes no
+	// rank wait. 0 selects DefaultMemBudget; negative is rejected.
 	MemBudget int64
 }
 
@@ -641,10 +641,12 @@ type Tree struct {
 	idleCh   chan struct{}
 
 	// holding counts ranks held at the intake, which the idle edge
-	// releases (releaseHolds); cycles counts the first-layer delivery
-	// cycles the intake settled, the clock of its staleness rule.
-	holding atomic.Int64
-	cycles  atomic.Uint64
+	// releases (releaseHolds), and heldWaits the times one parked
+	// (Counters.HeldWaits); cycles counts the first-layer delivery cycles
+	// the intake settled, the clock of its staleness rule.
+	holding   atomic.Int64
+	heldWaits atomic.Uint64
+	cycles    atomic.Uint64
 
 	// kills is the supervisor's wake token (capacity 1), raised by Kill;
 	// nil without a fault plan, where no supervisor runs.
@@ -903,9 +905,10 @@ func (t *Tree) halt() {
 
 // InjectEvent delivers an application event to the first-layer node hosting
 // the rank. An Enter event waits while that node holds its EventBuf bound
-// and is still working (the hold, see intake.go). It returns ErrStopped
-// after the tree stopped and ErrNodeDown when the hosting node crashed; in
-// both cases the event was not delivered. The event reaches a
+// and is still working (the hold, see intake.go); the resource governor
+// makes no rank wait. It returns ErrStopped after the tree stopped and
+// ErrNodeDown when the hosting node crashed; in both cases the event was
+// not delivered. The event reaches a
 // RankEventHandler without ever being boxed into an interface, making the
 // batched intake allocation-free per event. With batching off (or a plain
 // Handler) it is delivered boxed through FromRank.
@@ -921,15 +924,9 @@ func (t *Tree) InjectEvent(rank int, ev event.Event) error {
 		n := t.shape.Load().layers[0][idx]
 		if !n.local {
 			// Remote hosting node (coordinator of a TCP fabric): the event
-			// crosses the wire on a sequenced RankLink frame, gated by the
-			// per-leaf window so backpressure still reaches the rank.
+			// crosses the wire on a sequenced RankLink frame, and the
+			// per-leaf frame window is what makes the rank wait.
 			return t.injectRemote(n, env)
-		}
-		// Resource-governor backpressure: when tool-plane buffers approach
-		// the budget, the data-lane intake gate closes and ranks wait here —
-		// the global, byte-denominated analogue of the per-slot hold.
-		if !t.gov.admitIntake(n.dead, t.quit) {
-			return ErrStopped
 		}
 		if n.rank.put(t, n, &env, ev.Type == event.Enter) {
 			return nil
@@ -1075,7 +1072,7 @@ func (t *Tree) Counters() Counters {
 		Recoveries:      int(t.recoveries.Load()),
 		MemHighWater:    gs.HighWater,
 		OverflowEvents:  gs.Overflow,
-		GatedWaits:      gs.Gated,
+		HeldWaits:       t.heldWaits.Load(),
 		QueueDepthHW:    gs.QueueDepthHW,
 		QueueBytesHW:    gs.QueueBytesHW,
 	}

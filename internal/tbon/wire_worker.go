@@ -412,20 +412,14 @@ func (t *Tree) WireReplayTime() time.Duration {
 // injectRemote ships one application event to a remote first-layer node
 // over a sequenced RankLink frame. The per-leaf window semaphore bounds the
 // frames, not the trace window: at most EventBuf events are in flight
-// (unacknowledged) per leaf, so backpressure reaches the injecting rank,
-// but the in-process hold (intake.go) never applies over TCP.
+// (unacknowledged) per leaf. It is the only wait a TCP-hosted rank meets:
+// the in-process hold (intake.go) never applies over TCP.
 func (t *Tree) injectRemote(n *Node, env rankEnvelope) error {
 	fab := t.net
 	if n.Dead() {
 		return ErrNodeDown
 	}
 	wr := wireRank{Rank: env.from, Ev: env.ev}
-	// Global governor backpressure first (byte-denominated, whole-tree),
-	// then the per-leaf frame window — two instances of the same credit
-	// mechanism at different granularities (see govern.go).
-	if !t.gov.admitIntake(n.dead, t.quit) {
-		return ErrStopped
-	}
 	select {
 	case fab.win[n.index] <- struct{}{}:
 	case <-n.dead:
