@@ -6,6 +6,7 @@
 package detect
 
 import (
+	"runtime"
 	"testing"
 
 	"dwst/internal/dws"
@@ -25,25 +26,33 @@ func detectOnce(r *Root, reports []dws.WaitReport) *Result {
 	return <-r.Results
 }
 
-// TestDetectionAllocsPerRank bounds what one detection allocates per rank,
-// from the first ack to the Result with its summary and class graph, on the
-// two benchmark end states. The root's analysis and output are built from
-// shared, sized arrays and appends, so what is left is about one allocation
-// per rank: its entry's copy in Result.Entries, a map whose values are too
-// large to be stored inline. When entries were copied into unsized
-// containers and every class was formatted with fmt, the send–send pairs
-// at p = 4096 cost 18.8 per rank and the wildcard storm at p = 1024 2.2.
-// The bounds sit about a quarter above what the analysis costs now.
+// TestDetectionAllocsPerRank bounds what one detection allocates, from the
+// first ack to the Result with its summary and class graph, on the two
+// benchmark end states. The root's analysis and output are built from
+// shared arrays sized in advance, and the result points into the reports
+// instead of copying entries, so the allocations no longer grow with the
+// ranks: about 150 for the send–send pairs at p = 4096 and 110 for the
+// wildcard storm at p = 1024. They cost 18.8 and 2.2 per rank when entries
+// were copied into unsized containers and every class was formatted with
+// fmt, and 1.05 and 1.12 when Result.Entries still held a copy of each.
+//
+// The bytes grow with the wait classes, not the ranks: the pairs have one
+// class per rank, the storm one class. With containers sized by the
+// deadlocked count, entries copied into the result and the class graph
+// grown line by line, the pairs cost 6.07 MB and the storm 0.83 MB; they
+// cost 2.97 and 0.50 MB now. Every bound sits about a quarter above what
+// the analysis costs now.
 func TestDetectionAllocsPerRank(t *testing.T) {
 	const fanIn = 4
 	for _, tc := range []struct {
-		name    string
-		p       int
-		entries func(p int) []dws.WaitEntry
-		bound   float64 // allocations per rank
+		name     string
+		p        int
+		entries  func(p int) []dws.WaitEntry
+		bound    float64 // allocations per rank
+		maxBytes float64 // per detection
 	}{
-		{"lammps_pairs", 4096, lammpsPairs, 1.3},
-		{"wildcard_storm", 1024, wildcardStorm, 1.4},
+		{"lammps_pairs", 4096, lammpsPairs, 0.045, 3.7e6},
+		{"wildcard_storm", 1024, wildcardStorm, 0.14, 627e3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reports := reportsOf(fanIn, tc.entries(tc.p))
@@ -55,7 +64,19 @@ func TestDetectionAllocsPerRank(t *testing.T) {
 			perRank := allocs / float64(tc.p)
 			t.Logf("%s p=%d: %.0f allocations per detection, %.2f per rank", tc.name, tc.p, allocs, perRank)
 			if perRank > tc.bound {
-				t.Errorf("%.2f allocations per rank, want at most %.2f", perRank, tc.bound)
+				t.Errorf("%.3f allocations per rank, want at most %.3f", perRank, tc.bound)
+			}
+			const runs = 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				detectOnce(r, reports)
+			}
+			runtime.ReadMemStats(&after)
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+			t.Logf("%s p=%d: %.0f bytes per detection", tc.name, tc.p, bytes)
+			if bytes > tc.maxBytes {
+				t.Errorf("%.0f bytes per detection, want at most %.0f", bytes, tc.maxBytes)
 			}
 		})
 	}

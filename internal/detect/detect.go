@@ -10,8 +10,9 @@ package detect
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"dwst/internal/collmatch"
@@ -102,8 +103,8 @@ type Result struct {
 	// Groups decomposes the deadlocked set into independent clusters
 	// (strongly connected components of the restricted wait-for graph).
 	Groups [][]int
-	// Entries are the blocked ranks' wait conditions by rank.
-	Entries map[int]dws.WaitEntry
+	// Entries are the blocked ranks' wait conditions by rank, in their reports.
+	Entries map[int]*dws.WaitEntry
 	// UnexpectedMatches lists Section 3.3 situations found in the state.
 	UnexpectedMatches []report.UnexpectedMatch
 	// Arcs is the wait-for graph size (p² for the wildcard stress case).
@@ -567,8 +568,8 @@ func (r *Root) analyze() *Result {
 	}
 	all := make([]*dws.WaitEntry, 0, entries)
 	var finished []int
-	crashedEntries := map[int]dws.WaitEntry{}
-	stalledEntries := map[int]dws.WaitEntry{}
+	crashedEntries := map[int]*dws.WaitEntry{}
+	stalledEntries := map[int]*dws.WaitEntry{}
 	wildMatched := false // a blocked wildcard receive has a recorded match
 	for node := range r.reports {
 		if _, dead := r.deadNodes[node]; dead || !r.reported[node] {
@@ -583,7 +584,7 @@ func (r *Root) analyze() *Result {
 				continue
 			}
 			if e.State == dws.Crashed {
-				crashedEntries[e.Rank] = *e
+				crashedEntries[e.Rank] = e
 				continue
 			}
 			if e.BetweenCalls && r.quiet > 0 {
@@ -593,7 +594,7 @@ func (r *Root) analyze() *Result {
 					stalled := *e
 					stalled.Desc = fmt.Sprintf("rank %d issued no MPI call for %v (quiet period %v)",
 						e.Rank, silent.Round(time.Millisecond), r.quiet)
-					stalledEntries[e.Rank] = stalled
+					stalledEntries[e.Rank] = &stalled
 					continue
 				}
 			}
@@ -615,7 +616,7 @@ func (r *Root) analyze() *Result {
 	// crashed ranks (recorded at the root or reported), the stalled and the
 	// unknown ones.
 	listed := len(all) + len(r.deadRanks) + len(crashedEntries) + len(stalledEntries) + len(res.UnknownRanks)
-	res.Entries = make(map[int]dws.WaitEntry, listed)
+	res.Entries = make(map[int]*dws.WaitEntry, listed)
 	res.Blocked = make([]int, 0, listed)
 
 	// The snapshot is the engine-neutral wait-state view every detection
@@ -627,7 +628,7 @@ func (r *Root) analyze() *Result {
 		Finished: finished,
 	}
 	for _, e := range all {
-		res.Entries[e.Rank] = *e
+		res.Entries[e.Rank] = e
 		res.Blocked = append(res.Blocked, e.Rank)
 		targets := e.Targets
 		for _, rs := range e.ResolvedSrcs {
@@ -635,7 +636,7 @@ func (r *Root) analyze() *Result {
 			if rs.Src < 0 || rs.Src >= len(grp) {
 				continue
 			}
-			if m := grp[rs.Src]; m != e.Rank && !containsRank(targets, m) {
+			if m := grp[rs.Src]; m != e.Rank && !slices.Contains(targets, m) {
 				// Copy on first append: the entry's own list stays as reported.
 				targets = append(targets[:len(targets):len(targets)], m)
 			}
@@ -652,10 +653,7 @@ func (r *Root) analyze() *Result {
 	// residue and everything transitively waiting on it with it. The
 	// root's own RankDown record is merged with report entries, so the
 	// death survives even when the hosting tool node died afterwards.
-	dead := make(map[int]int, len(r.deadRanks))
-	for rk, lc := range r.deadRanks {
-		dead[rk] = lc
-	}
+	dead := maps.Clone(r.deadRanks)
 	for rk, e := range crashedEntries {
 		if _, ok := dead[rk]; !ok {
 			dead[rk] = e.LastCall
@@ -672,7 +670,7 @@ func (r *Root) analyze() *Result {
 	for _, rk := range res.DeadRanks {
 		e, ok := crashedEntries[rk]
 		if !ok {
-			e = dws.WaitEntry{
+			e = &dws.WaitEntry{
 				Rank: rk, State: dws.Crashed, LastCall: dead[rk],
 				Desc: fmt.Sprintf("rank %d crashed after %d MPI calls", rk, dead[rk]),
 			}
@@ -701,7 +699,7 @@ func (r *Root) analyze() *Result {
 		if _, isDead := dead[u]; isDead {
 			continue
 		}
-		e := dws.WaitEntry{
+		e := &dws.WaitEntry{
 			Rank: u, State: dws.Unknown, Sem: dws.SemOr,
 			Desc: "wait state unknown (hosting tool node crashed)",
 		}
@@ -758,10 +756,7 @@ func (r *Root) analyze() *Result {
 		}
 		cg := an.Simplify()
 		res.Summary = cg.Summary()
-		var sb strings.Builder
-		if cg.DOT(&sb) == nil {
-			res.SimplifiedDOT = sb.String()
-		}
+		res.SimplifiedDOT = cg.DOTString()
 		// The page and the full graph are rendered when somebody asks. The
 		// renderers hold what they read — the report's fields, the grouped
 		// snapshot — and nothing else of this root.
@@ -785,15 +780,6 @@ func (r *Root) analyze() *Result {
 		res.Timings.OutputGeneration = time.Since(outStart)
 	}
 	return res
-}
-
-func containsRank(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // groupOrWorld returns the registry group, falling back to the full world

@@ -2,6 +2,7 @@ package dws
 
 import (
 	"strconv"
+	"unsafe"
 
 	"dwst/internal/trace"
 )
@@ -142,8 +143,9 @@ func (n *Node) BuildReports(epoch int) (WaitReport, bool) {
 		rep.Entries[i] = n.entryFor(&n.ranks[i], &buf)
 		ends[i] = len(buf.desc)
 	}
-	// One string backs every description of the report.
-	descs, start := string(buf.desc), 0
+	// One string backs every description of the report: the buffer itself,
+	// which nothing writes again.
+	descs, start := unsafe.String(unsafe.SliceData(buf.desc), len(buf.desc)), 0
 	for i, end := range ends {
 		rep.Entries[i].Desc = descs[start:end]
 		start = end

@@ -32,6 +32,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dwst/internal/trace"
@@ -164,12 +165,8 @@ var ErrInconclusive = errors.New("engine inconclusive on this input")
 // a stall; otherwise none.
 func Classify(s *Snapshot, deadlocked []int) Verdict {
 	if len(deadlocked) > 0 {
-		inDead := make(map[int]bool, len(deadlocked))
-		for _, d := range deadlocked {
-			inDead[d] = true
-		}
 		for _, rk := range s.Dead {
-			if inDead[rk] {
+			if slices.Contains(deadlocked, rk) {
 				return VerdictDeadlockByFailure
 			}
 		}
@@ -251,7 +248,7 @@ func Deviations(ref Finding, engines []Engine, findings []Finding) []string {
 			if f.Verdict != ref.Verdict {
 				out = append(out, fmt.Sprintf("%s: verdict %s, reference %s says %s",
 					f.Engine, f.Verdict, ref.Engine, ref.Verdict))
-			} else if !equalInts(f.Deadlocked, ref.Deadlocked) {
+			} else if !slices.Equal(f.Deadlocked, ref.Deadlocked) {
 				out = append(out, fmt.Sprintf("%s: deadlocked set %v, reference %s says %v",
 					f.Engine, f.Deadlocked, ref.Engine, ref.Deadlocked))
 			}
@@ -267,18 +264,6 @@ func subsetOf(sub, super []int) bool {
 	}
 	for _, s := range sub {
 		if !in[s] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
 			return false
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -256,13 +257,13 @@ func compareAnalysis(t *testing.T, snap *Snapshot) {
 	if v := Classify(snap, dead); v != refVerdict {
 		t.Errorf("grouped verdict %v, wfg %v", v, refVerdict)
 	}
-	if !equalInts(dead, refDead) {
+	if !slices.Equal(dead, refDead) {
 		t.Errorf("grouped deadlocked %v, wfg %v", dead, refDead)
 	}
 	if an.Arcs != g.Arcs() {
 		t.Errorf("grouped arcs %d, wfg %d", an.Arcs, g.Arcs())
 	}
-	if got, want := an.Cycle(), g.Cycle(refDead); !equalInts(got, want) {
+	if got, want := an.Cycle(), g.Cycle(refDead); !slices.Equal(got, want) {
 		t.Errorf("grouped cycle %v, wfg %v", got, want)
 	}
 	if got, want := an.Groups(), g.Groups(refDead); !reflect.DeepEqual(got, want) {
@@ -326,7 +327,7 @@ func compareAnalysis(t *testing.T, snap *Snapshot) {
 			want = append(want, rk)
 		}
 	}
-	if got := an.BlockedOn(seeds); !equalInts(got, want) {
+	if got := an.BlockedOn(seeds); !slices.Equal(got, want) {
 		t.Errorf("blocked on %v: grouped %v, wfg %v", seeds, got, want)
 	}
 }
@@ -350,7 +351,7 @@ func compareCMH(t *testing.T, snap *Snapshot) {
 	if v != refVerdict {
 		t.Errorf("cmh verdict %v, wfg %v", v, refVerdict)
 	}
-	if !equalInts(dl, refDead) {
+	if !slices.Equal(dl, refDead) {
 		t.Errorf("cmh deadlocked %v, wfg %v", dl, refDead)
 	}
 }
@@ -363,7 +364,7 @@ func TestTwoCycleFindsMutualWait(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	if v != VerdictDeadlock || !equalInts(dl, []int{1, 3}) {
+	if v != VerdictDeadlock || !slices.Equal(dl, []int{1, 3}) {
 		t.Fatalf("verdict %v, witness %v", v, dl)
 	}
 	// An OR-wait with an alternative target is not pinned on the peer.
@@ -378,7 +379,7 @@ func TestTwoCycleFindsMutualWait(t *testing.T) {
 		0: orWait(1), 1: andWait(0),
 	}}
 	v, dl, err = TwoCycle{}.Analyze(Input{Snapshot: snap})
-	if err != nil || v != VerdictDeadlock || !equalInts(dl, []int{0, 1}) {
+	if err != nil || v != VerdictDeadlock || !slices.Equal(dl, []int{0, 1}) {
 		t.Fatalf("pinned OR pair: %v %v %v", v, dl, err)
 	}
 }
@@ -495,7 +496,7 @@ func TestSortedDeadlockedOutput(t *testing.T) {
 	if !sort.IntsAreSorted(dl) {
 		t.Fatalf("deadlocked set not ascending: %v", dl)
 	}
-	if !equalInts(dl, []int{0, 1, 4, 5}) {
+	if !slices.Equal(dl, []int{0, 1, 4, 5}) {
 		t.Fatalf("deadlocked = %v", dl)
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"io"
+	"slices"
 	"sort"
 
 	"dwst/internal/waitstate"
@@ -591,16 +592,16 @@ func (a *Analysis) Simplify() *wfg.ClassGraph {
 		}
 	}
 
-	type sigKey struct {
-		sem       waitstate.Semantics
-		allOthers bool
-		n         int    // target count
+	type sigKey struct { // 16 bytes, one per class in bySig
 		hash      uint64 // of the target multiset
+		n         int32  // target count
+		sem       int8   // waitstate.Semantics
+		allOthers bool
 	}
 	sig := func(p int) sigKey {
-		k := a.set[p]
-		key := sigKey{sem: a.wait[p].Sem, n: a.degree(p)}
-		if key.n == len(dead)-1 && allDead(a.extra[p], p) &&
+		k, n := a.set[p], a.degree(p)
+		key := sigKey{sem: int8(a.wait[p].Sem), n: int32(n)}
+		if n == len(dead)-1 && allDead(a.extra[p], p) &&
 			(k < 0 || (setDead[k] == len(a.sets[k].members) && a.inSet[p] == a.omit[p])) {
 			return sigKey{sem: key.sem, allOthers: true}
 		}
@@ -635,17 +636,25 @@ func (a *Analysis) Simplify() *wfg.ClassGraph {
 	// explicit list — hand-built snapshots only).
 	same := func(p, q int) bool {
 		if a.set[p] == a.set[q] && a.set[p] >= 0 {
-			return a.omit[p] == a.omit[q] && (!a.omit[p] || p == q) && equalInts(a.extra[p], a.extra[q])
+			return a.omit[p] == a.omit[q] && (!a.omit[p] || p == q) && slices.Equal(a.extra[p], a.extra[q])
 		}
-		return equalInts(sorted(p), sorted(q))
+		return slices.Equal(sorted(p), sorted(q))
 	}
 
 	// Classes in first-member order. bySig holds the newest class of each
 	// signature and every class the one before it: signatures are hashes,
-	// so classes of different targets can share one.
+	// so classes of different targets can share one. Their containers are
+	// sized by the ranks outside all-others classes, plus two such classes.
+	bound := 2
+	for _, p := range dead {
+		if !sig(p).allOthers {
+			bound++
+		}
+	}
 	type class struct{ first, size, prev int }
-	var classes []class
-	bySig := make(map[sigKey]int, len(dead))
+	classes := make([]class, 0, bound)
+	cg.Classes = make([]wfg.Class, 0, bound)
+	bySig := make(map[sigKey]int, bound)
 	classOf := make([]int, a.n)
 	for _, p := range dead {
 		key := sig(p)
@@ -664,7 +673,7 @@ func (a *Analysis) Simplify() *wfg.ClassGraph {
 			idx = len(classes)
 			classes = append(classes, class{first: p, prev: head})
 			bySig[key] = idx
-			c := wfg.Class{Sem: key.sem, AllOthers: key.allOthers}
+			c := wfg.Class{Sem: waitstate.Semantics(key.sem), AllOthers: key.allOthers}
 			if !c.AllOthers && a.set[p] < 0 {
 				c.Targets = a.extra[p]
 			}
@@ -689,7 +698,7 @@ func (a *Analysis) Simplify() *wfg.ClassGraph {
 	// Class-level arcs: the distinct classes of each class's deadlocked
 	// targets, read off its first member. seen[c] == i+1 marks class c as
 	// a target of class i already.
-	var arcs []int
+	arcs := make([]int, 0, len(classes)) // one per class in the pairs and the storm
 	ends := make([]int, len(classes))
 	seen := make([]int, len(classes))
 	setClasses := make([]map[int]int, len(a.sets)) // set → class → deadlocked members in it

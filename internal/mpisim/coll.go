@@ -69,6 +69,9 @@ type wave struct {
 // non-rooted collectives.
 func (c *comm) joinWave(p *Proc, kind trace.Kind, root int, data []byte, cell []int) *wave {
 	seq := p.collSeq[c.id]
+	if p.collSeq == nil {
+		p.collSeq = make(map[trace.CommID]int)
+	}
 	p.collSeq[c.id] = seq + 1
 
 	c.mu.Lock()

@@ -19,7 +19,7 @@ type Proc struct {
 
 	nextTS  int
 	nextReq trace.ReqID
-	reqs    map[trace.ReqID]*Request
+	reqs    map[trace.ReqID]*Request // made on first write, like collSeq
 	collSeq map[trace.CommID]int
 	sends   int // standard sends issued, for SsendEvery
 
@@ -41,10 +41,8 @@ type Proc struct {
 
 func newProc(w *World, rank int) *Proc {
 	return &Proc{
-		w:       w,
-		rank:    rank,
-		reqs:    make(map[trace.ReqID]*Request),
-		collSeq: make(map[trace.CommID]int),
+		w:    w,
+		rank: rank,
 	}
 }
 
@@ -167,6 +165,9 @@ func (p *Proc) allocReq(kind trace.Kind, wildcard bool) *Request {
 		owner:    p,
 		wildcard: wildcard,
 		done:     make(chan struct{}),
+	}
+	if p.reqs == nil {
+		p.reqs = make(map[trace.ReqID]*Request)
 	}
 	p.reqs[r.id] = r
 	return r

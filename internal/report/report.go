@@ -29,7 +29,7 @@ type Data struct {
 	Procs             int
 	Deadlocked        []int
 	Cycle             []int
-	Entries           map[int]dws.WaitEntry
+	Entries           map[int]*dws.WaitEntry
 	UnexpectedMatches []UnexpectedMatch
 	Arcs              int
 	// Partial marks a degraded report: the tool nodes hosting
@@ -187,10 +187,6 @@ func WriteHTML(w io.Writer, d *Data) error {
 			"wildcard receive (rank %d, ts %d) matched the inactive send (rank %d, ts %d) while the active send (rank %d, ts %d) could match it",
 			u.RecvRank, u.RecvTS, u.MatchedSendRank, u.MatchedSendTS, u.ActiveSendRank, u.ActiveSendTS))
 	}
-	unk := make([]string, 0, len(d.UnknownRanks))
-	for _, u := range d.UnknownRanks {
-		unk = append(unk, fmt.Sprintf("%d", u))
-	}
 	deadRanks := make([]string, 0, len(d.DeadRanks))
 	for _, rk := range d.DeadRanks {
 		if lc, ok := d.DeadLastCalls[rk]; ok {
@@ -208,7 +204,7 @@ func WriteHTML(w io.Writer, d *Data) error {
 		"Rows":              rows,
 		"Unexpected":        ums,
 		"Partial":           d.Partial,
-		"UnknownStr":        strings.Join(unk, ", "),
+		"UnknownStr":        joinInts(d.UnknownRanks),
 		"DeadRanks":         d.DeadRanks,
 		"DeadStr":           strings.Join(deadRanks, ", "),
 		"FailureBlockedStr": joinInts(d.FailureBlocked),
@@ -242,13 +238,13 @@ func HTMLFromWaitInfo(p int, dead, cycle []int, entries map[int]waitstate.WaitIn
 // report's input.
 func DataFromWaitInfo(p int, dead, cycle []int, entries map[int]waitstate.WaitInfo, arcs int) *Data {
 	d := &Data{Procs: p, Deadlocked: dead, Cycle: cycle, Arcs: arcs,
-		Entries: make(map[int]dws.WaitEntry, len(entries))}
+		Entries: make(map[int]*dws.WaitEntry, len(entries))}
 	for r, w := range entries {
 		sem := dws.SemAnd
 		if w.Semantics == waitstate.OrWait {
 			sem = dws.SemOr
 		}
-		d.Entries[r] = dws.WaitEntry{
+		d.Entries[r] = &dws.WaitEntry{
 			Rank: r, State: dws.Blocked, Kind: w.Kind, TS: w.Op.TS,
 			Sem: sem, Desc: w.Desc, Targets: w.Targets,
 		}

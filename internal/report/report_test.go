@@ -16,7 +16,7 @@ func TestHTMLContainsConditionsAndCycle(t *testing.T) {
 		Deadlocked: []int{0, 1},
 		Cycle:      []int{0, 1},
 		Arcs:       2,
-		Entries: map[int]dws.WaitEntry{
+		Entries: map[int]*dws.WaitEntry{
 			0: {Rank: 0, Kind: trace.Send, TS: 3, Sem: dws.SemAnd, Desc: "send to 1 <script>"},
 			1: {Rank: 1, Kind: trace.Recv, TS: 2, Sem: dws.SemOr, Desc: "wildcard recv"},
 		},
@@ -39,7 +39,7 @@ func TestHTMLUnexpectedMatchSection(t *testing.T) {
 	d := &Data{
 		Procs:      3,
 		Deadlocked: []int{0},
-		Entries:    map[int]dws.WaitEntry{0: {Rank: 0, Kind: trace.Recv}},
+		Entries:    map[int]*dws.WaitEntry{0: {Rank: 0, Kind: trace.Recv}},
 		UnexpectedMatches: []UnexpectedMatch{{
 			RecvRank: 1, RecvTS: 0, MatchedSendRank: 2, MatchedSendTS: 1,
 			ActiveSendRank: 0, ActiveSendTS: 0,

@@ -155,15 +155,18 @@ func (nopHandler) Control(any)        {}
 
 // TestTreeBuildIsCheapWithoutFaultPlan pins what decides the tool tail at
 // scale: without a fault plan or link delay a started tree costs at most
-// GOMAXPROCS worker goroutines, none per node, and no pump, and building the 1024-leaf tree allocates under 2 MB
-// (17 MB when every mailbox slot was a whole envelope and every link a
-// pumped channel pair). Stop returns every goroutine.
+// GOMAXPROCS worker goroutines, none per node, and no pump, and the build
+// allocates about a quarter below its bounds: 246 kB at 1,024 leaves and
+// 0.94 MB at 4,096, with or without the race detector (17 MB at 1,024 when
+// every mailbox slot was a whole envelope and every link a pumped channel
+// pair; 0.54 and 2.1 MB when every node had its control lane and crash
+// channels made up front). Stop returns every goroutine.
 func TestTreeBuildIsCheapWithoutFaultPlan(t *testing.T) {
 	const slack = 4 // runtime helpers that may start meanwhile
 	for _, tc := range []struct {
 		leaves   int
 		maxBytes uint64
-	}{{1024, 2 << 20}, {4096, 8 << 20}} {
+	}{{1024, 300 << 10}, {4096, 1152 << 10}} {
 		runtime.GC()
 		before := runtime.NumGoroutine()
 		var m0, m1 runtime.MemStats
@@ -176,7 +179,9 @@ func TestTreeBuildIsCheapWithoutFaultPlan(t *testing.T) {
 			t.Errorf("%d leaves: %d goroutines for %d nodes at GOMAXPROCS %d — a goroutine per node, or pumps without a fault plan?",
 				tc.leaves, started, tr.NumNodes(), procs)
 		}
-		if got := m1.TotalAlloc - m0.TotalAlloc; got > tc.maxBytes {
+		got := m1.TotalAlloc - m0.TotalAlloc
+		t.Logf("%d leaves: New+Start allocated %d bytes", tc.leaves, got)
+		if got > tc.maxBytes {
 			t.Errorf("%d leaves: New+Start allocated %d bytes, want under %d", tc.leaves, got, tc.maxBytes)
 		}
 		tr.Stop()

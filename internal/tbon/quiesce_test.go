@@ -146,7 +146,7 @@ func inboxLen(in *rankInbox) int {
 func queuesEmpty(tr *Tree) error {
 	for _, l := range tr.shape.Load().layers {
 		for _, n := range l {
-			if (n.rank != nil && inboxLen(n.rank) > 0) || len(n.control) > 0 {
+			if (n.rank != nil && inboxLen(n.rank) > 0) || (n.life.Load() != nil && len(n.life.Load().control) > 0) {
 				return fmt.Errorf("idle with node %d's rank inbox or control channel non-empty", n.gid)
 			}
 			for _, q := range []*queue{n.fromBelow, n.fromAbove, n.fromPeer} {

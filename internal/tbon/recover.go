@@ -66,7 +66,7 @@ func (t *Tree) respawn(old *Node) {
 	neu.rank.rebind(neu)
 	t.rq.push(neu)
 	t.recoveries.Add(1)
-	close(old.respawned)
+	close(old.lifecycle().respawned)
 	if t.cfg.OnNodeRecovered != nil {
 		t.cfg.OnNodeRecovered(neu)
 	}

@@ -34,7 +34,7 @@ func (n *Node) Kill() {
 	}
 	n.deadOnce.Do(func() {
 		n.killed.Store(true)
-		close(n.dead)
+		close(n.lifecycle().dead)
 		n.raise() // a placeholder or an unarmed node stays queued: no-op
 		if n.rank != nil {
 			n.rank.release(false) // held ranks learn of the death
@@ -108,7 +108,7 @@ func (t *Tree) reap(n *Node) {
 	n.Kill()
 	stopped := false
 	select {
-	case <-n.stopped:
+	case <-n.lifecycle().stopped:
 		stopped = true
 	case <-time.After(wedgedAfter):
 	case <-t.quit:
@@ -123,7 +123,7 @@ func (t *Tree) reap(n *Node) {
 		t.respawn(n)
 		return
 	}
-	close(n.respawned)
+	close(n.lifecycle().respawned)
 
 	// Remove n from its parent, adopt n's children in its place.
 	t.retopo(func(tp *topology, tr *transport) {

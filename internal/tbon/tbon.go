@@ -435,7 +435,6 @@ type Node struct {
 	fromBelow *queue     // tool messages from children / self
 	fromAbove *queue     // broadcasts from parent
 	fromPeer  *queue     // intralayer (layer 0)
-	control   chan envelope
 	// slab is the step's scratch for one delivery cycle's
 	// envelopes (see queue.takeSlab); taken counts the cycle's counted
 	// envelopes, retired together when the cycle ends, and enters the
@@ -464,11 +463,9 @@ type Node struct {
 	ackPend map[linkKey]uint64
 	ackKeys []linkKey
 
-	// dead is closed when the node is killed (Kill), after killed is set.
-	// A re-gid placeholder adopts its predecessor's, so an injector holding
-	// either learns of the slot's splice-out; degrade, which runs once per
-	// slot, is the only killer of placeholders.
-	dead     chan struct{}
+	// life is made for a node that is sent a control message or killed
+	// (lifecycle); the driver sends control messages to the root only.
+	life     atomic.Pointer[lifecycle]
 	killed   atomic.Bool
 	deadOnce sync.Once
 	// crashAt is the earliest planned crash of this incarnation (zero:
@@ -478,16 +475,27 @@ type Node struct {
 	crashAt time.Time
 	// reaped marks that the supervisor already handled this death.
 	reaped atomic.Bool
+}
 
-	// stopped is closed once a killed node stopped dispatching: when its
-	// queues are sunk (bury). Reaping waits on it, so neither a splice nor
-	// journal replay races a limping zombie.
-	stopped chan struct{}
-	// respawned is closed once the slot's fate after a crash is settled:
-	// either a replacement took over the slot (InjectEvent retries against
-	// it) or recovery failed and the slot degraded (InjectEvent gives up
-	// with ErrNodeDown).
-	respawned chan struct{}
+// lifecycle is a node's control lane and crash signals. dead is closed by
+// Kill, after killed is set; a re-gid placeholder adopts its predecessor's
+// lifecycle, so an injector holding either learns of the slot's splice-out
+// (degrade, once per slot, is the only killer of placeholders). stopped is
+// closed once a killed node stopped dispatching (bury), so neither a splice
+// nor journal replay races a limping zombie. respawned is closed once the
+// slot's fate after a crash is settled: a replacement took over the slot
+// (InjectEvent retries against it) or it degraded.
+type lifecycle struct {
+	control                  chan envelope // 16 slots: a burst of driver messages (abort, trigger, node down) need not wait
+	dead, stopped, respawned chan struct{}
+}
+
+// lifecycle returns n.life, making it on first use from any goroutine.
+func (n *Node) lifecycle() *lifecycle {
+	if n.life.Load() == nil {
+		n.life.CompareAndSwap(nil, &lifecycle{make(chan envelope, 16), make(chan struct{}), make(chan struct{}), make(chan struct{})})
+	}
+	return n.life.Load()
 }
 
 // newNode builds one node for slot (layer, index) under gid; a local one
@@ -515,10 +523,6 @@ func queuesPerNode(layer int) int {
 // (queuesPerNode of them): a tree build takes both from one slab per layer.
 func (t *Tree) initNode(n *Node, layer, index, gid int, local bool, qs []queue) {
 	n.tree, n.layer, n.index, n.gid, n.local = t, layer, index, gid, local
-	n.control = make(chan envelope, 16)
-	n.dead = make(chan struct{})
-	n.stopped = make(chan struct{})
-	n.respawned = make(chan struct{})
 	// Not runnable until armed: raises find it queued, and Start or
 	// respawn queues it once its handler is set.
 	n.run.Store(runQueued)
@@ -935,7 +939,7 @@ func (t *Tree) InjectEvent(rank int, ev event.Event) error {
 			return ErrNodeDown
 		}
 		select {
-		case <-n.respawned:
+		case <-n.lifecycle().respawned:
 		case <-t.quit:
 			return ErrStopped
 		}
@@ -1129,7 +1133,7 @@ func (t *Tree) RanksOf(idx int) []int {
 func (t *Tree) Control(n *Node, msg any) {
 	t.admit(1)
 	select {
-	case n.control <- envelope{msg: msg}:
+	case n.lifecycle().control <- envelope{msg: msg}:
 		n.raise()
 	case <-t.quit:
 	}
@@ -1330,9 +1334,14 @@ func (n *Node) step() {
 		return
 	}
 	// A non-blocking receive, which reads an empty channel without locking
-	// it.
+	// it; a node never sent a control message has no lane, which is never
+	// ready.
+	var lane chan envelope
+	if l := n.life.Load(); l != nil {
+		lane = l.control
+	}
 	select {
-	case env := <-n.control:
+	case env := <-lane:
 		n.taken++
 		n.handler.Control(env.msg)
 		n.raise()
@@ -1393,7 +1402,7 @@ func (n *Node) endCycle() {
 // dead node again) drain its control channel without blocking.
 func (n *Node) bury() {
 	select {
-	case <-n.stopped:
+	case <-n.lifecycle().stopped:
 	default:
 		for _, q := range []*queue{n.fromBelow, n.fromAbove, n.fromPeer} {
 			if q == nil {
@@ -1406,7 +1415,7 @@ func (n *Node) bury() {
 			q.mu.Unlock()
 			n.tree.retire(int64(pend))
 		}
-		close(n.stopped)
+		close(n.lifecycle().stopped)
 		if n.rank != nil && !n.tree.recoveryEnabled() {
 			n.tree.retire(int64(n.rank.sink()))
 		}
@@ -1416,7 +1425,7 @@ func (n *Node) bury() {
 	}
 	for {
 		select {
-		case <-n.control:
+		case <-n.lifecycle().control:
 			n.tree.retire(1)
 		default:
 			return

@@ -269,16 +269,50 @@ func TestIntralayerCycleDoesNotDeadlock(t *testing.T) {
 	})
 }
 
+// TestControlDelivery: control messages reach the root and a leaf; sent
+// from several goroutines at once, each goroutine's arrive in the order it
+// sent them. A node's control lane (its lifecycle) is made by the first
+// message sent to it: the nodes nobody sent one have none.
 func TestControlDelivery(t *testing.T) {
 	tr := New(Config{Leaves: 8, FanIn: 2})
 	recs := startRecording(tr)
 	defer tr.Stop()
 	tr.Control(tr.Root(), "detect")
-	waitFor(t, func() bool {
-		recs[tr.Root()].mu.Lock()
-		defer recs[tr.Root()].mu.Unlock()
-		return len(recs[tr.Root()].ctrl) == 1
-	})
+	const senders, each = 4, 100
+	leaf := tr.FirstLayer()[1]
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tr.Control(leaf, [2]int{g, i})
+			}
+		}(g)
+	}
+	wg.Wait()
+	for n, want := range map[*Node]int{tr.Root(): 1, leaf: senders * each} {
+		waitFor(t, func() bool {
+			recs[n].mu.Lock()
+			defer recs[n].mu.Unlock()
+			return len(recs[n].ctrl) == want
+		})
+	}
+	next := make([]int, senders)
+	for _, m := range recs[leaf].ctrl {
+		gi := m.([2]int)
+		if gi[1] != next[gi[0]] {
+			t.Fatalf("sender %d: message %d arrived when %d was due", gi[0], gi[1], next[gi[0]])
+		}
+		next[gi[0]]++
+	}
+	for _, layer := range tr.shape.Load().layers {
+		for _, n := range layer {
+			if made := n.life.Load() != nil; made != (n == leaf || n == tr.Root()) {
+				t.Errorf("node (%d,%d): lifecycle made=%v", n.layer, n.index, made)
+			}
+		}
+	}
 }
 
 func TestQuiescenceCounters(t *testing.T) {

@@ -83,7 +83,7 @@ func TestWakeForKill(t *testing.T) {
 	for _, n := range []*Node{tr.FirstLayer()[1], tr.shape.Load().layers[1][0]} {
 		parked(t, tr, n)
 		n.Kill()
-		within(t, n.stopped, "Kill")
+		within(t, n.lifecycle().stopped, "Kill")
 	}
 }
 
@@ -182,7 +182,7 @@ func TestKilledNodeDispatchesNothing(t *testing.T) {
 	if err := tr.InjectEvent(0, event.Event{Type: event.Enter}); !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("InjectEvent on a killed node: %v, want ErrNodeDown", err)
 	}
-	within(t, a.stopped, "Kill")
+	within(t, a.lifecycle().stopped, "Kill")
 	waitFor(t, func() bool { _, idle := tr.Idle(); return idle })
 	if d, c := hs[a].total(); d != d0 || c != c0 {
 		t.Fatalf("killed node dispatched %d messages and %d control messages after Kill", d-d0, c-c0)

@@ -179,7 +179,7 @@ func (fab *netFabric) readmitSwap(sl *workerSlot) (leaves, newGids []int, shipme
 func (t *Tree) regid(tp *topology, tr *transport, idx, neu int, markFor func(linkKey) int64) int {
 	old := tp.layers[0][idx]
 	n := t.newNode(0, idx, neu, false)
-	n.dead = old.dead
+	n.life.Store(old.lifecycle())
 	tp.place(n)
 	return tr.cutOver(old.gid, neu, markFor)
 }

@@ -422,7 +422,7 @@ func (t *Tree) injectRemote(n *Node, env rankEnvelope) error {
 	wr := wireRank{Rank: env.from, Ev: env.ev}
 	select {
 	case fab.win[n.index] <- struct{}{}:
-	case <-n.dead:
+	case <-n.lifecycle().dead:
 		return ErrNodeDown
 	case <-t.quit:
 		return ErrStopped

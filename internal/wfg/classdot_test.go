@@ -24,11 +24,10 @@ func pairsGraph(p int) *ClassGraph {
 	return g.Simplify(procs)
 }
 
-// TestPinnedClassGraphDOT pins the class graph's DOT bytes — ranges,
-// both shapes, the ALL-OTHERS label, self loops, multi-digit indices —
-// against testdata/classgraph.dot, written by the fmt-based renderer.
-func TestPinnedClassGraphDOT(t *testing.T) {
-	cg := &ClassGraph{
+// mixedGraph has ranges, both shapes, the ALL-OTHERS label, self loops and
+// multi-digit indices.
+func mixedGraph() *ClassGraph {
+	return &ClassGraph{
 		Procs: 20,
 		Classes: []Class{
 			{Members: []int{0, 1, 2, 3, 7, 9, 10, 11}, Sem: waitstate.AndWait, Targets: []int{12}},
@@ -38,6 +37,34 @@ func TestPinnedClassGraphDOT(t *testing.T) {
 		},
 		Arcs: [][]int{{3}, {0, 1, 2, 3}, {0, 1}, {3}},
 	}
+}
+
+// TestDOTStringIsSizedExactly checks that the length DOTString allocates
+// (dotLen) is what DOT writes, and that both write the same bytes.
+func TestDOTStringIsSizedExactly(t *testing.T) {
+	storm := &ClassGraph{Procs: 1024, Classes: []Class{{Sem: waitstate.OrWait, AllOthers: true}}, Arcs: [][]int{{0}}}
+	for i := range 1024 {
+		storm.Classes[0].Members = append(storm.Classes[0].Members, i)
+	}
+	for name, cg := range map[string]*ClassGraph{"mixed": mixedGraph(), "pairs": pairsGraph(4096), "storm": storm, "empty": {}} {
+		var sb strings.Builder
+		if err := cg.DOT(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if n := cg.dotLen(); n != sb.Len() {
+			t.Errorf("%s: dotLen %d, DOT wrote %d bytes", name, n, sb.Len())
+		}
+		if cg.DOTString() != sb.String() {
+			t.Errorf("%s: DOTString differs from DOT", name)
+		}
+	}
+}
+
+// TestPinnedClassGraphDOT pins the class graph's DOT bytes — ranges,
+// both shapes, the ALL-OTHERS label, self loops, multi-digit indices —
+// against testdata/classgraph.dot, written by the fmt-based renderer.
+func TestPinnedClassGraphDOT(t *testing.T) {
+	cg := mixedGraph()
 	var sb strings.Builder
 	if err := cg.DOT(&sb); err != nil {
 		t.Fatal(err)

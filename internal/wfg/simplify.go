@@ -171,7 +171,7 @@ func appendRanges(b []byte, xs []int) []byte {
 // buffer, so rendering allocates nothing per class.
 func (cg *ClassGraph) DOT(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<14)
-	bw.WriteString("digraph SimplifiedWaitForGraph {\n  rankdir=LR;\n")
+	bw.WriteString(dotHead)
 	line := make([]byte, 0, 128)
 	for i, c := range cg.Classes {
 		shape, sem := "box", "AND"
@@ -206,6 +206,43 @@ func (cg *ClassGraph) DOT(w io.Writer) error {
 	}
 	bw.WriteString("}\n")
 	return bw.Flush()
+}
+
+const dotHead = "digraph SimplifiedWaitForGraph {\n  rankdir=LR;\n"
+
+// DOTString renders DOT into a string allocated once, at its final length.
+func (cg *ClassGraph) DOTString() string {
+	var sb strings.Builder
+	sb.Grow(cg.dotLen())
+	cg.DOT(&sb) // a strings.Builder never fails
+	return sb.String()
+}
+
+// dotLen is the number of bytes DOT writes: each line's fixed text plus
+// its numbers and member ranges, measured in one scratch buffer.
+func (cg *ClassGraph) dotLen() int {
+	var scratch []byte
+	num := func(v int) int {
+		scratch = strconv.AppendInt(scratch[:0], int64(v), 10)
+		return len(scratch)
+	}
+	n := len(dotHead) + len("}\n")
+	for i, c := range cg.Classes {
+		scratch = appendRanges(scratch[:0], c.Members)
+		n += len(scratch) + len(`  c [shape=box,label="ranks \n procs, AND"];`+"\n") + num(i) + num(len(c.Members))
+		if c.Sem == waitstate.OrWait {
+			n += len("diamondOR") - len("boxAND")
+		}
+		if c.AllOthers {
+			n += len(`\nwait for ALL OTHER ranks`)
+		}
+	}
+	for i, arcs := range cg.Arcs {
+		for _, j := range arcs {
+			n += len("  c -> c;\n") + num(i) + num(j)
+		}
+	}
+	return n
 }
 
 // Summary is a one-line human description, e.g. the paper's wildcard case:
