@@ -38,13 +38,15 @@ allocs:
 # dispatching nothing), the run queue (no node stepped twice at once, no
 # replacement stepped before it is armed), exact quiescence and the intake hold's liveness
 # and window bound five times over, the progress watchdog's stall
-# classification 20 times, and the simulator's mismatched-root broadcast
-# 300 times.
+# classification 20 times, every counted first-layer crash point and a
+# slot crashed twice three times, and the simulator's mismatched-root
+# broadcast 300 times.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestTransport|TestCrash|TestTopology' ./internal/fault/ ./internal/tbon/
 	$(GO) test -race -count=5 -run 'TestRequestWindow|TestRequestRecordsFreedByWait|TestNodeWake|TestWakeFor|TestKilledNodeDispatchesNothing|TestQuiescenceIsExact|TestNodeStepsNeverOverlap|TestReplacementNotSteppedBeforeArm' ./internal/dws/ ./internal/tbon/
 	$(GO) test -race -count=5 -run 'TestHold' ./internal/tbon/ ./must/
 	$(GO) test -race -count=20 -run 'TestChaos.*Stall|Watchdog' ./internal/fault/ ./internal/detect/
+	$(GO) test -race -count=3 -run 'TestRecoveryCrashPointSweep|TestRecoveryRepeatedCrashes' ./internal/fault/
 	$(GO) test -race -count=300 -run TestCollectiveRootMismatchReported ./must/
 
 # Short shard: unit tests plus a small chaos slice; skips `go run` smoke tests.

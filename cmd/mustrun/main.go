@@ -57,7 +57,7 @@ func main() {
 		faultReord = flag.Float64("fault-reorder", 0, "probability of reordering adjacent tool-link messages (0..1)")
 		faultSeed  = flag.Int64("fault-seed", 1, "deterministic seed for fault injection")
 		crashNode  = flag.Int("fault-crash-node", -1, "crash this first-layer tool node (degraded-mode demo)")
-		crashAfter = flag.Duration("fault-crash-after", 20*time.Millisecond, "delay before the injected crash")
+		crashCount = flag.Int("fault-crash-at", 0, "envelopes the crashed node dispatches before it dies (0 = at its first step)")
 		snapDeadl  = flag.Duration("snapshot-deadline", 0, "per-snapshot deadline before abort+retry (0 = default)")
 
 		rankCrash = flag.String("rank-crash", "", "crash application ranks: rank[:atCall],... (e.g. 2:5,7)")
@@ -131,7 +131,7 @@ func main() {
 			JournalCap:  *journalCap,
 		}
 		if *crashNode >= 0 {
-			spec.Fault.Crashes = []session.CrashSpec{{Node: *crashNode, After: session.Duration(*crashAfter)}}
+			spec.Fault.Crashes = []session.CrashSpec{{Node: *crashNode, AfterEnvelopes: *crashCount}}
 		}
 	}
 	opts, err := spec.Options()

@@ -87,7 +87,7 @@ func TestCmdMustrunFaultFlags(t *testing.T) {
 	// First-layer crash with the default -recover: the node is rebuilt by
 	// journal replay and the report is NOT partial.
 	out, code = goRun(t, "./cmd/mustrun", "-workload", "recvrecv", "-procs", "8",
-		"-fanin", "2", "-fault-crash-node", "1", "-fault-crash-after", "15ms")
+		"-fanin", "2", "-fault-crash-node", "1", "-fault-crash-at", "2")
 	if code != 1 {
 		t.Fatalf("exit = %d\n%s", code, out)
 	}
@@ -102,7 +102,7 @@ func TestCmdMustrunFaultFlags(t *testing.T) {
 	}
 	// Same crash with -recover=false: degraded mode, report flagged partial.
 	out, code = goRun(t, "./cmd/mustrun", "-workload", "recvrecv", "-procs", "8",
-		"-fanin", "2", "-fault-crash-node", "1", "-fault-crash-after", "15ms",
+		"-fanin", "2", "-fault-crash-node", "1", "-fault-crash-at", "2",
 		"-recover=false")
 	if code != 1 {
 		t.Fatalf("exit = %d\n%s", code, out)
@@ -111,6 +111,13 @@ func TestCmdMustrunFaultFlags(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}
+	}
+	// A crash of a node the tree does not have is refused, not ignored:
+	// 8 ranks at fan-in 2 have first-layer nodes 0..3.
+	out, code = goRun(t, "./cmd/mustrun", "-workload", "recvrecv", "-procs", "8",
+		"-fanin", "2", "-fault-crash-node", "4")
+	if code == 0 || !strings.Contains(out, "exit status 2") || !strings.Contains(out, "run failed") {
+		t.Fatalf("-fault-crash-node 4 not rejected with exit 2 (code %d):\n%s", code, out)
 	}
 	// Malformed fault flags must be rejected at startup (exit 2; `go run`
 	// reports the child's code as "exit status 2" text and exits 1 itself).

@@ -11,10 +11,15 @@ package fault_test
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dwst/internal/collmatch"
 	"dwst/internal/dws"
+	"dwst/internal/event"
+	"dwst/internal/fault"
+	"dwst/internal/mpisim"
 	"dwst/internal/testseed"
 	"dwst/internal/workload"
 	"dwst/mpi"
@@ -50,6 +55,33 @@ func chaosCases() []chaosCase {
 		{"fig2b", 3, 2, workload.Fig2b()},
 		{"wildcard", 8, 4, workload.WildcardDeadlock()},
 	}
+}
+
+// rankEvents counts, per first-layer node of c's tree, the events its
+// hosted ranks emit before they block or finish, on the simulator alone
+// (the tool's default send mode; the hang watchdog ends a deadlock). The
+// count is fixed by the program, and each event is one envelope the node
+// dispatches under the tool, so a crash planned at any count up to it
+// lands in every run.
+func rankEvents(c chaosCase) []int {
+	counts := make([]atomic.Int64, (c.procs+c.fanIn-1)/c.fanIn)
+	w := mpisim.NewWorld(mpisim.Config{
+		Procs:       c.procs,
+		HangTimeout: 100 * time.Millisecond,
+		Sink: event.Func(func(ev event.Event) {
+			rank := ev.Proc
+			if ev.Type == event.Enter {
+				rank = ev.Op.Proc
+			}
+			counts[rank/c.fanIn].Add(1)
+		}),
+	})
+	w.Run(func(p *mpisim.Proc) { c.prog(mpi.NewProc(p)) })
+	out := make([]int, len(counts))
+	for i := range counts {
+		out[i] = int(counts[i].Load())
+	}
+	return out
 }
 
 // verdict is the part of a report that faults must never change.
@@ -132,9 +164,10 @@ func TestChaosHeavierFaultsStillConverge(t *testing.T) {
 	})
 }
 
-// TestChaosFirstLayerCrashDegradesHonestly crashes a first-layer node.
-// The run must still terminate and report the deadlock, but flagged
-// partial with exactly the crashed node's ranks unknown.
+// TestChaosFirstLayerCrashDegradesHonestly crashes a first-layer node
+// after its second envelope (its ranks emit two). The run must still
+// terminate and report the deadlock, but flagged partial with exactly the
+// crashed node's ranks unknown.
 func TestChaosFirstLayerCrashDegradesHonestly(t *testing.T) {
 	for _, node := range []int{0, 1, 3} {
 		node := node
@@ -144,7 +177,7 @@ func TestChaosFirstLayerCrashDegradesHonestly(t *testing.T) {
 				Timeout: 20 * time.Millisecond,
 				Fault: &must.FaultPlan{
 					Seed:    1,
-					Crashes: []must.Crash{{Layer: 0, Index: node, After: 15 * time.Millisecond}},
+					Crashes: []must.Crash{{Layer: 0, Index: node, AfterEnvelopes: 2}},
 				},
 			})
 			if !rep.Partial {
@@ -175,17 +208,31 @@ func TestChaosFirstLayerCrashDegradesHonestly(t *testing.T) {
 // TestChaosInteriorCrashIsHealed crashes an interior (non-first-layer)
 // node on a deadlock-free workload: the supervisor reattaches its children
 // to the grandparent and the redirected transport replays pending frames,
-// so the run completes with a full (non-partial) clean verdict.
+// so the run completes with a full (non-partial) clean verdict. The
+// victim dies after two envelopes; it takes at least three in any run (the
+// final detection's request from above and an answer from each child).
+// The root answers the death's report with a collmatch.Resync broadcast,
+// which a rule that injects nothing counts on the down links.
 func TestChaosInteriorCrashIsHealed(t *testing.T) {
+	var resyncs atomic.Int64
 	rep := runBounded(t, 16, workload.Stress(10), must.Options{
 		FanIn:            2,
 		Timeout:          20 * time.Millisecond,
 		SnapshotDeadline: 500 * time.Millisecond,
 		Fault: &must.FaultPlan{
 			Seed:    1,
-			Crashes: []must.Crash{{Layer: 1, Index: 0, After: 10 * time.Millisecond}},
+			Crashes: []must.Crash{{Layer: 1, Index: 0, AfterEnvelopes: 2}},
+			Rules: []must.FaultRule{{Link: fault.DownLink, Match: func(msg any) bool {
+				if _, ok := msg.(collmatch.Resync); ok {
+					resyncs.Add(1)
+				}
+				return false
+			}}},
 		},
 	})
+	if resyncs.Load() == 0 {
+		t.Fatal("the interior node's death was never reported (no Resync broadcast)")
+	}
 	if rep.Partial {
 		t.Fatalf("interior crash must be healed, not degrade the report (unknown %v)", rep.UnknownRanks)
 	}

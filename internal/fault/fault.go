@@ -85,11 +85,13 @@ type Rule struct {
 	Match func(msg any) bool
 }
 
-// Crash schedules the death of one tool node: After the given duration
-// from tree start, node (Layer, Index) stops processing messages.
+// Crash schedules the death of one tool node: node (Layer, Index) dies at
+// the end of the first delivery cycle after which it has dispatched
+// AfterEnvelopes envelopes of any kind (0 = its first step). A slot's
+// crashes apply in plan order, one per incarnation; the root cannot crash.
 type Crash struct {
-	Layer, Index int
-	After        time.Duration
+	Layer, Index   int
+	AfterEnvelopes int
 }
 
 // RankCrash schedules the death of one *application* rank: immediately

@@ -10,6 +10,7 @@ package fault_test
 // instead of the honest degradation tested in chaos_test.go.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -19,17 +20,40 @@ import (
 	"dwst/must"
 )
 
-// recoverPlan is the crash/recovery configuration shared by the suite.
-func recoverPlan(seed int64, node int, after time.Duration) *must.FaultPlan {
+// recoverPlan is the crash/recovery configuration shared by the suite:
+// first-layer node crashes after dispatching after envelopes.
+func recoverPlan(seed int64, node, after int) *must.FaultPlan {
 	return &must.FaultPlan{
 		Seed:    seed,
-		Crashes: []must.Crash{{Layer: 0, Index: node, After: after}},
+		Crashes: []must.Crash{{Layer: 0, Index: node, AfterEnvelopes: after}},
 		Recover: true,
 	}
 }
 
+// runRecovered runs c with one planned crash of node after the given
+// envelope count and asserts the crash landed and was recovered exactly:
+// one recovery, no partial report, no unknown rank, the reference verdict.
+func runRecovered(t *testing.T, c chaosCase, ref verdict, seed int64, node, after int) {
+	t.Helper()
+	rep := runBounded(t, c.procs, c.prog, must.Options{
+		FanIn:            c.fanIn,
+		Timeout:          20 * time.Millisecond,
+		SnapshotDeadline: 500 * time.Millisecond,
+		Fault:            recoverPlan(seed, node, after),
+	})
+	if rep.Recoveries != 1 {
+		t.Fatalf("crash of node %d after %d envelopes: %d recoveries, want 1", node, after, rep.Recoveries)
+	}
+	if rep.Partial || len(rep.UnknownRanks) != 0 {
+		t.Fatalf("recovered crash must not degrade the report (unknown ranks %v)", rep.UnknownRanks)
+	}
+	if got := verdictOf(rep); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("verdict diverged after recovery (node %d, after %d envelopes):\n got %+v\nwant %+v", node, after, got, ref)
+	}
+}
+
 // TestRecoveryFirstLayerCrashExactVerdict is the headline recovery
-// property: across workloads, crash targets, and crash times, a run with
+// property: across workloads, crash targets, and crash points, a run with
 // Recover set must produce the exact fault-free verdict — never a partial
 // report, never an unknown rank. With MUST_CHAOS_RUNS unset this executes
 // 3 workloads x 70 seeds = 210 crash-recovery runs.
@@ -45,39 +69,39 @@ func TestRecoveryFirstLayerCrashExactVerdict(t *testing.T) {
 			if !ref.Deadlock {
 				t.Fatalf("reference run found no deadlock")
 			}
-			firstLayer := (c.procs + c.fanIn - 1) / c.fanIn
+			events := rankEvents(c)
 			testseed.Run(t, lo, hi, func(t *testing.T, seed int64) {
 				t.Parallel()
-				// Vary the victim and the crash time per seed; the crash
-				// always lands before the first quiescence trigger (20ms),
-				// exercising different points of the matching protocol.
-				node := int(seed) % firstLayer
-				after := time.Duration(5+seed%10) * time.Millisecond
-				rep := runBounded(t, c.procs, c.prog, must.Options{
-					FanIn:            c.fanIn,
-					Timeout:          20 * time.Millisecond,
-					SnapshotDeadline: 500 * time.Millisecond,
-					Fault:            recoverPlan(seed, node, after),
-				})
-				if rep.Partial {
-					t.Fatalf("recovered crash must not degrade the report (unknown ranks %v)", rep.UnknownRanks)
-				}
-				if len(rep.UnknownRanks) != 0 {
-					t.Fatalf("unknown ranks %v after recovery", rep.UnknownRanks)
-				}
-				// A potential-only workload (fig2b under buffered sends)
-				// completes on its own; if the app outran the crash timer
-				// there is nothing to recover and the run is simply
-				// fault-free. Recovery is mandatory only when the crash
-				// landed inside the app's lifetime.
-				if rep.Recoveries < 1 && rep.Elapsed >= after {
-					t.Fatalf("crash of node %d at %v was never recovered (recoveries=0, app ran %v)",
-						node, after, rep.Elapsed)
-				}
-				if got := verdictOf(rep); !reflect.DeepEqual(got, ref) {
-					t.Fatalf("verdict diverged after recovery (node %d, after %v):\n got %+v\nwant %+v", node, after, got, ref)
-				}
+				// Vary the victim and the crash point per seed, within the
+				// events its ranks emit, so the crash always lands.
+				node := int(seed) % len(events)
+				after := 1 + int(seed)/len(events)%events[node]
+				runRecovered(t, c, ref, seed, node, after)
 			})
+		})
+	}
+}
+
+// TestRecoveryCrashPointSweep crashes every first-layer node of every
+// chaos workload at every envelope count its ranks' events reach, one
+// crash per run: each is recovered to the exact reference verdict. A
+// wrong verdict here names the crash point that produces it.
+func TestRecoveryCrashPointSweep(t *testing.T) {
+	for _, c := range chaosCases() {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			ref := verdictOf(runBounded(t, c.procs, c.prog, must.Options{FanIn: c.fanIn, Timeout: 20 * time.Millisecond}))
+			for node, events := range rankEvents(c) {
+				if events == 0 {
+					t.Fatalf("node %d hosts ranks that emit no events", node)
+				}
+				for after := 1; after <= events; after++ {
+					t.Run(fmt.Sprintf("node=%d/after=%d", node, after), func(t *testing.T) {
+						t.Parallel()
+						runRecovered(t, c, ref, 1, node, after)
+					})
+				}
+			}
 		})
 	}
 }
@@ -94,7 +118,8 @@ func TestRecoveryWithLinkFaults(t *testing.T) {
 	ref := verdictOf(runBounded(t, 8, prog, must.Options{FanIn: 2, Timeout: 20 * time.Millisecond}))
 	testseed.Run(t, 0, hi, func(t *testing.T, seed int64) {
 		t.Parallel()
-		plan := recoverPlan(seed, int(seed)%4, time.Duration(5+seed%10)*time.Millisecond)
+		// recvrecv's ranks emit two events per node: the crash lands.
+		plan := recoverPlan(seed, int(seed)%4, 1+int(seed/4)%2)
 		plan.Rules = []must.FaultRule{{
 			Drop:      0.01,
 			Dup:       0.01,
@@ -107,6 +132,9 @@ func TestRecoveryWithLinkFaults(t *testing.T) {
 			SnapshotDeadline: 500 * time.Millisecond,
 			Fault:            plan,
 		})
+		if rep.Recoveries != 1 {
+			t.Fatalf("%d recoveries, want 1", rep.Recoveries)
+		}
 		if rep.Partial || len(rep.UnknownRanks) != 0 {
 			t.Fatalf("recovered crash under link faults degraded the report (unknown %v)", rep.UnknownRanks)
 		}
@@ -119,18 +147,23 @@ func TestRecoveryWithLinkFaults(t *testing.T) {
 // TestRecoveryRepeatedCrashes kills the same first-layer slot twice: the
 // second incarnation's replacement replays the journal the first two
 // incarnations wrote (the post-recovery checkpoint keeps the second replay
-// short). The verdict must still be exact.
+// short). Each incarnation dies after its first envelope; the second
+// always takes one, a rank event or the detection's request. The verdict
+// must still be exact.
 func TestRecoveryRepeatedCrashes(t *testing.T) {
 	prog := workload.RecvRecvDeadlock()
 	ref := verdictOf(runBounded(t, 8, prog, must.Options{FanIn: 2, Timeout: 20 * time.Millisecond}))
-	plan := recoverPlan(1, 0, 10*time.Millisecond)
-	plan.Crashes = append(plan.Crashes, must.Crash{Layer: 0, Index: 0, After: 500 * time.Millisecond})
+	plan := recoverPlan(1, 0, 1)
+	plan.Crashes = append(plan.Crashes, must.Crash{Layer: 0, Index: 0, AfterEnvelopes: 1})
 	rep := runBounded(t, 8, prog, must.Options{
 		FanIn:            2,
 		Timeout:          20 * time.Millisecond,
 		SnapshotDeadline: 500 * time.Millisecond,
 		Fault:            plan,
 	})
+	if rep.Recoveries != 2 {
+		t.Fatalf("%d recoveries, want 2", rep.Recoveries)
+	}
 	if rep.Partial || len(rep.UnknownRanks) != 0 {
 		t.Fatalf("repeated crashes degraded the report (unknown %v)", rep.UnknownRanks)
 	}
@@ -149,7 +182,7 @@ func TestRecoveryRequiresTransport(t *testing.T) {
 		Timeout: 20 * time.Millisecond,
 		Fault: &must.FaultPlan{
 			Seed:              1,
-			Crashes:           []must.Crash{{Layer: 0, Index: 1, After: 15 * time.Millisecond}},
+			Crashes:           []must.Crash{{Layer: 0, Index: 1, AfterEnvelopes: 2}},
 			Recover:           true,
 			DisableRetransmit: true,
 		},
@@ -232,7 +265,7 @@ func TestRecoveryDegradedDefaultUnchanged(t *testing.T) {
 		Timeout: 20 * time.Millisecond,
 		Fault: &must.FaultPlan{
 			Seed:    1,
-			Crashes: []must.Crash{{Layer: 0, Index: 2, After: 15 * time.Millisecond}},
+			Crashes: []must.Crash{{Layer: 0, Index: 2, AfterEnvelopes: 2}},
 		},
 	})
 	if rep.Recoveries != 0 {
@@ -250,10 +283,10 @@ func TestRecoveryStatsPopulated(t *testing.T) {
 		FanIn:            2,
 		Timeout:          20 * time.Millisecond,
 		SnapshotDeadline: 500 * time.Millisecond,
-		Fault:            recoverPlan(1, 0, 10*time.Millisecond),
+		Fault:            recoverPlan(1, 0, 2),
 	})
-	if rep.Recoveries < 1 {
-		t.Fatalf("expected at least one recovery, got %d", rep.Recoveries)
+	if rep.Recoveries != 1 {
+		t.Fatalf("expected one recovery, got %d", rep.Recoveries)
 	}
 	if rep.ReplayedMsgs == 0 {
 		t.Error("recovery replayed no journal entries — replay path not exercised")

@@ -30,11 +30,11 @@ type Proc struct {
 	// calls counts issued MPI calls.
 	calls int
 
-	// crashAt (1-based call index, 0 = none) and stall are the scheduled
+	// crashCall (1-based call index, 0 = none) and stall are the scheduled
 	// application-plane faults; stalled latches after the stall ran once.
-	crashAt int
-	stall   *fault.RankStall
-	stalled bool
+	crashCall int
+	stall     *fault.RankStall
+	stalled   bool
 
 	mbox mailbox
 }
@@ -103,7 +103,7 @@ func (p *Proc) enter(op trace.Op) int {
 // never inside a blocking call.
 func (p *Proc) maybeFault() {
 	call := p.calls + 1 // the call about to be issued, 1-based
-	if p.crashAt > 0 && call >= p.crashAt {
+	if p.crashCall > 0 && call >= p.crashCall {
 		p.crash()
 	}
 	if p.stall != nil && !p.stalled && call >= p.stall.AtCall {

@@ -184,7 +184,7 @@ func NewWorld(cfg Config) *World {
 		if at <= 0 {
 			at = 1
 		}
-		w.procs[rc.Rank].crashAt = at
+		w.procs[rc.Rank].crashCall = at
 	}
 	for _, rs := range cfg.RankStalls {
 		if rs.Rank < 0 || rs.Rank >= cfg.Procs {

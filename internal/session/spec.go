@@ -57,8 +57,8 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 // CrashSpec schedules one first-layer tool-node crash (fault.Crash at
 // layer 0, the only layer the CLI and API expose).
 type CrashSpec struct {
-	Node  int      `json:"node"`
-	After Duration `json:"after,omitempty"`
+	Node           int `json:"node"`
+	AfterEnvelopes int `json:"after_envelopes,omitempty"`
 }
 
 // FaultSpec is the JSON form of a fault plan: link faults, tool-node
@@ -266,10 +266,10 @@ func (s *Spec) options() (opts must.Options, err error) {
 		if c.Node < 0 {
 			return opts, fmt.Errorf("bad fault.crashes node %d: want >= 0", c.Node)
 		}
-		if c.After < 0 {
-			return opts, fmt.Errorf("bad fault.crashes after %v: want >= 0", time.Duration(c.After))
+		if c.AfterEnvelopes < 0 {
+			return opts, fmt.Errorf("bad fault.crashes after_envelopes %d: want >= 0", c.AfterEnvelopes)
 		}
-		plan.Crashes = append(plan.Crashes, must.Crash{Layer: 0, Index: c.Node, After: time.Duration(c.After)})
+		plan.Crashes = append(plan.Crashes, must.Crash{Layer: 0, Index: c.Node, AfterEnvelopes: c.AfterEnvelopes})
 	}
 	if plan.RankCrashes, err = ParseRankCrashes(f.RankCrashes); err != nil {
 		return opts, err

@@ -76,6 +76,7 @@ func TestSpecValidate(t *testing.T) {
 		{"negative reorder", func(s *Spec) { s.Fault = &FaultSpec{Reorder: -0.1} }, true},
 		{"negative journal cap", func(s *Spec) { s.Fault = &FaultSpec{JournalCap: -1} }, true},
 		{"negative crash node", func(s *Spec) { s.Fault = &FaultSpec{Crashes: []CrashSpec{{Node: -1}}} }, true},
+		{"negative crash after_envelopes", func(s *Spec) { s.Fault = &FaultSpec{Crashes: []CrashSpec{{AfterEnvelopes: -1}}} }, true},
 		{"malformed rank crash", func(s *Spec) { s.Fault = &FaultSpec{RankCrashes: "1:2:3"} }, true},
 		{"malformed rank stall", func(s *Spec) { s.Fault = &FaultSpec{RankStalls: "1:2"} }, true},
 		{"centralized rejects differential", func(s *Spec) { s.Mode = "centralized"; s.Differential = true }, true},
@@ -102,7 +103,7 @@ func TestSpecOptionsMapsFaultPlan(t *testing.T) {
 		Timeout: Duration(10 * time.Millisecond),
 		Fault: &FaultSpec{
 			Seed: 7, Drop: 0.25, JitterMax: Duration(time.Millisecond),
-			Crashes:     []CrashSpec{{Node: 1, After: Duration(5 * time.Millisecond)}},
+			Crashes:     []CrashSpec{{Node: 1, AfterEnvelopes: 5}},
 			RankCrashes: "2:5",
 			Recover:     &no,
 			JournalCap:  64,
@@ -122,7 +123,7 @@ func TestSpecOptionsMapsFaultPlan(t *testing.T) {
 	if len(p.Rules) != 1 || p.Rules[0].Drop != 0.25 || p.Rules[0].JitterMax != time.Millisecond {
 		t.Errorf("rules = %+v", p.Rules)
 	}
-	if len(p.Crashes) != 1 || p.Crashes[0].Layer != 0 || p.Crashes[0].Index != 1 {
+	if len(p.Crashes) != 1 || p.Crashes[0] != (must.Crash{Layer: 0, Index: 1, AfterEnvelopes: 5}) {
 		t.Errorf("crashes = %+v", p.Crashes)
 	}
 	if len(p.RankCrashes) != 1 || p.RankCrashes[0].Rank != 2 || p.RankCrashes[0].AtCall != 5 {

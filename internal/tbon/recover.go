@@ -53,6 +53,7 @@ func (t *Tree) respawn(old *Node) {
 		// Recovery is chan-mode only: replacements are in-process.
 		neu = t.newNode(0, old.index, tp.nextGid, true)
 		neu.rank = old.rank // adopt the slot's inbox: per-rank FIFO survives
+		neu.crashes = old.crashes
 		tp.place(neu)
 		tr.migrateTo(old, neu)
 	})

@@ -1,6 +1,7 @@
 package tbon
 
 import (
+	"fmt"
 	"slices"
 	"time"
 )
@@ -14,8 +15,8 @@ import (
 // unacknowledged frames migrate to the new links, and the death is
 // reported via Config.OnNodeDown. A crashed node's link pumps keep
 // draining so senders never block on it. Root crashes are not supported —
-// the paper's model (and ours) keeps the root alive, and the fault plane
-// refuses to schedule its death. TCP trees carry no fault plan, so the
+// the paper's model (and ours) keeps the root alive, and NewNet refuses a
+// fault plan that schedules its death. TCP trees carry no fault plan, so the
 // placeholders the coordinator kills when it degrades a worker are never
 // reaped here.
 
@@ -26,8 +27,8 @@ import (
 const wedgedAfter = time.Second
 
 // Kill crashes the node immediately: it stops processing messages
-// and, on a tree with a fault plan, the supervisor reaps it. Used by crash
-// timers, the TCP coordinator's degrade and tests.
+// and, on a tree with a fault plan, the supervisor reaps it. Used by a
+// node's planned crash (step), the TCP coordinator's degrade and tests.
 func (n *Node) Kill() {
 	if n.IsRoot() {
 		return // partitioning the root is out of scope
@@ -49,32 +50,21 @@ func (n *Node) Kill() {
 // Dead reports whether the node has crashed.
 func (n *Node) Dead() bool { return n.killed.Load() }
 
-// startCrashTimers schedules the plan's node crashes: a timer kills the
-// node at its deadline, and the node kills itself at the end of its first
-// delivery cycle past it (crashAt) when the timer runs late. A crash
-// due before the application ends thus lands before the node serves more
-// of the final detection than one delivery cycle.
-func (t *Tree) startCrashTimers() {
+// planCrashes hands each planned crash to its node in plan order, where
+// the node's steps count it down (step); a respawned replacement takes the
+// slot's rest (respawn). A crash of the root or of a node outside the tree
+// is refused, not ignored.
+func (t *Tree) planCrashes() error {
 	layers := t.shape.Load().layers
 	for _, c := range t.cfg.Fault.Crashes {
-		if c.Layer < 0 || c.Layer >= len(layers) || c.Index < 0 || c.Index >= len(layers[c.Layer]) {
-			continue
+		if c.Layer < 0 || c.Layer >= len(layers)-1 || c.Index < 0 || c.Index >= len(layers[c.Layer]) {
+			return fmt.Errorf("fault plan crashes tool node %d on layer %d: no such node below the root (%d layers, the first %d wide)",
+				c.Index, c.Layer, len(layers), len(layers[0]))
 		}
 		n := layers[c.Layer][c.Index]
-		after := c.After
-		if at := time.Now().Add(after); !n.IsRoot() && (n.crashAt.IsZero() || at.Before(n.crashAt)) {
-			n.crashAt = at
-		}
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			select {
-			case <-time.After(after):
-				n.Kill()
-			case <-t.quit:
-			}
-		}()
+		n.crashes = append(n.crashes, c.AfterEnvelopes)
 	}
+	return nil
 }
 
 // supervise reaps killed nodes: each wake (one per Kill, coalesced) scans

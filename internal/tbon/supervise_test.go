@@ -38,14 +38,14 @@ func (l *downLog) get() []*Node {
 }
 
 // TestCrashReapsOnlyKilledNodes: under a plan that crashes first-layer
-// node 1, a healthy leaf whose handler is busy for 120 ms is never
-// reported down — only a kill makes a node dead — and the killed node is
-// reported exactly once.
+// node 1 at its first step, a healthy leaf whose handler is busy for
+// 120 ms is never reported down — only a kill makes a node dead — and the
+// killed node is reported exactly once.
 func TestCrashReapsOnlyKilledNodes(t *testing.T) {
 	var log downLog
 	tr := New(Config{Leaves: 8, FanIn: 2, Fault: &fault.Plan{
 		Seed:    1,
-		Crashes: []fault.Crash{{Layer: 0, Index: 1, After: 10 * time.Millisecond}},
+		Crashes: []fault.Crash{{Layer: 0, Index: 1}},
 	}, OnNodeDown: log.add})
 	busy := make(chan struct{})
 	tr.Start(func(n *Node) Handler {
@@ -120,4 +120,88 @@ func TestCrashReapsAfterLoopStops(t *testing.T) {
 	if down := log.get(); len(down) != 1 || down[0] != victim {
 		t.Fatalf("%d nodes reported down, want exactly the killed node once", len(down))
 	}
+}
+
+// countLeaf counts the rank events it is handed.
+type countLeaf struct {
+	busyLeaf
+	n atomic.Int64
+}
+
+func (h *countLeaf) FromRank(int, any) { h.n.Add(1) }
+
+// TestCrashLandsAtCountedEnvelope: a slot planned to crash after 3 and
+// then after 2 envelopes dies exactly there, twice. Without batching a
+// first-layer node dispatches one rank event per step, so its first
+// incarnation sees events 1–3, the replacement 4–5 (it counts from its own
+// first step) and the third incarnation, with no crash left, the rest.
+func TestCrashLandsAtCountedEnvelope(t *testing.T) {
+	tr := New(Config{Leaves: 4, FanIn: 2, Fault: &fault.Plan{
+		Seed:    1,
+		Recover: true,
+		Crashes: []fault.Crash{{Layer: 0, Index: 0, AfterEnvelopes: 3}, {Layer: 0, Index: 0, AfterEnvelopes: 2}},
+	}})
+	var mu sync.Mutex
+	var slot0 []*countLeaf
+	tr.Start(func(n *Node) Handler {
+		h := &countLeaf{}
+		if n.IsFirstLayer() && n.Index() == 0 {
+			mu.Lock()
+			slot0 = append(slot0, h)
+			mu.Unlock()
+		}
+		return h
+	})
+	defer tr.Stop()
+	const events = 8
+	for range events {
+		if err := tr.InjectEvent(0, event.Event{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counts := func() []int64 {
+		mu.Lock()
+		defer mu.Unlock()
+		var c []int64
+		for _, h := range slot0 {
+			c = append(c, h.n.Load())
+		}
+		return c
+	}
+	waitFor(t, func() bool {
+		c := counts()
+		return len(c) == 3 && c[2] == events-5
+	})
+	if c := counts(); c[0] != 3 || c[1] != 2 {
+		t.Fatalf("incarnations of slot 0 dispatched %v rank events, want [3 2 %d]", c, events-5)
+	}
+	if got := tr.Counters().Recoveries; got != 2 {
+		t.Fatalf("recoveries = %d, want 2", got)
+	}
+}
+
+// TestCrashPlanRefusesTargetsOutsideTree: a plan that crashes the root or
+// a node the tree does not have is an error, not a run without the crash.
+func TestCrashPlanRefusesTargetsOutsideTree(t *testing.T) {
+	for _, c := range []fault.Crash{
+		{Layer: 0, Index: 99}, // first layer is 4 wide
+		{Layer: 0, Index: -1},
+		{Layer: 2, Index: 0}, // the root of layers 4/2/1
+		{Layer: 3, Index: 0},
+		{Layer: -1, Index: 0},
+	} {
+		if tr, err := NewNet(Config{Leaves: 8, FanIn: 2, Fault: &fault.Plan{Crashes: []fault.Crash{c}}}); err == nil {
+			tr.Stop()
+			t.Errorf("crash %+v accepted", c)
+		}
+	}
+	// A one-node tree is all root.
+	if _, err := NewNet(Config{Leaves: 4, FanIn: 4, Fault: &fault.Plan{Crashes: []fault.Crash{{}}}}); err == nil {
+		t.Error("crash of a one-node tree's root accepted")
+	}
+	tr, err := NewNet(Config{Leaves: 8, FanIn: 2, Fault: &fault.Plan{Crashes: []fault.Crash{{Layer: 1, Index: 1}}}})
+	if err != nil {
+		t.Fatalf("crash of an interior node refused: %v", err)
+	}
+	tr.Stop()
 }

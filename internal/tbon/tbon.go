@@ -24,8 +24,8 @@
 //
 // A Config.Fault plan (see internal/fault) turns the idealized substrate
 // into an adversarial one: link pumps drop, duplicate, reorder, jitter and
-// stall messages, and scheduled crashes kill tool nodes. Two defense layers
-// restore the guarantees the protocols need:
+// stall messages, and crashes kill tool nodes at counted envelopes. Two
+// defense layers restore the guarantees the protocols need:
 //
 //   - a reliable link layer (transport.go): tool messages travel in
 //     sequence-numbered frames; receivers deduplicate and resequence per
@@ -468,11 +468,10 @@ type Node struct {
 	life     atomic.Pointer[lifecycle]
 	killed   atomic.Bool
 	deadOnce sync.Once
-	// crashAt is the earliest planned crash of this incarnation (zero:
-	// none), set before its first step. Each step also checks it at the
-	// end of its delivery cycle, so a crash timer that fires late under
-	// load cannot move the crash past the node's next dispatch.
-	crashAt time.Time
+	// crashes are the slot's planned crashes not yet landed (fault.Crash),
+	// and dispatched counts this incarnation's envelopes; step owns both.
+	crashes    []int
+	dispatched int
 	// reaped marks that the supervisor already handled this death.
 	reaped atomic.Bool
 }
@@ -803,12 +802,16 @@ func NewNet(cfg Config) (*Tree, error) {
 		}
 	}
 	t.shape.Store(tp)
-	if cfg.Net != nil {
-		if err := t.startNet(); err != nil {
-			t.halt() // release the queue pumps already spawned
-			t.wg.Wait()
-			return nil, err
-		}
+	var err error
+	if cfg.Fault != nil {
+		err = t.planCrashes()
+	} else if cfg.Net != nil {
+		err = t.startNet()
+	}
+	if err != nil {
+		t.halt() // release the queue pumps already spawned
+		t.wg.Wait()
+		return nil, err
 	}
 	return t, nil
 }
@@ -839,8 +842,8 @@ func (t *Tree) arm(n *Node) {
 }
 
 // Start launches the tree's workers, GOMAXPROCS of them at most (plus, with
-// a fault plan, the retransmission scanner, crash timers and the supervisor
-// that reaps killed nodes), and queues every local node for its first step.
+// a fault plan, the retransmission scanner and the supervisor that reaps
+// killed nodes), and queues every local node for its first step.
 // mkHandler constructs the handler for each node before any message flows.
 func (t *Tree) Start(mkHandler func(n *Node) Handler) {
 	t.startOnce.Do(func() {
@@ -856,9 +859,6 @@ func (t *Tree) Start(mkHandler func(n *Node) Handler) {
 				t.arm(n)
 				local++
 			}
-		}
-		if t.cfg.Fault != nil {
-			t.startCrashTimers() // before the first steps: they read crashAt
 		}
 		for range min(runtime.GOMAXPROCS(0), local) {
 			t.wg.Add(1)
@@ -1327,7 +1327,8 @@ func (t *Tree) worker() {
 // step is one delivery cycle of the node. It checks, in order, the node's
 // death, one control message (served as its own cycle, after which the
 // node raises itself for whatever else is pending), and otherwise serves
-// the queues. A step without work ends an empty cycle.
+// the queues. A step without work ends an empty cycle. The slot's next
+// planned crash lands after endCycle, once the count reaches it.
 func (n *Node) step() {
 	if n.killed.Load() {
 		n.bury()
@@ -1348,8 +1349,10 @@ func (n *Node) step() {
 	default:
 		n.dispatchQueues()
 	}
+	n.dispatched += int(n.taken)
 	n.endCycle()
-	if !n.crashAt.IsZero() && !time.Now().Before(n.crashAt) {
+	if len(n.crashes) > 0 && n.dispatched >= n.crashes[0] {
+		n.crashes = n.crashes[1:]
 		n.Kill()
 		n.bury()
 	}

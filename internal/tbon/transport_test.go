@@ -135,7 +135,7 @@ func TestCrashOfRootChildReattachesToRoot(t *testing.T) {
 	var down []*Node
 	tr := New(Config{Leaves: 8, FanIn: 2, Fault: &fault.Plan{
 		Seed:    2,
-		Crashes: []fault.Crash{{Layer: 1, Index: 0, After: 5 * time.Millisecond}},
+		Crashes: []fault.Crash{{Layer: 1, Index: 0, AfterEnvelopes: 100}},
 	}, OnNodeDown: func(n *Node) {
 		downMu.Lock()
 		down = append(down, n)
@@ -151,6 +151,7 @@ func TestCrashOfRootChildReattachesToRoot(t *testing.T) {
 	}
 	src := tr.FirstLayer()[0] // child of the victim
 
+	// The victim dies at its 100th envelope, inside the stream.
 	const n = 300
 	for i := 0; i < n; i++ {
 		src.SendUp(i)
@@ -222,7 +223,7 @@ func TestCrashReattachesChildrenToGrandparent(t *testing.T) {
 	var down []*Node
 	tr := New(Config{Leaves: 16, FanIn: 2, Fault: &fault.Plan{
 		Seed:    1,
-		Crashes: []fault.Crash{{Layer: 1, Index: 0, After: 5 * time.Millisecond}},
+		Crashes: []fault.Crash{{Layer: 1, Index: 0, AfterEnvelopes: 100}},
 	}, OnNodeDown: func(n *Node) {
 		downMu.Lock()
 		down = append(down, n)
@@ -235,9 +236,9 @@ func TestCrashReattachesChildrenToGrandparent(t *testing.T) {
 	grand := tr.shape.Load().layers[2][0]
 	src := tr.FirstLayer()[0] // child of the victim
 
-	// Keep a message stream flowing across the crash: every message must
-	// survive, delivered to the old parent before the crash or replayed to
-	// the grandparent after it.
+	// Keep a message stream flowing across the crash (the victim dies at
+	// its 100th envelope): every message must survive, delivered to the
+	// old parent before the crash or replayed to the grandparent after it.
 	const n = 300
 	for i := 0; i < n; i++ {
 		src.SendUp(i)

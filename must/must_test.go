@@ -159,3 +159,18 @@ func TestRunRefusesIncompatibleOptions(t *testing.T) {
 		})
 	}
 }
+
+// TestRunRefusesCrashOutsideTree: a fault plan that crashes a tool node
+// the tree does not have, or its root, is an error in Report.Err, never a
+// run without the crash.
+func TestRunRefusesCrashOutsideTree(t *testing.T) {
+	for _, c := range []must.Crash{{Layer: 0, Index: 99}, {Layer: 2, Index: 0}} { // 8 ranks, fan-in 2: layers 4/2/1
+		rep := must.Run(8, cleanProg, must.Options{FanIn: 2, Fault: &must.FaultPlan{Crashes: []must.Crash{c}}})
+		if rep.Err == nil {
+			t.Fatalf("crash %+v: run executed instead of refusing: %+v", c, rep)
+		}
+		if rep.AppAborted || rep.Detections != 0 {
+			t.Fatalf("crash %+v: refused run carries results: %+v", c, rep)
+		}
+	}
+}
